@@ -9,72 +9,89 @@ spaces, and floating-point geometric witnesses (Hopf fiber linking,
 rotation-loop monodromy) with explicit tolerances.
 """
 
-from .derivation import (
-    DerivationStep,
-    StemReport,
-    StepStatus,
-    replay_step,
-    report_from_json,
-    report_to_json,
-)
-from .einv import (
-    ObstructionCertificate,
-    TwoCellModel,
-    Verdict,
-    conjugacy_witness,
-    e_invariant,
-    order_lower_bound,
-    splitting_verdict,
-    two_cell_from,
-)
-from .errors import ResamplePole, VerificationError
-from .exact import BigInt, BigRational, PrimeValuation, padic_valuation, rational_reduce
-from .hopf import (
-    BallPoint,
-    Quaternion,
-    Rotation3,
-    ball_to_rotation,
-    fiber_curve,
-    fiber_linking,
-    gauss_linking,
-    homotopy_H,
-    hopf_map,
-    lift_loop,
-    loop_matrices,
-    loop_point,
-    matrix_path,
-    qmul,
-    quat_from_rot,
-    rot_from_quat,
-    stereographic,
-)
-from .jorder import (
-    KOClassS2,
-    KOClassS4,
-    StuntedSpace,
-    bernoulli,
-    eta_order_chain,
-    feder_gitler_equivalent,
-    ko_s2_realify,
-    ko_s4_relation_check,
-    m_closed_form,
-    m_via_bernoulli,
-    nu_order_bound,
-    stabilized_gcd,
-    thom_space,
-)
-from .kring import (
-    AdamsMatrix,
-    RingElement,
-    RingModel,
-    adams,
-    adams_matrix,
-    laurent_to_phi,
-    make_ring,
-    mul,
-    parse_space,
-)
-from .reports import build_stem_report
+import importlib
+
+# Public name -> defining submodule.  ``__getattr__`` imports a submodule the
+# first time one of its names is read, so ``import stemcert`` (and the exact
+# subcommands) never load numpy, ``hopf`` or ``_kernels`` unless asked to.
+_EXPORTS = {
+    name: submodule
+    for submodule, names in {
+        "derivation": (
+            "DerivationStep",
+            "StemReport",
+            "StepStatus",
+            "replay_step",
+            "report_from_json",
+            "report_to_json",
+        ),
+        "einv": (
+            "ObstructionCertificate",
+            "TwoCellModel",
+            "Verdict",
+            "conjugacy_witness",
+            "e_invariant",
+            "order_lower_bound",
+            "splitting_verdict",
+            "two_cell_from",
+        ),
+        "errors": ("ResamplePole", "VerificationError"),
+        "exact": (
+            "BigInt",
+            "BigRational",
+            "PrimeValuation",
+            "padic_valuation",
+            "rational_reduce",
+        ),
+        "hopf": (
+            "BallPoint",
+            "Quaternion",
+            "Rotation3",
+            "ball_to_rotation",
+            "fiber_curve",
+            "fiber_linking",
+            "gauss_linking",
+            "homotopy_H",
+            "hopf_map",
+            "lift_loop",
+            "loop_matrices",
+            "loop_point",
+            "matrix_path",
+            "qmul",
+            "quat_from_rot",
+            "rot_from_quat",
+            "stereographic",
+        ),
+        "jorder": (
+            "KOClassS2",
+            "KOClassS4",
+            "StuntedSpace",
+            "bernoulli",
+            "eta_order_chain",
+            "feder_gitler_equivalent",
+            "ko_s2_realify",
+            "ko_s4_relation_check",
+            "m_closed_form",
+            "m_via_bernoulli",
+            "nu_order_bound",
+            "stabilized_gcd",
+            "thom_space",
+        ),
+        "kring": (
+            "AdamsMatrix",
+            "RingElement",
+            "RingModel",
+            "adams",
+            "adams_matrix",
+            "laurent_to_phi",
+            "make_ring",
+            "mul",
+            "parse_space",
+        ),
+        "reports": ("build_stem_report",),
+    }.items()
+    for name in names
+}
 
 __version__ = "0.1.0"
 
@@ -141,3 +158,17 @@ __all__ = [
     "thom_space",
     "two_cell_from",
 ]
+
+
+def __getattr__(name: str):
+    try:
+        submodule = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f"{__name__}.{submodule}"), name)
+    globals()[name] = value  # later reads skip __getattr__
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

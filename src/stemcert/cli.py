@@ -13,9 +13,7 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
-from . import einv, hopf, jorder
+from . import einv, jorder
 from .derivation import StemReport, StepStatus, report_to_json
 from .errors import ResamplePole, VerificationError
 from .kring import adams, element_to_json, make_ring, parse_element, parse_space
@@ -115,7 +113,8 @@ def cmd_bernoulli(args) -> int:
 
 def cmd_feder_gitler(args) -> int:
     equivalent = jorder.feder_gitler_equivalent(args.n, args.k, args.l, args.Bn)
-    bn = args.Bn if args.Bn is not None else 24
+    # Without --Bn the decision above used the computed B_1 (n = 1 only).
+    bn = args.Bn if args.Bn is not None else jorder._jorder_b1()
     payload = {
         "n": args.n,
         "k": args.k,
@@ -152,6 +151,12 @@ def cmd_thom(args) -> int:
 
 
 def cmd_linking(args) -> int:
+    if args.trials < 1:
+        raise ValueError("--trials must be at least 1")
+    import numpy as np
+
+    from . import hopf
+
     rng = np.random.default_rng(args.seed)
     links = []
     for _ in range(args.trials):
@@ -188,6 +193,8 @@ def cmd_linking(args) -> int:
 
 
 def cmd_lift(args) -> int:
+    from . import hopf
+
     if args.loop == "homotopy":
         mats = hopf.homotopy_slice_matrices(args.variant, args.slice, args.steps)
     else:
@@ -298,7 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
-    p.add_argument("--Bn", type=int, default=None, help="J-order (default: 24 for n=1)")
+    p.add_argument(
+        "--Bn", type=int, default=None, help="J-order B_n (default for n=1: the computed B_1)"
+    )
     p.set_defaults(func=cmd_feder_gitler)
 
     p = sub.add_parser("thom", help="Thom space as a stunted projective space")

@@ -20,7 +20,6 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from . import _kernels
 from .exact import BigInt, BigRational
 from .kring import RingModel, adams_matrix
 
@@ -186,6 +185,8 @@ def conjugacy_witness(cell: TwoCellModel, bound: int = 20) -> Optional[tuple]:
     witness exists iff ``(k^b - k^a)`` divides ``c`` — the brute-force oracle
     for :func:`splitting_verdict`.
     """
+    from . import _kernels
+
     m00, m11 = cell.diagonal
     return _kernels.search_diagonalizer(m00, cell.c, m11, bound)
 

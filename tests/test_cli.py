@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import stemcert
-from stemcert import cli
+from stemcert import cli, jorder
 from stemcert.derivation import report_from_json
 from stemcert.reports import build_stem_report
 
@@ -20,6 +20,10 @@ from stemcert.reports import build_stem_report
 # console script.
 PACKAGE_PARENT = Path(stemcert.__file__).resolve().parent.parent
 PROJECT_ROOT = Path(__file__).resolve().parent.parent
+
+
+# Modules that only the geometric subcommands need; numpy comes in with them.
+GEOMETRY_MODULES = ("numpy", "stemcert.hopf", "stemcert._kernels")
 
 
 def run_cli(capsys, *argv):
@@ -134,6 +138,113 @@ def test_installed_entry_point_runs():
 
 
 # --------------------------------------------------------------------------
+# Import cost: only the code a subcommand runs gets imported
+# --------------------------------------------------------------------------
+
+# Runs stemcert.cli.main in one fresh interpreter on each argv of the JSON
+# list in argv[1], then prints the exit codes and which GEOMETRY_MODULES
+# were loaded.
+MAIN_IN_CHILD = """
+import contextlib, io, json, sys
+from stemcert.cli import main
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            codes.append(main(argv))
+        except SystemExit as exc:
+            codes.append(exc.code)
+print(json.dumps({
+    "codes": codes,
+    "loaded": [m for m in json.loads(sys.argv[2]) if m in sys.modules],
+}))
+"""
+
+
+def main_in_child(*argvs):
+    proc = run_child(
+        [
+            sys.executable,
+            "-c",
+            MAIN_IN_CHILD,
+            json.dumps(argvs),
+            json.dumps(GEOMETRY_MODULES),
+        ]
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_exact_subcommands_do_not_import_geometry():
+    exact = [
+        ["--help"],
+        ["report", "--stem", "1"],
+        ["report", "--stem", "2"],
+        ["report", "--stem", "3"],
+        ["jorder", "--t", "2"],
+        ["bernoulli", "--n", "12"],
+        ["adams", "--space", "cp2", "--k", "2", "--elem", "mu"],
+        ["einv", "--space", "s2-smash-cp2"],
+        ["thom", "--family", "quaternionic", "--n", "1", "--mult", "24"],
+        ["feder-gitler", "--n", "1", "--k", "12", "--l", "0"],
+    ]
+    child = main_in_child(*exact)
+    assert child["codes"] == [0] * len(exact)
+    assert child["loaded"] == []
+    # Positive control: the same probe sees hopf once a geometric command runs.
+    child = main_in_child(["lift", "--loop", "gamma"])
+    assert child["codes"] == [0]
+    assert "stemcert.hopf" in child["loaded"]
+
+
+# Checks the package API in a fresh interpreter, before and after every
+# exported name has been read, and prints what it found.
+PACKAGE_API_IN_CHILD = """
+import importlib, json, sys
+import stemcert
+heavy = json.loads(sys.argv[1])
+facts = {
+    "loaded_by_import": [m for m in heavy if m in sys.modules],
+    "missing_from_dir": sorted(set(stemcert.__all__) - set(dir(stemcert))),
+    "table_vs_all": sorted(set(stemcert._EXPORTS) ^ set(stemcert.__all__)),
+    "mismatched": [],
+}
+for name in stemcert.__all__:
+    owner = importlib.import_module("stemcert." + stemcert._EXPORTS[name])
+    value = getattr(stemcert, name)
+    defined_in = getattr(value, "__module__", None)
+    if value is not getattr(owner, name) or (
+        defined_in and defined_in.startswith("stemcert.") and defined_in != owner.__name__
+    ):
+        facts["mismatched"].append(name)
+try:
+    stemcert.nope
+    facts["nope"] = "resolved"
+except AttributeError as exc:
+    facts["nope"] = str(exc)
+print(json.dumps(facts))
+"""
+
+
+def test_package_exports_resolve_on_first_use():
+    proc = run_child(
+        [sys.executable, "-c", PACKAGE_API_IN_CHILD, json.dumps(GEOMETRY_MODULES)]
+    )
+    assert proc.returncode == 0, proc.stderr
+    facts = json.loads(proc.stdout)
+    assert facts == {
+        "loaded_by_import": [],
+        "missing_from_dir": [],
+        "table_vs_all": [],
+        "mismatched": [],
+        "nope": "module 'stemcert' has no attribute 'nope'",
+    }
+    # The first read of a name caches it in the package globals.
+    assert stemcert.fiber_linking is stemcert.hopf.fiber_linking
+    assert "fiber_linking" in vars(stemcert)
+
+
+# --------------------------------------------------------------------------
 # JSON contracts
 # --------------------------------------------------------------------------
 
@@ -188,6 +299,22 @@ def test_feder_gitler_json(capsys):
     assert blob["Bn"] == "24"
 
 
+def test_feder_gitler_prints_the_b1_it_decided_with(capsys, monkeypatch):
+    # A B_1 other than 24 shows that the printed modulus is the one the
+    # decision used, not a literal.
+    monkeypatch.setattr(jorder, "_jorder_b1", lambda: 7)
+    code, out, _ = run_cli(
+        capsys, "--json", "feder-gitler", "--n", "1", "--k", "7", "--l", "0"
+    )
+    assert code == 0
+    blob = json.loads(out)
+    assert blob["Bn"] == "7"
+    assert blob["equivalent"] is True
+    code, out, _ = run_cli(capsys, "feder-gitler", "--n", "1", "--k", "7", "--l", "0")
+    assert code == 0
+    assert "(mod 7)" in out and "are stably equivalent" in out
+
+
 def test_thom_json(capsys):
     code, out, _ = run_cli(
         capsys, "--json", "thom", "--family", "quaternionic", "--n", "1",
@@ -219,6 +346,14 @@ def test_linking_command_certifies(capsys):
     assert blob["max_deviation"] <= 0.02
     assert abs(blob["unlinked_control"]) <= 0.02
     assert len(blob["trials"]) == 3
+
+
+def test_linking_rejects_zero_trials(capsys):
+    for trials in ("0", "-3"):
+        code, out, err = run_cli(capsys, "linking", "--trials", trials)
+        assert code == 2
+        assert out == ""
+        assert "error: --trials must be at least 1" in err
 
 
 def test_linking_is_seed_reproducible(capsys):
