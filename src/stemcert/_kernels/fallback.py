@@ -1,9 +1,9 @@
 """Pure-Python (NumPy) implementations of the hot kernels.
 
-These mirror ``_core.pyx`` exactly: the same deterministic segment order for
-the Gauss double sum (results agree with the compiled kernel within 1e-12;
-tiny differences come only from floating-point summation order) and the same
-lexicographic first-witness rule for the conjugacy search.
+These mirror ``_core.pyx``: the Gauss double sum uses the same per-pair
+formula (results agree with the compiled kernel within 1e-12; tiny
+differences come only from floating-point summation order) and the
+conjugacy search the same lexicographic first-witness rule.
 """
 
 from __future__ import annotations
@@ -11,6 +11,10 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
+
+#: Rows of the first curve per block of the Gauss sum; memory is
+#: O(_BLOCK_ROWS * N) instead of O(N^2).
+_BLOCK_ROWS = 256
 
 
 def gauss_linking_sum(
@@ -22,13 +26,27 @@ def gauss_linking_sum(
     """Midpoint-rule double sum of the Gauss linking integrand.
 
     ``mid_*`` are segment midpoints, ``seg_*`` the segment vectors; the
-    caller divides by ``4*pi``.
+    caller divides by ``4*pi``.  Each term is
+    ``((seg_a x seg_b) . (mid_a - mid_b)) / |mid_a - mid_b|^3``, evaluated
+    component by component on (block rows x len(mid_b)) planes.
     """
-    diff = mid_a[:, None, :] - mid_b[None, :, :]
-    cross = np.cross(seg_a[:, None, :], seg_b[None, :, :])
-    dist2 = np.einsum("ijk,ijk->ij", diff, diff)
-    triple = np.einsum("ijk,ijk->ij", cross, diff)
-    return float(np.sum(triple / (dist2 * np.sqrt(dist2))))
+    outer, sub = np.multiply.outer, np.subtract.outer
+    bx, by, bz = mid_b.T
+    ux, uy, uz = seg_b.T
+    total = 0.0
+    for start in range(0, len(mid_a), _BLOCK_ROWS):
+        ax, ay, az = mid_a[start : start + _BLOCK_ROWS].T
+        sx, sy, sz = seg_a[start : start + _BLOCK_ROWS].T
+        dx, dy, dz = sub(ax, bx), sub(ay, by), sub(az, bz)
+        triple = (outer(sy, uz) - outer(sz, uy)) * dx
+        triple += (outer(sz, ux) - outer(sx, uz)) * dy
+        triple += (outer(sx, uy) - outer(sy, ux)) * dz
+        dist2 = dx * dx
+        dist2 += dy * dy
+        dist2 += dz * dz
+        triple /= dist2 * np.sqrt(dist2)
+        total += float(triple.sum())
+    return total
 
 
 def search_diagonalizer(

@@ -22,6 +22,10 @@ from .reports import build_stem_report
 _SUP = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
 _SUB = str.maketrans("0123456789", "₀₁₂₃₄₅₆₇₈₉")
 
+#: Largest ``--samples`` that ``linking`` accepts: the Gauss sum is
+#: quadratic in the sample count.
+_MAX_SAMPLES = 4096
+
 _GROUP_DISPLAY = {"Z2": "Z₂", "Z24": "Z₂₄"}
 _GENERATOR_DISPLAY = {"eta": "η", "eta^2": "η²", "nu": "ν"}
 
@@ -153,6 +157,8 @@ def cmd_thom(args) -> int:
 def cmd_linking(args) -> int:
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
+    if args.samples > _MAX_SAMPLES:
+        raise ValueError(f"--samples must be at most {_MAX_SAMPLES}")
     import numpy as np
 
     from . import hopf
@@ -268,7 +274,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--samples",
         type=int,
         default=512,
-        help="sample count per curve for geometric checks",
+        help=(
+            "sample count per curve for geometric checks "
+            f"(linking accepts at most {_MAX_SAMPLES})"
+        ),
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
 

@@ -59,6 +59,9 @@ __all__ = [
 ]
 
 _UNIT_TOL = 1e-9
+#: Rows of the first curve per block of the separation check; memory is
+#: O(_BLOCK_ROWS * N) instead of O(N^2).
+_BLOCK_ROWS = 256
 
 
 # --------------------------------------------------------------------------
@@ -341,10 +344,15 @@ def gauss_linking(a: SampledCurve, b: SampledCurve) -> float:
             raise ValueError("linking is computed for curves in R^3")
         if curve.num_segments < 64:
             raise ValueError("at least 64 segments per curve are required")
-    separation = np.linalg.norm(
-        a.points[:, None, :] - b.points[None, :, :], axis=2
-    ).min()
-    if separation <= 1e-3:
+    bx, by, bz = b.points.T
+    closest2 = math.inf
+    for start in range(0, len(a.points), _BLOCK_ROWS):
+        ax, ay, az = a.points[start : start + _BLOCK_ROWS].T
+        dist2 = np.subtract.outer(ax, bx) ** 2
+        dist2 += np.subtract.outer(ay, by) ** 2
+        dist2 += np.subtract.outer(az, bz) ** 2
+        closest2 = min(closest2, float(dist2.min()))
+    if closest2 <= 1e-6:
         raise ValueError("curves intersect within tolerance")
     mid_a, seg_a = a.segments()
     mid_b, seg_b = b.segments()

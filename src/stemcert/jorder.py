@@ -7,7 +7,9 @@ The order bound ``m(t)`` is obtained as
 2. ``m_closed_form`` — the prime-by-prime product
    ``prod p^(1 + v_p(t))`` over odd primes with ``(p-1) | t``, times
    ``2^(2 + v_2(t))`` for even ``t`` (``2`` for odd ``t``),
-3. ``m_via_bernoulli`` — the denominator of ``B_2k / 4k`` in lowest terms.
+3. ``m_via_bernoulli`` — the denominator of ``B_2k / 4k`` in lowest terms,
+   with ``B_2k`` built from the integer tangent number ``T_k`` and checked
+   against the von Staudt-Clausen denominator.
 
 Their forced agreement (:func:`nu_order_bound`) turns a literature fact into
 a self-checking computation; ``m(2) = 24`` is the upper bound for the order
@@ -104,37 +106,49 @@ def m_closed_form(t: int) -> BigInt:
     return out
 
 
-@lru_cache(maxsize=None)
-def _bernoulli_raw(m: int) -> Fraction:
-    # Convolution recurrence from B_0 = 1 (convention B_1 = -1/2).
-    if m == 0:
-        return Fraction(1)
-    total = Fraction(0)
-    for j in range(m):
-        total += math.comb(m + 1, j) * _bernoulli_raw(j)
-    return -total / (m + 1)
+def _tangent_number(k: int) -> BigInt:
+    """The k-th tangent number ``T_k`` (1, 2, 16, 272, ...), ``k >= 1``.
+
+    All-integer recurrence of Brent and Harvey, "Fast computation of
+    Bernoulli, Tangent and Secant numbers" (2011), Algorithm TangentNumbers:
+    O(k^2) integer operations, no rationals.
+    """
+    t = [0] * (k + 1)
+    t[1] = 1
+    for j in range(2, k + 1):
+        t[j] = (j - 1) * t[j - 1]
+    for i in range(2, k + 1):
+        for j in range(i, k + 1):
+            t[j] = (j - i) * t[j - 1] + (j - i + 2) * t[j]
+    return t[k]
 
 
 def bernoulli(n: int) -> BigRational:
     """Exact Bernoulli number ``B_n`` for even ``n >= 0``.
 
-    Computed by the convolution recurrence and, for ``n >= 2``,
+    Computed from the tangent number ``T_k`` with ``k = n/2`` as
+    ``B_n = (-1)^(k-1) 2k T_k / (4^k (4^k - 1))`` and, for ``n >= 2``,
     cross-checked against the von Staudt-Clausen denominator (the product
     of primes ``p`` with ``(p - 1) | n``).  Odd indices are rejected.
     """
     if n < 0 or n % 2 != 0:
         raise ValueError(f"Bernoulli index must be even and non-negative, got {n}")
-    value = _bernoulli_raw(n)
-    if n >= 2:
-        expected_den = 1
-        for p in range(2, n + 2):
-            if is_prime(p) and n % (p - 1) == 0:
-                expected_den *= p
-        if value.denominator != expected_den:
-            raise VerificationError(
-                f"von Staudt-Clausen check failed for B_{n}: denominator "
-                f"{value.denominator} != {expected_den}"
-            )
+    if n == 0:
+        return Fraction(1)
+    k = n // 2
+    four_k = 4**k
+    value = Fraction(
+        (-1) ** (k - 1) * 2 * k * _tangent_number(k), four_k * (four_k - 1)
+    )
+    expected_den = 1
+    for p in range(2, n + 2):
+        if is_prime(p) and n % (p - 1) == 0:
+            expected_den *= p
+    if value.denominator != expected_den:
+        raise VerificationError(
+            f"von Staudt-Clausen check failed for B_{n}: denominator "
+            f"{value.denominator} != {expected_den}"
+        )
     return value
 
 

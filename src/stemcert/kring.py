@@ -13,9 +13,12 @@ reduced tensor products of such rings:
 
 The Adams operation ``psi^k`` is determined by its value on the generators:
 ``(1 + mu)^k - 1`` on a complex projective space, multiplication by ``k^m``
-on ``S^(2m)``, and on a quaternionic projective space the Laurent reduction
-of ``t^k + t^(-k) - 2`` in the variable ``x = t + t^(-1) - 2``
-(:func:`laurent_to_phi`).  Everything extends additively and
+on ``S^(2m)``, and on a quaternionic projective space the Chebyshev closed
+form ``psi^k(phi) = sum_j 2k/(k+j) * C(k+j, 2j) * phi^j`` for
+``1 <= j <= min(k, n)``.  The closed form is the expansion of
+``t^k + t^(-k) - 2`` in the variable ``x = t + t^(-1) - 2``; the Laurent
+reduction (:func:`laurent_to_phi`) computes that expansion independently
+and is kept as its cross-check.  Everything extends additively and
 multiplicatively; all coefficients are exact integers.
 """
 
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Union
 
 from .exact import BigInt
@@ -146,9 +149,16 @@ class RingModel:
     truncations: tuple
     basis: tuple
     dims: tuple
+    _index: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_index", {m: i for i, m in enumerate(self.basis)})
 
     def monomial_index(self, mono: Monomial) -> int:
-        return self.basis.index(mono)
+        try:
+            return self._index[mono]
+        except KeyError:
+            raise ValueError(f"{mono!r} is not in the basis of {self.label}") from None
 
     def zero(self) -> "RingElement":
         return RingElement(self, (0,) * len(self.basis))
@@ -440,12 +450,19 @@ def symmetric_reduce(target: LaurentPoly) -> dict[int, BigInt]:
 
     Repeatedly eliminates the leading term against powers of
     ``x = t + t^(-1) - 2`` (whose d-th power has leading term ``t^d`` with
-    coefficient 1), returning ``{degree: coefficient}``.
+    coefficient 1), returning ``{degree: coefficient}``.  The powers are
+    built once, each from the previous one, so degree ``k`` costs O(k^2)
+    coefficient operations.
     """
     if not target.is_symmetric():
         raise ValueError("only symmetric Laurent polynomials reduce to x-polynomials")
-    x = LaurentPoly.x_variable()
     out: dict[int, BigInt] = {}
+    if target.is_zero():
+        return out
+    x = LaurentPoly.x_variable()
+    powers = [LaurentPoly({0: 1})]
+    for _ in range(target.max_exponent()):
+        powers.append(powers[-1] * x)
     rem = target
     while not rem.is_zero():
         d = rem.max_exponent()
@@ -453,7 +470,7 @@ def symmetric_reduce(target: LaurentPoly) -> dict[int, BigInt]:
             raise ValueError("reduction left a non-constant remainder")
         c = rem.coefficient(d)
         out[d] = c
-        rem = rem - (x**d).scale(c)
+        rem = rem - powers[d].scale(c)
     return out
 
 
@@ -481,8 +498,12 @@ def _generator_image(factor, trunc: int, k: int) -> dict[int, BigInt]:
         # (1 + mu)^k - 1, truncated.
         return {d: math.comb(k, d) for d in range(1, min(k, trunc) + 1)}
     if isinstance(factor, QuaternionicProjective):
-        full = symmetric_reduce(LaurentPoly.circle_class(k))
-        return {d: c for d, c in full.items() if d <= trunc}
+        # Chebyshev closed form of t^k + t^(-k) - 2 in x = t + t^(-1) - 2;
+        # the division is exact.
+        return {
+            j: 2 * k * math.comb(k + j, 2 * j) // (k + j)
+            for j in range(1, min(k, trunc) + 1)
+        }
     return {1: k**factor.m}
 
 
@@ -494,7 +515,7 @@ def adams(k: int, a: RingElement) -> RingElement:
     gen_images = [
         _generator_image(f, t, k) for f, t in zip(model.factors, model.truncations)
     ]
-    out = model.zero()
+    vec = [0] * len(model.basis)
     for coeff, mono in zip(a.coeffs, model.basis):
         if coeff == 0:
             continue
@@ -519,8 +540,8 @@ def adams(k: int, a: RingElement) -> RingElement:
             }
         for full_mono, c in term.items():
             if all(e >= 1 for e in full_mono):
-                out = out + model.monomial(full_mono).scale(coeff * c)
-    return out
+                vec[model.monomial_index(full_mono)] += coeff * c
+    return RingElement(model, tuple(vec))
 
 
 @dataclass(frozen=True)

@@ -356,6 +356,13 @@ def test_linking_rejects_zero_trials(capsys):
         assert "error: --trials must be at least 1" in err
 
 
+def test_linking_rejects_samples_above_the_cap(capsys):
+    code, out, err = run_cli(capsys, "--samples", "4097", "linking", "--trials", "1")
+    assert code == 2
+    assert out == ""
+    assert "error: --samples must be at most 4096" in err
+
+
 def test_linking_is_seed_reproducible(capsys):
     _, first, _ = run_cli(
         capsys, "--json", "--seed", "5", "--samples", "256", "linking",

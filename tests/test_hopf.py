@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stemcert._kernels import fallback
 from stemcert.errors import ResamplePole, VerificationError
 from stemcert.hopf import (
     BallPoint,
@@ -21,6 +22,7 @@ from stemcert.hopf import (
     fiber_curve,
     fiber_linking,
     gauss_linking,
+    _project_curve,
     homotopy_H,
     homotopy_slice_matrices,
     hopf_map,
@@ -242,6 +244,56 @@ def test_gauss_linking_validation():
         gauss_linking(tiny, far)
     with pytest.raises(ValueError):
         gauss_linking(circle, circle)  # zero separation
+
+
+def einsum_gauss_sum(mid_a, seg_a, mid_b, seg_b):
+    """The Gauss double sum on full (N, N, 3) arrays: the reference for the
+    blocked kernel."""
+    diff = mid_a[:, None, :] - mid_b[None, :, :]
+    cross = np.cross(seg_a[:, None, :], seg_b[None, :, :])
+    dist2 = np.einsum("ijk,ijk->ij", diff, diff)
+    triple = np.einsum("ijk,ijk->ij", cross, diff)
+    return float(np.sum(triple / (dist2 * np.sqrt(dist2))))
+
+
+@pytest.mark.parametrize("samples", [64, 255, 256, 257, 1024])
+def test_blocked_gauss_sum_matches_the_full_array_reference(samples):
+    # 255/256/257 sit on the edge of a 256-row block, 1024 spans four.
+    a = fiber_curve([0.0, 0.6, 0.8], samples)
+    b = fiber_curve([0.8, 0.0, -0.6], samples)
+    pole = choose_pole([a, b])
+    pairs = [
+        (_project_curve(a, pole), _project_curve(b, pole)),
+        unlinked_control(samples=samples),
+    ]
+    for first, second in pairs:
+        args = (*first.segments(), *second.segments())
+        assert abs(fallback.gauss_linking_sum(*args) - einsum_gauss_sum(*args)) < 1e-12
+
+
+def test_gauss_linking_rejects_curves_1e_3_apart():
+    circle, _ = unlinked_control(samples=128)
+    lifted = SampledCurve(circle.points + [0.0, 0.0, 1e-3], closed=True)
+    with pytest.raises(ValueError, match="intersect"):
+        gauss_linking(circle, lifted)
+
+
+@pytest.mark.parametrize("gap,rejected", [(5e-4, True), (2e-3, False)])
+def test_separation_check_reaches_the_last_block(gap, rejected):
+    # Only sample 768 of the first curve (row block 3 of 4) comes near the
+    # second curve, at the given gap.
+    circle, _ = unlinked_control(samples=1024)
+    theta = np.linspace(0.0, 2.0 * math.pi, 1025)
+    ring = np.stack(
+        [np.zeros_like(theta), np.cos(theta) - 2.0 - gap, np.sin(theta)], axis=1
+    )
+    other = SampledCurve(ring, closed=True)
+    for pair in ((circle, other), (other, circle)):
+        if rejected:
+            with pytest.raises(ValueError, match="intersect"):
+                gauss_linking(*pair)
+        else:
+            assert math.isfinite(gauss_linking(*pair))
 
 
 def test_curve_json_round_trip():

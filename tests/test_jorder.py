@@ -1,11 +1,13 @@
 """Order bounds three ways, Bernoulli numbers, stunted spaces, KO models."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stemcert import jorder
 from stemcert.derivation import StepStatus, replay_step
 from stemcert.errors import VerificationError
 from stemcert.jorder import (
@@ -115,6 +117,30 @@ def test_bernoulli_pinned_values():
     assert bernoulli(6) == Fraction(1, 42)
     assert bernoulli(8) == Fraction(-1, 30)
     assert bernoulli(12) == Fraction(-691, 2730)
+
+
+def bernoulli_by_recurrence(n_max):
+    """B_0..B_n_max from the convolution recurrence
+    sum_{j <= m} C(m + 1, j) B_j = 0 in rationals: an oracle independent of
+    the tangent-number route."""
+    values = [Fraction(1)]
+    for m in range(1, n_max + 1):
+        total = sum(math.comb(m + 1, j) * values[j] for j in range(m))
+        values.append(-total / (m + 1))
+    return values
+
+
+def test_bernoulli_matches_the_convolution_recurrence():
+    oracle = bernoulli_by_recurrence(120)
+    for n in range(0, 121, 2):
+        assert bernoulli(n) == oracle[n]
+
+
+def test_von_staudt_clausen_catches_a_wrong_tangent_number(monkeypatch):
+    real = jorder._tangent_number
+    monkeypatch.setattr(jorder, "_tangent_number", lambda k: 2 * real(k))
+    with pytest.raises(VerificationError, match="von Staudt-Clausen"):
+        bernoulli(12)
 
 
 def test_bernoulli_rejects_odd_and_negative():

@@ -201,6 +201,41 @@ def test_laurent_to_phi_agrees_with_adams(k, n):
     assert laurent_to_phi(k, n).coeffs == adams(k, model.generator()).coeffs
 
 
+@pytest.mark.parametrize("k", range(1, 61))
+def test_closed_form_adams_matches_the_laurent_reduction(k):
+    # On HP^n, adams() uses the closed form 2k/(k+j) * C(k+j, 2j); the
+    # Laurent reduction computes the same expansion independently.
+    for n in sorted({1, k - 1, k, k + 3} - {0}):
+        model = make_ring(QuaternionicProjective(n))
+        image = adams(k, model.generator()).coeffs
+        assert image == laurent_to_phi(k, n).coeffs
+        # psi^k(phi) has x-degree k, so nothing survives above phi^k.
+        assert all(c == 0 for c in image[k:])
+        assert all(c > 0 for c in image[:k])
+
+
+def test_closed_form_adams_on_the_smash_with_a_sphere():
+    # psi^k(phi*nu) = psi^k(phi) * k*nu in K(S^2 smash HP^8).
+    model = ring("s2-smash-hp8")
+    phinu = parse_element(model, "phi*nu")
+    for k in range(1, 13):
+        phi_image = laurent_to_phi(k, 8).coeffs
+        expected = model.element(
+            {(1, j): k * c for j, c in enumerate(phi_image, start=1)}
+        )
+        assert adams(k, phinu).coeffs == expected.coeffs
+
+
+def test_monomial_index_follows_the_basis():
+    for space in ("cp4", "hp3", "s2-smash-cp2", "s2-smash-hp8"):
+        model = ring(space)
+        assert [model.monomial_index(m) for m in model.basis] == list(
+            range(len(model.basis))
+        )
+    with pytest.raises(ValueError):
+        ring("cp2").element({(3,): 1})
+
+
 def test_symmetric_reduce_requires_symmetry():
     with pytest.raises(ValueError):
         symmetric_reduce(LaurentPoly({1: 1}))
@@ -209,6 +244,9 @@ def test_symmetric_reduce_requires_symmetry():
 def test_symmetric_reduce_pinned():
     assert symmetric_reduce(LaurentPoly.circle_class(2)) == {1: 4, 2: 1}
     assert symmetric_reduce(LaurentPoly.circle_class(3)) == {1: 9, 2: 6, 3: 1}
+    assert symmetric_reduce(LaurentPoly()) == {}
+    with pytest.raises(ValueError, match="non-constant remainder"):
+        symmetric_reduce(LaurentPoly({0: 5}))
 
 
 @given(st.lists(st.integers(-5, 5), min_size=1, max_size=4))
