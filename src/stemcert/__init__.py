@@ -39,9 +39,7 @@ _EXPORTS = {
         "exact": (
             "BigInt",
             "BigRational",
-            "PrimeValuation",
             "padic_valuation",
-            "rational_reduce",
         ),
         "hopf": (
             "BallPoint",
@@ -64,13 +62,11 @@ _EXPORTS = {
         ),
         "jorder": (
             "KOClassS2",
-            "KOClassS4",
             "StuntedSpace",
             "bernoulli",
             "eta_order_chain",
             "feder_gitler_equivalent",
             "ko_s2_realify",
-            "ko_s4_relation_check",
             "m_closed_form",
             "m_via_bernoulli",
             "nu_order_bound",
@@ -102,9 +98,7 @@ __all__ = [
     "BigRational",
     "DerivationStep",
     "KOClassS2",
-    "KOClassS4",
     "ObstructionCertificate",
-    "PrimeValuation",
     "Quaternion",
     "ResamplePole",
     "RingElement",
@@ -131,7 +125,6 @@ __all__ = [
     "homotopy_H",
     "hopf_map",
     "ko_s2_realify",
-    "ko_s4_relation_check",
     "laurent_to_phi",
     "lift_loop",
     "loop_matrices",
@@ -147,7 +140,6 @@ __all__ = [
     "parse_space",
     "qmul",
     "quat_from_rot",
-    "rational_reduce",
     "replay_step",
     "report_from_json",
     "report_to_json",

@@ -1,9 +1,9 @@
-"""Pure-Python (NumPy) implementations of the hot kernels.
+"""NumPy implementations of the two hot loops.
 
-These mirror ``_core.pyx``: the Gauss double sum uses the same per-pair
-formula (results agree with the compiled kernel within 1e-12; tiny
-differences come only from floating-point summation order) and the
-conjugacy search the same lexicographic first-witness rule.
+The Gauss linking double sum (``hopf.gauss_linking``) is blocked so memory
+stays O(N) per row block, and the integer-conjugacy search
+(``einv.conjugacy_witness``) returns the lexicographic-first witness, so
+results do not depend on the machine.
 """
 
 from __future__ import annotations
@@ -12,9 +12,16 @@ from typing import Optional
 
 import numpy as np
 
+__all__ = ["gauss_linking_sum", "get_backend", "search_diagonalizer"]
+
 #: Rows of the first curve per block of the Gauss sum; memory is
 #: O(_BLOCK_ROWS * N) instead of O(N^2).
 _BLOCK_ROWS = 256
+
+
+def get_backend() -> str:
+    """Name of the kernel implementation, recorded in benchmark provenance."""
+    return "python"
 
 
 def gauss_linking_sum(

@@ -25,6 +25,12 @@ _SUB = str.maketrans("0123456789", "₀₁₂₃₄₅₆₇₈₉")
 #: Largest ``--samples`` that ``linking`` accepts: the Gauss sum is
 #: quadratic in the sample count.
 _MAX_SAMPLES = 4096
+#: Largest ``bernoulli --n`` and ``jorder --t``: the tangent-number
+#: recurrence costs O(n^2) operations on O(n log n)-bit integers, about a
+#: second at this size.
+_MAX_BERNOULLI_INDEX = 2000
+#: Largest ``thom --n`` and ``--mult``: the output lists one cell per index.
+_MAX_THOM_INDEX = 100_000
 
 _GROUP_DISPLAY = {"Z2": "Z₂", "Z24": "Z₂₄"}
 _GENERATOR_DISPLAY = {"eta": "η", "eta^2": "η²", "nu": "ν"}
@@ -78,6 +84,8 @@ def cmd_einv(args) -> int:
 
 
 def cmd_jorder(args) -> int:
+    if args.t > _MAX_BERNOULLI_INDEX:
+        raise ValueError(f"--t must be at most {_MAX_BERNOULLI_INDEX}")
     folded = jorder.stabilized_gcd(args.t, K=args.K, N=args.N)
     closed = jorder.m_closed_form(args.t)
     methods = ["gcd", "closed"]
@@ -108,6 +116,8 @@ def cmd_jorder(args) -> int:
 
 
 def cmd_bernoulli(args) -> int:
+    if args.n > _MAX_BERNOULLI_INDEX:
+        raise ValueError(f"--n must be at most {_MAX_BERNOULLI_INDEX}")
     value = jorder.bernoulli(args.n)
     payload = {"n": args.n, "value": f"{value.numerator}/{value.denominator}"}
     human = f"B_{args.n} = {value}"
@@ -137,6 +147,9 @@ def cmd_feder_gitler(args) -> int:
 
 
 def cmd_thom(args) -> int:
+    for flag, value in (("--n", args.n), ("--mult", args.mult)):
+        if value > _MAX_THOM_INDEX:
+            raise ValueError(f"{flag} must be at most {_MAX_THOM_INDEX}")
     space = jorder.thom_space(args.family, args.n, args.mult)
     if args.suspend:
         space = space.suspended(args.suspend)
@@ -298,14 +311,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_einv)
 
     p = sub.add_parser("jorder", help="J-order bound m(t), three ways")
-    p.add_argument("--t", type=int, required=True)
+    p.add_argument(
+        "--t", type=int, required=True, help=f"at most {_MAX_BERNOULLI_INDEX}"
+    )
     p.add_argument("--K", type=int, default=200)
     p.add_argument("--N", type=int, default=None)
     p.add_argument("--expect", type=int, help="fail (exit 3) unless m(t) matches")
     p.set_defaults(func=cmd_jorder)
 
     p = sub.add_parser("bernoulli", help="exact Bernoulli number B_n (n even)")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument(
+        "--n", type=int, required=True, help=f"at most {_MAX_BERNOULLI_INDEX}"
+    )
     p.set_defaults(func=cmd_bernoulli)
 
     p = sub.add_parser(
@@ -323,8 +340,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--family", choices=["complex", "quaternionic"], required=True
     )
-    p.add_argument("--n", type=int, required=True, help="base projective space index")
-    p.add_argument("--mult", type=int, required=True, help="number of bundle copies")
+    p.add_argument(
+        "--n",
+        type=int,
+        required=True,
+        help=f"base projective space index (at most {_MAX_THOM_INDEX})",
+    )
+    p.add_argument(
+        "--mult",
+        type=int,
+        required=True,
+        help=f"number of bundle copies (at most {_MAX_THOM_INDEX})",
+    )
     p.add_argument("--suspend", type=int, default=0)
     p.set_defaults(func=cmd_thom)
 

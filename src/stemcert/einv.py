@@ -9,8 +9,7 @@ space) does not split.  The denominator of ``e`` is a lower bound for the
 order of the attaching map's stable class.
 
 A brute-force integer-conjugacy search (:func:`conjugacy_witness`) provides
-an independent oracle for the divisibility criterion; it runs on the
-compiled kernel when available.
+an independent oracle for the divisibility criterion.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ __all__ = [
     "e_invariant",
     "e_of_cells",
     "order_lower_bound",
-    "scale_attaching",
     "splitting_verdict",
     "two_cell_from",
     "verdict_from_cells",
@@ -108,11 +106,6 @@ def e_invariant(model: RingModel, k: int) -> BigRational:
 def order_lower_bound(model: RingModel, k: int) -> int:
     """Denominator of the e-invariant: divides the attaching class's order."""
     return e_invariant(model, k).denominator
-
-
-def scale_attaching(cell: TwoCellModel, d: int) -> TwoCellModel:
-    """Model the attaching map scaled by ``d`` (off-diagonal scales by ``d``)."""
-    return TwoCellModel(a=cell.a, b=cell.b, k=cell.k, c=d * cell.c)
 
 
 @dataclass(frozen=True)

@@ -15,17 +15,14 @@ No floating point enters any function in this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
     "BigInt",
     "BigRational",
-    "PrimeValuation",
     "gcd",
     "is_prime",
     "padic_valuation",
-    "rational_reduce",
 ]
 
 BigInt = int
@@ -82,33 +79,3 @@ def padic_valuation(n: BigInt, p: BigInt) -> int:
         n //= p
         e += 1
     return e
-
-
-def rational_reduce(num: BigInt, den: BigInt) -> BigRational:
-    """Return ``num/den`` in lowest terms with a positive denominator."""
-    if den == 0:
-        raise ValueError("zero denominator")
-    return Fraction(num, den)
-
-
-@dataclass(frozen=True)
-class PrimeValuation:
-    """A certified prime together with a non-negative exponent.
-
-    Used to assemble prime-by-prime products such as the closed-form J-order
-    bound; construction fails if ``prime`` is not actually prime or the
-    exponent is negative.
-    """
-
-    prime: BigInt
-    exponent: int
-
-    def __post_init__(self) -> None:
-        if not is_prime(self.prime):
-            raise ValueError(f"{self.prime} is not prime")
-        if self.exponent < 0:
-            raise ValueError("exponent must be non-negative")
-
-    def value(self) -> BigInt:
-        """The integer ``prime ** exponent``."""
-        return self.prime**self.exponent

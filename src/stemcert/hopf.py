@@ -335,7 +335,7 @@ def gauss_linking(a: SampledCurve, b: SampledCurve) -> float:
     Both curves must be closed, sampled with at least 64 segments, live in
     R^3, and stay more than 1e-3 apart; the result is a real number near an
     integer (the linking number).  The double sum runs in a deterministic
-    segment order on the selected kernel backend.
+    segment order.
     """
     for curve in (a, b):
         if not curve.closed:

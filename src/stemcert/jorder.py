@@ -14,7 +14,7 @@ The order bound ``m(t)`` is obtained as
 Their forced agreement (:func:`nu_order_bound`) turns a literature fact into
 a self-checking computation; ``m(2) = 24`` is the upper bound for the order
 of the generator of the third stem.  The module also houses the tiny KO
-models for S^2 and S^4, the Thom-space/stunted-space index bookkeeping, the
+model for S^2, the Thom-space/stunted-space index bookkeeping, the
 stunted-space equivalence decision, and the replayable derivation chain
 certifying that twice the complex Hopf attaching class vanishes.
 """
@@ -36,7 +36,6 @@ from . import einv
 __all__ = [
     "JOrderBound",
     "KOClassS2",
-    "KOClassS4",
     "StabilizedGcd",
     "StuntedSpace",
     "bernoulli",
@@ -44,7 +43,6 @@ __all__ = [
     "feder_gitler_equivalent",
     "gcd_history",
     "ko_s2_realify",
-    "ko_s4_relation_check",
     "m_closed_form",
     "m_via_bernoulli",
     "nu_order_bound",
@@ -286,7 +284,7 @@ def feder_gitler_equivalent(
 
 
 # --------------------------------------------------------------------------
-# KO models for S^2 and S^4
+# KO model for S^2
 # --------------------------------------------------------------------------
 
 
@@ -302,15 +300,6 @@ class KOClassS2:
             raise ValueError("the reduced part lives in Z/2")
 
 
-@dataclass(frozen=True)
-class KOClassS4:
-    """A KO(S^4) class: real rank plus the integer charge of the reduced
-    generator."""
-
-    rank: int
-    charge: int
-
-
 def ko_s2_realify(a: int, b: int) -> KOClassS2:
     """Realification into KO(S^2) of ``a`` trivial real line summands plus
     ``b`` realified Hopf summands.
@@ -321,31 +310,6 @@ def ko_s2_realify(a: int, b: int) -> KOClassS2:
     (complexification doubles real rank).
     """
     return KOClassS2(rank=a + 2 * b, reduced=b % 2)
-
-
-def ko_s4_relation_check() -> bool:
-    """Verify the KO(S^4) bookkeeping for the quaternionic Hopf class.
-
-    The quaternionic Hopf bundle has real rank 4 and charge 1.  The recorded
-    relation states that its 24th power plus 92 trivial lines equals 24
-    copies of it: the rank identity ``4 + 92 = 96 = 24*4`` is exact
-    arithmetic, and under the charge-model reading (the 24th power carries
-    charge 24 — the only reading consistent with the rank identity, flagged
-    rather than derived) the reduced parts agree as well.  Also checks that
-    the reduced generator has infinite order (no ``d <= 1000`` kills it).
-    """
-    eta_q = KOClassS4(rank=4, charge=1)
-    power24 = KOClassS4(rank=eta_q.rank, charge=24)  # charge-model reading
-    lhs = KOClassS4(rank=power24.rank + 92, charge=power24.charge)
-    rhs = KOClassS4(rank=24 * eta_q.rank, charge=24 * eta_q.charge)
-    rank_ok = lhs.rank == rhs.rank == 96
-    charge_ok = lhs.charge == rhs.charge
-    generator = KOClassS4(rank=0, charge=1)
-    infinite_order = all(
-        KOClassS4(rank=0, charge=d * generator.charge).charge != 0
-        for d in range(1, 1001)
-    )
-    return rank_ok and charge_ok and infinite_order
 
 
 # --------------------------------------------------------------------------

@@ -363,6 +363,26 @@ def test_linking_rejects_samples_above_the_cap(capsys):
     assert "error: --samples must be at most 4096" in err
 
 
+@pytest.mark.parametrize(
+    "argv,flag,cap",
+    [
+        (("bernoulli", "--n"), "--n", 2000),
+        (("jorder", "--t"), "--t", 2000),
+        (("thom", "--family", "complex", "--mult", "1", "--n"), "--n", 100000),
+        (("thom", "--family", "quaternionic", "--n", "1", "--mult"), "--mult", 100000),
+    ],
+    ids=["bernoulli-n", "jorder-t", "thom-n", "thom-mult"],
+)
+def test_size_caps_answer_at_the_cap_and_reject_above_it(capsys, argv, flag, cap):
+    code, out, err = run_cli(capsys, "--json", *argv, str(cap))
+    assert code == 0, err
+    assert json.loads(out)
+    code, out, err = run_cli(capsys, "--json", *argv, str(cap + 1))
+    assert code == 2
+    assert out == ""
+    assert f"error: {flag} must be at most {cap}" in err
+
+
 def test_linking_is_seed_reproducible(capsys):
     _, first, _ = run_cli(
         capsys, "--json", "--seed", "5", "--samples", "256", "linking",

@@ -9,11 +9,9 @@ from hypothesis import strategies as st
 from stemcert.exact import (
     BigInt,
     BigRational,
-    PrimeValuation,
     gcd,
     is_prime,
     padic_valuation,
-    rational_reduce,
 )
 
 
@@ -73,32 +71,3 @@ def test_padic_valuation_defining_property(n, p):
     v = padic_valuation(n, p)
     assert n % p**v == 0
     assert (n // p**v) % p != 0
-
-
-def test_rational_reduce():
-    assert rational_reduce(2, 4) == Fraction(1, 2)
-    assert rational_reduce(-6, -4) == Fraction(3, 2)
-    assert rational_reduce(0, 7) == 0
-    with pytest.raises(ValueError):
-        rational_reduce(1, 0)
-
-
-@given(
-    st.integers(-(10**6), 10**6),
-    st.integers(-(10**6), 10**6).filter(lambda d: d != 0),
-)
-def test_rational_reduce_lowest_terms(num, den):
-    q = rational_reduce(num, den)
-    assert gcd(q.numerator, q.denominator) == 1
-    assert q.denominator > 0
-    assert q * den == num
-
-
-def test_prime_valuation_record():
-    pv = PrimeValuation(prime=2, exponent=3)
-    assert pv.value() == 8
-    assert PrimeValuation(prime=7, exponent=0).value() == 1
-    with pytest.raises(ValueError):
-        PrimeValuation(prime=4, exponent=1)
-    with pytest.raises(ValueError):
-        PrimeValuation(prime=3, exponent=-1)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stemcert._kernels import fallback
+from stemcert import _kernels
 from stemcert.errors import ResamplePole, VerificationError
 from stemcert.hopf import (
     BallPoint,
@@ -268,7 +268,7 @@ def test_blocked_gauss_sum_matches_the_full_array_reference(samples):
     ]
     for first, second in pairs:
         args = (*first.segments(), *second.segments())
-        assert abs(fallback.gauss_linking_sum(*args) - einsum_gauss_sum(*args)) < 1e-12
+        assert abs(_kernels.gauss_linking_sum(*args) - einsum_gauss_sum(*args)) < 1e-12
 
 
 def test_gauss_linking_rejects_curves_1e_3_apart():

@@ -12,7 +12,6 @@ from stemcert.derivation import StepStatus, replay_step
 from stemcert.errors import VerificationError
 from stemcert.jorder import (
     KOClassS2,
-    KOClassS4,
     StuntedSpace,
     bernoulli,
     eta_order_chain,
@@ -20,7 +19,6 @@ from stemcert.jorder import (
     gcd_history,
     jorder_to_json,
     ko_s2_realify,
-    ko_s4_relation_check,
     m_closed_form,
     m_via_bernoulli,
     nu_order_bound,
@@ -254,11 +252,6 @@ def test_ko_s2_reduced_part_has_order_two():
 def test_ko_s2_validation():
     with pytest.raises(ValueError):
         KOClassS2(rank=2, reduced=2)
-
-
-def test_ko_s4_relation():
-    assert ko_s4_relation_check() is True
-    assert KOClassS4(rank=4, charge=1).charge * 24 == 24
 
 
 # --------------------------------------------------------------------------
