@@ -42,21 +42,12 @@ _EXPORTS = {
             "padic_valuation",
         ),
         "hopf": (
-            "BallPoint",
             "Quaternion",
-            "Rotation3",
-            "ball_to_rotation",
             "fiber_curve",
             "fiber_linking",
             "gauss_linking",
-            "homotopy_H",
             "hopf_map",
-            "lift_loop",
-            "loop_matrices",
-            "loop_point",
-            "matrix_path",
             "qmul",
-            "quat_from_rot",
             "rot_from_quat",
             "stereographic",
         ),
@@ -85,6 +76,17 @@ _EXPORTS = {
             "parse_space",
         ),
         "reports": ("build_stem_report",),
+        "so3": (
+            "BallPoint",
+            "Rotation3",
+            "ball_to_rotation",
+            "homotopy_H",
+            "lift_loop",
+            "loop_matrices",
+            "loop_point",
+            "matrix_path",
+            "quat_from_rot",
+        ),
     }.items()
     for name in names
 }

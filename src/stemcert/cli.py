@@ -31,6 +31,9 @@ _MAX_SAMPLES = 4096
 _MAX_BERNOULLI_INDEX = 2000
 #: Largest ``thom --n`` and ``--mult``: the output lists one cell per index.
 _MAX_THOM_INDEX = 100_000
+#: Largest ``lift --steps``: sampling and lifting are linear in the step
+#: count and keep every sample in memory, about 1.5 s and 70 MB at this size.
+_MAX_STEPS = 65_536
 
 _GROUP_DISPLAY = {"Z2": "Z₂", "Z24": "Z₂₄"}
 _GENERATOR_DISPLAY = {"eta": "η", "eta^2": "η²", "nu": "ν"}
@@ -212,13 +215,17 @@ def cmd_linking(args) -> int:
 
 
 def cmd_lift(args) -> int:
-    from . import hopf
+    if args.steps > _MAX_STEPS:
+        raise ValueError(f"--steps must be at most {_MAX_STEPS}")
+    from . import so3
 
     if args.loop == "homotopy":
-        mats = hopf.homotopy_slice_matrices(args.variant, args.slice, args.steps)
+        mats = so3.homotopy_slice_matrices(
+            args.variant, args.slice, args.steps, args.turns
+        )
     else:
-        mats = hopf.loop_matrices(args.loop, args.steps, args.turns)
-    _, sign = hopf.lift_loop(mats)
+        mats = so3.loop_matrices(args.loop, args.steps, args.turns)
+    _, sign = so3.lift_loop(mats)
     if args.expect_monodromy is not None and sign != args.expect_monodromy:
         raise VerificationError(
             f"expected monodromy {args.expect_monodromy}, computed {sign}"
@@ -373,8 +380,18 @@ def build_parser() -> argparse.ArgumentParser:
             "homotopy",
         ],
     )
-    p.add_argument("--steps", type=int, default=1024)
-    p.add_argument("--turns", type=int, default=1)
+    p.add_argument(
+        "--steps",
+        type=int,
+        default=1024,
+        help=f"sample intervals of the whole loop (256 to {_MAX_STEPS})",
+    )
+    p.add_argument(
+        "--turns",
+        type=int,
+        default=1,
+        help="times the loop is run (at most --steps)",
+    )
     p.add_argument(
         "--slice", type=float, default=1.0, help="homotopy slice parameter in [0, 1]"
     )

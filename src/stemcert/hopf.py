@@ -1,15 +1,14 @@
-"""Floating-point verification of the Hopf fibration and SO(3) geometry.
+"""Floating-point verification of the Hopf fibration.
 
 This module checks, numerically, the geometric facts behind the first stem:
 
 * quaternion algebra and the double cover ``S^3 -> SO(3)`` (a group
-  homomorphism with kernel ``{+1, -1}``),
+  homomorphism with kernel ``{+1, -1}``), and
 * Hopf fibers (circles in ``S^3``), stereographic projection, and the Gauss
-  linking integral certifying that any two distinct fibers link once,
-* the closed-ball model of ``SO(3)`` (radius pi, antipodal boundary points
-  identified), the explicit loops gamma/alpha/beta with their homotopy, and
-* loop lifting: the monodromy sign of a continuous quaternion lift, which
-  detects the generator of ``pi_1(SO(3)) = Z/2``.
+  linking integral certifying that any two distinct fibers link once.
+
+The rotations, the ball model of ``SO(3)``, its loops and their lifts live in
+:mod:`stemcert.so3`, which needs no numpy; this module re-exports them.
 
 Rotation matrices use the active convention throughout: ``rot_from_quat(q)``
 is the matrix of ``x -> q x conj(q)``, which makes the map a homomorphism
@@ -21,13 +20,28 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
 from . import _kernels
 from .errors import ResamplePole, VerificationError
+from .so3 import (
+    BallPoint,
+    QuaternionPath,
+    Rotation3,
+    ball_to_rotation,
+    homotopy_H,
+    homotopy_slice_matrices,
+    lift_loop,
+    loop_matrices,
+    loop_point,
+    matrix_path,
+    quat_from_rot,
+)
 
+# The SO(3) names stay listed here, as the same objects: the benchmark's
+# tracer times the functions of this list as ``hopf.*``.
 __all__ = [
     "BallPoint",
     "Quaternion",
@@ -394,44 +408,8 @@ def random_sphere_point(rng: np.random.Generator) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# Rotations, the ball model, and the explicit loops
+# The double cover
 # --------------------------------------------------------------------------
-
-
-class Rotation3:
-    """A 3x3 rotation matrix (orthogonal within 1e-9, determinant +1)."""
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix):
-        m = np.asarray(matrix, dtype=float)
-        if m.shape != (3, 3):
-            raise ValueError("a rotation is a 3x3 matrix")
-        # Scalar arithmetic on the nine entries: numpy's per-call overhead on
-        # a 3x3 matrix costs more than the arithmetic itself.
-        (a, b, c), (d, e, f), (g, h, i) = m.tolist()
-        gram_error = max(
-            abs(a * a + d * d + g * g - 1.0),
-            abs(b * b + e * e + h * h - 1.0),
-            abs(c * c + f * f + i * i - 1.0),
-            abs(a * b + d * e + g * h),
-            abs(a * c + d * f + g * i),
-            abs(b * c + e * f + h * i),
-        )
-        if gram_error >= _UNIT_TOL:
-            raise ValueError("matrix is not orthogonal within tolerance")
-        if a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) <= 0:
-            raise ValueError("matrix must have positive determinant")
-        self.matrix = m
-
-    def __matmul__(self, other: "Rotation3") -> "Rotation3":
-        return Rotation3(self.matrix @ other.matrix)
-
-    def apply(self, v) -> np.ndarray:
-        return self.matrix @ np.asarray(v, dtype=float)
-
-    def __repr__(self) -> str:
-        return f"Rotation3({self.matrix.tolist()})"
 
 
 def rot_from_quat(q: Quaternion) -> Rotation3:
@@ -443,272 +421,9 @@ def rot_from_quat(q: Quaternion) -> Rotation3:
     _require_unit(q)
     w, x, y, z = q.w, q.x, q.y, q.z
     return Rotation3(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )
-
-
-def quat_from_rot(rotation) -> np.ndarray:
-    """A unit quaternion mapping to the given rotation (max-trace branch).
-
-    The other preimage is its negative; continuity along a path is restored
-    separately by sign choice (see :func:`lift_loop`).
-    """
-    m = rotation.matrix if isinstance(rotation, Rotation3) else np.asarray(rotation)
-    t = float(np.trace(m))
-    if t > 0:
-        r = math.sqrt(1.0 + t)
-        w = 0.5 * r
-        x = (m[2, 1] - m[1, 2]) / (2.0 * r)
-        y = (m[0, 2] - m[2, 0]) / (2.0 * r)
-        z = (m[1, 0] - m[0, 1]) / (2.0 * r)
-    else:
-        d = int(np.argmax(np.diag(m)))
-        if d == 0:
-            r = math.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2])
-            x = 0.5 * r
-            w = (m[2, 1] - m[1, 2]) / (2.0 * r)
-            y = (m[0, 1] + m[1, 0]) / (2.0 * r)
-            z = (m[0, 2] + m[2, 0]) / (2.0 * r)
-        elif d == 1:
-            r = math.sqrt(1.0 - m[0, 0] + m[1, 1] - m[2, 2])
-            y = 0.5 * r
-            w = (m[0, 2] - m[2, 0]) / (2.0 * r)
-            x = (m[0, 1] + m[1, 0]) / (2.0 * r)
-            z = (m[1, 2] + m[2, 1]) / (2.0 * r)
-        else:
-            r = math.sqrt(1.0 - m[0, 0] - m[1, 1] + m[2, 2])
-            z = 0.5 * r
-            w = (m[1, 0] - m[0, 1]) / (2.0 * r)
-            x = (m[0, 2] + m[2, 0]) / (2.0 * r)
-            y = (m[1, 2] + m[2, 1]) / (2.0 * r)
-    return np.array([w, x, y, z])
-
-
-class BallPoint:
-    """A point of the closed ball of radius pi modeling SO(3).
-
-    Boundary points (norm within 1e-9 of pi) are stored in the canonical
-    antipodal representative: first coordinate of magnitude above 1e-12 is
-    made positive.
-    """
-
-    __slots__ = ("x", "y", "z")
-
-    def __init__(self, x: float, y: float, z: float):
-        n = math.sqrt(x * x + y * y + z * z)
-        if n > math.pi + _UNIT_TOL:
-            raise ValueError("point lies outside the closed ball of radius pi")
-        if n >= math.pi - _UNIT_TOL:
-            for coord in (x, y, z):
-                if abs(coord) > 1e-12:
-                    if coord < 0:
-                        x, y, z = -x, -y, -z
-                    break
-        self.x, self.y, self.z = float(x), float(y), float(z)
-
-    def norm(self) -> float:
-        return math.sqrt(self.x**2 + self.y**2 + self.z**2)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
-    def __repr__(self) -> str:
-        return f"BallPoint({self.x}, {self.y}, {self.z})"
-
-
-def ball_to_rotation(b) -> Rotation3:
-    """Axis-angle rotation: direction of ``b``, angle ``|b|`` (Rodrigues).
-
-    The origin maps to the identity, and antipodal boundary points map to
-    equal rotations.
-    """
-    v = b.as_array() if isinstance(b, BallPoint) else np.asarray(b, dtype=float)
-    theta = np.linalg.norm(v)
-    if theta > math.pi + _UNIT_TOL:
-        raise ValueError("point lies outside the closed ball of radius pi")
-    if theta < 1e-15:
-        return Rotation3(np.eye(3))
-    u = v / theta
-    k = np.array(
-        [[0.0, -u[2], u[1]], [u[2], 0.0, -u[0]], [-u[1], u[0], 0.0]]
-    )
-    return Rotation3(np.eye(3) + math.sin(theta) * k + (1.0 - math.cos(theta)) * (k @ k))
-
-
-_LOOP_NAMES = ("gamma", "alpha", "beta")
-
-
-def _require_loop_name(name: str) -> str:
-    name = name.strip().lower()
-    if name not in _LOOP_NAMES:
-        raise ValueError(f"loop name must be one of {_LOOP_NAMES}, got {name!r}")
-    return name
-
-
-def loop_point(name: str, t: float) -> BallPoint:
-    """The explicit loops in the ball model, canonicalized on the boundary:
-
-    * gamma(t) = (0, 0, pi cos(pi t)) — a diameter, closed in the quotient,
-    * alpha(t) = (0, -pi sin(pi t), pi cos(pi t)) — a boundary semicircle,
-    * beta(t)  = (0, +pi sin(pi t), pi cos(pi t)) — its mirror image.
-    """
-    name = _require_loop_name(name)
-    if not -1e-12 <= t <= 1.0 + 1e-12:
-        raise ValueError("loop parameter must lie in [0, 1]")
-    c = math.pi * math.cos(math.pi * t)
-    s = math.pi * math.sin(math.pi * t)
-    if name == "gamma":
-        return BallPoint(0.0, 0.0, c)
-    if name == "alpha":
-        return BallPoint(0.0, -s, c)
-    return BallPoint(0.0, s, c)
-
-
-def homotopy_H(variant: str, s: float, t: float) -> BallPoint:
-    """The ellipse-shaped homotopy ``H(s, t) = (0, -+ pi s sin(pi t),
-    pi cos(pi t))`` connecting gamma (s = 0) to alpha or beta (s = 1).
-
-    Its image stays inside the closed ball:
-    ``(pi s sin)^2 + (pi cos)^2 <= pi^2``.
-    """
-    variant = _require_loop_name(variant)
-    if variant == "gamma":
-        raise ValueError("the homotopy variant is the target loop: alpha or beta")
-    if not (-1e-12 <= s <= 1.0 + 1e-12 and -1e-12 <= t <= 1.0 + 1e-12):
-        raise ValueError("homotopy parameters must lie in [0, 1]")
-    sign = -1.0 if variant == "alpha" else 1.0
-    return BallPoint(
-        0.0,
-        sign * math.pi * s * math.sin(math.pi * t),
-        math.pi * math.cos(math.pi * t),
-    )
-
-
-def matrix_path(name: str, t: float) -> Rotation3:
-    """The explicit matrix paths in SO(3).
-
-    The gamma path is a rotation about the z-axis through angle ``pi t``;
-    note it closes up only after ``t = 2`` (one full traversal of the
-    underlying loop), while alpha and beta close over ``t in [0, 1]``.  The
-    parameter is therefore not restricted to [0, 1] here.
-    """
-    name = _require_loop_name(name)
-    if name == "gamma":
-        c, s = math.cos(math.pi * t), math.sin(math.pi * t)
-        return Rotation3([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
-    c, s = math.cos(2.0 * math.pi * t), math.sin(2.0 * math.pi * t)
-    if name == "alpha":
-        return Rotation3([[-1.0, 0.0, 0.0], [0.0, -c, -s], [0.0, -s, c]])
-    return Rotation3([[-1.0, 0.0, 0.0], [0.0, -c, s], [0.0, s, c]])
-
-
-# --------------------------------------------------------------------------
-# Loop building and lifting
-# --------------------------------------------------------------------------
-
-
-def loop_matrices(name: str, steps: int, turns: int = 1) -> np.ndarray:
-    """Sampled closed matrix loops for the lift command.
-
-    ``gamma``/``alpha``/``beta`` sample the displayed matrix paths over one
-    full period (``t in [0, 2]`` for gamma, ``[0, 1]`` otherwise) repeated
-    ``turns`` times; ``alpha-then-beta`` concatenates the two; ``ball-gamma``
-    runs gamma through the ball model instead; ``identity`` is the constant
-    loop.
-    """
-    if steps < 256:
-        raise ValueError("at least 256 steps are required")
-    if turns < 1:
-        raise ValueError("turns must be at least 1")
-    if name == "alpha-then-beta":
-        ts = np.linspace(0.0, 1.0, steps + 1)
-        mats = [matrix_path("alpha", t).matrix for t in ts[:-1]]
-        mats += [matrix_path("beta", t).matrix for t in ts]
-        return np.array(mats)
-    if name == "identity":
-        return np.broadcast_to(np.eye(3), (steps + 1, 3, 3)).copy()
-    if name == "ball-gamma":
-        ts = np.linspace(0.0, 1.0, steps + 1)
-        return np.array(
-            [ball_to_rotation(loop_point("gamma", t % 1.0)).matrix for t in ts]
+        (
+            (1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)),
+            (2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)),
+            (2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)),
         )
-    period = 2.0 if name == "gamma" else 1.0
-    ts = np.linspace(0.0, period * turns, steps + 1)
-    return np.array([matrix_path(name, t).matrix for t in ts])
-
-
-def homotopy_slice_matrices(variant: str, s: float, steps: int) -> np.ndarray:
-    """The closed loop ``t -> ball_to_rotation(H(s, t))`` sampled over
-    [0, 1]."""
-    if steps < 256:
-        raise ValueError("at least 256 steps are required")
-    ts = np.linspace(0.0, 1.0, steps + 1)
-    return np.array(
-        [ball_to_rotation(homotopy_H(variant, s, t)).matrix for t in ts]
     )
-
-
-@dataclass(eq=False)
-class QuaternionPath:
-    """A continuous unit-quaternion lift of a rotation loop with its
-    monodromy sign (-1 when the lift ends at the negative of its start)."""
-
-    points: np.ndarray
-    monodromy: int
-
-
-def lift_loop(
-    path: Union[np.ndarray, Sequence, Callable[[float], Rotation3]],
-    steps: int = 1024,
-) -> tuple:
-    """Lift a closed rotation loop to S^3 and read off the monodromy sign.
-
-    ``path`` is either an (N, 3, 3) array of sampled rotations (closed: the
-    last equals the first) or a callable on [0, 1] sampled at ``steps + 1``
-    points.  At least 256 steps are required, consecutive rotations must be
-    within angle 0.2 of each other, and the quaternion preimage is chosen at
-    each step to be the one closest to the previous choice.  Returns
-    ``(QuaternionPath, sign)``; sign -1 means the loop generates
-    ``pi_1(SO(3))``, +1 that it is nullhomotopic (double-cover criterion).
-    """
-    if callable(path):
-        if steps < 256:
-            raise ValueError("at least 256 steps are required")
-        ts = np.linspace(0.0, 1.0, steps + 1)
-        mats = []
-        for t in ts:
-            r = path(t)
-            mats.append(r.matrix if isinstance(r, Rotation3) else np.asarray(r))
-        mats = np.array(mats)
-    else:
-        if isinstance(path, np.ndarray):
-            mats = path.astype(float)
-        else:
-            mats = np.array(
-                [r.matrix if isinstance(r, Rotation3) else np.asarray(r) for r in path]
-            )
-        if mats.ndim != 3 or mats.shape[1:] != (3, 3):
-            raise ValueError("expected an (N, 3, 3) array of rotations")
-        if len(mats) < 257:
-            raise ValueError("at least 256 steps are required")
-    if np.abs(mats[0] - mats[-1]).max() >= _UNIT_TOL:
-        raise ValueError("the sampled path is not a closed loop")
-
-    lift = [quat_from_rot(mats[0])]
-    for m in mats[1:]:
-        cand = quat_from_rot(m)
-        dot = float(np.dot(cand, lift[-1]))
-        # Rotation-angle distance between consecutive samples.
-        jump = 2.0 * math.acos(min(1.0, abs(dot)))
-        if jump > 0.2:
-            raise ValueError(
-                f"discontinuity: consecutive rotations jump by angle {jump:.3f}"
-            )
-        lift.append(-cand if dot < 0 else cand)
-    points = np.array(lift)
-    monodromy = 1 if float(np.dot(points[-1], points[0])) > 0 else -1
-    return QuaternionPath(points=points, monodromy=monodromy), monodromy

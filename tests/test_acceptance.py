@@ -169,15 +169,23 @@ def test_criterion_08_double_cover_homomorphism():
         for a_arr, b_arr in pairs:
             a = hopf.Quaternion(*a_arr)
             b = hopf.Quaternion(*b_arr)
-            lhs = hopf.rot_from_quat(hopf.qmul(a, b)).matrix
-            rhs = hopf.rot_from_quat(a).matrix @ hopf.rot_from_quat(b).matrix
+            lhs = np.asarray(hopf.rot_from_quat(hopf.qmul(a, b)).matrix)
+            rhs = np.asarray(hopf.rot_from_quat(a).matrix) @ np.asarray(
+                hopf.rot_from_quat(b).matrix
+            )
             worst = max(worst, float(np.abs(lhs - rhs).max()))
         return worst
 
     worst, elapsed = _timed(residual)
     assert worst < 1e-12
     q = hopf.Quaternion(*pairs[0][0])
-    assert np.abs(hopf.rot_from_quat(q).matrix - hopf.rot_from_quat(-q).matrix).max() == 0.0
+    assert (
+        np.abs(
+            np.asarray(hopf.rot_from_quat(q).matrix)
+            - np.asarray(hopf.rot_from_quat(-q).matrix)
+        ).max()
+        == 0.0
+    )
     assert elapsed < 1.0
     _passed(8, f"residual {worst:.2e} over 10^4 pairs in {elapsed:.2f} s")
 

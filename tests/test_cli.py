@@ -187,14 +187,19 @@ def test_exact_subcommands_do_not_import_geometry():
         ["einv", "--space", "s2-smash-cp2"],
         ["thom", "--family", "quaternionic", "--n", "1", "--mult", "24"],
         ["feder-gitler", "--n", "1", "--k", "12", "--l", "0"],
+        # Lifting runs on stdlib floats in ``stemcert.so3``.
+        ["lift", "--loop", "gamma"],
+        ["lift", "--loop", "homotopy"],
+        ["lift", "--loop", "ball-gamma"],
+        ["lift", "--loop", "alpha-then-beta"],
     ]
     child = main_in_child(*exact)
     assert child["codes"] == [0] * len(exact)
     assert child["loaded"] == []
-    # Positive control: the same probe sees hopf once a geometric command runs.
-    child = main_in_child(["lift", "--loop", "gamma"])
+    # Positive control: the same probe sees numpy and hopf once linking runs.
+    child = main_in_child(["linking", "--trials", "1"])
     assert child["codes"] == [0]
-    assert "stemcert.hopf" in child["loaded"]
+    assert {"numpy", "stemcert.hopf"} <= set(child["loaded"])
 
 
 # Checks the package API in a fresh interpreter, before and after every
@@ -336,6 +341,48 @@ def test_lift_json(capsys):
     assert json.loads(out)["monodromy"] == 1
 
 
+ONE_TURN_MONODROMY = {
+    "gamma": -1,
+    "alpha": -1,
+    "beta": -1,
+    "alpha-then-beta": 1,
+    "ball-gamma": -1,
+    "identity": 1,
+    "homotopy": -1,
+}
+
+
+@pytest.mark.parametrize("turns", [1, 2, 3])
+@pytest.mark.parametrize("loop", sorted(ONE_TURN_MONODROMY))
+def test_lift_monodromy_is_the_one_turn_sign_to_the_power_turns(capsys, loop, turns):
+    code, out, err = run_cli(
+        capsys, "--json", "lift", "--loop", loop, "--turns", str(turns)
+    )
+    assert code == 0, err
+    assert json.loads(out) == {
+        "loop": loop,
+        "steps": 1024,
+        "turns": turns,
+        "monodromy": ONE_TURN_MONODROMY[loop] ** turns,
+    }
+
+
+@pytest.mark.parametrize("loop", sorted(set(ONE_TURN_MONODROMY) - {"identity"}))
+def test_lift_rejects_more_turns_than_its_steps_can_follow(capsys, loop):
+    # 16 turns in 256 steps move every non-constant loop by more than 0.2
+    # radians per step.
+    code, out, err = run_cli(
+        capsys, "lift", "--loop", loop, "--steps", "256", "--turns", "16"
+    )
+    assert (code, out) == (2, "")
+    assert "error: discontinuity" in err
+    code, out, err = run_cli(
+        capsys, "lift", "--loop", loop, "--steps", "256", "--turns", str(10**400)
+    )
+    assert (code, out) == (2, "")
+    assert "error: turns must be at most the number of steps" in err
+
+
 def test_linking_command_certifies(capsys):
     code, out, _ = run_cli(
         capsys, "--json", "--seed", "11", "--samples", "256", "linking",
@@ -370,8 +417,9 @@ def test_linking_rejects_samples_above_the_cap(capsys):
         (("jorder", "--t"), "--t", 2000),
         (("thom", "--family", "complex", "--mult", "1", "--n"), "--n", 100000),
         (("thom", "--family", "quaternionic", "--n", "1", "--mult"), "--mult", 100000),
+        (("lift", "--loop", "gamma", "--steps"), "--steps", 65536),
     ],
-    ids=["bernoulli-n", "jorder-t", "thom-n", "thom-mult"],
+    ids=["bernoulli-n", "jorder-t", "thom-n", "thom-mult", "lift-steps"],
 )
 def test_size_caps_answer_at_the_cap_and_reject_above_it(capsys, argv, flag, cap):
     code, out, err = run_cli(capsys, "--json", *argv, str(cap))

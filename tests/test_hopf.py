@@ -311,7 +311,8 @@ def test_curve_json_round_trip():
 def test_rot_from_quat_known_rotation():
     # exp(k pi/4) rotates by pi/2 about the z-axis: i -> j.
     q = Quaternion(math.cos(math.pi / 4), 0, 0, math.sin(math.pi / 4))
-    assert np.abs(rot_from_quat(q).apply([1, 0, 0]) - [0, 1, 0]).max() < 1e-12
+    image = np.asarray(rot_from_quat(q).apply([1, 0, 0]))
+    assert np.abs(image - [0, 1, 0]).max() < 1e-12
 
 
 def test_rot_from_quat_is_a_homomorphism():
@@ -319,8 +320,8 @@ def test_rot_from_quat_is_a_homomorphism():
     worst = 0.0
     for _ in range(200):
         a, b = random_unit_quaternion(rng), random_unit_quaternion(rng)
-        lhs = rot_from_quat(qmul(a, b)).matrix
-        rhs = rot_from_quat(a).matrix @ rot_from_quat(b).matrix
+        lhs = np.asarray(rot_from_quat(qmul(a, b)).matrix)
+        rhs = np.asarray(rot_from_quat(a).matrix) @ np.asarray(rot_from_quat(b).matrix)
         worst = max(worst, float(np.abs(lhs - rhs).max()))
     assert worst < 1e-12
 
@@ -329,7 +330,8 @@ def test_rot_from_quat_identifies_antipodes():
     rng = np.random.default_rng(9)
     for _ in range(50):
         q = random_unit_quaternion(rng)
-        assert np.abs(rot_from_quat(q).matrix - rot_from_quat(-q).matrix).max() < 1e-15
+        diff = np.asarray(rot_from_quat(q).matrix) - rot_from_quat(-q).matrix
+        assert np.abs(diff).max() < 1e-15
 
 
 def test_rot_from_quat_rejects_non_unit():
@@ -350,7 +352,7 @@ def test_rotation3_rejects_non_rotations():
         Rotation3(np.diag([1.0, 1.0, -1.0]))
     rng = np.random.default_rng(11)
     for _ in range(20):
-        m = rot_from_quat(random_unit_quaternion(rng)).matrix
+        m = np.asarray(rot_from_quat(random_unit_quaternion(rng)).matrix)
         with pytest.raises(ValueError, match="determinant"):
             Rotation3(m[[1, 0, 2]])
 
@@ -368,7 +370,8 @@ def test_quat_from_rot_near_angle_pi():
     for axis in np.eye(3):
         r = ball_to_rotation(math.pi * axis)
         q = quat_from_rot(r)
-        assert np.abs(rot_from_quat(Quaternion(*q)).matrix - r.matrix).max() < 1e-12
+        back = np.asarray(rot_from_quat(Quaternion(*q)).matrix)
+        assert np.abs(back - np.asarray(r.matrix)).max() < 1e-12
 
 
 # --------------------------------------------------------------------------
@@ -390,17 +393,17 @@ def test_ball_point_rejects_outside():
 
 
 def test_ball_to_rotation_identity_and_antipodes():
-    assert np.abs(ball_to_rotation([0.0, 0.0, 0.0]).matrix - np.eye(3)).max() == 0.0
+    origin = np.asarray(ball_to_rotation([0.0, 0.0, 0.0]).matrix)
+    assert np.abs(origin - np.eye(3)).max() == 0.0
     v = np.array([1.0, 2.0, 2.0])
     v = math.pi * v / np.linalg.norm(v)
-    assert (
-        np.abs(ball_to_rotation(v).matrix - ball_to_rotation(-v).matrix).max() < 1e-12
-    )
+    diff = np.asarray(ball_to_rotation(v).matrix) - ball_to_rotation(-v).matrix
+    assert np.abs(diff).max() < 1e-12
 
 
 def test_ball_to_rotation_rotates_by_norm():
     r = ball_to_rotation([0.0, 0.0, math.pi / 2])
-    assert np.abs(r.apply([1, 0, 0]) - [0, 1, 0]).max() < 1e-12
+    assert np.abs(np.asarray(r.apply([1, 0, 0])) - [0, 1, 0]).max() < 1e-12
 
 
 # --------------------------------------------------------------------------
@@ -412,17 +415,17 @@ def test_loop_point_endpoints_close_in_the_quotient():
     for name in ("gamma", "alpha", "beta"):
         start = loop_point(name, 0.0)
         end = loop_point(name, 1.0)
-        assert np.abs(start.as_array() - end.as_array()).max() < 1e-9
+        assert np.abs(np.asarray(start.as_tuple()) - end.as_tuple()).max() < 1e-9
 
 
 def test_homotopy_connects_gamma_to_the_target():
     for variant in ("alpha", "beta"):
         for t in np.linspace(0, 1, 9):
-            at0 = homotopy_H(variant, 0.0, t).as_array()
-            gamma = loop_point("gamma", t).as_array()
+            at0 = np.asarray(homotopy_H(variant, 0.0, t).as_tuple())
+            gamma = np.asarray(loop_point("gamma", t).as_tuple())
             assert np.abs(at0 - gamma).max() < 1e-9
-            at1 = homotopy_H(variant, 1.0, t).as_array()
-            target = loop_point(variant, t).as_array()
+            at1 = np.asarray(homotopy_H(variant, 1.0, t).as_tuple())
+            target = np.asarray(loop_point(variant, t).as_tuple())
             assert np.abs(at1 - target).max() < 1e-9
 
 
@@ -447,15 +450,15 @@ def test_displayed_matrices_match_the_ball_model():
     # boundary semicircles exactly (to rounding).
     for name in ("alpha", "beta"):
         for t in np.linspace(0, 1, 33):
-            displayed = matrix_path(name, t).matrix
-            modeled = ball_to_rotation(loop_point(name, t)).matrix
+            displayed = np.asarray(matrix_path(name, t).matrix)
+            modeled = np.asarray(ball_to_rotation(loop_point(name, t)).matrix)
             assert np.abs(displayed - modeled).max() < 1e-12
 
 
 def test_gamma_matrix_path_period_is_two():
-    closed = matrix_path("gamma", 0.0).matrix
-    assert np.abs(matrix_path("gamma", 2.0).matrix - closed).max() < 1e-12
-    assert np.abs(matrix_path("gamma", 1.0).matrix - closed).max() > 1.0
+    closed = np.asarray(matrix_path("gamma", 0.0).matrix)
+    assert np.abs(np.asarray(matrix_path("gamma", 2.0).matrix) - closed).max() < 1e-12
+    assert np.abs(np.asarray(matrix_path("gamma", 1.0).matrix) - closed).max() > 1.0
 
 
 # --------------------------------------------------------------------------
@@ -501,9 +504,10 @@ def test_identity_loop_is_trivial():
 
 def test_lift_returns_continuous_unit_path():
     path, _ = lift_loop(loop_matrices("gamma", 512))
-    norms = np.linalg.norm(path.points, axis=1)
+    points = np.asarray(path.points)
+    norms = np.linalg.norm(points, axis=1)
     assert np.abs(norms - 1.0).max() < 1e-9
-    dots = np.sum(path.points[1:] * path.points[:-1], axis=1)
+    dots = np.sum(points[1:] * points[:-1], axis=1)
     assert dots.min() > 0.99  # consecutive lifts stay on the same sheet
 
 
