@@ -55,7 +55,6 @@ _EXPORTS = {
             "KOClassS2",
             "StuntedSpace",
             "bernoulli",
-            "eta_order_chain",
             "feder_gitler_equivalent",
             "ko_s2_realify",
             "m_closed_form",
@@ -75,7 +74,7 @@ _EXPORTS = {
             "mul",
             "parse_space",
         ),
-        "reports": ("build_stem_report",),
+        "reports": ("build_stem_report", "eta_order_chain"),
         "so3": (
             "BallPoint",
             "Rotation3",
@@ -93,65 +92,7 @@ _EXPORTS = {
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdamsMatrix",
-    "BallPoint",
-    "BigInt",
-    "BigRational",
-    "DerivationStep",
-    "KOClassS2",
-    "ObstructionCertificate",
-    "Quaternion",
-    "ResamplePole",
-    "RingElement",
-    "RingModel",
-    "Rotation3",
-    "StemReport",
-    "StepStatus",
-    "StuntedSpace",
-    "TwoCellModel",
-    "Verdict",
-    "VerificationError",
-    "adams",
-    "adams_matrix",
-    "ball_to_rotation",
-    "bernoulli",
-    "build_stem_report",
-    "conjugacy_witness",
-    "e_invariant",
-    "eta_order_chain",
-    "feder_gitler_equivalent",
-    "fiber_curve",
-    "fiber_linking",
-    "gauss_linking",
-    "homotopy_H",
-    "hopf_map",
-    "ko_s2_realify",
-    "laurent_to_phi",
-    "lift_loop",
-    "loop_matrices",
-    "loop_point",
-    "m_closed_form",
-    "m_via_bernoulli",
-    "make_ring",
-    "matrix_path",
-    "mul",
-    "nu_order_bound",
-    "order_lower_bound",
-    "padic_valuation",
-    "parse_space",
-    "qmul",
-    "quat_from_rot",
-    "replay_step",
-    "report_from_json",
-    "report_to_json",
-    "rot_from_quat",
-    "splitting_verdict",
-    "stabilized_gcd",
-    "stereographic",
-    "thom_space",
-    "two_cell_from",
-]
+__all__ = sorted(_EXPORTS)
 
 
 def __getattr__(name: str):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import einv, jorder
@@ -29,6 +30,16 @@ _MAX_SAMPLES = 4096
 #: recurrence costs O(n^2) operations on O(n log n)-bit integers, about a
 #: second at this size.
 _MAX_BERNOULLI_INDEX = 2000
+#: Largest ``jorder --K`` and ``--N``: the gcd fold multiplies K integers of
+#: about (N + t) log2(K) bits, about 2 s at both caps and ``--t 2000``.
+_MAX_FOLD_K = 1024
+_MAX_FOLD_N = 4096
+#: Largest index in an ``adams --space`` label, ``adams --k`` and exponent of
+#: ``--elem``: raising psi^k of a generator to the exponent e costs about
+#: e * n * min(k, n) products, about 1 s on hp256 at k = 256 and e = 32.
+_MAX_ADAMS_INDEX = 256
+_MAX_ADAMS_K = 256
+_MAX_ADAMS_EXPONENT = 32
 #: Largest ``thom --n`` and ``--mult``: the output lists one cell per index.
 _MAX_THOM_INDEX = 100_000
 #: Largest ``lift --steps``: sampling and lifting are linear in the step
@@ -52,8 +63,18 @@ def _emit(args, payload: dict, human: str) -> None:
 
 
 def cmd_adams(args) -> int:
-    model = make_ring(parse_space(args.space))
+    if args.k > _MAX_ADAMS_K:
+        raise ValueError(f"--k must be at most {_MAX_ADAMS_K}")
+    space = parse_space(args.space)
+    # The digits of a parsed label are its cell indices.
+    if max(int(n) for n in re.findall(r"\d+", args.space)) > _MAX_ADAMS_INDEX:
+        raise ValueError(f"--space index must be at most {_MAX_ADAMS_INDEX}")
+    model = make_ring(space)
     elem = parse_element(model, args.elem)
+    # ``elem`` is one basis monomial.
+    (mono,) = (m for m, c in zip(model.basis, elem.coeffs) if c)
+    if max(mono) > _MAX_ADAMS_EXPONENT:
+        raise ValueError(f"--elem exponent must be at most {_MAX_ADAMS_EXPONENT}")
     if args.k < 1:
         raise ValueError("the Adams index k must be at least 1")
     image = adams(args.k, elem)
@@ -87,34 +108,22 @@ def cmd_einv(args) -> int:
 
 
 def cmd_jorder(args) -> int:
-    if args.t > _MAX_BERNOULLI_INDEX:
-        raise ValueError(f"--t must be at most {_MAX_BERNOULLI_INDEX}")
-    folded = jorder.stabilized_gcd(args.t, K=args.K, N=args.N)
-    closed = jorder.m_closed_form(args.t)
-    methods = ["gcd", "closed"]
-    values = {"gcd": folded.value, "closed": closed}
-    if args.t % 2 == 0:
-        values["bernoulli"] = jorder.m_via_bernoulli(args.t // 2)
-        methods.append("bernoulli")
-    distinct = set(values.values())
-    if len(distinct) != 1:
-        raise VerificationError(f"order-bound methods disagree: {values}")
-    if not folded.stable:
-        raise VerificationError("gcd fold did not stabilize; increase K")
-    value = folded.value
+    for flag, value, cap in (
+        ("--t", args.t, _MAX_BERNOULLI_INDEX),
+        ("--K", args.K, _MAX_FOLD_K),
+        ("--N", args.N, _MAX_FOLD_N),
+    ):
+        if value is not None and value > cap:
+            raise ValueError(f"{flag} must be at most {cap}")
+    bound = jorder.order_bound(args.t, K=args.K, N=args.N)
+    value = bound.value
     if args.expect is not None and value != args.expect:
         raise VerificationError(f"expected m({args.t}) = {args.expect}, computed {value}")
-    payload = {
-        "t": args.t,
-        "m": str(value),
-        "methods": methods,
-        "stable": folded.stable,
-    }
     human = (
         f"m({args.t}) = {value}  "
-        f"[{', '.join(f'{m}={values[m]}' for m in methods)}]  stable={folded.stable}"
+        f"[{', '.join(f'{m}={value}' for m in bound.methods)}]  stable=True"
     )
-    _emit(args, payload, human)
+    _emit(args, jorder.jorder_to_json(bound), human)
     return 0
 
 
@@ -302,9 +311,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", metavar="command")
 
     p = sub.add_parser("adams", help="apply an Adams operation to a ring element")
-    p.add_argument("--space", required=True, help="e.g. cp2, hp2, s2, s2-smash-cp2")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--elem", required=True, help="basis monomial, e.g. mu or mu^2*nu")
+    p.add_argument(
+        "--space",
+        required=True,
+        help=f"e.g. cp2, hp2, s2, s2-smash-cp2 (indices at most {_MAX_ADAMS_INDEX})",
+    )
+    p.add_argument("--k", type=int, required=True, help=f"at most {_MAX_ADAMS_K}")
+    p.add_argument(
+        "--elem",
+        required=True,
+        help=(
+            "basis monomial, e.g. mu or mu^2*nu "
+            f"(exponents at most {_MAX_ADAMS_EXPONENT})"
+        ),
+    )
     p.set_defaults(func=cmd_adams)
 
     p = sub.add_parser("einv", help="splitting verdict and e-invariant")
@@ -321,8 +341,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--t", type=int, required=True, help=f"at most {_MAX_BERNOULLI_INDEX}"
     )
-    p.add_argument("--K", type=int, default=200)
-    p.add_argument("--N", type=int, default=None)
+    p.add_argument(
+        "--K", type=int, default=200, help=f"gcd fold over k = 2..K (at most {_MAX_FOLD_K})"
+    )
+    p.add_argument(
+        "--N",
+        type=int,
+        default=None,
+        help=f"exponent of k in the fold (default t + 10, at most {_MAX_FOLD_N})",
+    )
     p.add_argument("--expect", type=int, help="fail (exit 3) unless m(t) matches")
     p.set_defaults(func=cmd_jorder)
 

@@ -107,11 +107,6 @@ class Quaternion:
     def as_array(self) -> np.ndarray:
         return np.array([self.w, self.x, self.y, self.z])
 
-    @classmethod
-    def from_array(cls, arr) -> "Quaternion":
-        w, x, y, z = (float(v) for v in arr)
-        return cls(w, x, y, z)
-
     def __mul__(self, other: "Quaternion") -> "Quaternion":
         return qmul(self, other)
 
@@ -119,10 +114,7 @@ class Quaternion:
         return Quaternion(-self.w, -self.x, -self.y, -self.z)
 
 
-ONE = Quaternion(1.0, 0.0, 0.0, 0.0)
 I = Quaternion(0.0, 1.0, 0.0, 0.0)
-J = Quaternion(0.0, 0.0, 1.0, 0.0)
-K = Quaternion(0.0, 0.0, 0.0, 1.0)
 
 
 def qmul(a: Quaternion, b: Quaternion) -> Quaternion:

@@ -11,12 +11,11 @@ The order bound ``m(t)`` is obtained as
    with ``B_2k`` built from the integer tangent number ``T_k`` and checked
    against the von Staudt-Clausen denominator.
 
-Their forced agreement (:func:`nu_order_bound`) turns a literature fact into
-a self-checking computation; ``m(2) = 24`` is the upper bound for the order
-of the generator of the third stem.  The module also houses the tiny KO
-model for S^2, the Thom-space/stunted-space index bookkeeping, the
-stunted-space equivalence decision, and the replayable derivation chain
-certifying that twice the complex Hopf attaching class vanishes.
+Their forced agreement (:func:`order_bound`) turns a literature fact into
+a self-checking computation; ``m(2) = 24`` (:func:`nu_order_bound`) is the
+upper bound for the order of the generator of the third stem.  The module
+also houses the tiny KO model for S^2, the Thom-space/stunted-space index
+bookkeeping, and the stunted-space equivalence decision.
 """
 
 from __future__ import annotations
@@ -27,11 +26,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
-from .derivation import DerivationStep, StepStatus, register_check
 from .errors import VerificationError
 from .exact import BigInt, BigRational, gcd, is_prime, padic_valuation
-from .kring import ComplexProjective, make_ring, mul
-from . import einv
 
 __all__ = [
     "JOrderBound",
@@ -39,13 +35,14 @@ __all__ = [
     "StabilizedGcd",
     "StuntedSpace",
     "bernoulli",
-    "eta_order_chain",
     "feder_gitler_equivalent",
     "gcd_history",
+    "jorder_to_json",
     "ko_s2_realify",
     "m_closed_form",
     "m_via_bernoulli",
     "nu_order_bound",
+    "order_bound",
     "stabilized_gcd",
     "thom_space",
 ]
@@ -170,32 +167,40 @@ class JOrderBound:
             raise ValueError("an order bound must be at least 1")
 
 
-def nu_order_bound() -> JOrderBound:
-    """The three-way order bound 24 for the third-stem generator.
+def order_bound(t: int, K: int = 200, N: Optional[int] = None) -> JOrderBound:
+    """The order bound ``m(t)``, with every method that applies forced to agree.
 
-    Fails loudly (``VerificationError``) if the gcd fold, the closed form,
-    and the Bernoulli denominator disagree or the fold has not stabilized.
+    The gcd fold (:func:`stabilized_gcd` with ``K`` and ``N``) and the closed
+    form always run, the Bernoulli denominator for even ``t``.  Fails loudly
+    (``VerificationError``) if they disagree or the fold has not stabilized.
     """
-    folded = stabilized_gcd(2, K=200, N=12)
-    closed = m_closed_form(2)
-    via_b = m_via_bernoulli(1)
-    if not (folded.value == closed == via_b):
-        raise VerificationError(
-            f"order-bound methods disagree: gcd={folded.value}, "
-            f"closed={closed}, bernoulli={via_b}"
-        )
+    folded = stabilized_gcd(t, K=K, N=N)
+    values = {"gcd": folded.value, "closed": m_closed_form(t)}
+    if t % 2 == 0:
+        values["bernoulli"] = m_via_bernoulli(t // 2)
+    if len(set(values.values())) != 1:
+        raise VerificationError(f"order-bound methods disagree: {values}")
     if not folded.stable:
-        raise VerificationError("gcd fold did not stabilize")
-    return JOrderBound(t=2, value=folded.value, methods=("gcd", "closed", "bernoulli"))
+        raise VerificationError("gcd fold did not stabilize; increase K")
+    return JOrderBound(t=t, value=folded.value, methods=tuple(values))
 
 
-def jorder_to_json(bound: JOrderBound, stable: bool = True) -> dict:
-    """CLI serialization: ``{"t", "m", "methods", "stable"}``."""
+def nu_order_bound() -> JOrderBound:
+    """The three-way order bound 24 for the third-stem generator."""
+    return order_bound(2, K=200, N=12)
+
+
+def jorder_to_json(bound: JOrderBound) -> dict:
+    """CLI serialization: ``{"t", "m", "methods", "stable"}``.
+
+    ``stable`` is always true: :func:`order_bound` returns only a bound
+    whose gcd fold settled.
+    """
     return {
         "t": bound.t,
         "m": str(bound.value),
         "methods": list(bound.methods),
-        "stable": stable,
+        "stable": True,
     }
 
 
@@ -310,111 +315,3 @@ def ko_s2_realify(a: int, b: int) -> KOClassS2:
     (complexification doubles real rank).
     """
     return KOClassS2(rank=a + 2 * b, reduced=b % 2)
-
-
-# --------------------------------------------------------------------------
-# The order-2 derivation chain for the complex Hopf class
-# --------------------------------------------------------------------------
-
-
-@register_check("eta_square_identity")
-def _check_eta_square_identity(evidence: dict) -> bool:
-    """Recompute eta^2 = a + b*eta in K(CP^1) and compare coefficients."""
-    model = make_ring(ComplexProjective(1))
-    mu = model.generator()
-    # eta = 1 + mu as (rank, reduced part); square it.
-    rank = 1
-    reduced = mu.scale(2 * rank) + mul(mu, mu)  # 2*mu + mu^2, and mu^2 = 0
-    # Solve (rank, reduced) == a*(1, 0) + b*(1, mu).
-    b = reduced.coeffs[0]
-    a = rank - b
-    return a == evidence["a"] and b == evidence["b"]
-
-
-@register_check("ko_realify_eta_square")
-def _check_ko_realify(evidence: dict) -> bool:
-    """Recompute the realification of eta^2 and the rank identity."""
-    cls = ko_s2_realify(evidence["trivial_rank"], evidence["hopf_count"])
-    r_eta = ko_s2_realify(0, 1)
-    rank_identity = cls.rank + 2 == 2 * r_eta.rank == 4
-    return (
-        cls.rank == evidence["rank"]
-        and cls.reduced == evidence["reduced"]
-        and rank_identity
-    )
-
-
-@register_check("order_bracket_first_stem")
-def _check_order_bracket(evidence: dict) -> bool:
-    """e-invariant lower bound meets the KO upper bound: order exactly 2."""
-    from .kring import parse_space  # local import to keep module load light
-
-    model = make_ring(parse_space(evidence["space"]))
-    for k in evidence["ks"]:
-        e = einv.e_invariant(model, k)
-        if f"{e.numerator}/{e.denominator}" != evidence["e"]:
-            return False
-    lower = einv.order_lower_bound(model, evidence["ks"][0])
-    return lower == evidence["lower"] == evidence["upper"]
-
-
-def eta_order_chain() -> tuple:
-    """The replayable chain certifying that twice the complex Hopf attaching
-    class is stably trivial (so its order is exactly 2).
-
-    Three computed steps (the square identity in K(CP^1), its realification
-    into KO(S^2), and the order bracket) plus one literature-asserted step
-    (J-order equals KO-order for line bundles over S^2, which upgrades
-    KO-triviality to a stable splitting).
-    """
-    return (
-        DerivationStep(
-            claim="eta^2 = 2*eta - 1 in K(CP^1): coefficients (a, b) = (-1, 2)",
-            status=StepStatus.COMPUTED,
-            citation="stemcert.kring (truncated ring Z[mu]/(mu^2), eta = 1 + mu)",
-            evidence={"check": "eta_square_identity", "a": -1, "b": 2},
-        ),
-        DerivationStep(
-            claim=(
-                "realification: r(eta^2) = 2*r(eta) - r(1) has rank 2 and "
-                "reduced part 0, i.e. r(eta^2) + 2 = 2*r(eta) = 4"
-            ),
-            status=StepStatus.COMPUTED,
-            citation="stemcert.jorder.ko_s2_realify",
-            evidence={
-                "check": "ko_realify_eta_square",
-                "trivial_rank": -2,
-                "hopf_count": 2,
-                "rank": 2,
-                "reduced": 0,
-            },
-        ),
-        DerivationStep(
-            claim=(
-                "KO-triviality of the realified class makes 2*(Hopf bundle) "
-                "stably fiber-homotopy trivial, so its Thom space splits and "
-                "twice the attaching class vanishes (the splitting is "
-                "governed by the J-order, which equals the KO-order here)"
-            ),
-            status=StepStatus.PAPER_ASSERTED,
-            citation="Adams conjecture; J-groups of spheres",
-            evidence=None,
-        ),
-        DerivationStep(
-            claim=(
-                "order bookkeeping: the e-invariant 1/2 of the suspended "
-                "two-cell model gives lower bound 2; with 2*[h] = 0 the "
-                "order is exactly 2"
-            ),
-            status=StepStatus.COMPUTED,
-            citation="stemcert.einv.order_lower_bound",
-            evidence={
-                "check": "order_bracket_first_stem",
-                "space": "s2-smash-cp2",
-                "ks": [2, 3, 5, 7],
-                "e": "1/2",
-                "lower": 2,
-                "upper": 2,
-            },
-        ),
-    )

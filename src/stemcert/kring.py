@@ -191,21 +191,6 @@ class RingModel:
             parts.append(sym if e == 1 else sym + str(e).translate(_SUPERSCRIPTS))
         return "".join(parts) or "1"
 
-    def monomial_key(self, mono: Monomial) -> str:
-        """ASCII name of a basis monomial, e.g. ``mu^2*nu``."""
-        parts = []
-        order = sorted(
-            range(len(self.factors)),
-            key=lambda i: isinstance(self.factors[i], EvenSphere),
-        )
-        for i in order:
-            e = mono[i]
-            if e == 0:
-                continue
-            sym = _ATOM_SYMBOLS[type(self.factors[i])]
-            parts.append(sym if e == 1 else f"{sym}^{e}")
-        return "*".join(parts) or "1"
-
 
 @dataclass(frozen=True)
 class RingElement:
@@ -351,14 +336,6 @@ def mul(a: RingElement, b: RingElement) -> RingElement:
             if mono is not None:
                 vec[model.monomial_index(mono)] += ca * cb
     return RingElement(model, tuple(vec))
-
-
-def _monomial_power(model: RingModel, elem: RingElement, e: int) -> RingElement:
-    out = None
-    for _ in range(e):
-        out = elem if out is None else mul(out, elem)
-    assert out is not None
-    return out
 
 
 # --------------------------------------------------------------------------

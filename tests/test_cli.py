@@ -413,19 +413,42 @@ def test_linking_rejects_samples_above_the_cap(capsys):
 @pytest.mark.parametrize(
     "argv,flag,cap",
     [
-        (("bernoulli", "--n"), "--n", 2000),
-        (("jorder", "--t"), "--t", 2000),
-        (("thom", "--family", "complex", "--mult", "1", "--n"), "--n", 100000),
-        (("thom", "--family", "quaternionic", "--n", "1", "--mult"), "--mult", 100000),
-        (("lift", "--loop", "gamma", "--steps"), "--steps", 65536),
+        (("bernoulli", "--n", "{}"), "--n", 2000),
+        (("jorder", "--t", "{}"), "--t", 2000),
+        (("jorder", "--t", "2", "--K", "{}"), "--K", 1024),
+        (("jorder", "--t", "2", "--N", "{}"), "--N", 4096),
+        (("adams", "--space", "hp{}", "--k", "2", "--elem", "phi"), "--space index", 256),
+        (("adams", "--space", "s2-smash-hp{}", "--k", "2", "--elem", "phi*nu"), "--space index", 256),
+        (("adams", "--space", "cp2", "--elem", "mu", "--k", "{}"), "--k", 256),
+        (("adams", "--space", "hp256", "--k", "256", "--elem", "phi^{}"), "--elem exponent", 32),
+        (("thom", "--family", "complex", "--mult", "1", "--n", "{}"), "--n", 100000),
+        (("thom", "--family", "quaternionic", "--n", "1", "--mult", "{}"), "--mult", 100000),
+        (("lift", "--loop", "gamma", "--steps", "{}"), "--steps", 65536),
     ],
-    ids=["bernoulli-n", "jorder-t", "thom-n", "thom-mult", "lift-steps"],
+    ids=[
+        "bernoulli-n",
+        "jorder-t",
+        "jorder-K",
+        "jorder-N",
+        "adams-space",
+        "adams-smash",
+        "adams-k",
+        "adams-exponent",
+        "thom-n",
+        "thom-mult",
+        "lift-steps",
+    ],
 )
 def test_size_caps_answer_at_the_cap_and_reject_above_it(capsys, argv, flag, cap):
-    code, out, err = run_cli(capsys, "--json", *argv, str(cap))
+    """``{}`` in ``argv`` stands for the capped value."""
+
+    def run(value):
+        return run_cli(capsys, "--json", *(a.format(value) for a in argv))
+
+    code, out, err = run(cap)
     assert code == 0, err
     assert json.loads(out)
-    code, out, err = run_cli(capsys, "--json", *argv, str(cap + 1))
+    code, out, err = run(cap + 1)
     assert code == 2
     assert out == ""
     assert f"error: {flag} must be at most {cap}" in err

@@ -8,13 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stemcert import jorder
-from stemcert.derivation import StepStatus, replay_step
 from stemcert.errors import VerificationError
 from stemcert.jorder import (
     KOClassS2,
     StuntedSpace,
     bernoulli,
-    eta_order_chain,
     feder_gitler_equivalent,
     gcd_history,
     jorder_to_json,
@@ -22,6 +20,7 @@ from stemcert.jorder import (
     m_closed_form,
     m_via_bernoulli,
     nu_order_bound,
+    order_bound,
     stabilized_gcd,
     thom_space,
 )
@@ -101,6 +100,18 @@ def test_nu_order_bound():
         "methods": ["gcd", "closed", "bernoulli"],
         "stable": True,
     }
+
+
+def test_order_bound_checks_agreement_and_stability(monkeypatch):
+    # Odd t has no Bernoulli method; the other two still have to agree.
+    assert order_bound(3).methods == ("gcd", "closed")
+    assert order_bound(3).value == 2
+    # At K = 3 the fold reaches 24 only at its last step.
+    with pytest.raises(VerificationError, match="did not stabilize"):
+        order_bound(2, K=3)
+    monkeypatch.setattr(jorder, "m_closed_form", lambda t: 23)
+    with pytest.raises(VerificationError, match="disagree"):
+        order_bound(2)
 
 
 # --------------------------------------------------------------------------
@@ -252,33 +263,3 @@ def test_ko_s2_reduced_part_has_order_two():
 def test_ko_s2_validation():
     with pytest.raises(ValueError):
         KOClassS2(rank=2, reduced=2)
-
-
-# --------------------------------------------------------------------------
-# The order-2 chain
-# --------------------------------------------------------------------------
-
-
-def test_eta_order_chain_shape():
-    steps = eta_order_chain()
-    assert len(steps) == 4
-    statuses = [s.status for s in steps]
-    assert statuses.count(StepStatus.COMPUTED) == 3
-    assert statuses.count(StepStatus.PAPER_ASSERTED) == 1
-
-
-def test_eta_order_chain_replays():
-    for step in eta_order_chain():
-        assert replay_step(step) is True
-
-
-def test_chain_replay_detects_tampering():
-    step = eta_order_chain()[0]
-    tampered = type(step)(
-        claim=step.claim,
-        status=step.status,
-        citation=step.citation,
-        evidence={**step.evidence, "b": 3},
-    )
-    with pytest.raises(VerificationError):
-        replay_step(tampered)

@@ -1,9 +1,14 @@
 """Derivation plumbing and the three stem reports."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import stemcert
 from stemcert.derivation import (
     DerivationStep,
     StemReport,
@@ -13,7 +18,7 @@ from stemcert.derivation import (
     report_to_json,
 )
 from stemcert.errors import VerificationError
-from stemcert.reports import build_stem_report
+from stemcert.reports import build_stem_report, eta_order_chain
 
 
 # --------------------------------------------------------------------------
@@ -117,3 +122,138 @@ def test_tampered_report_fails_replay():
         pytest.fail("expected a step with a 'value' evidence key")
     with pytest.raises(VerificationError):
         report_from_json(blob).replay()
+
+
+# A value for every evidence field other than ``check`` of every Computed
+# step, keyed by (stem, check, field).  Each makes the step's claim false.
+# Lists of Adams indices become empty: the e-invariant does not depend on the
+# index, so any non-empty list of indices keeps the claim true.
+TAMPERS = {
+    (1, "einv_nonsplit", "space"): "hp2",
+    (1, "einv_nonsplit", "ks"): [],
+    (1, "einv_nonsplit", "verdict"): "Splits",
+    (1, "einv_nonsplit", "e"): "1/3",
+    (1, "eta_square_identity", "a"): -2,
+    (1, "eta_square_identity", "b"): 3,
+    (1, "ko_realify_eta_square", "trivial_rank"): 0,
+    (1, "ko_realify_eta_square", "hopf_count"): 3,
+    (1, "ko_realify_eta_square", "rank"): 3,
+    (1, "ko_realify_eta_square", "reduced"): 1,
+    (1, "order_bracket_first_stem", "space"): "hp2",
+    (1, "order_bracket_first_stem", "ks"): [],
+    (1, "order_bracket_first_stem", "e"): "1/3",
+    (1, "order_bracket_first_stem", "lower"): 3,
+    (1, "order_bracket_first_stem", "upper"): 3,
+    (2, "composite_killed_by_two", "space"): "hp2",
+    (2, "composite_killed_by_two", "order_of_eta"): 3,
+    (2, "composite_killed_by_two", "multiplier"): 4,
+    (3, "jorder_triple", "t"): 4,
+    (3, "jorder_triple", "value"): "23",
+    (3, "einv_lower_bound", "space"): "s2-smash-cp2",
+    (3, "einv_lower_bound", "ks"): [],
+    (3, "einv_lower_bound", "e"): "1/6",
+    (3, "einv_lower_bound", "lower"): 24,
+    (3, "fg_congruence", "n"): 2,
+    (3, "fg_congruence", "B"): "12",
+    (3, "fg_congruence", "nonequiv"): [24, 0],
+    (3, "fg_congruence", "equiv"): [12, 0],
+    (3, "fg_congruence", "cells_equiv"): [48, 52],
+    (3, "fg_congruence", "cells_nonequiv"): [96, 100],
+    (3, "order_pin", "upper"): 48,
+    (3, "order_pin", "lower_multiple"): 24,
+    (3, "order_pin", "not_dividing"): 24,
+    (3, "order_pin", "order"): 12,
+}
+
+# Tampers that still replay: these checks do not derive their inputs from the
+# steps before them (ROADMAP item 7, reports as checked dataflow).
+UNCAUGHT = {
+    (2, "composite_killed_by_two", "multiplier"): "any multiple of 2 passes",
+    (3, "order_pin", "lower_multiple"): "24 also leaves 24 as the only candidate",
+}
+
+
+def test_tamper_table_covers_every_evidence_field():
+    fields = {
+        (stem, step.evidence["check"], key)
+        for stem in (1, 2, 3)
+        for step in build_stem_report(stem).computed_steps()
+        for key in step.evidence
+        if key != "check"
+    }
+    assert fields == set(TAMPERS)
+
+
+@pytest.mark.parametrize(
+    "stem,check,field",
+    [
+        pytest.param(
+            *key,
+            marks=pytest.mark.xfail(strict=True, reason=UNCAUGHT[key])
+            if key in UNCAUGHT
+            else (),
+        )
+        for key in TAMPERS
+    ],
+    ids=lambda part: str(part),
+)
+def test_every_single_field_tamper_fails_replay(stem, check, field):
+    blob = json.loads(json.dumps(report_to_json(build_stem_report(stem))))
+    (evidence,) = [
+        s["evidence"]
+        for s in blob["steps"]
+        if s["evidence"] and s["evidence"]["check"] == check
+    ]
+    assert evidence[field] != TAMPERS[stem, check, field]
+    evidence[field] = TAMPERS[stem, check, field]
+    with pytest.raises(VerificationError):
+        report_from_json(blob).replay()
+
+
+# --------------------------------------------------------------------------
+# The order-2 chain
+# --------------------------------------------------------------------------
+
+
+def test_eta_order_chain_shape():
+    steps = eta_order_chain()
+    assert len(steps) == 4
+    statuses = [s.status for s in steps]
+    assert statuses.count(StepStatus.COMPUTED) == 3
+    assert statuses.count(StepStatus.PAPER_ASSERTED) == 1
+
+
+def test_eta_order_chain_replays():
+    for step in eta_order_chain():
+        assert replay_step(step) is True
+
+
+def test_chain_replay_detects_tampering():
+    step = eta_order_chain()[0]
+    tampered = type(step)(
+        claim=step.claim,
+        status=step.status,
+        citation=step.citation,
+        evidence={**step.evidence, "b": 3},
+    )
+    with pytest.raises(VerificationError):
+        replay_step(tampered)
+
+
+def test_number_theory_module_loads_no_report_machinery():
+    code = (
+        "import json, sys, stemcert.jorder\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('stemcert'))))"
+    )
+    # The child imports the same ``stemcert`` as this suite.
+    package_parent = str(Path(stemcert.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [package_parent, env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    loaded = set(json.loads(proc.stdout))
+    assert "stemcert.jorder" in loaded
+    assert not loaded & {"stemcert.derivation", "stemcert.einv", "stemcert.kring"}

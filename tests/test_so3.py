@@ -114,12 +114,12 @@ def test_every_loop_sample_matches_the_numpy_formulas(name, turns):
     steps = 512
     samples = loop_matrices(name, steps, turns)
     assert len(samples) == steps + 1
-    assert_quaternions_match(samples)
+    assert_quaternions_match(r.matrix for r in samples)
     if name == "ball-gamma":
         for k, sample in enumerate(samples):
             point = loop_point("gamma", turns * k / steps % 1.0).as_tuple()
             reference = numpy_ball_to_rotation(point)
-            assert np.abs(np.asarray(sample) - reference).max() < 1e-12
+            assert np.abs(np.asarray(sample.matrix) - reference).max() < 1e-12
 
 
 @pytest.mark.parametrize("variant", ["alpha", "beta"])
@@ -128,25 +128,46 @@ def test_every_homotopy_sample_matches_the_numpy_formulas(variant, s):
     steps = 512
     samples = homotopy_slice_matrices(variant, s, steps)
     assert len(samples) == steps + 1
-    assert_quaternions_match(samples)
+    assert_quaternions_match(r.matrix for r in samples)
     for k, sample in enumerate(samples):
         point = homotopy_H(variant, s, k / steps % 1.0).as_tuple()
         reference = numpy_ball_to_rotation(point)
-        assert np.abs(np.asarray(sample) - reference).max() < 1e-12
+        assert np.abs(np.asarray(sample.matrix) - reference).max() < 1e-12
 
 
 def test_lift_loop_rejects_one_non_orthogonal_sample():
     samples = loop_matrices("gamma", 512)
     assert lift_loop(samples)[1] == -1
-    skewed = [list(row) for row in samples[300]]
+    skewed = [list(row) for row in samples[300].matrix]
     skewed[0][1] += 1e-6
     samples[300] = skewed
     with pytest.raises(ValueError, match="orthogonal"):
         lift_loop(samples)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: loop_matrices("gamma", 512),
+        lambda: homotopy_slice_matrices("beta", 0.5, 512),
+    ],
+    ids=["gamma", "homotopy"],
+)
+def test_each_loop_sample_is_checked_once(monkeypatch, build):
+    checks = []
+    init = Rotation3.__init__
+
+    def counted(self, matrix):
+        checks.append(1)
+        init(self, matrix)
+
+    monkeypatch.setattr(Rotation3, "__init__", counted)
+    lift_loop(build())
+    assert len(checks) == 513
+
+
 def test_lift_loop_accepts_numpy_arrays():
-    samples = np.asarray(loop_matrices("gamma", 512, turns=3))
+    samples = np.asarray([r.matrix for r in loop_matrices("gamma", 512, turns=3)])
     assert samples.shape == (513, 3, 3)
     assert lift_loop(samples)[1] == -1
 
