@@ -5,6 +5,10 @@ switches the output to the documented machine-readable serializations.
 Exit codes: 0 on success, 2 on argument or parse errors, 3 when a
 verification invariant fails (a disagreement between independent methods, a
 failed replay, or an ``--expect`` mismatch).
+
+Each handler imports the layers it runs in its own body, so a run loads only
+what its subcommand needs: ``--help`` loads no layer, and the exact
+subcommands load neither numpy nor the layers of the others.
 """
 
 from __future__ import annotations
@@ -14,11 +18,7 @@ import json
 import re
 import sys
 
-from . import einv, jorder
-from .derivation import StemReport, StepStatus, report_to_json
 from .errors import ResamplePole, VerificationError
-from .kring import adams, element_to_json, make_ring, parse_element, parse_space
-from .reports import build_stem_report
 
 _SUP = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
 _SUB = str.maketrans("0123456789", "₀₁₂₃₄₅₆₇₈₉")
@@ -26,6 +26,12 @@ _SUB = str.maketrans("0123456789", "₀₁₂₃₄₅₆₇₈₉")
 #: Largest ``--samples`` that ``linking`` accepts: the Gauss sum is
 #: quadratic in the sample count.
 _MAX_SAMPLES = 4096
+#: Largest ``linking --trials``, and largest ``trials * samples**2``: each
+#: trial samples two fibers and sums one Gauss integral over samples**2
+#: pairs.  At the caps, 1000 trials of 512 samples take about 24 s and 16
+#: trials of 4096 samples about 16 s on a 2-vCPU machine.
+_MAX_TRIALS = 1000
+_MAX_LINKING_WORK = 2**28
 #: Largest ``bernoulli --n`` and ``jorder --t``: the tangent-number
 #: recurrence costs O(n^2) operations on O(n log n)-bit integers, about a
 #: second at this size.
@@ -34,12 +40,15 @@ _MAX_BERNOULLI_INDEX = 2000
 #: about (N + t) log2(K) bits, about 2 s at both caps and ``--t 2000``.
 _MAX_FOLD_K = 1024
 _MAX_FOLD_N = 4096
-#: Largest index in an ``adams --space`` label, ``adams --k`` and exponent of
-#: ``--elem``: raising psi^k of a generator to the exponent e costs about
-#: e * n * min(k, n) products, about 1 s on hp256 at k = 256 and e = 32.
+#: Largest index in an ``adams`` or ``einv`` ``--space`` label, ``adams --k``
+#: and exponent of ``--elem``: raising psi^k of a generator to the exponent e
+#: costs about e * n * min(k, n) products, about 1 s on hp256 at k = 256 and
+#: e = 32.
 _MAX_ADAMS_INDEX = 256
 _MAX_ADAMS_K = 256
 _MAX_ADAMS_EXPONENT = 32
+#: Most Adams indices in ``einv --primes``; each one costs an Adams matrix.
+_MAX_PRIMES = 64
 #: Largest ``thom --n`` and ``--mult``: the output lists one cell per index.
 _MAX_THOM_INDEX = 100_000
 #: Largest ``lift --steps``: sampling and lifting are linear in the step
@@ -62,14 +71,24 @@ def _emit(args, payload: dict, human: str) -> None:
 # --------------------------------------------------------------------------
 
 
+def _parse_bounded_space(label: str):
+    """The space of a ``--space`` label, whose indices are at most
+    ``_MAX_ADAMS_INDEX``; checked before any ring is built."""
+    from .kring import parse_space
+
+    space = parse_space(label)
+    # The digits of a parsed label are its cell indices.
+    if max(int(n) for n in re.findall(r"\d+", label)) > _MAX_ADAMS_INDEX:
+        raise ValueError(f"--space index must be at most {_MAX_ADAMS_INDEX}")
+    return space
+
+
 def cmd_adams(args) -> int:
+    from .kring import adams, element_to_json, make_ring, parse_element
+
     if args.k > _MAX_ADAMS_K:
         raise ValueError(f"--k must be at most {_MAX_ADAMS_K}")
-    space = parse_space(args.space)
-    # The digits of a parsed label are its cell indices.
-    if max(int(n) for n in re.findall(r"\d+", args.space)) > _MAX_ADAMS_INDEX:
-        raise ValueError(f"--space index must be at most {_MAX_ADAMS_INDEX}")
-    model = make_ring(space)
+    model = make_ring(_parse_bounded_space(args.space))
     elem = parse_element(model, args.elem)
     # ``elem`` is one basis monomial.
     (mono,) = (m for m, c in zip(model.basis, elem.coeffs) if c)
@@ -88,8 +107,13 @@ def cmd_adams(args) -> int:
 
 
 def cmd_einv(args) -> int:
-    model = make_ring(parse_space(args.space))
+    from . import einv
+    from .kring import make_ring
+
+    model = make_ring(_parse_bounded_space(args.space))
     primes = [int(p) for p in args.primes.split(",") if p.strip()]
+    if len(primes) > _MAX_PRIMES:
+        raise ValueError(f"--primes length must be at most {_MAX_PRIMES}")
     cert = einv.splitting_verdict(model, primes)
     if args.expect_verdict and cert.verdict.value != args.expect_verdict:
         raise VerificationError(
@@ -108,6 +132,8 @@ def cmd_einv(args) -> int:
 
 
 def cmd_jorder(args) -> int:
+    from . import jorder
+
     for flag, value, cap in (
         ("--t", args.t, _MAX_BERNOULLI_INDEX),
         ("--K", args.K, _MAX_FOLD_K),
@@ -128,6 +154,8 @@ def cmd_jorder(args) -> int:
 
 
 def cmd_bernoulli(args) -> int:
+    from . import jorder
+
     if args.n > _MAX_BERNOULLI_INDEX:
         raise ValueError(f"--n must be at most {_MAX_BERNOULLI_INDEX}")
     value = jorder.bernoulli(args.n)
@@ -138,6 +166,8 @@ def cmd_bernoulli(args) -> int:
 
 
 def cmd_feder_gitler(args) -> int:
+    from . import jorder
+
     equivalent = jorder.feder_gitler_equivalent(args.n, args.k, args.l, args.Bn)
     # Without --Bn the decision above used the computed B_1 (n = 1 only).
     bn = args.Bn if args.Bn is not None else jorder._jorder_b1()
@@ -159,6 +189,8 @@ def cmd_feder_gitler(args) -> int:
 
 
 def cmd_thom(args) -> int:
+    from . import jorder
+
     for flag, value in (("--n", args.n), ("--mult", args.mult)):
         if value > _MAX_THOM_INDEX:
             raise ValueError(f"{flag} must be at most {_MAX_THOM_INDEX}")
@@ -184,6 +216,14 @@ def cmd_linking(args) -> int:
         raise ValueError("--trials must be at least 1")
     if args.samples > _MAX_SAMPLES:
         raise ValueError(f"--samples must be at most {_MAX_SAMPLES}")
+    if args.trials > _MAX_TRIALS:
+        raise ValueError(f"--trials must be at most {_MAX_TRIALS}")
+    # Too few samples are rejected when the first fiber is sampled.
+    if args.samples > 0 and args.trials * args.samples**2 > _MAX_LINKING_WORK:
+        raise ValueError(
+            f"--trials must be at most {_MAX_LINKING_WORK // args.samples**2} "
+            f"at --samples {args.samples}"
+        )
     import numpy as np
 
     from . import hopf
@@ -255,7 +295,9 @@ def cmd_lift(args) -> int:
     return 0
 
 
-def _render_report(report: StemReport) -> str:
+def _render_report(report) -> str:
+    from .derivation import StepStatus
+
     stem_sub = str(report.stem).translate(_SUB)
     group = _GROUP_DISPLAY[report.group]
     gen = _GENERATOR_DISPLAY[report.generator]
@@ -273,6 +315,9 @@ def _render_report(report: StemReport) -> str:
 
 
 def cmd_report(args) -> int:
+    from .derivation import report_to_json
+    from .reports import build_stem_report
+
     report = build_stem_report(args.stem)
     report.replay()  # raises VerificationError on any non-reproducing step
     _emit(args, report_to_json(report), _render_report(report))
@@ -328,11 +373,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_adams)
 
     p = sub.add_parser("einv", help="splitting verdict and e-invariant")
-    p.add_argument("--space", required=True)
-    p.add_argument("--primes", default="2,3,5")
+    p.add_argument(
+        "--space",
+        required=True,
+        help=(
+            "a two-cell space, e.g. hp2 or s2-smash-cp2 "
+            f"(indices at most {_MAX_ADAMS_INDEX})"
+        ),
+    )
+    p.add_argument(
+        "--primes",
+        default="2,3,5",
+        help=f"comma-separated Adams indices, each at least 2 (at most {_MAX_PRIMES})",
+    )
     p.add_argument(
         "--expect-verdict",
-        choices=[v.value for v in einv.Verdict],
+        # The values of ``einv.Verdict``, spelled out so that building the
+        # parser imports no layer.
+        choices=("Splits", "DoesNotSplit", "Inconclusive"),
         help="fail (exit 3) unless the verdict matches",
     )
     p.set_defaults(func=cmd_einv)
@@ -390,7 +448,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_thom)
 
     p = sub.add_parser("linking", help="linking numbers of random Hopf fibers")
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument(
+        "--trials",
+        type=int,
+        default=20,
+        help=f"fiber pairs to link (at most {_MAX_TRIALS}, fewer above 512 samples)",
+    )
     p.set_defaults(func=cmd_linking)
 
     p = sub.add_parser("lift", help="monodromy of a rotation loop's lift")

@@ -11,10 +11,10 @@ reports never present an asserted step as computed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
 
+from ._frozen import Frozen
 from .errors import VerificationError
 
 __all__ = [
@@ -52,27 +52,30 @@ def register_check(name: str) -> Callable:
     return decorate
 
 
-@dataclass(frozen=True)
-class DerivationStep:
+class DerivationStep(Frozen):
     """One step of a derivation.
 
     ``citation`` points at the implementing operation for computed steps and
     at the literature source for asserted ones.
     """
 
-    claim: str
-    status: StepStatus
-    citation: str
-    evidence: Optional[dict] = None
+    __slots__ = ("claim", "status", "citation", "evidence")
 
-    def __post_init__(self):
-        if self.status is StepStatus.COMPUTED:
-            if not self.evidence or "check" not in self.evidence:
+    def __init__(
+        self,
+        claim: str,
+        status: StepStatus,
+        citation: str,
+        evidence: Optional[dict] = None,
+    ):
+        if status is StepStatus.COMPUTED:
+            if not evidence or "check" not in evidence:
                 raise ValueError(
                     "a Computed step needs evidence with a registered 'check'"
                 )
-        elif self.evidence is not None:
+        elif evidence is not None:
             raise ValueError("a PaperAsserted step carries no machine evidence")
+        self._set(claim=claim, status=status, citation=citation, evidence=evidence)
 
 
 def replay_step(step: DerivationStep) -> bool:
@@ -99,24 +102,21 @@ _EXPECTED_CONCLUSIONS = {
 }
 
 
-@dataclass(frozen=True)
-class StemReport:
+class StemReport(Frozen):
     """Conclusion and ordered derivation steps for one stable stem."""
 
-    stem: int
-    group: str
-    generator: str
-    steps: tuple
+    __slots__ = ("stem", "group", "generator", "steps")
 
-    def __post_init__(self):
-        expected = _EXPECTED_CONCLUSIONS.get(self.stem)
+    def __init__(self, stem: int, group: str, generator: str, steps: tuple):
+        expected = _EXPECTED_CONCLUSIONS.get(stem)
         if expected is None:
-            raise ValueError(f"stem must be 1, 2 or 3, got {self.stem}")
-        if (self.group, self.generator) != expected:
+            raise ValueError(f"stem must be 1, 2 or 3, got {stem}")
+        if (group, generator) != expected:
             raise ValueError(
-                f"stem {self.stem} must conclude {expected[0]} generated by "
-                f"{expected[1]}, got ({self.group}, {self.generator})"
+                f"stem {stem} must conclude {expected[0]} generated by "
+                f"{expected[1]}, got ({group}, {generator})"
             )
+        self._set(stem=stem, group=group, generator=generator, steps=steps)
 
     def computed_steps(self) -> tuple:
         return tuple(s for s in self.steps if s.status is StepStatus.COMPUTED)

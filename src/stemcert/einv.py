@@ -14,11 +14,11 @@ an independent oracle for the divisibility criterion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from ._frozen import Frozen
 from .exact import BigInt, BigRational
 from .kring import RingModel, adams_matrix
 
@@ -46,24 +46,21 @@ class Verdict(str, Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
-@dataclass(frozen=True)
-class TwoCellModel:
+class TwoCellModel(Frozen):
     """Adams data of a two-cell model at a single operation index ``k``.
 
     Cells sit in dimensions ``2a`` and ``2b`` with ``b > a``; the matrix of
     ``psi^k`` is ``[[k^a, 0], [c, k^b]]``.
     """
 
-    a: int
-    b: int
-    k: int
-    c: BigInt
+    __slots__ = ("a", "b", "k", "c")
 
-    def __post_init__(self):
-        if not (1 <= self.a < self.b):
+    def __init__(self, a: int, b: int, k: int, c: BigInt):
+        if not (1 <= a < b):
             raise ValueError("cell dimensions must satisfy b > a >= 1")
-        if self.k < 2:
+        if k < 2:
             raise ValueError("Adams index must be at least 2")
+        self._set(a=a, b=b, k=k, c=c)
 
     @property
     def modulus(self) -> BigInt:
@@ -108,8 +105,7 @@ def order_lower_bound(model: RingModel, k: int) -> int:
     return e_invariant(model, k).denominator
 
 
-@dataclass(frozen=True)
-class ObstructionCertificate:
+class ObstructionCertificate(Frozen):
     """Splitting verdict with its divisibility witness.
 
     ``k`` is the witness index (the first index with nonzero obstruction for
@@ -118,17 +114,16 @@ class ObstructionCertificate:
     the obstruction value in ``[0, 1)``.
     """
 
-    verdict: Verdict
-    k: int
-    c: BigInt
-    modulus: BigInt
-    e: BigRational
+    __slots__ = ("verdict", "k", "c", "modulus", "e")
 
-    def __post_init__(self):
-        if self.verdict is Verdict.DOES_NOT_SPLIT and self.e == 0:
+    def __init__(
+        self, verdict: Verdict, k: int, c: BigInt, modulus: BigInt, e: BigRational
+    ):
+        if verdict is Verdict.DOES_NOT_SPLIT and e == 0:
             raise ValueError("a non-splitting certificate requires e != 0")
-        if self.verdict is Verdict.SPLITS and self.e != 0:
+        if verdict is Verdict.SPLITS and e != 0:
             raise ValueError("a splitting certificate requires e == 0")
+        self._set(verdict=verdict, k=k, c=c, modulus=modulus, e=e)
 
 
 def verdict_from_cells(cells: Sequence[TwoCellModel]) -> ObstructionCertificate:

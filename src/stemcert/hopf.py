@@ -19,12 +19,12 @@ set of rotations but reverses composition order.)
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
 from . import _kernels
+from ._frozen import Frozen
 from .errors import ResamplePole, VerificationError
 from .so3 import (
     BallPoint,
@@ -83,14 +83,13 @@ _BLOCK_ROWS = 256
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Quaternion:
+class Quaternion(Frozen):
     """A quaternion ``w + x i + y j + z k`` in double precision."""
 
-    w: float
-    x: float
-    y: float
-    z: float
+    __slots__ = ("w", "x", "y", "z")
+
+    def __init__(self, w: float, x: float, y: float, z: float):
+        self._set(w=w, x=x, y=y, z=z)
 
     def norm(self) -> float:
         return math.sqrt(self.w**2 + self.x**2 + self.y**2 + self.z**2)
@@ -155,22 +154,20 @@ def _hopf_points(points: np.ndarray) -> np.ndarray:
     )
 
 
-@dataclass(eq=False)
 class SampledCurve:
     """An ordered list of sample points in R^3 or R^4 (S^3), with a closed
     flag; closed curves repeat their first point at the end."""
 
-    points: np.ndarray
-    closed: bool
+    __slots__ = ("points", "closed")
 
-    def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=float)
-        if self.points.ndim != 2 or self.points.shape[1] not in (3, 4):
+    def __init__(self, points: np.ndarray, closed: bool):
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 2 or points.shape[1] not in (3, 4):
             raise ValueError("a curve is an (N, 3) or (N, 4) array of samples")
-        if self.closed and not np.allclose(
-            self.points[0], self.points[-1], atol=_UNIT_TOL, rtol=0.0
-        ):
+        if closed and not np.allclose(points[0], points[-1], atol=_UNIT_TOL, rtol=0.0):
             raise ValueError("a closed curve must end where it starts")
+        self.points = points
+        self.closed = closed
 
     @property
     def num_segments(self) -> int:

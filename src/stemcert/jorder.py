@@ -21,11 +21,11 @@ bookkeeping, and the stunted-space equivalence decision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
+from ._frozen import Frozen
 from .errors import VerificationError
 from .exact import BigInt, BigRational, gcd, is_prime, padic_valuation
 
@@ -154,17 +154,15 @@ def m_via_bernoulli(k: int) -> BigInt:
     return (bernoulli(2 * k) / (4 * k)).denominator
 
 
-@dataclass(frozen=True)
-class JOrderBound:
+class JOrderBound(Frozen):
     """An order bound ``m(t)`` with the methods that produced it."""
 
-    t: int
-    value: BigInt
-    methods: tuple
+    __slots__ = ("t", "value", "methods")
 
-    def __post_init__(self):
-        if self.value < 1:
+    def __init__(self, t: int, value: BigInt, methods: tuple):
+        if value < 1:
             raise ValueError("an order bound must be at least 1")
+        self._set(t=t, value=value, methods=methods)
 
 
 def order_bound(t: int, K: int = 200, N: Optional[int] = None) -> JOrderBound:
@@ -212,25 +210,22 @@ COMPLEX = "complex"
 QUATERNIONIC = "quaternionic"
 
 
-@dataclass(frozen=True)
-class StuntedSpace:
+class StuntedSpace(Frozen):
     """``P^top / P^(bottom-1)`` in the complex or quaternionic family.
 
     ``suspension`` shifts every cell dimension by ``N``.
     """
 
-    family: str
-    top: int
-    bottom: int
-    suspension: int = 0
+    __slots__ = ("family", "top", "bottom", "suspension")
 
-    def __post_init__(self):
-        if self.family not in (COMPLEX, QUATERNIONIC):
-            raise ValueError(f"unknown family {self.family!r}")
-        if not (self.top >= self.bottom >= 0):
+    def __init__(self, family: str, top: int, bottom: int, suspension: int = 0):
+        if family not in (COMPLEX, QUATERNIONIC):
+            raise ValueError(f"unknown family {family!r}")
+        if not (top >= bottom >= 0):
             raise ValueError("indices must satisfy top >= bottom >= 0")
-        if self.suspension < 0:
+        if suspension < 0:
             raise ValueError("suspension offset must be non-negative")
+        self._set(family=family, top=top, bottom=bottom, suspension=suspension)
 
     @property
     def cell_multiplier(self) -> int:
@@ -293,16 +288,15 @@ def feder_gitler_equivalent(
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KOClassS2:
+class KOClassS2(Frozen):
     """A KO(S^2) class: real rank plus the order-2 reduced part."""
 
-    rank: int
-    reduced: int
+    __slots__ = ("rank", "reduced")
 
-    def __post_init__(self):
-        if self.reduced not in (0, 1):
+    def __init__(self, rank: int, reduced: int):
+        if reduced not in (0, 1):
             raise ValueError("the reduced part lives in Z/2")
+        self._set(rank=rank, reduced=reduced)
 
 
 def ko_s2_realify(a: int, b: int) -> KOClassS2:

@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Union
 
+from ._frozen import Frozen
 from .exact import BigInt
 
 __all__ = [
@@ -57,33 +57,44 @@ __all__ = [
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ComplexProjective:
+class ComplexProjective(Frozen):
     """CP^n; generator mu = (complex Hopf line bundle) - 1, cell dim 2."""
 
-    n: int
+    __slots__ = ("n",)
+
+    def __init__(self, n: int):
+        self._set(n=n)
 
 
-@dataclass(frozen=True)
-class QuaternionicProjective:
+class QuaternionicProjective(Frozen):
     """HP^n; generator phi = c(quaternionic Hopf bundle) - 2, cell dim 4."""
 
-    n: int
+    __slots__ = ("n",)
+
+    def __init__(self, n: int):
+        self._set(n=n)
 
 
-@dataclass(frozen=True)
-class EvenSphere:
+class EvenSphere(Frozen):
     """S^(2m); generator nu with nu^2 = 0, cell dim 2m."""
 
-    m: int
+    __slots__ = ("m",)
+
+    def __init__(self, m: int):
+        self._set(m=m)
 
 
-@dataclass(frozen=True)
-class Smash:
+class Smash(Frozen):
     """Smash product of an even sphere with a projective space."""
 
-    left: Union[ComplexProjective, QuaternionicProjective, EvenSphere]
-    right: Union[ComplexProjective, QuaternionicProjective, EvenSphere]
+    __slots__ = ("left", "right")
+
+    def __init__(
+        self,
+        left: Union[ComplexProjective, QuaternionicProjective, EvenSphere],
+        right: Union[ComplexProjective, QuaternionicProjective, EvenSphere],
+    ):
+        self._set(left=left, right=right)
 
 
 Space = Union[ComplexProjective, QuaternionicProjective, EvenSphere, Smash]
@@ -134,8 +145,7 @@ def _atom_display(space) -> str:
 Monomial = tuple
 
 
-@dataclass(frozen=True)
-class RingModel:
+class RingModel(Frozen):
     """A K-theory ring presented on an explicit graded monomial basis.
 
     ``basis`` lists the reduced monomials in increasing cell dimension (ties
@@ -143,16 +153,26 @@ class RingModel:
     :func:`make_ring`; immutable afterwards.
     """
 
-    space: Space
-    label: str
-    factors: tuple
-    truncations: tuple
-    basis: tuple
-    dims: tuple
-    _index: dict = field(init=False, repr=False, compare=False)
+    __slots__ = ("space", "label", "factors", "truncations", "basis", "dims", "_index")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_index", {m: i for i, m in enumerate(self.basis)})
+    def __init__(
+        self,
+        space: Space,
+        label: str,
+        factors: tuple,
+        truncations: tuple,
+        basis: tuple,
+        dims: tuple,
+    ):
+        self._set(
+            space=space,
+            label=label,
+            factors=factors,
+            truncations=truncations,
+            basis=basis,
+            dims=dims,
+            _index={m: i for i, m in enumerate(basis)},
+        )
 
     def monomial_index(self, mono: Monomial) -> int:
         try:
@@ -192,16 +212,15 @@ class RingModel:
         return "".join(parts) or "1"
 
 
-@dataclass(frozen=True)
-class RingElement:
+class RingElement(Frozen):
     """Exact integer coefficient vector over a model's monomial basis."""
 
-    model: RingModel
-    coeffs: tuple
+    __slots__ = ("model", "coeffs")
 
-    def __post_init__(self):
-        if len(self.coeffs) != len(self.model.basis):
+    def __init__(self, model: RingModel, coeffs: tuple):
+        if len(coeffs) != len(model.basis):
             raise ValueError("coefficient vector length does not match basis")
+        self._set(model=model, coeffs=coeffs)
 
     def __add__(self, other: "RingElement") -> "RingElement":
         _require_same_model(self, other)
@@ -521,8 +540,7 @@ def adams(k: int, a: RingElement) -> RingElement:
     return RingElement(model, tuple(vec))
 
 
-@dataclass(frozen=True)
-class AdamsMatrix:
+class AdamsMatrix(Frozen):
     """Matrix of ``psi^k`` in the monomial basis, with the grading attached.
 
     ``entries[j][i]`` is the coefficient of basis monomial ``j`` in the image
@@ -532,10 +550,10 @@ class AdamsMatrix:
     is ``k^d``.
     """
 
-    space: str
-    k: int
-    entries: tuple
-    dims: tuple
+    __slots__ = ("space", "k", "entries", "dims")
+
+    def __init__(self, space: str, k: int, entries: tuple, dims: tuple):
+        self._set(space=space, k=k, entries=entries, dims=dims)
 
     def diagonal(self) -> tuple:
         return tuple(self.entries[i][i] for i in range(len(self.dims)))

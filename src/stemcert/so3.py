@@ -19,7 +19,6 @@ the matrix of ``x -> q x conj(q)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 __all__ = [
@@ -297,13 +296,15 @@ def homotopy_slice_matrices(variant: str, s: float, steps: int, turns: int = 1) 
     ]
 
 
-@dataclass(eq=False)
 class QuaternionPath:
     """A continuous unit-quaternion lift of a rotation loop with its
     monodromy sign (-1 when the lift ends at the negative of its start)."""
 
-    points: list
-    monodromy: int
+    __slots__ = ("points", "monodromy")
+
+    def __init__(self, points: list, monodromy: int):
+        self.points = points
+        self.monodromy = monodromy
 
 
 def lift_loop(

@@ -202,6 +202,64 @@ def test_exact_subcommands_do_not_import_geometry():
     assert {"numpy", "stemcert.hopf"} <= set(child["loaded"])
 
 
+# Runs stemcert.cli.main on the argv in argv[1] in a fresh interpreter, then
+# prints the exit code and the name of every loaded module.
+ONE_COMMAND_IN_CHILD = """
+import contextlib, io, json, sys
+from stemcert.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        code = main(json.loads(sys.argv[1]))
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+"""
+
+PACKAGE_MODULES = {
+    f"stemcert.{path.stem}"
+    for path in Path(stemcert.__file__).parent.glob("*.py")
+    if path.stem not in ("__init__", "__main__")
+}
+EXACT_LAYERS = {
+    f"stemcert.{name}"
+    for name in ("derivation", "einv", "exact", "jorder", "kring", "reports")
+}
+JORDER_ONLY = {"stemcert.kring", "stemcert.einv", "stemcert.reports", "stemcert.derivation"}
+
+
+@pytest.mark.parametrize(
+    "argv,not_loaded",
+    [
+        (["--help"], PACKAGE_MODULES - {"stemcert.cli", "stemcert.errors"}),
+        (["jorder", "--t", "2"], JORDER_ONLY),
+        (["bernoulli", "--n", "12"], JORDER_ONLY),
+        (["thom", "--family", "complex", "--n", "2", "--mult", "3"], JORDER_ONLY),
+        (["feder-gitler", "--n", "1", "--k", "12", "--l", "0"], JORDER_ONLY),
+        (
+            ["adams", "--space", "s2-smash-cp2", "--k", "3", "--elem", "mu*nu"],
+            {"stemcert.jorder", "stemcert.einv", "stemcert.reports"},
+        ),
+        (["lift", "--loop", "gamma"], EXACT_LAYERS),
+        (["lift", "--loop", "homotopy"], EXACT_LAYERS),
+        (["einv", "--space", "hp2"], {"stemcert.jorder", "stemcert.reports"}),
+        (["report", "--stem", "3"], {"stemcert.so3", "stemcert.hopf"}),
+        (["--samples", "256", "linking", "--trials", "1"], EXACT_LAYERS),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+)
+def test_each_subcommand_loads_only_the_layers_it_runs(argv, not_loaded):
+    # One interpreter per command: sys.modules only grows.
+    proc = run_child([sys.executable, "-c", ONE_COMMAND_IN_CHILD, json.dumps(argv)])
+    assert proc.returncode == 0, proc.stderr
+    child = json.loads(proc.stdout)
+    assert child["code"] == 0
+    loaded = set(child["modules"])
+    assert sorted(loaded & not_loaded) == []
+    assert "dataclasses" not in loaded
+    # numpy imports inspect itself; nothing in the package does.
+    assert ("inspect" in loaded) == ("linking" in argv)
+
+
 # Checks the package API in a fresh interpreter, before and after every
 # exported name has been read, and prints what it found.
 PACKAGE_API_IN_CHILD = """
@@ -275,6 +333,16 @@ def test_einv_json_contract(capsys):
         "modulus": 4,
         "e": "1/2",
     }
+
+
+def test_expect_verdict_choices_are_the_verdicts():
+    from stemcert import einv
+
+    (subparsers,) = (a for a in cli.build_parser()._actions if a.dest == "command")
+    (action,) = (
+        a for a in subparsers.choices["einv"]._actions if a.dest == "expect_verdict"
+    )
+    assert list(action.choices) == [v.value for v in einv.Verdict]
 
 
 def test_jorder_json_contract(capsys):
@@ -424,6 +492,8 @@ def test_linking_rejects_samples_above_the_cap(capsys):
         (("thom", "--family", "complex", "--mult", "1", "--n", "{}"), "--n", 100000),
         (("thom", "--family", "quaternionic", "--n", "1", "--mult", "{}"), "--mult", 100000),
         (("lift", "--loop", "gamma", "--steps", "{}"), "--steps", 65536),
+        # 128 samples still certify; 1000 trials take about 2.5 s.
+        (("--samples", "128", "linking", "--trials", "{}"), "--trials", 1000),
     ],
     ids=[
         "bernoulli-n",
@@ -437,6 +507,7 @@ def test_linking_rejects_samples_above_the_cap(capsys):
         "thom-n",
         "thom-mult",
         "lift-steps",
+        "linking-trials",
     ],
 )
 def test_size_caps_answer_at_the_cap_and_reject_above_it(capsys, argv, flag, cap):
@@ -452,6 +523,43 @@ def test_size_caps_answer_at_the_cap_and_reject_above_it(capsys, argv, flag, cap
     assert code == 2
     assert out == ""
     assert f"error: {flag} must be at most {cap}" in err
+
+
+def test_linking_caps_trials_by_their_gauss_sum_work(capsys):
+    # 16 trials of 4096 samples are 2^28 pair terms.
+    code, out, err = run_cli(capsys, "--samples", "4096", "linking", "--trials", "17")
+    assert (code, out) == (2, "")
+    assert "error: --trials must be at most 16 at --samples 4096" in err
+
+
+def test_einv_checks_the_space_index_before_building_the_ring(capsys, monkeypatch):
+    from stemcert import kring
+
+    code, out, err = run_cli(capsys, "--json", "einv", "--space", "s256-smash-cp2")
+    assert code == 0, err
+    assert json.loads(out)["verdict"] == "DoesNotSplit"
+
+    def no_ring(space):
+        raise AssertionError("the ring was built before the label was checked")
+
+    monkeypatch.setattr(kring, "make_ring", no_ring)
+    for label in ("s258-smash-cp2", "cp257", "cp2000000"):
+        code, out, err = run_cli(capsys, "einv", "--space", label)
+        assert (code, out) == (2, "")
+        assert "error: --space index must be at most 256" in err
+
+
+def test_einv_caps_the_number_of_primes(capsys):
+    def run(count):
+        primes = ",".join(str(k) for k in range(2, 2 + count))
+        return run_cli(capsys, "--json", "einv", "--space", "hp2", "--primes", primes)
+
+    code, out, err = run(64)
+    assert code == 0, err
+    assert json.loads(out)["verdict"] == "DoesNotSplit"
+    code, out, err = run(65)
+    assert (code, out) == (2, "")
+    assert "error: --primes length must be at most 64" in err
 
 
 def test_linking_is_seed_reproducible(capsys):
