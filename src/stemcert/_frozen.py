@@ -18,8 +18,7 @@ class Frozen:
     another class never compares equal, ``repr`` shows ``Name(field=value,
     ...)``, assigning or deleting an attribute raises ``AttributeError``, and
     ``copy`` and ``pickle`` rebuild an instance by calling ``__init__`` with
-    the fields in order.  Slots whose names start with an underscore hold
-    derived data and take no part in equality, hashing or ``repr``.
+    the fields in order.
     """
 
     __slots__ = ()
@@ -27,8 +26,7 @@ class Frozen:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        own = cls.__dict__.get("__slots__", ())
-        cls._fields = cls._fields + tuple(n for n in own if not n.startswith("_"))
+        cls._fields = cls._fields + tuple(cls.__dict__.get("__slots__", ()))
 
     def _set(self, **values) -> None:
         for name, value in values.items():

@@ -47,7 +47,8 @@ _MAX_FOLD_N = 4096
 _MAX_ADAMS_INDEX = 256
 _MAX_ADAMS_K = 256
 _MAX_ADAMS_EXPONENT = 32
-#: Most Adams indices in ``einv --primes``; each one costs an Adams matrix.
+#: Most Adams indices in ``einv --primes``; each one costs an Adams matrix,
+#: and each index is at most ``_MAX_ADAMS_K``.
 _MAX_PRIMES = 64
 #: Largest ``thom --n`` and ``--mult``: the output lists one cell per index.
 _MAX_THOM_INDEX = 100_000
@@ -90,9 +91,9 @@ def cmd_adams(args) -> int:
         raise ValueError(f"--k must be at most {_MAX_ADAMS_K}")
     model = make_ring(_parse_bounded_space(args.space))
     elem = parse_element(model, args.elem)
-    # ``elem`` is one basis monomial.
+    # ``elem`` is one basis monomial, named by its projective exponent.
     (mono,) = (m for m, c in zip(model.basis, elem.coeffs) if c)
-    if max(mono) > _MAX_ADAMS_EXPONENT:
+    if mono > _MAX_ADAMS_EXPONENT:
         raise ValueError(f"--elem exponent must be at most {_MAX_ADAMS_EXPONENT}")
     if args.k < 1:
         raise ValueError("the Adams index k must be at least 1")
@@ -106,14 +107,35 @@ def cmd_adams(args) -> int:
     return 0
 
 
+def _parse_primes(text: str) -> list:
+    """The Adams indices of ``einv --primes``: at most ``_MAX_PRIMES``
+    integers, each from 2 to ``_MAX_ADAMS_K``; checked before any ring is
+    built."""
+    entries = [p.strip() for p in text.split(",") if p.strip()]
+    for entry in entries:
+        if not re.fullmatch(r"[+-]?[0-9]+", entry):
+            raise ValueError(f"--primes entries must be integers, got {entry!r}")
+    if len(entries) > _MAX_PRIMES:
+        raise ValueError(f"--primes length must be at most {_MAX_PRIMES}")
+    primes = []
+    for entry in entries:
+        # Digit counts first: int() refuses more than 4300 digits.
+        long = len(entry.lstrip("+-0")) > len(str(_MAX_ADAMS_K))
+        if entry.startswith("-") or (not long and int(entry) < 2):
+            raise ValueError("Adams indices must be at least 2")
+        if long or int(entry) > _MAX_ADAMS_K:
+            raise ValueError(f"--primes index must be at most {_MAX_ADAMS_K}")
+        primes.append(int(entry))
+    return primes
+
+
 def cmd_einv(args) -> int:
     from . import einv
     from .kring import make_ring
 
-    model = make_ring(_parse_bounded_space(args.space))
-    primes = [int(p) for p in args.primes.split(",") if p.strip()]
-    if len(primes) > _MAX_PRIMES:
-        raise ValueError(f"--primes length must be at most {_MAX_PRIMES}")
+    space = _parse_bounded_space(args.space)
+    primes = _parse_primes(args.primes)
+    model = make_ring(space)
     cert = einv.splitting_verdict(model, primes)
     if args.expect_verdict and cert.verdict.value != args.expect_verdict:
         raise VerificationError(
@@ -384,7 +406,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--primes",
         default="2,3,5",
-        help=f"comma-separated Adams indices, each at least 2 (at most {_MAX_PRIMES})",
+        help=(
+            f"comma-separated Adams indices, each from 2 to {_MAX_ADAMS_K} "
+            f"(at most {_MAX_PRIMES} of them)"
+        ),
     )
     p.add_argument(
         "--expect-verdict",

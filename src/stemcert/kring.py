@@ -1,45 +1,44 @@
 """Truncated polynomial models of reduced K-theory rings and Adams operations.
 
-The reduced complex K-theory of the spaces used in this package is a
-truncated polynomial ring on a single generator, and smash products are
-reduced tensor products of such rings:
+Every space modeled here is ``S^(2m) ∧ P^n``: a complex or quaternionic
+projective space ``P^n`` (``m = 0``), an even sphere ``S^(2m)`` (no
+projective factor), or their smash product with the sphere on either side.
+One descriptor, :class:`Space`, records the label, the projective kind
+(``"cp"``, ``"hp"`` or ``None``), ``n`` and ``m``:
 
-* ``ComplexProjective(n)``      — Z[mu]/(mu^(n+1)),  mu in cell dimension 2,
-* ``QuaternionicProjective(n)`` — Z[phi]/(phi^(n+1)), phi in cell dimension 4,
-* ``EvenSphere(m)``             — Z[nu]/(nu^2),       nu in cell dimension 2m,
-* ``Smash(a, b)``               — one basis monomial per pair of factor
-  monomials; a product vanishes as soon as either factor exceeds its
-  truncation.
+* ``K~(CP^n) = Z[mu]/(mu^(n+1))``, mu in cell dimension 2;
+* ``K~(HP^n) = Z[phi]/(phi^(n+1))``, phi in cell dimension 4;
+* ``K~(S^(2m)) = Z nu``, nu in cell dimension 2m, with ``nu^2 = 0``;
+* because ``nu^2 = 0``, ``K~(S^(2m) ∧ P^n)`` is ``K~(P^n)`` suspended: the
+  same exponents ``x^e nu`` for ``1 <= e <= n``, every cell dimension raised
+  by 2m, and every product zero.
 
-The Adams operation ``psi^k`` is determined by its value on the generators:
-``(1 + mu)^k - 1`` on a complex projective space, multiplication by ``k^m``
-on ``S^(2m)``, and on a quaternionic projective space the Chebyshev closed
-form ``psi^k(phi) = sum_j 2k/(k+j) * C(k+j, 2j) * phi^j`` for
-``1 <= j <= min(k, n)``.  The closed form is the expansion of
-``t^k + t^(-k) - 2`` in the variable ``x = t + t^(-1) - 2``; the Laurent
-reduction (:func:`laurent_to_phi`) computes that expansion independently
-and is kept as its cross-check.  Everything extends additively and
-multiplicatively; all coefficients are exact integers.
+A basis monomial ``x^e nu`` is named by its projective exponent ``e`` (0 for
+the bare sphere's ``nu``).  The Adams operation ``psi^k`` is determined by
+its value on the generators: ``psi^k(x^e nu) = k^m psi^k(x)^e nu``, with
+``psi^k(mu) = (1 + mu)^k - 1`` on a complex projective space and, on a
+quaternionic one, the Chebyshev closed form ``psi^k(phi) = sum_j 2k/(k+j) *
+C(k+j, 2j) * phi^j`` for ``1 <= j <= min(k, n)``.  The closed form is the
+expansion of ``t^k + t^(-k) - 2`` in the variable ``x = t + t^(-1) - 2``; the
+Laurent reduction (:func:`laurent_to_phi`) computes that expansion
+independently and is kept as its cross-check.  All coefficients are exact
+integers.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Optional
 
 from ._frozen import Frozen
-from .exact import BigInt
 
 __all__ = [
     "AdamsMatrix",
-    "ComplexProjective",
-    "EvenSphere",
     "LaurentPoly",
-    "QuaternionicProjective",
     "RingElement",
     "RingModel",
-    "Smash",
+    "Space",
     "adams",
     "adams_matrix",
     "element_from_json",
@@ -53,163 +52,105 @@ __all__ = [
 
 
 # --------------------------------------------------------------------------
-# Space descriptors
+# The space descriptor
 # --------------------------------------------------------------------------
 
 
-class ComplexProjective(Frozen):
-    """CP^n; generator mu = (complex Hopf line bundle) - 1, cell dim 2."""
+class Space(Frozen):
+    """``S^(2m) ∧ P^n`` under its label.
 
-    __slots__ = ("n",)
+    ``kind`` is ``"cp"`` or ``"hp"`` for the projective factor ``P^n``, or
+    ``None`` for a bare sphere (with ``n = 0``); ``m = 0`` for a bare
+    projective space.  ``kind=None, m=0`` marks a smash that does not pair
+    one even sphere with one projective space, which :func:`make_ring`
+    rejects.
+    """
 
-    def __init__(self, n: int):
-        self._set(n=n)
+    __slots__ = ("label", "kind", "n", "m")
 
-
-class QuaternionicProjective(Frozen):
-    """HP^n; generator phi = c(quaternionic Hopf bundle) - 2, cell dim 4."""
-
-    __slots__ = ("n",)
-
-    def __init__(self, n: int):
-        self._set(n=n)
+    def __init__(self, label: str, kind: Optional[str], n: int, m: int):
+        self._set(label=label, kind=kind, n=n, m=m)
 
 
-class EvenSphere(Frozen):
-    """S^(2m); generator nu with nu^2 = 0, cell dim 2m."""
-
-    __slots__ = ("m",)
-
-    def __init__(self, m: int):
-        self._set(m=m)
-
-
-class Smash(Frozen):
-    """Smash product of an even sphere with a projective space."""
-
-    __slots__ = ("left", "right")
-
-    def __init__(
-        self,
-        left: Union[ComplexProjective, QuaternionicProjective, EvenSphere],
-        right: Union[ComplexProjective, QuaternionicProjective, EvenSphere],
-    ):
-        self._set(left=left, right=right)
-
-
-Space = Union[ComplexProjective, QuaternionicProjective, EvenSphere, Smash]
-
-_ATOM_SYMBOLS = {
-    ComplexProjective: "mu",
-    QuaternionicProjective: "phi",
-    EvenSphere: "nu",
+#: Per projective kind: the generator's name and glyph, its cell dimension,
+#: and the coefficient of ``x^j`` in ``psi^k(x)`` for ``1 <= j <= k``.
+_KINDS = {
+    # (1 + mu)^k - 1.
+    "cp": ("mu", "μ", 2, math.comb),
+    # Chebyshev closed form of t^k + t^(-k) - 2 in x = t + t^(-1) - 2; the
+    # division is exact.
+    "hp": ("phi", "φ", 4, lambda k, j: 2 * k * math.comb(k + j, 2 * j) // (k + j)),
+    # A bare sphere has no projective generator.
+    None: (None, "", 0, None),
 }
 
 _SUPERSCRIPTS = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
 _SUBSCRIPTS = str.maketrans("0123456789", "₀₁₂₃₄₅₆₇₈₉")
-_UNICODE_SYMBOLS = {"mu": "μ", "phi": "φ", "nu": "ν"}
-
-
-def _atom_truncation(space) -> int:
-    return 1 if isinstance(space, EvenSphere) else space.n
-
-
-def _atom_generator_dim(space) -> int:
-    if isinstance(space, ComplexProjective):
-        return 2
-    if isinstance(space, QuaternionicProjective):
-        return 4
-    return 2 * space.m
-
-
-def _atom_label(space) -> str:
-    if isinstance(space, ComplexProjective):
-        return f"cp{space.n}"
-    if isinstance(space, QuaternionicProjective):
-        return f"hp{space.n}"
-    return f"s{2 * space.m}"
-
-
-def _atom_display(space) -> str:
-    sym = _UNICODE_SYMBOLS[_ATOM_SYMBOLS[type(space)]]
-    if isinstance(space, EvenSphere) and space.m != 1:
-        sym += str(space.m).translate(_SUBSCRIPTS)
-    return sym
 
 
 # --------------------------------------------------------------------------
 # Ring models and elements
 # --------------------------------------------------------------------------
 
-#: A monomial is a tuple of per-factor exponents (length 1 for atomic models).
-Monomial = tuple
-
 
 class RingModel(Frozen):
-    """A K-theory ring presented on an explicit graded monomial basis.
+    """The K-theory ring of a :class:`Space` on its graded monomial basis.
 
-    ``basis`` lists the reduced monomials in increasing cell dimension (ties
-    broken by left-factor degree), ``dims`` their cell dimensions.  Built via
-    :func:`make_ring`; immutable afterwards.
+    ``basis`` lists the projective exponents ``e`` of the monomials
+    ``x^e nu`` in increasing cell dimension, ``dims`` their cell dimensions.
+    Built via :func:`make_ring`, which validates the space.
     """
 
-    __slots__ = ("space", "label", "factors", "truncations", "basis", "dims", "_index")
+    __slots__ = ("space",)
 
-    def __init__(
-        self,
-        space: Space,
-        label: str,
-        factors: tuple,
-        truncations: tuple,
-        basis: tuple,
-        dims: tuple,
-    ):
-        self._set(
-            space=space,
-            label=label,
-            factors=factors,
-            truncations=truncations,
-            basis=basis,
-            dims=dims,
-            _index={m: i for i, m in enumerate(basis)},
-        )
+    def __init__(self, space: Space):
+        self._set(space=space)
 
-    def monomial_index(self, mono: Monomial) -> int:
-        try:
-            return self._index[mono]
-        except KeyError:
-            raise ValueError(f"{mono!r} is not in the basis of {self.label}") from None
+    @property
+    def label(self) -> str:
+        return self.space.label
+
+    @property
+    def basis(self) -> range:
+        return range(0 if self.space.kind is None else 1, self.space.n + 1)
+
+    @property
+    def dims(self) -> tuple:
+        cell = _KINDS[self.space.kind][2]
+        return tuple(e * cell + 2 * self.space.m for e in self.basis)
+
+    def monomial_index(self, mono: int) -> int:
+        basis = self.basis
+        if mono not in basis:
+            raise ValueError(f"{mono!r} is not in the basis of {self.label}")
+        return mono - basis.start
 
     def zero(self) -> "RingElement":
         return RingElement(self, (0,) * len(self.basis))
 
-    def element(self, coeffs: Mapping[Monomial, int]) -> "RingElement":
+    def element(self, coeffs: Mapping[int, int]) -> "RingElement":
         vec = [0] * len(self.basis)
         for mono, c in coeffs.items():
             vec[self.monomial_index(mono)] += c
         return RingElement(self, tuple(vec))
 
-    def monomial(self, mono: Monomial) -> "RingElement":
+    def monomial(self, mono: int) -> "RingElement":
         return self.element({mono: 1})
 
     def generator(self) -> "RingElement":
-        """The generator for atomic models; lowest-dimension monomial otherwise."""
+        """The lowest-dimension monomial: ``mu``, ``phi``, ``nu`` or ``x*nu``."""
         return self.monomial(self.basis[0])
 
-    def monomial_display(self, mono: Monomial) -> str:
+    def monomial_display(self, mono: int) -> str:
         # Projective factor first, sphere factor last (mu^2*nu prints as μ²ν).
-        parts = []
-        order = sorted(
-            range(len(self.factors)),
-            key=lambda i: isinstance(self.factors[i], EvenSphere),
-        )
-        for i in order:
-            e = mono[i]
-            if e == 0:
-                continue
-            sym = _atom_display(self.factors[i])
-            parts.append(sym if e == 1 else sym + str(e).translate(_SUPERSCRIPTS))
-        return "".join(parts) or "1"
+        text = _KINDS[self.space.kind][1] if mono else ""
+        if mono > 1:
+            text += str(mono).translate(_SUPERSCRIPTS)
+        if self.space.m:
+            text += "ν"
+            if self.space.m != 1:
+                text += str(self.space.m).translate(_SUBSCRIPTS)
+        return text
 
 
 class RingElement(Frozen):
@@ -237,7 +178,7 @@ class RingElement(Frozen):
     def __neg__(self) -> "RingElement":
         return RingElement(self.model, tuple(-a for a in self.coeffs))
 
-    def scale(self, c: BigInt) -> "RingElement":
+    def scale(self, c: int) -> "RingElement":
         return RingElement(self.model, tuple(c * a for a in self.coeffs))
 
     def is_zero(self) -> bool:
@@ -273,57 +214,19 @@ def _require_same_model(a: RingElement, b: RingElement) -> None:
 
 
 def make_ring(space: Space) -> RingModel:
-    """Build the ring model for a space descriptor.
+    """Build the ring model of a space descriptor.
 
-    Smash products are restricted to an even sphere smashed with a complex
-    or quaternionic projective space (nesting depth at most 2); degrees must
-    be at least 1.
+    Rejects a smash that does not pair one even sphere with one projective
+    space, then a degree below 1.
     """
-    if isinstance(space, Smash):
-        left, right = space.left, space.right
-        if isinstance(left, Smash) or isinstance(right, Smash):
-            raise ValueError("smash factors must be atomic (nesting depth <= 2)")
-        spheres = sum(isinstance(f, EvenSphere) for f in (left, right))
-        if spheres != 1:
-            raise ValueError(
-                "smash models must pair one even sphere with one projective space"
-            )
-        factors = (left, right)
-    else:
-        factors = (space,)
-
-    for f in factors:
-        size = f.m if isinstance(f, EvenSphere) else f.n
-        if size <= 0:
-            raise ValueError(f"degree must be at least 1, got {size}")
-
-    truncations = tuple(_atom_truncation(f) for f in factors)
-    gen_dims = tuple(_atom_generator_dim(f) for f in factors)
-
-    monos: list[Monomial] = []
-    if len(factors) == 1:
-        monos = [(e,) for e in range(1, truncations[0] + 1)]
-    else:
-        for el in range(1, truncations[0] + 1):
-            for er in range(1, truncations[1] + 1):
-                monos.append((el, er))
-    # Increasing cell dimension; ties broken by left-factor degree.
-    dim = lambda mono: sum(e * d for e, d in zip(mono, gen_dims))
-    monos.sort(key=lambda mono: (dim(mono), mono[0]))
-
-    if isinstance(space, Smash):
-        label = f"{_atom_label(factors[0])}-smash-{_atom_label(factors[1])}"
-    else:
-        label = _atom_label(space)
-
-    return RingModel(
-        space=space,
-        label=label,
-        factors=factors,
-        truncations=truncations,
-        basis=tuple(monos),
-        dims=tuple(dim(m) for m in monos),
-    )
+    if space.kind is None and space.m == 0:
+        raise ValueError(
+            "smash models must pair one even sphere with one projective space"
+        )
+    size = space.n if space.kind else space.m
+    if size <= 0:
+        raise ValueError(f"degree must be at least 1, got {size}")
+    return RingModel(space)
 
 
 # --------------------------------------------------------------------------
@@ -331,29 +234,22 @@ def make_ring(space: Space) -> RingModel:
 # --------------------------------------------------------------------------
 
 
-def _mul_monomials(model: RingModel, a: Monomial, b: Monomial):
-    """Product of two basis monomials, or ``None`` if it truncates to zero."""
-    out = tuple(x + y for x, y in zip(a, b))
-    for e, t in zip(out, model.truncations):
-        if e > t:
-            return None
-    return out
-
-
 def mul(a: RingElement, b: RingElement) -> RingElement:
-    """Truncated product of two ring elements of the same model."""
+    """Truncated product of two ring elements of the same model.
+
+    Every product vanishes on a sphere or a smash with one, as ``nu^2 = 0``.
+    """
     _require_same_model(a, b)
     model = a.model
     vec = [0] * len(model.basis)
-    for i, ca in enumerate(a.coeffs):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b.coeffs):
-            if cb == 0:
+    if not model.space.m:
+        n = model.space.n
+        for ea, ca in zip(model.basis, a.coeffs):
+            if ca == 0:
                 continue
-            mono = _mul_monomials(model, model.basis[i], model.basis[j])
-            if mono is not None:
-                vec[model.monomial_index(mono)] += ca * cb
+            for eb, cb in zip(model.basis, b.coeffs):
+                if cb != 0 and ea + eb <= n:
+                    vec[model.monomial_index(ea + eb)] += ca * cb
     return RingElement(model, tuple(vec))
 
 
@@ -367,7 +263,7 @@ class LaurentPoly:
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Mapping[int, BigInt] | None = None):
+    def __init__(self, coeffs: Mapping[int, int] | None = None):
         self.coeffs = {e: c for e, c in (coeffs or {}).items() if c != 0}
 
     def __eq__(self, other) -> bool:
@@ -382,7 +278,7 @@ class LaurentPoly:
         body = " + ".join(f"{c}*t^{e}" for e, c in sorted(self.coeffs.items()))
         return f"LaurentPoly({body})"
 
-    def coefficient(self, e: int) -> BigInt:
+    def coefficient(self, e: int) -> int:
         return self.coeffs.get(e, 0)
 
     def is_zero(self) -> bool:
@@ -410,14 +306,14 @@ class LaurentPoly:
         return LaurentPoly(out)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out: dict[int, BigInt] = {}
+        out: dict[int, int] = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
                 e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
         return LaurentPoly(out)
 
-    def scale(self, c: BigInt) -> "LaurentPoly":
+    def scale(self, c: int) -> "LaurentPoly":
         return LaurentPoly({e: c * v for e, v in self.coeffs.items()})
 
     def __pow__(self, n: int) -> "LaurentPoly":
@@ -441,7 +337,7 @@ class LaurentPoly:
         return LaurentPoly.circle_class(1)
 
 
-def symmetric_reduce(target: LaurentPoly) -> dict[int, BigInt]:
+def symmetric_reduce(target: LaurentPoly) -> dict[int, int]:
     """Express a symmetric Laurent polynomial as a polynomial in ``x``.
 
     Repeatedly eliminates the leading term against powers of
@@ -452,7 +348,7 @@ def symmetric_reduce(target: LaurentPoly) -> dict[int, BigInt]:
     """
     if not target.is_symmetric():
         raise ValueError("only symmetric Laurent polynomials reduce to x-polynomials")
-    out: dict[int, BigInt] = {}
+    out: dict[int, int] = {}
     if target.is_zero():
         return out
     x = LaurentPoly.x_variable()
@@ -478,9 +374,9 @@ def laurent_to_phi(k: int, n: int) -> RingElement:
     """
     if k < 1:
         raise ValueError("Adams index must be at least 1")
-    model = make_ring(QuaternionicProjective(n))
+    model = make_ring(Space(f"hp{n}", "hp", n, 0))
     coeffs = symmetric_reduce(LaurentPoly.circle_class(k))
-    return model.element({(d,): c for d, c in coeffs.items() if d <= n})
+    return model.element({d: c for d, c in coeffs.items() if d <= n})
 
 
 # --------------------------------------------------------------------------
@@ -488,55 +384,32 @@ def laurent_to_phi(k: int, n: int) -> RingElement:
 # --------------------------------------------------------------------------
 
 
-def _generator_image(factor, trunc: int, k: int) -> dict[int, BigInt]:
-    """psi^k of an atomic generator as ``{degree: coefficient}``."""
-    if isinstance(factor, ComplexProjective):
-        # (1 + mu)^k - 1, truncated.
-        return {d: math.comb(k, d) for d in range(1, min(k, trunc) + 1)}
-    if isinstance(factor, QuaternionicProjective):
-        # Chebyshev closed form of t^k + t^(-k) - 2 in x = t + t^(-1) - 2;
-        # the division is exact.
-        return {
-            j: 2 * k * math.comb(k + j, 2 * j) // (k + j)
-            for j in range(1, min(k, trunc) + 1)
-        }
-    return {1: k**factor.m}
-
-
 def adams(k: int, a: RingElement) -> RingElement:
-    """Adams operation ``psi^k`` applied to a ring element."""
+    """Adams operation ``psi^k``: ``psi^k(x^e nu) = k^m psi^k(x)^e nu``."""
     if k < 1:
         raise ValueError("Adams index must be at least 1")
     model = a.model
-    gen_images = [
-        _generator_image(f, t, k) for f, t in zip(model.factors, model.truncations)
-    ]
+    n, start = model.space.n, model.basis.start
+    coefficient = _KINDS[model.space.kind][3]
+    image = {j: coefficient(k, j) for j in range(1, min(k, n) + 1)}
+    suspension = k**model.space.m
+    top = max((e for e, c in zip(model.basis, a.coeffs) if c), default=start - 1)
     vec = [0] * len(model.basis)
-    for coeff, mono in zip(a.coeffs, model.basis):
-        if coeff == 0:
-            continue
-        # psi^k(monomial) = product over factors of psi^k(generator)^exponent.
-        term: dict[Monomial, BigInt] = {(): 1}
-        for fi, e in enumerate(mono):
-            image = gen_images[fi]
-            # Raise the factor image to the e-th power, truncating.
-            powers: dict[int, BigInt] = {0: 1}
-            for _ in range(e):
-                nxt: dict[int, BigInt] = {}
-                for d1, c1 in powers.items():
-                    for d2, c2 in image.items():
-                        d = d1 + d2
-                        if d <= model.truncations[fi]:
-                            nxt[d] = nxt.get(d, 0) + c1 * c2
-                powers = nxt
-            term = {
-                prefix + (d,): c1 * c2
-                for prefix, c1 in term.items()
-                for d, c2 in powers.items()
-            }
-        for full_mono, c in term.items():
-            if all(e >= 1 for e in full_mono):
-                vec[model.monomial_index(full_mono)] += coeff * c
+    # psi^k(x)^e, truncated above x^n, raised one exponent at a time and
+    # only as far as the last nonzero coefficient.
+    power = {0: 1}
+    for e, c in zip(range(start, top + 1), a.coeffs):
+        if e:
+            nxt: dict[int, int] = {}
+            for d1, c1 in power.items():
+                for d2, c2 in image.items():
+                    d = d1 + d2
+                    if d <= n:
+                        nxt[d] = nxt.get(d, 0) + c1 * c2
+            power = nxt
+        if c:
+            for d, p in power.items():
+                vec[d - start] += suspension * c * p
     return RingElement(model, tuple(vec))
 
 
@@ -576,48 +449,51 @@ def adams_matrix(model: RingModel, k: int) -> AdamsMatrix:
 # --------------------------------------------------------------------------
 
 _SPACE_RE = re.compile(r"^(cp|hp|s)(\d+)$")
+_ELEMENT_RE = re.compile(r"^(mu|phi|nu)(?:\^(\d+))?$")
 
 
-def _parse_atom(text: str):
+def _parse_atom(text: str) -> tuple:
     m = _SPACE_RE.match(text)
     if not m:
         raise ValueError(f"unrecognized space {text!r}")
     kind, num = m.group(1), int(m.group(2))
-    if kind == "cp":
-        return ComplexProjective(num)
-    if kind == "hp":
-        return QuaternionicProjective(num)
-    if num % 2 != 0 or num == 0:
+    if kind == "s" and (num % 2 != 0 or num == 0):
         raise ValueError(f"only even spheres are modeled, got s{num}")
-    return EvenSphere(num // 2)
+    return kind, num
 
 
 def parse_space(text: str) -> Space:
-    """Parse a space label such as ``cp2``, ``s2``, or ``s2-smash-cp2``."""
-    text = text.strip().lower()
-    if "-smash-" in text:
-        left, right = text.split("-smash-", 1)
-        return Smash(_parse_atom(left), _parse_atom(right))
-    return _parse_atom(text)
+    """Parse a space label such as ``cp2``, ``s2``, or ``s2-smash-cp2``.
+
+    Only the syntax is checked here.  The pairing of a smash and the degrees
+    are left to :func:`make_ring`, so that a caller can bound the label's
+    indices in between.
+    """
+    atoms = [_parse_atom(part) for part in text.strip().lower().split("-smash-", 1)]
+    label = "-smash-".join(f"{kind}{num}" for kind, num in atoms)
+    kinds = [kind for kind, _ in atoms]
+    if len(atoms) == 2 and kinds.count("s") != 1:
+        return Space(label, None, 0, 0)
+    sizes = dict(atoms)
+    kind = next((k for k in kinds if k != "s"), None)
+    return Space(label, kind, sizes.get(kind, 0), sizes.get("s", 0) // 2)
 
 
 def parse_element(model: RingModel, text: str) -> RingElement:
     """Parse a basis monomial name (``mu``, ``phi``, ``nu``, ``mu^2*nu``...)."""
     text = text.strip().lower()
-    exponents = [0] * len(model.factors)
-    sym_to_index = {
-        _ATOM_SYMBOLS[type(f)]: i for i, f in enumerate(model.factors)
-    }
+    generator = _KINDS[model.space.kind][0]
+    exponents = {sym: 0 for sym in (generator, "nu" if model.space.m else None) if sym}
     for part in text.split("*"):
-        m = re.match(r"^(mu|phi|nu)(?:\^(\d+))?$", part.strip())
+        m = _ELEMENT_RE.match(part.strip())
         if not m:
             raise ValueError(f"unrecognized element {text!r}")
         sym, power = m.group(1), int(m.group(2) or "1")
-        if sym not in sym_to_index:
+        if sym not in exponents:
             raise ValueError(f"{sym!r} is not a generator of {model.label}")
-        exponents[sym_to_index[sym]] += power
-    mono = tuple(exponents)
-    if mono not in model.basis:
+        exponents[sym] += power
+    mono = exponents.pop(generator, 0)
+    if mono not in model.basis or exponents.get("nu", 1) != 1:
         raise ValueError(f"{text!r} is not a basis monomial of {model.label}")
     return model.monomial(mono)
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import einv, jorder
 from .derivation import DerivationStep, StemReport, StepStatus, register_check
-from .kring import ComplexProjective, make_ring, mul, parse_space
+from .kring import make_ring, mul, parse_space
 
 __all__ = ["build_stem_report", "eta_order_chain"]
 
@@ -106,7 +106,7 @@ def _check_order_pin(evidence: dict) -> bool:
 @register_check("eta_square_identity")
 def _check_eta_square_identity(evidence: dict) -> bool:
     """Recompute eta^2 = a + b*eta in K(CP^1) and compare coefficients."""
-    model = make_ring(ComplexProjective(1))
+    model = make_ring(parse_space("cp1"))
     mu = model.generator()
     # eta = 1 + mu as (rank, reduced part); square it.
     rank = 1

@@ -17,7 +17,6 @@ import numpy as np
 from stemcert import einv, hopf, jorder
 from stemcert.kring import (
     LaurentPoly,
-    QuaternionicProjective,
     adams,
     laurent_to_phi,
     make_ring,
@@ -251,7 +250,7 @@ def test_criterion_11_property_suites():
                 assert einv.e_invariant(model, k) == value
         # Laurent oracle equals the ring-model operation for k <= 10, n <= 5
         for n in range(1, 6):
-            model = make_ring(QuaternionicProjective(n))
+            model = ring(f"hp{n}")
             for k in range(1, 11):
                 assert laurent_to_phi(k, n).coeffs == adams(k, model.generator()).coeffs
                 reduced = symmetric_reduce(LaurentPoly.circle_class(k))

@@ -237,7 +237,7 @@ JORDER_ONLY = {"stemcert.kring", "stemcert.einv", "stemcert.reports", "stemcert.
         (["feder-gitler", "--n", "1", "--k", "12", "--l", "0"], JORDER_ONLY),
         (
             ["adams", "--space", "s2-smash-cp2", "--k", "3", "--elem", "mu*nu"],
-            {"stemcert.jorder", "stemcert.einv", "stemcert.reports"},
+            {"stemcert.jorder", "stemcert.einv", "stemcert.reports", "stemcert.exact", "fractions"},
         ),
         (["lift", "--loop", "gamma"], EXACT_LAYERS),
         (["lift", "--loop", "homotopy"], EXACT_LAYERS),
@@ -489,6 +489,7 @@ def test_linking_rejects_samples_above_the_cap(capsys):
         (("adams", "--space", "s2-smash-hp{}", "--k", "2", "--elem", "phi*nu"), "--space index", 256),
         (("adams", "--space", "cp2", "--elem", "mu", "--k", "{}"), "--k", 256),
         (("adams", "--space", "hp256", "--k", "256", "--elem", "phi^{}"), "--elem exponent", 32),
+        (("einv", "--space", "hp2", "--primes", "2,{}"), "--primes index", 256),
         (("thom", "--family", "complex", "--mult", "1", "--n", "{}"), "--n", 100000),
         (("thom", "--family", "quaternionic", "--n", "1", "--mult", "{}"), "--mult", 100000),
         (("lift", "--loop", "gamma", "--steps", "{}"), "--steps", 65536),
@@ -504,6 +505,7 @@ def test_linking_rejects_samples_above_the_cap(capsys):
         "adams-smash",
         "adams-k",
         "adams-exponent",
+        "einv-primes-index",
         "thom-n",
         "thom-mult",
         "lift-steps",
@@ -549,6 +551,33 @@ def test_einv_checks_the_space_index_before_building_the_ring(capsys, monkeypatc
         assert "error: --space index must be at most 256" in err
 
 
+@pytest.mark.parametrize("command", ["adams", "einv"])
+@pytest.mark.parametrize(
+    "label,message",
+    [
+        # Syntax first, the right-hand atom read whole ...
+        ("cp300-smash-xyz", "unrecognized space 'xyz'"),
+        ("s2-smash-cp2-smash-cp3", "unrecognized space 'cp2-smash-cp3'"),
+        ("s301", "only even spheres are modeled, got s301"),
+        ("s3-smash-cp300", "only even spheres are modeled, got s3"),
+        # ... then the index cap ...
+        ("cp0-smash-cp300", "--space index must be at most 256"),
+        ("s2-smash-s514", "--space index must be at most 256"),
+        # ... then the pairing, and the degree last.
+        ("cp0-smash-cp3", "smash models must pair one even sphere with one projective space"),
+        ("s2-smash-s4", "smash models must pair one even sphere with one projective space"),
+        ("s2-smash-cp0", "degree must be at least 1, got 0"),
+        ("hp0", "degree must be at least 1, got 0"),
+    ],
+)
+def test_space_errors_report_syntax_then_the_cap_then_pairing_and_degree(
+    capsys, command, label, message
+):
+    argv = ["--k", "2", "--elem", "mu"] if command == "adams" else []
+    code, out, err = run_cli(capsys, command, "--space", label, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_einv_caps_the_number_of_primes(capsys):
     def run(count):
         primes = ",".join(str(k) for k in range(2, 2 + count))
@@ -560,6 +589,30 @@ def test_einv_caps_the_number_of_primes(capsys):
     code, out, err = run(65)
     assert (code, out) == (2, "")
     assert "error: --primes length must be at most 64" in err
+
+
+@pytest.mark.parametrize(
+    "primes,message",
+    [
+        ("2,a", "--primes entries must be integers, got 'a'"),
+        ("2.5", "--primes entries must be integers, got '2.5'"),
+        # int() refuses more than 4300 digits; the cap reads the digit count.
+        ("3," + "9" * 5000, "--primes index must be at most 256"),
+        ("1" + "0" * 40, "--primes index must be at most 256"),
+        ("-" + "9" * 5000, "Adams indices must be at least 2"),
+        ("2,1", "Adams indices must be at least 2"),
+    ],
+    ids=["letter", "decimal", "5000-digits", "41-digits", "negative-5000-digits", "one"],
+)
+def test_einv_checks_the_primes_before_building_the_ring(capsys, monkeypatch, primes, message):
+    from stemcert import kring
+
+    def no_ring(space):
+        raise AssertionError("the ring was built before --primes was checked")
+
+    monkeypatch.setattr(kring, "make_ring", no_ring)
+    code, out, err = run_cli(capsys, "einv", "--space", "s250-smash-cp2", "--primes", primes)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_linking_is_seed_reproducible(capsys):

@@ -1,17 +1,15 @@
 """Truncated K-theory ring models and Adams operations."""
 
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stemcert.kring import (
-    ComplexProjective,
-    EvenSphere,
     LaurentPoly,
-    QuaternionicProjective,
-    Smash,
+    Space,
     adams,
     adams_matrix,
     element_from_json,
@@ -39,10 +37,11 @@ def elem(space, text):
 
 
 def test_parse_space_round_trip():
-    assert parse_space("cp2") == ComplexProjective(2)
-    assert parse_space("hp3") == QuaternionicProjective(3)
-    assert parse_space("s4") == EvenSphere(2)
-    assert parse_space("s2-smash-cp2") == Smash(EvenSphere(1), ComplexProjective(2))
+    assert parse_space("cp2") == Space("cp2", "cp", 2, 0)
+    assert parse_space("hp3") == Space("hp3", "hp", 3, 0)
+    assert parse_space("s4") == Space("s4", None, 0, 2)
+    assert parse_space("s2-smash-cp2") == Space("s2-smash-cp2", "cp", 2, 1)
+    assert parse_space(" HP02-smash-S04 ") == Space("hp2-smash-s4", "hp", 2, 2)
 
 
 def test_parse_space_rejects_bad_names():
@@ -85,7 +84,7 @@ def test_multiplication_truncates():
 def test_element_algebra_and_display():
     cp2 = ring("cp2")
     mu = cp2.generator()
-    musq = cp2.monomial((2,))
+    musq = cp2.monomial(2)
     combo = mu.scale(2) + musq
     assert str(combo) == "2μ + μ²"
     assert (combo - combo).is_zero()
@@ -135,8 +134,8 @@ def test_adams_on_smash_multiplies_factorwise():
 
 def test_adams_is_additive_and_identity_at_one():
     cp2 = ring("cp2")
-    a = cp2.element({(1,): 3, (2,): -2})
-    b = cp2.element({(1,): -1, (2,): 5})
+    a = cp2.element({1: 3, 2: -2})
+    b = cp2.element({1: -1, 2: 5})
     assert adams(1, a).coeffs == a.coeffs
     assert adams(5, a + b).coeffs == (adams(5, a) + adams(5, b)).coeffs
 
@@ -197,7 +196,7 @@ def test_circle_class_matches_chebyshev_recurrence(k):
 def test_laurent_to_phi_agrees_with_adams(k, n):
     # The Laurent reduction and the ring-model Adams operation are two
     # independent routes to the same coefficients.
-    model = make_ring(QuaternionicProjective(n))
+    model = ring(f"hp{n}")
     assert laurent_to_phi(k, n).coeffs == adams(k, model.generator()).coeffs
 
 
@@ -206,7 +205,7 @@ def test_closed_form_adams_matches_the_laurent_reduction(k):
     # On HP^n, adams() uses the closed form 2k/(k+j) * C(k+j, 2j); the
     # Laurent reduction computes the same expansion independently.
     for n in sorted({1, k - 1, k, k + 3} - {0}):
-        model = make_ring(QuaternionicProjective(n))
+        model = ring(f"hp{n}")
         image = adams(k, model.generator()).coeffs
         assert image == laurent_to_phi(k, n).coeffs
         # psi^k(phi) has x-degree k, so nothing survives above phi^k.
@@ -221,9 +220,60 @@ def test_closed_form_adams_on_the_smash_with_a_sphere():
     for k in range(1, 13):
         phi_image = laurent_to_phi(k, 8).coeffs
         expected = model.element(
-            {(1, j): k * c for j, c in enumerate(phi_image, start=1)}
+            {j: k * c for j, c in enumerate(phi_image, start=1)}
         )
         assert adams(k, phinu).coeffs == expected.coeffs
+
+
+# S^(2m) smash P^n with m >= 2 or the sphere on the right: Sigma^4 HP^2,
+# Sigma^6 CP^3 and CP^2 smash S^2, with m, the basis names, the cell
+# dimensions and psi^2 of the generator.
+SUSPENSIONS = [
+    ("s4-smash-hp2", "hp2", 2, ["φν₂", "φ²ν₂"], (8, 12), "16φν₂ + 4φ²ν₂"),
+    ("s6-smash-cp3", "cp3", 3, ["μν₃", "μ²ν₃", "μ³ν₃"], (8, 10, 12), "16μν₃ + 8μ²ν₃"),
+    ("cp2-smash-s2", "cp2", 1, ["μν", "μ²ν"], (4, 6), "4μν + 2μ²ν"),
+]
+SUSPENSION_IDS = [row[0] for row in SUSPENSIONS]
+
+
+@pytest.mark.parametrize("space,base,m", [row[:3] for row in SUSPENSIONS], ids=SUSPENSION_IDS)
+def test_adams_on_a_suspension_is_k_to_the_m_times_the_projective_image(space, base, m):
+    # psi^k(x^e nu) = k^m psi^k(x)^e nu, with psi^k(x) from the Laurent
+    # reduction (phi) or the binomial (mu), and its powers from mul.
+    model, projective = ring(space), ring(base)
+    n = len(projective.basis)
+    for k in range(1, 13):
+        if base.startswith("hp"):
+            image = laurent_to_phi(k, n)
+        else:
+            image = projective.element({j: math.comb(k, j) for j in range(1, n + 1)})
+        power = image
+        for e in projective.basis:
+            expected = model.element(
+                {j: k**m * c for j, c in zip(projective.basis, power.coeffs)}
+            )
+            assert adams(k, model.monomial(e)) == expected
+            power = mul(power, image)
+
+
+@pytest.mark.parametrize("space", SUSPENSION_IDS)
+def test_every_product_on_a_suspension_is_zero(space):
+    model = ring(space)
+    elements = [model.monomial(e) for e in model.basis]
+    elements.append(model.element({e: 3 - e for e in model.basis}))
+    for a in elements:
+        for b in elements:
+            assert mul(a, b) == model.zero()
+
+
+@pytest.mark.parametrize("space,base,m,names,dims,psi2", SUSPENSIONS, ids=SUSPENSION_IDS)
+def test_suspension_display_and_grading(space, base, m, names, dims, psi2):
+    model = ring(space)
+    assert [model.monomial_display(e) for e in model.basis] == names
+    assert model.dims == dims
+    generator = "phi" if base.startswith("hp") else "mu"
+    assert str(parse_element(model, f"{generator}^2*nu")) == names[1]
+    assert str(adams(2, model.generator())) == psi2
 
 
 def test_monomial_index_follows_the_basis():
@@ -233,7 +283,7 @@ def test_monomial_index_follows_the_basis():
             range(len(model.basis))
         )
     with pytest.raises(ValueError):
-        ring("cp2").element({(3,): 1})
+        ring("cp2").element({3: 1})
 
 
 def test_symmetric_reduce_requires_symmetry():

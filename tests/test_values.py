@@ -19,18 +19,16 @@ from stemcert.hopf import Quaternion, SampledCurve
 from stemcert.jorder import JOrderBound, KOClassS2, StuntedSpace
 from stemcert.kring import (
     AdamsMatrix,
-    ComplexProjective,
-    EvenSphere,
-    QuaternionicProjective,
     RingElement,
     RingModel,
-    Smash,
+    Space,
     make_ring,
+    parse_space,
 )
 from stemcert.so3 import QuaternionPath
 
-CP2 = ComplexProjective(2)
-CP2_MODEL = (CP2, "cp2", (CP2,), (2,), ((1,), (2,)), (2, 4))
+CP2 = Space("cp2", "cp", 2, 0)
+CP2_MODEL = (CP2,)
 STEP = DerivationStep("eta^2 is essential", StepStatus.PAPER_ASSERTED, "EHP")
 
 # Constructor arguments of one instance of every frozen class.
@@ -42,10 +40,7 @@ FROZEN = [
     (JOrderBound, (2, 24, ("gcd", "closed", "bernoulli"))),
     (StuntedSpace, ("quaternionic", 25, 24, 3)),
     (KOClassS2, (4, 1)),
-    (ComplexProjective, (2,)),
-    (QuaternionicProjective, (2,)),
-    (EvenSphere, (1,)),
-    (Smash, (EvenSphere(1), CP2)),
+    (Space, ("s2-smash-cp2", "cp", 2, 1)),
     (RingModel, CP2_MODEL),
     (RingElement, (RingModel(*CP2_MODEL), (2, 1))),
     (AdamsMatrix, ("cp2", 2, ((2, 0), (1, 4)), (2, 4))),
@@ -92,14 +87,16 @@ def test_copies_and_pickles_are_equal_values(cls, args):
 
 
 def test_projective_spaces_of_one_size_differ_by_family():
-    assert ComplexProjective(2) != QuaternionicProjective(2)
-    assert Smash(EvenSphere(1), CP2) != Smash(EvenSphere(1), QuaternionicProjective(2))
-    assert ComplexProjective(2) != (2,)
+    assert parse_space("cp2") != parse_space("hp2")
+    assert parse_space("s2-smash-cp2") != parse_space("s2-smash-hp2")
+    # The label keeps the side of the sphere.
+    assert parse_space("s2-smash-cp2") != parse_space("cp2-smash-s2")
+    assert CP2 != ("cp2", "cp", 2, 0)
 
 
 def test_repr_lists_the_fields_by_name():
-    assert repr(Smash(EvenSphere(1), CP2)) == (
-        "Smash(left=EvenSphere(m=1), right=ComplexProjective(n=2))"
+    assert repr(parse_space("s2-smash-cp2")) == (
+        "Space(label='s2-smash-cp2', kind='cp', n=2, m=1)"
     )
     assert repr(StuntedSpace("complex", 3, 1)) == (
         "StuntedSpace(family='complex', top=3, bottom=1, suspension=0)"
@@ -108,12 +105,13 @@ def test_repr_lists_the_fields_by_name():
 
 
 def test_the_monomial_index_is_not_part_of_a_ring_model():
+    # A model holds only its space; basis, dims and indices derive from it.
     model = make_ring(CP2)
     assert model == RingModel(*CP2_MODEL)
     assert hash(model) == hash(RingModel(*CP2_MODEL))
-    assert "_index" not in repr(model)
-    assert repr(model).startswith("RingModel(space=ComplexProjective(n=2), label='cp2',")
-    assert model.monomial_index((2,)) == 1
+    assert repr(model) == "RingModel(space=Space(label='cp2', kind='cp', n=2, m=0))"
+    assert (model.basis, model.dims) == (range(1, 3), (2, 4))
+    assert model.monomial_index(2) == 1
 
 
 def test_keyword_arguments_and_defaults_still_work():
