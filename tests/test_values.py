@@ -40,13 +40,25 @@ FROZEN = [
     (JOrderBound, (2, 24, ("gcd", "closed", "bernoulli"))),
     (StuntedSpace, ("quaternionic", 25, 24, 3)),
     (KOClassS2, (4, 1)),
+    # One Space row per shape it describes: P^n of each kind, S^(2m), a smash.
+    (Space, ("cp2", "cp", 2, 0)),
+    (Space, ("hp2", "hp", 2, 0)),
+    (Space, ("s2", None, 0, 1)),
     (Space, ("s2-smash-cp2", "cp", 2, 1)),
     (RingModel, CP2_MODEL),
     (RingElement, (RingModel(*CP2_MODEL), (2, 1))),
     (AdamsMatrix, ("cp2", 2, ((2, 0), (1, 4)), (2, 4))),
     (Quaternion, (0.0, 1.0, 0.0, 0.0)),
 ]
-FROZEN_IDS = [cls.__name__ for cls, _ in FROZEN]
+SPACE_IDS = {
+    "cp2": "ComplexProjective",
+    "hp2": "QuaternionicProjective",
+    "s2": "EvenSphere",
+    "s2-smash-cp2": "Smash",
+}
+FROZEN_IDS = [
+    SPACE_IDS[args[0]] if cls is Space else cls.__name__ for cls, args in FROZEN
+]
 
 
 @pytest.mark.parametrize("cls,args", FROZEN, ids=FROZEN_IDS)
