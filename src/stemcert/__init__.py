@@ -36,11 +36,7 @@ _EXPORTS = {
             "two_cell_from",
         ),
         "errors": ("ResamplePole", "VerificationError"),
-        "exact": (
-            "BigInt",
-            "BigRational",
-            "padic_valuation",
-        ),
+        "exact": ("padic_valuation",),
         "hopf": (
             "Quaternion",
             "fiber_curve",

@@ -246,6 +246,8 @@ def cmd_linking(args) -> int:
             f"--trials must be at most {_MAX_LINKING_WORK // args.samples**2} "
             f"at --samples {args.samples}"
         )
+    if args.seed < 0:
+        raise ValueError("--seed must be non-negative")
     import numpy as np
 
     from . import hopf
@@ -364,7 +366,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true", help="emit machine-readable JSON"
     )
     parser.add_argument(
-        "--seed", type=int, default=0, help="seed for randomized geometric checks"
+        "--seed",
+        type=int,
+        default=0,
+        help="non-negative seed for randomized geometric checks",
     )
     parser.add_argument(
         "--samples",

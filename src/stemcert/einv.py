@@ -19,14 +19,12 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from ._frozen import Frozen
-from .exact import BigInt, BigRational
 from .kring import RingModel, adams_matrix
 
 __all__ = [
     "ObstructionCertificate",
     "TwoCellModel",
     "Verdict",
-    "certificate_from_json",
     "certificate_to_json",
     "conjugacy_witness",
     "e_invariant",
@@ -55,7 +53,7 @@ class TwoCellModel(Frozen):
 
     __slots__ = ("a", "b", "k", "c")
 
-    def __init__(self, a: int, b: int, k: int, c: BigInt):
+    def __init__(self, a: int, b: int, k: int, c: int):
         if not (1 <= a < b):
             raise ValueError("cell dimensions must satisfy b > a >= 1")
         if k < 2:
@@ -63,15 +61,12 @@ class TwoCellModel(Frozen):
         self._set(a=a, b=b, k=k, c=c)
 
     @property
-    def modulus(self) -> BigInt:
+    def modulus(self) -> int:
         return self.k**self.b - self.k**self.a
 
     @property
     def diagonal(self) -> tuple:
         return (self.k**self.a, self.k**self.b)
-
-    def matrix(self) -> tuple:
-        return ((self.k**self.a, 0), (self.c, self.k**self.b))
 
 
 def two_cell_from(model: RingModel, k: int) -> TwoCellModel:
@@ -90,12 +85,12 @@ def two_cell_from(model: RingModel, k: int) -> TwoCellModel:
     return TwoCellModel(a=a, b=b, k=k, c=mat.entries[1][0])
 
 
-def e_of_cells(cell: TwoCellModel) -> BigRational:
+def e_of_cells(cell: TwoCellModel) -> Fraction:
     """``c / (k^b - k^a)`` reduced into ``[0, 1)``."""
     return Fraction(cell.c, cell.modulus) % 1
 
 
-def e_invariant(model: RingModel, k: int) -> BigRational:
+def e_invariant(model: RingModel, k: int) -> Fraction:
     """The splitting obstruction of a two-cell model, in ``[0, 1)``."""
     return e_of_cells(two_cell_from(model, k))
 
@@ -117,7 +112,7 @@ class ObstructionCertificate(Frozen):
     __slots__ = ("verdict", "k", "c", "modulus", "e")
 
     def __init__(
-        self, verdict: Verdict, k: int, c: BigInt, modulus: BigInt, e: BigRational
+        self, verdict: Verdict, k: int, c: int, modulus: int, e: Fraction
     ):
         if verdict is Verdict.DOES_NOT_SPLIT and e == 0:
             raise ValueError("a non-splitting certificate requires e != 0")
@@ -188,14 +183,3 @@ def certificate_to_json(cert: ObstructionCertificate) -> dict:
         "modulus": int(cert.modulus),
         "e": f"{cert.e.numerator}/{cert.e.denominator}",
     }
-
-
-def certificate_from_json(data: dict) -> ObstructionCertificate:
-    num, den = data["e"].split("/")
-    return ObstructionCertificate(
-        verdict=Verdict(data["verdict"]),
-        k=int(data["k"]),
-        c=int(data["c"]),
-        modulus=int(data["modulus"]),
-        e=Fraction(int(num), int(den)),
-    )

@@ -1,32 +1,21 @@
-"""Exact integer and rational arithmetic with small number-theoretic helpers.
+"""Small number-theoretic helpers on exact integers.
 
-Every algebraic module in the package routes its coefficient arithmetic
-through the names exported here.  Python's built-in ``int`` already provides
-sign + arbitrary-precision magnitude semantics, and ``fractions.Fraction``
-already stores rationals in lowest terms with a positive denominator, so the
-canonical types are aliases rather than reimplementations:
-
-* ``BigInt``      — ``int`` (arbitrary precision, e.g. ``50!`` or ``7**60``).
-* ``BigRational`` — ``fractions.Fraction`` (always reduced, denominator > 0).
-
-No floating point enters any function in this module.
+The algebraic modules compute with Python's arbitrary-precision ``int`` and
+with ``fractions.Fraction``, which keeps rationals in lowest terms with a
+positive denominator; neither needs a wrapper.  This module adds the gcd,
+trial-division primality and p-adic valuation that :mod:`stemcert.jorder`
+uses.  No floating point enters any function in this module.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 __all__ = [
-    "BigInt",
-    "BigRational",
     "gcd",
     "is_prime",
     "padic_valuation",
 ]
-
-BigInt = int
-BigRational = Fraction
 
 #: Primality in this package is certified by deterministic trial division.
 #: All primes that actually occur are tiny (at most 13 in practice); inputs
@@ -34,7 +23,7 @@ BigRational = Fraction
 TRIAL_DIVISION_LIMIT = 10**6
 
 
-def gcd(a: BigInt, b: BigInt) -> BigInt:
+def gcd(a: int, b: int) -> int:
     """Return the non-negative greatest common divisor of ``a`` and ``b``.
 
     ``gcd(0, 0) == 0`` by convention.
@@ -42,7 +31,7 @@ def gcd(a: BigInt, b: BigInt) -> BigInt:
     return math.gcd(a, b)
 
 
-def is_prime(p: BigInt) -> bool:
+def is_prime(p: int) -> bool:
     """Trial-division primality test for ``2 <= p <= TRIAL_DIVISION_LIMIT``.
 
     Raises ``ValueError`` for inputs beyond the supported bound rather than
@@ -63,7 +52,7 @@ def is_prime(p: BigInt) -> bool:
     return True
 
 
-def padic_valuation(n: BigInt, p: BigInt) -> int:
+def padic_valuation(n: int, p: int) -> int:
     """Return the largest ``e`` such that ``p**e`` divides ``n``.
 
     ``n`` must be nonzero (the valuation of 0 is infinite) and ``p`` must be

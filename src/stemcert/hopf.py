@@ -19,7 +19,7 @@ set of rotations but reverses composition order.)
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -50,8 +50,6 @@ __all__ = [
     "SampledCurve",
     "ball_to_rotation",
     "choose_pole",
-    "curve_from_json",
-    "curve_to_json",
     "fiber_curve",
     "fiber_linking",
     "gauss_linking",
@@ -97,12 +95,6 @@ class Quaternion(Frozen):
     def conjugate(self) -> "Quaternion":
         return Quaternion(self.w, -self.x, -self.y, -self.z)
 
-    def normalized(self) -> "Quaternion":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero quaternion")
-        return Quaternion(self.w / n, self.x / n, self.y / n, self.z / n)
-
     def as_array(self) -> np.ndarray:
         return np.array([self.w, self.x, self.y, self.z])
 
@@ -137,11 +129,13 @@ def _require_unit(q: Quaternion) -> None:
 
 
 def hopf_map(q: Quaternion) -> np.ndarray:
-    """``q -> conj(q) i q`` as a point of S^2 in the (i, j, k) coordinates."""
+    """``q -> conj(q) i q`` as a point of S^2 in the (i, j, k) coordinates.
+
+    The real part of ``conj(q) i q`` is ``Re(i q conj(q)) = 0`` exactly, so
+    only the imaginary part is returned.
+    """
     _require_unit(q)
     image = qmul(qmul(q.conjugate(), I), q)
-    if abs(image.w) >= _UNIT_TOL:
-        raise VerificationError("Hopf image is not purely imaginary")
     return np.array([image.x, image.y, image.z])
 
 
@@ -178,17 +172,6 @@ class SampledCurve:
         mids = 0.5 * (self.points[:-1] + self.points[1:])
         difs = self.points[1:] - self.points[:-1]
         return np.ascontiguousarray(mids), np.ascontiguousarray(difs)
-
-
-def curve_to_json(curve: SampledCurve) -> list:
-    """Plain JSON array of [x, y, z] (or [w, x, y, z]) sample points."""
-    return [[float(v) for v in row] for row in curve.points]
-
-
-def curve_from_json(data: Sequence) -> SampledCurve:
-    points = np.asarray(data, dtype=float)
-    closed = bool(np.allclose(points[0], points[-1], atol=_UNIT_TOL, rtol=0.0))
-    return SampledCurve(points=points, closed=closed)
 
 
 def fiber_curve(p, samples: int) -> SampledCurve:
@@ -234,18 +217,11 @@ def fiber_curve(p, samples: int) -> SampledCurve:
 # --------------------------------------------------------------------------
 
 
-def _as_unit_array(q, dim: int) -> np.ndarray:
-    arr = q.as_array() if isinstance(q, Quaternion) else np.asarray(q, dtype=float)
-    if arr.shape != (dim,):
-        raise ValueError(f"expected a vector of length {dim}")
-    if abs(np.linalg.norm(arr) - 1.0) >= _UNIT_TOL:
-        raise ValueError("expected a unit vector")
-    return arr
-
-
 def _pole_basis(pole: np.ndarray) -> np.ndarray:
-    """Deterministic orthonormal basis of the hyperplane orthogonal to the
-    pole (Gram-Schmidt over the standard basis)."""
+    """Deterministic orthonormal basis of the hyperplane orthogonal to a unit
+    pole of S^3 (Gram-Schmidt over the standard basis)."""
+    if pole.shape != (4,) or abs(np.linalg.norm(pole) - 1.0) >= _UNIT_TOL:
+        raise ValueError("the pole must be a unit vector of length 4")
     basis = []
     for seed in np.eye(4):
         v = seed - np.dot(seed, pole) * pole
@@ -259,32 +235,32 @@ def _pole_basis(pole: np.ndarray) -> np.ndarray:
     return np.array(basis)
 
 
-def stereographic(q, pole) -> np.ndarray:
-    """Stereographic projection of ``q`` in S^3 from ``pole`` to R^3."""
-    q = _as_unit_array(q, 4)
-    pole = _as_unit_array(pole, 4)
-    if np.linalg.norm(q - pole) <= 1e-3:
-        raise ResamplePole("sample too close to the projection pole")
+def stereographic(points, pole) -> np.ndarray:
+    """Stereographic projection from ``pole`` to R^3 of a point of S^3 (a
+    4-vector) or of an (N, 4) array of them.
+
+    Every point must be a unit vector more than 1e-3 away from the unit
+    pole; a point nearer the pole raises :class:`ResamplePole`.
+    """
+    points = np.asarray(points, dtype=float)
+    pole = np.asarray(pole, dtype=float)
+    if points.ndim not in (1, 2) or points.shape[-1] != 4:
+        raise ValueError("expected a 4-vector or an (N, 4) array")
+    if np.abs(np.linalg.norm(points, axis=-1) - 1.0).max() >= _UNIT_TOL:
+        raise ValueError("expected unit vectors")
     basis = _pole_basis(pole)
-    return (basis @ q) / (1.0 - np.dot(q, pole))
+    if np.linalg.norm(points - pole, axis=-1).min() <= 1e-3:
+        raise ResamplePole("sample too close to the projection pole")
+    return (points @ basis.T) / (1.0 - points @ pole)[..., None]
 
 
 def stereographic_inverse(v, pole) -> np.ndarray:
     """Inverse of :func:`stereographic`; round trips within 1e-9."""
     v = np.asarray(v, dtype=float)
-    pole = _as_unit_array(pole, 4)
+    pole = np.asarray(pole, dtype=float)
     basis = _pole_basis(pole)
     t = float(np.dot(v, v))
     return ((t - 1.0) / (t + 1.0)) * pole + (2.0 / (t + 1.0)) * (v @ basis)
-
-
-def _project_curve(curve: SampledCurve, pole: np.ndarray) -> SampledCurve:
-    points = curve.points
-    if np.linalg.norm(points - pole, axis=1).min() <= 1e-3:
-        raise ResamplePole("curve passes too close to the projection pole")
-    basis = _pole_basis(pole)
-    images = (points @ basis.T) / (1.0 - points @ pole)[:, None]
-    return SampledCurve(points=images, closed=curve.closed)
 
 
 def hurwitz_units() -> np.ndarray:
@@ -367,23 +343,21 @@ def fiber_linking(
     p1,
     p2,
     samples: int = 512,
-    pole: Optional[np.ndarray] = None,
     rng: Union[np.random.Generator, int, None] = None,
 ) -> float:
     """Linking number of the Hopf fibers over two distinct base points,
-    measured after stereographic projection to R^3."""
-    f1 = fiber_curve(p1, samples)
-    f2 = fiber_curve(p2, samples)
-    if pole is None:
-        pole = choose_pole([f1, f2], rng)
-    return gauss_linking(_project_curve(f1, pole), _project_curve(f2, pole))
+    measured after stereographic projection to R^3 from :func:`choose_pole`."""
+    fibers = [fiber_curve(p1, samples), fiber_curve(p2, samples)]
+    pole = choose_pole(fibers, rng)
+    a, b = (SampledCurve(stereographic(f.points, pole), closed=True) for f in fibers)
+    return gauss_linking(a, b)
 
 
-def unlinked_control(samples: int = 512, separation: float = 4.0):
-    """Two distant planar unit circles (linking number 0)."""
+def unlinked_control(samples: int = 512):
+    """Two planar unit circles 4 apart (linking number 0)."""
     theta = np.linspace(0.0, 2.0 * math.pi, samples + 1)
     first = np.stack([np.cos(theta), np.sin(theta), np.zeros_like(theta)], axis=1)
-    second = first + np.array([separation, 0.0, 0.0])
+    second = first + np.array([4.0, 0.0, 0.0])
     return SampledCurve(first, closed=True), SampledCurve(second, closed=True)
 
 

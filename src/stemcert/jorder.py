@@ -27,7 +27,7 @@ from typing import NamedTuple, Optional
 
 from ._frozen import Frozen
 from .errors import VerificationError
-from .exact import BigInt, BigRational, gcd, is_prime, padic_valuation
+from .exact import gcd, is_prime, padic_valuation
 
 __all__ = [
     "JOrderBound",
@@ -56,7 +56,7 @@ __all__ = [
 class StabilizedGcd(NamedTuple):
     """Result of the gcd fold: the value and whether it had settled."""
 
-    value: BigInt
+    value: int
     stable: bool
 
 
@@ -90,7 +90,7 @@ def stabilized_gcd(t: int, K: int = 200, N: Optional[int] = None) -> StabilizedG
     return StabilizedGcd(value=history[-1], stable=len(set(tail)) == 1)
 
 
-def m_closed_form(t: int) -> BigInt:
+def m_closed_form(t: int) -> int:
     """Prime-by-prime closed form of the order bound ``m(t)``."""
     if t < 1:
         raise ValueError("t must be positive")
@@ -101,7 +101,7 @@ def m_closed_form(t: int) -> BigInt:
     return out
 
 
-def _tangent_number(k: int) -> BigInt:
+def _tangent_number(k: int) -> int:
     """The k-th tangent number ``T_k`` (1, 2, 16, 272, ...), ``k >= 1``.
 
     All-integer recurrence of Brent and Harvey, "Fast computation of
@@ -118,7 +118,7 @@ def _tangent_number(k: int) -> BigInt:
     return t[k]
 
 
-def bernoulli(n: int) -> BigRational:
+def bernoulli(n: int) -> Fraction:
     """Exact Bernoulli number ``B_n`` for even ``n >= 0``.
 
     Computed from the tangent number ``T_k`` with ``k = n/2`` as
@@ -147,7 +147,7 @@ def bernoulli(n: int) -> BigRational:
     return value
 
 
-def m_via_bernoulli(k: int) -> BigInt:
+def m_via_bernoulli(k: int) -> int:
     """Denominator of ``B_2k / (4k)`` in lowest terms."""
     if k < 1:
         raise ValueError("k must be positive")
@@ -159,7 +159,7 @@ class JOrderBound(Frozen):
 
     __slots__ = ("t", "value", "methods")
 
-    def __init__(self, t: int, value: BigInt, methods: tuple):
+    def __init__(self, t: int, value: int, methods: tuple):
         if value < 1:
             raise ValueError("an order bound must be at least 1")
         self._set(t=t, value=value, methods=methods)
@@ -256,12 +256,12 @@ def thom_space(family: str, n: int, k: int) -> StuntedSpace:
 
 
 @lru_cache(maxsize=1)
-def _jorder_b1() -> BigInt:
+def _jorder_b1() -> int:
     return nu_order_bound().value
 
 
 def feder_gitler_equivalent(
-    n: int, k: int, l: int, Bn: Optional[BigInt] = None
+    n: int, k: int, l: int, Bn: Optional[int] = None
 ) -> bool:
     """Stable-equivalence decision for ``P^(n+k)/P^(k-1)`` vs
     ``P^(n+l)/P^(l-1)``: true iff ``k = l (mod B_n)``.

@@ -41,7 +41,6 @@ __all__ = [
     "Space",
     "adams",
     "adams_matrix",
-    "element_from_json",
     "element_to_json",
     "laurent_to_phi",
     "make_ring",
@@ -504,9 +503,3 @@ def element_to_json(elem: RingElement) -> dict:
         "space": elem.model.label,
         "coeffs": [str(c) for c in elem.coeffs],
     }
-
-
-def element_from_json(data: Mapping) -> RingElement:
-    model = make_ring(parse_space(data["space"]))
-    coeffs = tuple(int(c) for c in data["coeffs"])
-    return RingElement(model, coeffs)

@@ -19,7 +19,7 @@ the matrix of ``x -> q x conj(q)``.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence, Union
+from typing import Sequence
 
 __all__ = [
     "BallPoint",
@@ -307,28 +307,21 @@ class QuaternionPath:
         self.monodromy = monodromy
 
 
-def lift_loop(
-    path: Union[Sequence, Callable[[float], Rotation3]],
-    steps: int = 1024,
-) -> tuple:
+def lift_loop(path: Sequence) -> tuple:
     """Lift a closed rotation loop to S^3 and read off the monodromy sign.
 
-    ``path`` is either a sequence of sampled rotations (``Rotation3`` or 3x3
-    nested sequences such as an (N, 3, 3) array; closed: the last equals the
-    first) or a callable on [0, 1] sampled at ``steps + 1`` points.  At least
-    256 steps are required, every sample must be a rotation, consecutive
-    rotations must be within angle 0.2 of each other, and the quaternion
-    preimage is chosen at each step to be the one closest to the previous
-    choice.  Returns ``(QuaternionPath, sign)``; sign -1 means the loop
-    generates ``pi_1(SO(3))``, +1 that it is nullhomotopic (double-cover
-    criterion).
+    ``path`` is a sequence of sampled rotations (``Rotation3`` or 3x3 nested
+    sequences such as an (N, 3, 3) array; closed: the last equals the
+    first).  At least 256 steps are required, every sample must be a
+    rotation, consecutive rotations must be within angle 0.2 of each other,
+    and the quaternion preimage is chosen at each step to be the one closest
+    to the previous choice.  Returns ``(QuaternionPath, sign)``; sign -1
+    means the loop generates ``pi_1(SO(3))``, +1 that it is nullhomotopic
+    (double-cover criterion).
     """
-    if callable(path):
-        samples = [path(t) for t in _grid(steps, 1)]
-    else:
-        samples = list(path)
-        if len(samples) < _MIN_STEPS + 1:
-            raise ValueError(f"at least {_MIN_STEPS} steps are required")
+    samples = list(path)
+    if len(samples) < _MIN_STEPS + 1:
+        raise ValueError(f"at least {_MIN_STEPS} steps are required")
     samples = [m if isinstance(m, Rotation3) else Rotation3(m) for m in samples]
     first, last = samples[0], samples[-1]
     gap = max(

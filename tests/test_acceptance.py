@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from stemcert import einv, hopf, jorder
+from stemcert import einv, hopf, jorder, so3
 from stemcert.kring import (
     LaurentPoly,
     adams,
@@ -190,13 +190,13 @@ def test_criterion_08_double_cover_homomorphism():
 
 def test_criterion_09_monodromy_of_gamma():
     def all_lifts():
-        once = hopf.lift_loop(hopf.loop_matrices("gamma", 512))[1]
-        twice = hopf.lift_loop(hopf.loop_matrices("gamma", 512, turns=2))[1]
+        once = so3.lift_loop(so3.loop_matrices("gamma", 512))[1]
+        twice = so3.lift_loop(so3.loop_matrices("gamma", 512, turns=2))[1]
         refined = {
-            hopf.lift_loop(hopf.loop_matrices("gamma", n))[1] for n in (256, 4096)
+            so3.lift_loop(so3.loop_matrices("gamma", n))[1] for n in (256, 4096)
         }
         slices = {
-            hopf.lift_loop(hopf.homotopy_slice_matrices(variant, s, 256))[1]
+            so3.lift_loop(so3.homotopy_slice_matrices(variant, s, 256))[1]
             for variant in ("alpha", "beta")
             for s in (0.0, 0.25, 0.5, 0.75, 1.0)
         }

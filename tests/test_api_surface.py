@@ -1,0 +1,119 @@
+"""Every public function runs on a command-line path or is a named oracle.
+
+One fresh interpreter runs every subcommand through ``stemcert.cli.main``
+under ``sys.setprofile`` and records the code objects that ran, from the
+first import on, so calls made at import time (``register_check``) count.
+A module-level function in a layer's ``__all__`` that never ran must be
+listed in ``ORACLES`` with the reason it stays.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import stemcert
+
+LAYERS = ("derivation", "reports", "kring", "einv", "jorder", "exact", "hopf", "so3", "_kernels")
+
+#: Public functions that no subcommand runs, by defining module, and why
+#: each stays.
+ORACLES = {
+    "stemcert.kring.laurent_to_phi": (
+        "Laurent reduction, the independent check of the closed form for "
+        "psi^k on HP^n"
+    ),
+    "stemcert.einv.conjugacy_witness": (
+        "brute-force integer-conjugacy search, the oracle for the splitting verdicts"
+    ),
+    "stemcert._kernels.search_diagonalizer": "the search loop of conjugacy_witness",
+    "stemcert.hopf.hopf_map": (
+        "the Hopf map of one Quaternion, which checks the vectorized map of fiber_curve"
+    ),
+    "stemcert.hopf.qmul": "the Hamilton product behind Quaternion, hopf_map and rot_from_quat",
+    "stemcert.hopf.rot_from_quat": (
+        "the double cover S^3 -> SO(3), which quat_from_rot inverts"
+    ),
+    "stemcert.hopf.stereographic_inverse": (
+        "inverts the stereographic projection that fiber_linking runs"
+    ),
+    "stemcert.derivation.report_from_json": (
+        "reads `report --json` back into the StemReport it serializes"
+    ),
+    "stemcert._kernels.get_backend": "names the kernel implementation in benchmark provenance",
+    "stemcert.hopf.hurwitz_units": (
+        "pole candidates, drawn only when a fiber passes within 1e-3 of -1"
+    ),
+}
+
+LOOPS = ("gamma", "alpha", "beta", "alpha-then-beta", "ball-gamma", "identity", "homotopy")
+COMMANDS = [
+    *(["report", "--stem", str(stem)] for stem in (1, 2, 3)),
+    ["jorder", "--t", "2"],
+    ["bernoulli", "--n", "12"],
+    ["adams", "--space", "cp2", "--k", "3", "--elem", "mu"],
+    ["adams", "--space", "hp2", "--k", "3", "--elem", "phi"],
+    ["adams", "--space", "s2-smash-cp2", "--k", "3", "--elem", "mu*nu"],
+    ["einv", "--space", "s2-smash-cp2"],
+    ["einv", "--space", "hp2"],
+    ["feder-gitler", "--n", "1", "--k", "12", "--l", "0"],
+    ["thom", "--family", "quaternionic", "--n", "1", "--mult", "24", "--suspend", "1"],
+    ["linking", "--trials", "2"],
+    *(["lift", "--loop", loop] for loop in LOOPS),
+    ["lift", "--loop", "homotopy", "--variant", "beta", "--slice", "0.5"],
+]
+
+# Runs every argv of argv[1] through stemcert.cli.main with a profiler that
+# records each Python code object entered, then prints the exit codes and
+# which public functions of the layers in argv[2] ran.
+TRACE_IN_CHILD = """
+import contextlib, importlib, io, json, sys, types
+seen = set()
+
+def record(frame, event, arg):
+    if event == "call":
+        seen.add(frame.f_code)
+
+sys.setprofile(record)
+from stemcert.cli import main
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+sys.setprofile(None)
+ran, idle = set(), set()
+for layer in json.loads(sys.argv[2]):
+    module = importlib.import_module("stemcert." + layer)
+    for name in module.__all__:
+        fn = getattr(module, name)
+        if isinstance(fn, types.FunctionType):
+            key = fn.__module__ + "." + fn.__name__
+            (ran if fn.__code__ in seen else idle).add(key)
+print(json.dumps({"codes": codes, "ran": sorted(ran), "idle": sorted(idle)}))
+"""
+
+
+def test_every_public_function_runs_on_a_command_or_is_an_oracle():
+    argvs = COMMANDS + [["--json", *argv] for argv in COMMANDS]
+    env = dict(os.environ)
+    package_parent = str(Path(stemcert.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_parent, env.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACE_IN_CHILD, json.dumps(argvs), json.dumps(LAYERS)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    child = json.loads(proc.stdout)
+    assert child["codes"] == [0] * len(argvs), proc.stderr
+    idle = set(child["idle"])
+    # Nothing public is left that neither a command nor an oracle needs...
+    assert sorted(idle - set(ORACLES)) == []
+    # ...and each exception names a public function that no command runs.
+    assert sorted(set(ORACLES) - idle) == []
+    assert elapsed < 3.0

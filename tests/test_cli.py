@@ -3,6 +3,8 @@
 import importlib.metadata
 import json
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -241,7 +243,10 @@ JORDER_ONLY = {"stemcert.kring", "stemcert.einv", "stemcert.reports", "stemcert.
         ),
         (["lift", "--loop", "gamma"], EXACT_LAYERS),
         (["lift", "--loop", "homotopy"], EXACT_LAYERS),
-        (["einv", "--space", "hp2"], {"stemcert.jorder", "stemcert.reports"}),
+        (
+            ["einv", "--space", "hp2"],
+            {"stemcert.jorder", "stemcert.reports", "stemcert.exact"},
+        ),
         (["report", "--stem", "3"], {"stemcert.so3", "stemcert.hopf"}),
         (["--samples", "256", "linking", "--trials", "1"], EXACT_LAYERS),
     ],
@@ -471,6 +476,12 @@ def test_linking_rejects_zero_trials(capsys):
         assert "error: --trials must be at least 1" in err
 
 
+def test_linking_rejects_a_negative_seed(capsys):
+    code, out, err = run_cli(capsys, "--seed", "-1", "linking", "--trials", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: --seed must be non-negative\n"
+
+
 def test_linking_rejects_samples_above_the_cap(capsys):
     code, out, err = run_cli(capsys, "--samples", "4097", "linking", "--trials", "1")
     assert code == 2
@@ -648,3 +659,38 @@ def test_report_human_output_names_the_conclusion(capsys):
     code, out, _ = run_cli(capsys, "report", "--stem", "3")
     assert "Z₂₄" in out and "ν" in out
     assert "PaperAsserted" in out and "Computed" in out
+
+
+# --------------------------------------------------------------------------
+# README examples
+# --------------------------------------------------------------------------
+
+
+def readme_examples():
+    """``(argv, shown output lines)`` of each ``$ stemcert ...`` example in
+    the console block of README's "Command line" section."""
+    text = (PROJECT_ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```console\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for chunk in block.strip().split("\n\n"):
+        command, *shown = chunk.split("\n")
+        assert command.startswith("$ stemcert "), command
+        examples.append((shlex.split(command)[2:], shown))
+    return examples
+
+
+README_EXAMPLES = readme_examples()
+
+
+@pytest.mark.parametrize(
+    "argv,shown", README_EXAMPLES, ids=[" ".join(argv) for argv, _ in README_EXAMPLES]
+)
+def test_readme_example_prints_what_it_shows(capsys, argv, shown):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    # A "..." line stands for one or more lines; every other line is literal.
+    pattern = "\n".join(
+        r"(?:.*\n)*.*" if line.strip() == "..." else re.escape(line) for line in shown
+    )
+    assert re.fullmatch(pattern, out.rstrip("\n")), out

@@ -1,25 +1,14 @@
-"""Integer and rational primitives."""
-
-from fractions import Fraction
+"""Number-theoretic helpers on exact integers."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from stemcert.exact import (
-    BigInt,
-    BigRational,
     gcd,
     is_prime,
     padic_valuation,
 )
-
-
-def test_aliases_are_arbitrary_precision():
-    assert BigInt is int
-    assert BigRational is Fraction
-    big = BigInt(10) ** 100 + 1
-    assert big % 7 == (pow(10, 100, 7) + 1) % 7
 
 
 def test_gcd_basic():

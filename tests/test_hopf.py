@@ -1,5 +1,10 @@
 """Quaternion geometry: the Hopf map, fiber linking, the double cover, and
-rotation-loop monodromy."""
+rotation-loop monodromy.
+
+The rotations, the ball model and loop lifting are :mod:`stemcert.so3`'s and
+are imported from there; :mod:`stemcert.hopf` supplies the quaternions and
+``rot_from_quat``, the oracle they are checked against.
+"""
 
 import math
 
@@ -9,35 +14,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stemcert import _kernels
-from stemcert.errors import ResamplePole, VerificationError
+from stemcert.errors import ResamplePole
 from stemcert.hopf import (
-    BallPoint,
     Quaternion,
-    Rotation3,
     SampledCurve,
-    ball_to_rotation,
     choose_pole,
-    curve_from_json,
-    curve_to_json,
     fiber_curve,
     fiber_linking,
     gauss_linking,
-    _project_curve,
-    homotopy_H,
-    homotopy_slice_matrices,
     hopf_map,
     hurwitz_units,
-    lift_loop,
-    loop_matrices,
-    loop_point,
-    matrix_path,
     qmul,
-    quat_from_rot,
     random_sphere_point,
     rot_from_quat,
     stereographic,
     stereographic_inverse,
     unlinked_control,
+)
+from stemcert.so3 import (
+    BallPoint,
+    Rotation3,
+    ball_to_rotation,
+    homotopy_H,
+    homotopy_slice_matrices,
+    lift_loop,
+    loop_matrices,
+    loop_point,
+    matrix_path,
+    quat_from_rot,
 )
 
 ONE = Quaternion(1, 0, 0, 0)
@@ -157,19 +161,36 @@ def test_fiber_curve_validation():
 
 def test_stereographic_round_trip():
     rng = np.random.default_rng(7)
-    pole = np.array([-1.0, 0.0, 0.0, 0.0])
-    for _ in range(50):
-        q = random_unit_quaternion(rng).as_array()
-        if np.linalg.norm(q - pole) <= 1e-3:
-            continue
-        v = stereographic(q, pole)
-        assert np.abs(stereographic_inverse(v, pole) - q).max() < 1e-9
+    # An array of samples, as fiber_linking projects them, and each sample
+    # on its own give the same images, which the inverse maps back.
+    points = np.array([random_unit_quaternion(rng).as_array() for _ in range(50)])
+    for pole in (np.array([-1.0, 0.0, 0.0, 0.0]), hurwitz_units()[13]):
+        images = stereographic(points, pole)
+        assert images.shape == (50, 3)
+        for q, v in zip(points, images):
+            assert np.abs(stereographic(q, pole) - v).max() < 1e-12
+            assert np.abs(stereographic_inverse(v, pole) - q).max() < 1e-9
 
 
 def test_stereographic_rejects_pole_neighborhood():
     pole = np.array([-1.0, 0.0, 0.0, 0.0])
+    near = np.array([-1.0, 1e-4, 0.0, 0.0]) / math.hypot(1.0, 1e-4)
     with pytest.raises(ResamplePole):
         stereographic(pole, pole)
+    with pytest.raises(ResamplePole):
+        stereographic(np.array([[0.0, 1.0, 0.0, 0.0], near]), pole)
+
+
+def test_stereographic_requires_unit_points_and_pole():
+    pole = np.array([-1.0, 0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="unit vectors"):
+        stereographic(np.array([[0.0, 1.0, 0.0, 0.0], [0.0, 1.0, 1.0, 0.0]]), pole)
+    with pytest.raises(ValueError, match="4-vector"):
+        stereographic(np.array([0.0, 1.0, 0.0]), pole)
+    with pytest.raises(ValueError, match="pole"):
+        stereographic(np.array([0.0, 1.0, 0.0, 0.0]), 2.0 * pole)
+    with pytest.raises(ValueError, match="pole"):
+        stereographic_inverse(np.zeros(3), 2.0 * pole)
 
 
 def test_hurwitz_units_are_24_distinct_unit_vectors():
@@ -213,25 +234,16 @@ def test_linking_sign_flips_with_orientation():
     a = fiber_curve([0.0, 0.0, 1.0], samples=256)
     b = fiber_curve([0.0, 0.0, -1.0], samples=256)
     pole = choose_pole([a, b])
-    basis_images = []
-    for curve in (a, b):
-        pts = (curve.points @ _basis(pole).T) / (1.0 - curve.points @ pole)[:, None]
-        basis_images.append(pts)
+    images = [stereographic(curve.points, pole) for curve in (a, b)]
     fwd = gauss_linking(
-        SampledCurve(basis_images[0], closed=True),
-        SampledCurve(basis_images[1], closed=True),
+        SampledCurve(images[0], closed=True),
+        SampledCurve(images[1], closed=True),
     )
     rev = gauss_linking(
-        SampledCurve(basis_images[0][::-1], closed=True),
-        SampledCurve(basis_images[1], closed=True),
+        SampledCurve(images[0][::-1], closed=True),
+        SampledCurve(images[1], closed=True),
     )
     assert abs(fwd + rev) < 1e-9
-
-
-def _basis(pole):
-    from stemcert.hopf import _pole_basis
-
-    return _pole_basis(pole)
 
 
 def test_gauss_linking_validation():
@@ -263,7 +275,7 @@ def test_blocked_gauss_sum_matches_the_full_array_reference(samples):
     b = fiber_curve([0.8, 0.0, -0.6], samples)
     pole = choose_pole([a, b])
     pairs = [
-        (_project_curve(a, pole), _project_curve(b, pole)),
+        tuple(SampledCurve(stereographic(c.points, pole), closed=True) for c in (a, b)),
         unlinked_control(samples=samples),
     ]
     for first, second in pairs:
@@ -294,13 +306,6 @@ def test_separation_check_reaches_the_last_block(gap, rejected):
                 gauss_linking(*pair)
         else:
             assert math.isfinite(gauss_linking(*pair))
-
-
-def test_curve_json_round_trip():
-    curve = fiber_curve([0.0, 1.0, 0.0], samples=32)
-    back = curve_from_json(curve_to_json(curve))
-    assert back.closed
-    assert np.abs(back.points - curve.points).max() == 0.0
 
 
 # --------------------------------------------------------------------------
@@ -520,8 +525,3 @@ def test_lift_loop_rejects_open_and_jumpy_paths():
         lift_loop(loop_matrices("gamma", 300, turns=20))
     with pytest.raises(ValueError):
         lift_loop(loop_matrices("gamma", 512)[:100])  # too few samples
-
-
-def test_lift_loop_accepts_callables():
-    _, sign = lift_loop(lambda t: matrix_path("gamma", 2.0 * t), steps=512)
-    assert sign == -1
