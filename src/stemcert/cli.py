@@ -23,8 +23,9 @@ from .errors import ResamplePole, VerificationError
 _SUP = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
 _SUB = str.maketrans("0123456789", "₀₁₂₃₄₅₆₇₈₉")
 
-#: Largest ``--samples`` that ``linking`` accepts: the Gauss sum is
-#: quadratic in the sample count.
+#: Fewest and most ``--samples`` that ``linking`` accepts: the Gauss sum
+#: needs 64 segments per curve, one per sample, and is quadratic in them.
+_MIN_SAMPLES = 64
 _MAX_SAMPLES = 4096
 #: Largest ``linking --trials``, and largest ``trials * samples**2``: each
 #: trial samples two fibers and sums one Gauss integral over samples**2
@@ -236,12 +237,13 @@ def cmd_thom(args) -> int:
 def cmd_linking(args) -> int:
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
+    if args.samples < _MIN_SAMPLES:
+        raise ValueError(f"--samples must be at least {_MIN_SAMPLES}")
     if args.samples > _MAX_SAMPLES:
         raise ValueError(f"--samples must be at most {_MAX_SAMPLES}")
     if args.trials > _MAX_TRIALS:
         raise ValueError(f"--trials must be at most {_MAX_TRIALS}")
-    # Too few samples are rejected when the first fiber is sampled.
-    if args.samples > 0 and args.trials * args.samples**2 > _MAX_LINKING_WORK:
+    if args.trials * args.samples**2 > _MAX_LINKING_WORK:
         raise ValueError(
             f"--trials must be at most {_MAX_LINKING_WORK // args.samples**2} "
             f"at --samples {args.samples}"
@@ -339,12 +341,14 @@ def _render_report(report) -> str:
 
 
 def cmd_report(args) -> int:
-    from .derivation import report_to_json
+    from .derivation import report_from_json, report_to_json
     from .reports import build_stem_report
 
-    report = build_stem_report(args.stem)
+    payload = report_to_json(build_stem_report(args.stem))
+    # Replay what the JSON reads back as, so the outputs must survive it.
+    report = report_from_json(json.loads(json.dumps(payload)))
     report.replay()  # raises VerificationError on any non-reproducing step
-    _emit(args, report_to_json(report), _render_report(report))
+    _emit(args, payload, _render_report(report))
     return 0
 
 
@@ -377,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=512,
         help=(
             "sample count per curve for geometric checks "
-            f"(linking accepts at most {_MAX_SAMPLES})"
+            f"(linking accepts {_MIN_SAMPLES} to {_MAX_SAMPLES})"
         ),
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
@@ -454,7 +458,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
     p.add_argument(
-        "--Bn", type=int, default=None, help="J-order B_n (default for n=1: the computed B_1)"
+        "--Bn",
+        type=int,
+        default=None,
+        help="J-order B_n (for n >= 2; n = 1 takes only the computed B_1)",
     )
     p.set_defaults(func=cmd_feder_gitler)
 

@@ -1,12 +1,17 @@
 """Derivation records: steps tagged Computed or PaperAsserted, with replay.
 
-A ``Computed`` step carries a JSON-serializable evidence dictionary whose
-``"check"`` key names a registered replayer; replaying re-runs the
-computation from scratch and confirms the recorded claim.  A
+A ``Computed`` step is one run of a registered check
+``fn(inputs, earlier) -> outputs``: ``inputs`` holds the step's literal
+parameters, ``earlier`` maps the check name of each computed step before it
+to that step's outputs, and the outputs are JSON-native (lists, ints,
+``"p/q"`` strings).  Its evidence ``{"check", "inputs", "outputs"}`` is
+recorded by running the check (:func:`computed_step`); :func:`replay_step`
+reruns the check and requires exactly the recorded outputs.  A
 ``PaperAsserted`` step carries no evidence — it records a statement taken
 from the published literature (cited by ``citation``) that this package
-deliberately does not recompute.  The distinction is a first-class field:
-reports never present an asserted step as computed.
+deliberately does not recompute, and is never presented as computed.  A
+report concludes what its last computed step outputs: the stem, the order
+of the group and its generator.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ __all__ = [
     "DerivationStep",
     "StemReport",
     "StepStatus",
+    "computed_step",
     "register_check",
     "replay_step",
     "report_from_json",
@@ -37,13 +43,10 @@ _CHECKS: dict = {}
 
 
 def register_check(name: str) -> Callable:
-    """Decorator registering a replayer for ``Computed`` evidence.
+    """Decorator registering ``fn(inputs, earlier) -> outputs`` as the check
+    ``name`` of ``Computed`` steps."""
 
-    The replayer receives the evidence dictionary and returns whether the
-    recorded claim reproduces.
-    """
-
-    def decorate(fn: Callable[[dict], bool]) -> Callable[[dict], bool]:
+    def decorate(fn: Callable[[dict, dict], dict]) -> Callable[[dict, dict], dict]:
         if name in _CHECKS:
             raise ValueError(f"duplicate check name {name!r}")
         _CHECKS[name] = fn
@@ -56,67 +59,101 @@ class DerivationStep(Frozen):
     """One step of a derivation.
 
     ``citation`` points at the implementing operation for computed steps and
-    at the literature source for asserted ones.
+    at the literature source for asserted ones.  A step hashes by its other
+    fields, since the evidence is a JSON dictionary.
     """
 
     __slots__ = ("claim", "status", "citation", "evidence")
 
     def __init__(
-        self,
-        claim: str,
-        status: StepStatus,
-        citation: str,
-        evidence: Optional[dict] = None,
+        self, claim: str, status: StepStatus, citation: str, evidence: Optional[dict] = None
     ):
         if status is StepStatus.COMPUTED:
-            if not evidence or "check" not in evidence:
-                raise ValueError(
-                    "a Computed step needs evidence with a registered 'check'"
-                )
+            if not (
+                isinstance(evidence, dict)
+                and evidence.keys() == {"check", "inputs", "outputs"}
+                and isinstance(evidence["inputs"], dict)
+                and isinstance(evidence["outputs"], dict)
+            ):
+                raise ValueError("a Computed step needs evidence {check, inputs, outputs}")
         elif evidence is not None:
             raise ValueError("a PaperAsserted step carries no machine evidence")
         self._set(claim=claim, status=status, citation=citation, evidence=evidence)
 
+    def __hash__(self):
+        return hash((self.claim, self.status, self.citation))
 
-def replay_step(step: DerivationStep) -> bool:
+
+def computed_step(
+    earlier: dict, check: str, inputs: dict, claim: str, citation: str
+) -> DerivationStep:
+    """Run ``check`` on ``inputs`` and ``earlier``, add its outputs to
+    ``earlier`` and return the step, with ``claim`` formatted from the inputs
+    and outputs so that each number it quotes is one the check computed."""
+    outputs = _CHECKS[check](inputs, earlier)
+    earlier[check] = outputs
+    evidence = {"check": check, "inputs": inputs, "outputs": outputs}
+    claim = claim.format(**inputs, **outputs)
+    return DerivationStep(claim, StepStatus.COMPUTED, citation, evidence)
+
+
+def replay_step(step: DerivationStep, earlier: dict) -> bool:
     """Re-verify a step from scratch.
 
-    Computed steps re-run their registered check and raise
-    ``VerificationError`` if the claim does not reproduce; asserted steps
-    have nothing to replay and pass trivially.
+    A computed step reruns its check on its inputs and on ``earlier``, the
+    outputs of the computed steps before it, and raises
+    ``VerificationError`` unless that gives exactly the recorded outputs,
+    which it then adds to ``earlier``.  Asserted steps pass.
     """
     if step.status is StepStatus.PAPER_ASSERTED:
         return True
-    name = step.evidence["check"]
+    name, recorded = step.evidence["check"], step.evidence["outputs"]
     if name not in _CHECKS:
-        raise VerificationError(f"no replayer registered for check {name!r}")
-    if not _CHECKS[name](step.evidence):
-        raise VerificationError(f"replay failed for step: {step.claim}")
+        raise VerificationError(f"no check registered under {name!r}")
+    # Evidence read back from JSON may hold inputs the check rejects or miss
+    # an earlier step it reads: that is a failed replay, not a usage error.
+    try:
+        outputs = _CHECKS[name](step.evidence["inputs"], earlier)
+    except (LookupError, TypeError, ValueError, ArithmeticError) as exc:
+        raise VerificationError(f"replay failed for step: {step.claim}: {exc!r}") from exc
+    if outputs != recorded:
+        raise VerificationError(
+            f"replay failed for step: {step.claim}: computed {outputs}, recorded {recorded}"
+        )
+    earlier[name] = outputs
     return True
 
 
-_EXPECTED_CONCLUSIONS = {
-    1: ("Z2", "eta"),
-    2: ("Z2", "eta^2"),
-    3: ("Z24", "nu"),
-}
-
-
 class StemReport(Frozen):
-    """Conclusion and ordered derivation steps for one stable stem."""
+    """Ordered derivation steps for one stable stem, concluding the stem,
+    the group ``Z<order>`` and its generator that the last computed step
+    outputs."""
 
-    __slots__ = ("stem", "group", "generator", "steps")
+    __slots__ = ("steps",)
 
-    def __init__(self, stem: int, group: str, generator: str, steps: tuple):
-        expected = _EXPECTED_CONCLUSIONS.get(stem)
-        if expected is None:
-            raise ValueError(f"stem must be 1, 2 or 3, got {stem}")
-        if (group, generator) != expected:
-            raise ValueError(
-                f"stem {stem} must conclude {expected[0]} generated by "
-                f"{expected[1]}, got ({group}, {generator})"
-            )
-        self._set(stem=stem, group=group, generator=generator, steps=steps)
+    def __init__(self, steps: tuple):
+        computed = [s for s in steps if s.status is StepStatus.COMPUTED]
+        outputs = computed[-1].evidence["outputs"] if computed else {}
+        if not {"stem", "order", "generator"} <= outputs.keys():
+            raise ValueError("a report's last Computed step must output its stem, order, generator")
+        if outputs["stem"] not in (1, 2, 3):
+            raise ValueError(f"stem must be 1, 2 or 3, got {outputs['stem']}")
+        self._set(steps=tuple(steps))
+
+    def _conclusion(self) -> dict:
+        return self.computed_steps()[-1].evidence["outputs"]
+
+    @property
+    def stem(self) -> int:
+        return self._conclusion()["stem"]
+
+    @property
+    def group(self) -> str:
+        return f"Z{self._conclusion()['order']}"
+
+    @property
+    def generator(self) -> str:
+        return self._conclusion()["generator"]
 
     def computed_steps(self) -> tuple:
         return tuple(s for s in self.steps if s.status is StepStatus.COMPUTED)
@@ -125,9 +162,10 @@ class StemReport(Frozen):
         return tuple(s for s in self.steps if s.status is StepStatus.PAPER_ASSERTED)
 
     def replay(self) -> bool:
-        """Replay every computed step; raises on the first failure."""
+        """Replay every computed step in order; raises on the first failure."""
+        earlier: dict = {}
         for step in self.steps:
-            replay_step(step)
+            replay_step(step, earlier)
         return True
 
 
@@ -137,30 +175,25 @@ def report_to_json(report: StemReport) -> dict:
         "group": report.group,
         "generator": report.generator,
         "steps": [
-            {
-                "claim": s.claim,
-                "status": s.status.value,
-                "citation": s.citation,
-                "evidence": s.evidence,
-            }
+            {"claim": s.claim, "status": s.status.value, "citation": s.citation,
+             "evidence": s.evidence}
             for s in report.steps
         ],
     }
 
 
 def report_from_json(data: dict) -> StemReport:
-    steps = tuple(
-        DerivationStep(
-            claim=s["claim"],
-            status=StepStatus(s["status"]),
-            citation=s["citation"],
-            evidence=s["evidence"],
+    """The report in ``data``; raises ``VerificationError`` when the stem,
+    group or generator it states is not what its last computed step
+    concludes."""
+    report = StemReport(
+        tuple(
+            DerivationStep(s["claim"], StepStatus(s["status"]), s["citation"], s["evidence"])
+            for s in data["steps"]
         )
-        for s in data["steps"]
     )
-    return StemReport(
-        stem=data["stem"],
-        group=data["group"],
-        generator=data["generator"],
-        steps=steps,
-    )
+    stated = (data["stem"], data["group"], data["generator"])
+    derived = (report.stem, report.group, report.generator)
+    if stated != derived:
+        raise VerificationError(f"the report states {stated}, its last computed step {derived}")
+    return report

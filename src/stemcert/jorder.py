@@ -267,17 +267,19 @@ def feder_gitler_equivalent(
     ``P^(n+l)/P^(l-1)``: true iff ``k = l (mod B_n)``.
 
     ``B_n`` is the J-order of the Hopf bundle over ``P^n`` and must be
-    supplied by the caller except for ``n = 1``, where the library provides
-    the computed value 24.
+    supplied by the caller except for ``n = 1``, where the library computes
+    it as 24 and rejects any other supplied value.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if k < 0 or l < 0:
         raise ValueError("indices must be non-negative")
-    if Bn is None:
-        if n != 1:
-            raise ValueError("the J-order B_n must be supplied for n >= 2")
+    if n == 1:
+        if Bn not in (None, _jorder_b1()):
+            raise ValueError(f"B_1 is the computed {_jorder_b1()}, not the supplied {Bn}")
         Bn = _jorder_b1()
+    elif Bn is None:
+        raise ValueError("the J-order B_n must be supplied for n >= 2")
     if Bn < 1:
         raise ValueError("B_n must be at least 1")
     return (k - l) % Bn == 0

@@ -1,13 +1,13 @@
-"""Builders for the three stem reports, and the replayers of their steps.
+"""The checks and builders of the three stem reports.
 
 Each report concludes a stable stem (Z2 / Z2 / Z24) from an ordered list of
-derivation steps.  Computed steps carry evidence that replays from scratch;
-steps whose truth this package does not recompute (deep theorems such as the
-EHP-sequence argument or the stunted-space classification) are tagged
-``PaperAsserted`` with a literature citation and are never presented as
-computed.  The module also houses the replayable derivation chain
-certifying that twice the complex Hopf attaching class vanishes
-(:func:`eta_order_chain`).
+derivation steps.  Each computed step runs a check registered here on its
+literal inputs and on the outputs of the steps before it, so the bounds
+that pin an order pass from step to step in code, and it outputs every
+number its claim quotes.  Steps whose truth this package does not recompute
+(deep theorems such as the EHP-sequence argument or the stunted-space
+classification) are tagged ``PaperAsserted`` with a literature citation.
+:func:`eta_order_chain` certifies that the suspended Hopf class has order 2.
 """
 
 from __future__ import annotations
@@ -15,129 +15,128 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import einv, jorder
-from .derivation import DerivationStep, StemReport, StepStatus, register_check
+from .derivation import DerivationStep, StemReport, StepStatus, computed_step, register_check
+from .errors import VerificationError
+from .exact import is_prime
 from .kring import make_ring, mul, parse_space
 
 __all__ = ["build_stem_report", "eta_order_chain"]
 
 
 # --------------------------------------------------------------------------
-# Registered replayers
+# Registered checks: fn(inputs, earlier) -> outputs
 # --------------------------------------------------------------------------
 
 
-def _replay_e(evidence: dict):
-    """``(model, e)`` when the e-invariant of ``evidence["space"]`` equals
-    ``evidence["e"]`` at every index of the non-empty ``evidence["ks"]``;
-    ``None`` otherwise."""
-    model = make_ring(parse_space(evidence["space"]))
-    e = Fraction(evidence["e"])
-    ks = evidence["ks"]
-    if ks and all(einv.e_invariant(model, k) == e for k in ks):
-        return model, e
-    return None
+def _e_invariant(inputs: dict) -> tuple:
+    """The model of ``inputs["space"]`` and its e-invariant, the same at each index in ``ks``."""
+    model = make_ring(parse_space(inputs["space"]))
+    values = {einv.e_invariant(model, k) for k in inputs["ks"]}
+    if len(values) != 1:
+        raise VerificationError(f"e-invariants {sorted(map(str, values))} at {inputs['ks']}")
+    return model, values.pop()
 
 
 @register_check("einv_nonsplit")
-def _check_einv_nonsplit(evidence: dict) -> bool:
-    replayed = _replay_e(evidence)
-    if replayed is None:
-        return False
-    model, _ = replayed
-    cert = einv.splitting_verdict(model, evidence["ks"])
-    return cert.verdict.value == evidence["verdict"]
-
-
-@register_check("composite_killed_by_two")
-def _check_composite(evidence: dict) -> bool:
-    # The composition product is bilinear, so d * (x o y) = (d x) o y; with
-    # d x = 0 the composite is killed by d.  Recompute d = order of the
-    # first-stem class from its e-invariant bracket.
-    model = make_ring(parse_space(evidence["space"]))
-    order = einv.order_lower_bound(model, 2)
-    return (
-        order == evidence["order_of_eta"]
-        and evidence["multiplier"] % order == 0
-    )
-
-
-@register_check("jorder_triple")
-def _check_jorder_triple(evidence: dict) -> bool:
-    bound = jorder.nu_order_bound()
-    return bound.t == evidence["t"] and str(bound.value) == evidence["value"]
-
-
-@register_check("einv_lower_bound")
-def _check_einv_lower(evidence: dict) -> bool:
-    replayed = _replay_e(evidence)
-    return replayed is not None and replayed[1].denominator == evidence["lower"]
-
-
-@register_check("fg_congruence")
-def _check_fg(evidence: dict) -> bool:
-    b = int(evidence["B"])
-    nk, nl = evidence["nonequiv"]
-    ek, el = evidence["equiv"]
-    if jorder.feder_gitler_equivalent(evidence["n"], nk, nl, b):
-        return False
-    if not jorder.feder_gitler_equivalent(evidence["n"], ek, el, b):
-        return False
-    cells_equiv = jorder.thom_space("quaternionic", evidence["n"], ek)
-    cells_non = jorder.thom_space("quaternionic", evidence["n"], nk)
-    return (
-        list(cells_equiv.cell_dimensions()) == evidence["cells_equiv"]
-        and list(cells_non.cell_dimensions()) == evidence["cells_nonequiv"]
-    )
-
-
-@register_check("order_pin")
-def _check_order_pin(evidence: dict) -> bool:
-    upper = evidence["upper"]
-    lower_multiple = evidence["lower_multiple"]
-    excluded = evidence["not_dividing"]
-    candidates = [
-        d
-        for d in range(1, upper + 1)
-        if upper % d == 0 and d % lower_multiple == 0 and excluded % d != 0
-    ]
-    return candidates == [evidence["order"]]
+def _check_einv_nonsplit(inputs: dict, earlier: dict) -> dict:
+    model, e = _e_invariant(inputs)
+    verdict = einv.splitting_verdict(model, inputs["ks"]).verdict
+    return {"e": str(e), "verdict": verdict.value}
 
 
 @register_check("eta_square_identity")
-def _check_eta_square_identity(evidence: dict) -> bool:
-    """Recompute eta^2 = a + b*eta in K(CP^1) and compare coefficients."""
-    model = make_ring(parse_space("cp1"))
-    mu = model.generator()
+def _check_eta_square_identity(inputs: dict, earlier: dict) -> dict:
+    """eta^2 = a + b*eta in K(CP^1)."""
+    mu = make_ring(parse_space("cp1")).generator()
     # eta = 1 + mu as (rank, reduced part); square it.
     rank = 1
     reduced = mu.scale(2 * rank) + mul(mu, mu)  # 2*mu + mu^2, and mu^2 = 0
     # Solve (rank, reduced) == a*(1, 0) + b*(1, mu).
     b = reduced.coeffs[0]
-    a = rank - b
-    return a == evidence["a"] and b == evidence["b"]
+    return {"a": rank - b, "b": b}
 
 
 @register_check("ko_realify_eta_square")
-def _check_ko_realify(evidence: dict) -> bool:
-    """Recompute the realification of eta^2 and the rank identity."""
-    cls = jorder.ko_s2_realify(evidence["trivial_rank"], evidence["hopf_count"])
-    r_eta = jorder.ko_s2_realify(0, 1)
-    rank_identity = cls.rank + 2 == 2 * r_eta.rank == 4
-    return (
-        cls.rank == evidence["rank"]
-        and cls.reduced == evidence["reduced"]
-        and rank_identity
-    )
+def _check_ko_realify(inputs: dict, earlier: dict) -> dict:
+    """Realify eta^2 = a + b*eta into KO(S^2): a trivial complex line is two
+    real ones, so the class is ``2a`` trivial lines plus ``b`` Hopf
+    summands."""
+    square = earlier["eta_square_identity"]
+    trivial_rank, hopf_count = 2 * square["a"], square["b"]
+    cls = jorder.ko_s2_realify(trivial_rank, hopf_count)
+    return {"trivial_rank": trivial_rank, "hopf_count": hopf_count, "rank": cls.rank,
+            "reduced": cls.reduced}
 
 
 @register_check("order_bracket_first_stem")
-def _check_order_bracket(evidence: dict) -> bool:
-    """e-invariant lower bound meets the KO upper bound: order exactly 2."""
-    replayed = _replay_e(evidence)
-    return (
-        replayed is not None
-        and replayed[1].denominator == evidence["lower"] == evidence["upper"]
-    )
+def _check_order_bracket(inputs: dict, earlier: dict) -> dict:
+    """The e-invariant's denominator divides the order of eta, and the order
+    divides ``b``: ``b`` Hopf summands realify to a KO-trivial class."""
+    e = Fraction(earlier["einv_nonsplit"]["e"])
+    upper = earlier["eta_square_identity"]["b"]
+    if earlier["ko_realify_eta_square"]["reduced"] != 0:
+        raise VerificationError("the realified class is not KO-trivial")
+    if e.denominator != upper:
+        raise VerificationError(f"lower bound {e.denominator} != upper bound {upper}")
+    return {"e": str(e), "lower": e.denominator, "upper": upper, "stem": 1, "order": upper,
+            "generator": "eta"}
+
+
+@register_check("composite_killed_by_two")
+def _check_composite(inputs: dict, earlier: dict) -> dict:
+    """d * (eta o eta) = (d eta) o eta = 0 for the order d of eta, by
+    bilinearity of composition.  With d prime and eta^2 essential (the EHP
+    step the report cites), the order of eta^2 is d."""
+    multiplier = earlier["order_bracket_first_stem"]["order"]
+    if not is_prime(multiplier):
+        raise VerificationError(f"the order {multiplier} of eta is not prime")
+    return {"multiplier": multiplier, "stem": 2, "order": multiplier, "generator": "eta^2"}
+
+
+@register_check("jorder_triple")
+def _check_jorder_triple(inputs: dict, earlier: dict) -> dict:
+    return {"value": jorder.order_bound(inputs["t"]).value}
+
+
+@register_check("einv_lower_bound")
+def _check_einv_lower(inputs: dict, earlier: dict) -> dict:
+    model, e = _e_invariant(inputs)
+    return {"e": str(e), "lower": einv.order_lower_bound(model, inputs["ks"][0])}
+
+
+@register_check("fg_congruence")
+def _check_fg(inputs: dict, earlier: dict) -> dict:
+    """With ``B`` the J-order computed before, ``k`` copies of the bundle
+    split from none iff ``B`` divides ``k``: the non-equivalent pair
+    exhibits a nonzero multiple of nu."""
+    n, bn = inputs["n"], earlier["jorder_triple"]["value"]
+    (nk, nl), (ek, el) = inputs["nonequiv"], inputs["equiv"]
+    if jorder.feder_gitler_equivalent(n, nk, nl, bn):
+        raise VerificationError(f"{nk} = {nl} mod {bn}")
+    if not jorder.feder_gitler_equivalent(n, ek, el, bn):
+        raise VerificationError(f"{ek} != {el} mod {bn}")
+    return {
+        "B": bn,
+        "cells_nonequiv": list(jorder.thom_space(jorder.QUATERNIONIC, n, nk).cell_dimensions()),
+        "cells_equiv": list(jorder.thom_space(jorder.QUATERNIONIC, n, ek).cell_dimensions()),
+        "nonzero_multiple": nk - nl,
+    }
+
+
+@register_check("order_pin")
+def _check_order_pin(inputs: dict, earlier: dict) -> dict:
+    """The one divisor of the J-order bound that is a multiple of the
+    e-invariant bound and does not divide the nonzero multiple."""
+    upper = earlier["jorder_triple"]["value"]
+    lower = earlier["einv_lower_bound"]["lower"]
+    excluded = earlier["fg_congruence"]["nonzero_multiple"]
+    candidates = [
+        d for d in range(1, upper + 1) if upper % d == 0 and d % lower == 0 and excluded % d
+    ]
+    if len(candidates) != 1:
+        raise VerificationError(f"the bounds leave the orders {candidates}")
+    return {"upper": upper, "lower_multiple": lower, "not_dividing": excluded, "stem": 3,
+            "order": candidates[0], "generator": "nu"}
 
 
 # --------------------------------------------------------------------------
@@ -145,222 +144,151 @@ def _check_order_bracket(evidence: dict) -> bool:
 # --------------------------------------------------------------------------
 
 
-def eta_order_chain() -> tuple:
-    """The replayable chain certifying that twice the complex Hopf attaching
-    class is stably trivial (so its order is exactly 2).
-
-    Three computed steps (the square identity in K(CP^1), its realification
-    into KO(S^2), and the order bracket) plus one literature-asserted step
-    (J-order equals KO-order for line bundles over S^2, which upgrades
-    KO-triviality to a stable splitting).
-    """
+def eta_order_chain(earlier: dict) -> tuple:
+    """The replayable chain certifying that the suspended Hopf class eta has
+    order exactly 2, adding each computed step's outputs to ``earlier``: the
+    e-invariant lower bound, the square identity in K(CP^1), its
+    realification into KO(S^2), the cited equality of J-order and KO-order
+    for line bundles over S^2, and the order bracket."""
     return (
-        DerivationStep(
-            claim="eta^2 = 2*eta - 1 in K(CP^1): coefficients (a, b) = (-1, 2)",
-            status=StepStatus.COMPUTED,
-            citation="stemcert.kring (truncated ring Z[mu]/(mu^2), eta = 1 + mu)",
-            evidence={"check": "eta_square_identity", "a": -1, "b": 2},
+        computed_step(
+            earlier,
+            "einv_nonsplit",
+            {"space": "s2-smash-cp2", "ks": [2, 3, 5, 7]},
+            "the suspended complex Hopf two-cell model does not split stably: "
+            "its e-invariant is {e} at every tested index",
+            "stemcert.einv.splitting_verdict",
+        ),
+        computed_step(
+            earlier,
+            "eta_square_identity",
+            {},
+            "eta^2 = {b}*eta - 1 in K(CP^1): coefficients (a, b) = ({a}, {b})",
+            "stemcert.kring (truncated ring Z[mu]/(mu^2), eta = 1 + mu)",
+        ),
+        computed_step(
+            earlier,
+            "ko_realify_eta_square",
+            {},
+            "realification: r(eta^2) = {hopf_count}*r(eta) - r(1) has rank {rank} and "
+            "reduced part {reduced}, i.e. r(eta^2) + 2 = 2*r(eta) = 4",
+            "stemcert.jorder.ko_s2_realify",
         ),
         DerivationStep(
-            claim=(
-                "realification: r(eta^2) = 2*r(eta) - r(1) has rank 2 and "
-                "reduced part 0, i.e. r(eta^2) + 2 = 2*r(eta) = 4"
-            ),
-            status=StepStatus.COMPUTED,
-            citation="stemcert.jorder.ko_s2_realify",
-            evidence={
-                "check": "ko_realify_eta_square",
-                "trivial_rank": -2,
-                "hopf_count": 2,
-                "rank": 2,
-                "reduced": 0,
-            },
+            "KO-triviality of the realified class makes 2*(Hopf bundle) stably "
+            "fiber-homotopy trivial, so its Thom space splits and twice the "
+            "attaching class vanishes (the splitting is governed by the J-order, "
+            "which equals the KO-order here)",
+            StepStatus.PAPER_ASSERTED,
+            "Adams conjecture; J-groups of spheres",
         ),
-        DerivationStep(
-            claim=(
-                "KO-triviality of the realified class makes 2*(Hopf bundle) "
-                "stably fiber-homotopy trivial, so its Thom space splits and "
-                "twice the attaching class vanishes (the splitting is "
-                "governed by the J-order, which equals the KO-order here)"
-            ),
-            status=StepStatus.PAPER_ASSERTED,
-            citation="Adams conjecture; J-groups of spheres",
-            evidence=None,
-        ),
-        DerivationStep(
-            claim=(
-                "order bookkeeping: the e-invariant 1/2 of the suspended "
-                "two-cell model gives lower bound 2; with 2*[h] = 0 the "
-                "order is exactly 2"
-            ),
-            status=StepStatus.COMPUTED,
-            citation="stemcert.einv.order_lower_bound",
-            evidence={
-                "check": "order_bracket_first_stem",
-                "space": "s2-smash-cp2",
-                "ks": [2, 3, 5, 7],
-                "e": "1/2",
-                "lower": 2,
-                "upper": 2,
-            },
+        computed_step(
+            earlier,
+            "order_bracket_first_stem",
+            {},
+            "order bookkeeping: the e-invariant {e} of the suspended two-cell "
+            "model gives lower bound {lower}; with {upper}*[h] = 0 the order is "
+            "exactly {order}",
+            "stemcert.reports (divisor bookkeeping)",
         ),
     )
 
 
-def _stem_one() -> StemReport:
-    steps = (
+def _stem_one() -> tuple:
+    return (
+        *eta_order_chain({}),
         DerivationStep(
-            claim=(
-                "the suspended complex Hopf two-cell model does not split "
-                "stably: its e-invariant is 1/2 at every tested index"
-            ),
-            status=StepStatus.COMPUTED,
-            citation="stemcert.einv.splitting_verdict",
-            evidence={
-                "check": "einv_nonsplit",
-                "space": "s2-smash-cp2",
-                "ks": [2, 3, 5, 7],
-                "verdict": "DoesNotSplit",
-                "e": "1/2",
-            },
-        ),
-        *eta_order_chain(),
-        DerivationStep(
-            claim=(
-                "the two-cell computation happens in the stable range, so it "
-                "identifies the first stem: Z2 generated by the suspended "
-                "Hopf class eta"
-            ),
-            status=StepStatus.PAPER_ASSERTED,
-            citation="Freudenthal suspension theorem",
-            evidence=None,
+            "the two-cell computation happens in the stable range, so it identifies "
+            "the first stem: Z2 generated by the suspended Hopf class eta",
+            StepStatus.PAPER_ASSERTED,
+            "Freudenthal suspension theorem",
         ),
     )
-    return StemReport(stem=1, group="Z2", generator="eta", steps=steps)
 
 
-def _stem_two() -> StemReport:
-    steps = (
-        DerivationStep(
-            claim=(
-                "order bookkeeping: 2*(eta o eta) = (2 eta) o eta = 0 by "
-                "bilinearity of composition, so eta^2 has order dividing 2"
-            ),
-            status=StepStatus.COMPUTED,
-            citation="stemcert.einv.order_lower_bound (composition bilinearity)",
-            evidence={
-                "check": "composite_killed_by_two",
-                "space": "s2-smash-cp2",
-                "order_of_eta": 2,
-                "multiplier": 2,
-            },
+def _stem_two() -> tuple:
+    earlier: dict = {}
+    return (
+        *eta_order_chain(earlier),
+        computed_step(
+            earlier,
+            "composite_killed_by_two",
+            {},
+            "order bookkeeping: {multiplier}*(eta o eta) = ({multiplier} eta) o eta "
+            "= 0 by bilinearity of composition, so eta^2 has order dividing "
+            "{multiplier}",
+            "stemcert.reports (composition bilinearity)",
         ),
         DerivationStep(
-            claim=(
-                "eta^2 is essential: the 2-local EHP sequence identifies the "
-                "second stem with Z2 generated by eta^2"
-            ),
-            status=StepStatus.PAPER_ASSERTED,
-            citation="EHP sequence (James fibrations, 2-local)",
-            evidence=None,
+            "eta^2 is essential: the 2-local EHP sequence identifies the second "
+            "stem with Z2 generated by eta^2",
+            StepStatus.PAPER_ASSERTED,
+            "EHP sequence (James fibrations, 2-local)",
         ),
         DerivationStep(
-            claim=(
-                "remark: eta^2 also carries the nontrivial Arf invariant "
-                "under the framed-cobordism description of the stem"
-            ),
-            status=StepStatus.PAPER_ASSERTED,
-            citation="Pontryagin-Thom construction; Arf invariant",
-            evidence=None,
+            "remark: eta^2 also carries the nontrivial Arf invariant under the "
+            "framed-cobordism description of the stem",
+            StepStatus.PAPER_ASSERTED,
+            "Pontryagin-Thom construction; Arf invariant",
         ),
     )
-    return StemReport(stem=2, group="Z2", generator="eta^2", steps=steps)
 
 
-def _stem_three() -> StemReport:
-    steps = (
-        DerivationStep(
-            claim=(
-                "upper bound: the order of nu divides 24 — gcd fold, "
-                "prime-by-prime closed form, and Bernoulli denominator agree "
-                "on the J-order bound m(2) = 24"
-            ),
-            status=StepStatus.COMPUTED,
-            citation="stemcert.jorder.nu_order_bound",
-            evidence={"check": "jorder_triple", "t": 2, "value": "24"},
+def _stem_three() -> tuple:
+    earlier: dict = {}
+    return (
+        computed_step(
+            earlier,
+            "jorder_triple",
+            {"t": 2},
+            "upper bound: the order of nu divides {value} — gcd fold, prime-by-prime "
+            "closed form, and Bernoulli denominator agree on the J-order bound "
+            "m({t}) = {value}",
+            "stemcert.jorder.order_bound",
+        ),
+        computed_step(
+            earlier,
+            "einv_lower_bound",
+            {"space": "hp2", "ks": [2, 3]},
+            "complex K-theory lower bound: the quaternionic two-cell model has "
+            "e-invariant {e}, so {lower} divides the order of nu",
+            "stemcert.einv.order_lower_bound",
         ),
         DerivationStep(
-            claim=(
-                "complex K-theory lower bound: the quaternionic two-cell "
-                "model has e-invariant 1/12, so 12 divides the order of nu"
-            ),
-            status=StepStatus.COMPUTED,
-            citation="stemcert.einv.order_lower_bound",
-            evidence={
-                "check": "einv_lower_bound",
-                "space": "hp2",
-                "ks": [2, 3],
-                "e": "1/12",
-                "lower": 12,
-            },
+            "stunted quaternionic projective spaces P^(n+k)/P^(k-1) and "
+            "P^(n+l)/P^(l-1) share a stable homotopy type iff k = l modulo the "
+            "J-order B_n of the Hopf bundle over P^n; for n = 1 that J-order is "
+            "the 24 computed above",
+            StepStatus.PAPER_ASSERTED,
+            "Feder-Gitler classification of stunted projective spaces",
+        ),
+        computed_step(
+            earlier,
+            "fg_congruence",
+            {"n": 1, "nonequiv": [12, 0], "equiv": [24, 0]},
+            "congruence bookkeeping: {nonequiv[0]} is not 0 mod {B}, so the Thom "
+            "space of {nonequiv[0]} copies of the bundle (cells {{{cells_nonequiv[0]}, "
+            "{cells_nonequiv[1]}}}) does not split, while {equiv[0]} copies (cells "
+            "{{{cells_equiv[0]}, {cells_equiv[1]}}}) does — hence {nonzero_multiple} "
+            "nu != 0",
+            "stemcert.jorder.feder_gitler_equivalent",
+        ),
+        computed_step(
+            earlier,
+            "order_pin",
+            {},
+            "order bracket: the order of nu divides {upper}, is a multiple of "
+            "{lower_multiple}, and does not divide {not_dividing}; the only such "
+            "number is {order}",
+            "stemcert.reports (divisor bookkeeping)",
         ),
         DerivationStep(
-            claim=(
-                "stunted quaternionic projective spaces P^(n+k)/P^(k-1) and "
-                "P^(n+l)/P^(l-1) share a stable homotopy type iff k = l "
-                "modulo the J-order B_n of the Hopf bundle over P^n; for "
-                "n = 1 that J-order is the 24 computed above"
-            ),
-            status=StepStatus.PAPER_ASSERTED,
-            citation="Feder-Gitler classification of stunted projective spaces",
-            evidence=None,
-        ),
-        DerivationStep(
-            claim=(
-                "congruence bookkeeping: 12 is not 0 mod 24, so the Thom "
-                "space of 12 copies of the bundle (cells {48, 52}) does not "
-                "split, while 24 copies (cells {96, 100}) does — hence "
-                "12 nu != 0"
-            ),
-            status=StepStatus.COMPUTED,
-            citation="stemcert.jorder.feder_gitler_equivalent",
-            evidence={
-                "check": "fg_congruence",
-                "n": 1,
-                "B": "24",
-                "nonequiv": [12, 0],
-                "equiv": [24, 0],
-                "cells_equiv": [96, 100],
-                "cells_nonequiv": [48, 52],
-            },
-        ),
-        DerivationStep(
-            claim=(
-                "order bracket: the order of nu divides 24, is a multiple of "
-                "12, and does not divide 12; the only such number is 24"
-            ),
-            status=StepStatus.COMPUTED,
-            citation="stemcert.reports (divisor bookkeeping)",
-            evidence={
-                "check": "order_pin",
-                "upper": 24,
-                "lower_multiple": 12,
-                "not_dividing": 12,
-                "order": 24,
-            },
-        ),
-        DerivationStep(
-            claim=(
-                "index note: the group above is the degree-3 stable stem "
-                "(pi_3^S); the degree-2 stem is the separate Z2 of the "
-                "stem-2 report"
-            ),
-            status=StepStatus.PAPER_ASSERTED,
-            citation="standard stem indexing",
-            evidence=None,
+            "index note: the group above is the degree-3 stable stem (pi_3^S); the "
+            "degree-2 stem is the separate Z2 of the stem-2 report",
+            StepStatus.PAPER_ASSERTED,
+            "standard stem indexing",
         ),
     )
-    return StemReport(stem=3, group="Z24", generator="nu", steps=steps)
 
 
 def build_stem_report(stem: int) -> StemReport:
@@ -368,4 +296,4 @@ def build_stem_report(stem: int) -> StemReport:
     builders = {1: _stem_one, 2: _stem_two, 3: _stem_three}
     if stem not in builders:
         raise ValueError(f"stem must be 1, 2 or 3, got {stem}")
-    return builders[stem]()
+    return StemReport(builders[stem]())

@@ -40,6 +40,19 @@ _UNIT_TOL = 1e-9
 _MIN_STEPS = 256
 #: Largest rotation angle between consecutive samples of a lifted loop.
 _MAX_JUMP = 0.2
+#: Largest rate at which each loop turns, in radians per turn, so that
+#: ``turns * speed / steps`` bounds the angle between consecutive samples.
+#: Above ``_MAX_JUMP`` a step of nearly a full turn can pass the jump check
+#: of :func:`lift_loop` as a small backward one and flip the monodromy.
+_LOOP_SPEED = {
+    "gamma": 2 * math.pi,
+    "alpha": 2 * math.pi,
+    "beta": 2 * math.pi,
+    "alpha-then-beta": 4 * math.pi,
+    "ball-gamma": math.pi**2,
+    "homotopy": math.pi**2,
+    "identity": 0.0,
+}
 
 _IDENTITY = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
@@ -248,15 +261,22 @@ def matrix_path(name: str, t: float) -> Rotation3:
 # --------------------------------------------------------------------------
 
 
-def _grid(steps: int, turns: int) -> list:
+def _grid(steps: int, turns: int, loop: str) -> list:
     """``steps + 1`` evenly spaced parameters from 0 to ``turns``, after
-    checking both counts."""
+    checking both counts and that no step of ``loop`` turns by more than
+    ``_MAX_JUMP``."""
     if steps < _MIN_STEPS:
         raise ValueError(f"at least {_MIN_STEPS} steps are required")
     if turns < 1:
         raise ValueError("turns must be at least 1")
     if turns > steps:
         raise ValueError("turns must be at most the number of steps")
+    jump = turns * _LOOP_SPEED[loop] / steps
+    if jump > _MAX_JUMP:
+        raise ValueError(
+            f"discontinuity: {turns} turns in {steps} steps move {loop} by up to "
+            f"{jump:.3f} radians per step, more than {_MAX_JUMP}"
+        )
     return [turns * k / steps for k in range(steps + 1)]
 
 
@@ -272,7 +292,7 @@ def loop_matrices(name: str, steps: int, turns: int = 1) -> list:
     instead; ``identity`` is the constant loop.  Returns the ``steps + 1``
     :class:`Rotation3` samples, the last equal to the first.
     """
-    ts = _grid(steps, turns)
+    ts = _grid(steps, turns, name if name in _LOOP_SPEED else _require_loop_name(name))
     if name == "identity":
         return [Rotation3(_IDENTITY)] * len(ts)
     if name == "ball-gamma":
@@ -292,7 +312,7 @@ def homotopy_slice_matrices(variant: str, s: float, steps: int, turns: int = 1) 
     :class:`Rotation3` samples."""
     return [
         ball_to_rotation(homotopy_H(variant, s, t % 1.0))
-        for t in _grid(steps, turns)
+        for t in _grid(steps, turns, "homotopy")
     ]
 
 

@@ -95,11 +95,16 @@ def test_criterion_03_hp2_nonsplitting():
 
 
 def test_criterion_04_eta_square_chain_replays():
-    steps = eta_order_chain()
-    square = steps[0]
-    assert square.evidence == {"check": "eta_square_identity", "a": -1, "b": 2}
-    realified = steps[1]
-    assert realified.evidence["rank"] == 2 and realified.evidence["reduced"] == 0
+    steps = eta_order_chain({})
+    square = steps[1]
+    assert square.evidence == {
+        "check": "eta_square_identity",
+        "inputs": {},
+        "outputs": {"a": -1, "b": 2},
+    }
+    realified = steps[2]
+    outputs = realified.evidence["outputs"]
+    assert outputs["rank"] == 2 and outputs["reduced"] == 0
     report = build_stem_report(1)
     assert report.replay() is True
     _passed(4, "eta^2 = 2*eta - 1; realification reduced part 0; report replays")

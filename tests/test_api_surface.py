@@ -39,9 +39,6 @@ ORACLES = {
     "stemcert.hopf.stereographic_inverse": (
         "inverts the stereographic projection that fiber_linking runs"
     ),
-    "stemcert.derivation.report_from_json": (
-        "reads `report --json` back into the StemReport it serializes"
-    ),
     "stemcert._kernels.get_backend": "names the kernel implementation in benchmark provenance",
     "stemcert.hopf.hurwitz_units": (
         "pole candidates, drawn only when a fiber passes within 1e-3 of -1"

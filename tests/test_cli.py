@@ -393,6 +393,21 @@ def test_feder_gitler_prints_the_b1_it_decided_with(capsys, monkeypatch):
     assert "(mod 7)" in out and "are stably equivalent" in out
 
 
+def test_feder_gitler_rejects_a_b1_other_than_the_computed_one(capsys):
+    code, out, _ = run_cli(capsys, "feder-gitler", "--n", "1", "--k", "1", "--l", "25")
+    assert code == 0 and "stably equivalent" in out
+    for flag in ("5", "0"):
+        code, out, err = run_cli(
+            capsys, "feder-gitler", "--n", "1", "--k", "1", "--l", "25", "--Bn", flag
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: B_1 is the computed 24, not the supplied {flag}\n"
+    code, out, _ = run_cli(
+        capsys, "feder-gitler", "--n", "1", "--k", "1", "--l", "25", "--Bn", "24"
+    )
+    assert code == 0 and "stably equivalent" in out
+
+
 def test_thom_json(capsys):
     code, out, _ = run_cli(
         capsys, "--json", "thom", "--family", "quaternionic", "--n", "1",
@@ -456,6 +471,16 @@ def test_lift_rejects_more_turns_than_its_steps_can_follow(capsys, loop):
     assert "error: turns must be at most the number of steps" in err
 
 
+@pytest.mark.parametrize("loop,steps,turns", [("gamma", 257, 256), ("alpha", 301, 300)])
+def test_lift_rejects_turns_that_alias_to_a_small_step(capsys, loop, steps, turns):
+    # Each step turns by nearly a full turn; lifted, these loops read -1.
+    code, out, err = run_cli(
+        capsys, "lift", "--loop", loop, "--steps", str(steps), "--turns", str(turns)
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: discontinuity: ")
+
+
 def test_linking_command_certifies(capsys):
     code, out, _ = run_cli(
         capsys, "--json", "--seed", "11", "--samples", "256", "linking",
@@ -487,6 +512,13 @@ def test_linking_rejects_samples_above_the_cap(capsys):
     assert code == 2
     assert out == ""
     assert "error: --samples must be at most 4096" in err
+
+
+def test_linking_rejects_samples_below_the_floor_before_sampling(capsys):
+    for samples in ("32", "63", "0", "-5"):
+        code, out, err = run_cli(capsys, "--samples", samples, "linking", "--trials", "1")
+        assert (code, out) == (2, "")
+        assert err == "error: --samples must be at least 64\n"
 
 
 @pytest.mark.parametrize(

@@ -29,13 +29,13 @@ from stemcert.reports import build_stem_report, eta_order_chain
 def test_computed_step_requires_check_evidence():
     with pytest.raises(ValueError):
         DerivationStep(claim="x", status=StepStatus.COMPUTED, citation="y")
-    with pytest.raises(ValueError):
-        DerivationStep(
-            claim="x",
-            status=StepStatus.COMPUTED,
-            citation="y",
-            evidence={"value": 1},
-        )
+    for evidence in (
+        {"value": 1},
+        {"check": "jorder_triple", "inputs": {"t": 2}},
+        {"check": "jorder_triple", "inputs": [2], "outputs": {"value": 24}},
+    ):
+        with pytest.raises(ValueError):
+            DerivationStep(claim="x", status=StepStatus.COMPUTED, citation="y", evidence=evidence)
 
 
 def test_asserted_step_carries_no_evidence():
@@ -53,17 +53,30 @@ def test_replay_rejects_unknown_check():
         claim="x",
         status=StepStatus.COMPUTED,
         citation="y",
-        evidence={"check": "no_such_check"},
+        evidence={"check": "no_such_check", "inputs": {}, "outputs": {}},
     )
     with pytest.raises(VerificationError):
-        replay_step(step)
+        replay_step(step, {})
 
 
 def test_report_requires_the_known_conclusions():
-    with pytest.raises(ValueError):
-        StemReport(stem=1, group="Z24", generator="eta", steps=())
-    with pytest.raises(ValueError):
-        StemReport(stem=4, group="Z2", generator="eta", steps=())
+    # The conclusion is what the last computed step outputs, for stems 1-3.
+    asserted = DerivationStep("eta^2 is essential", StepStatus.PAPER_ASSERTED, "EHP")
+    with pytest.raises(ValueError, match="must output its stem, order, generator"):
+        StemReport((asserted,))
+    steps = build_stem_report(3).steps
+    # Without order_pin the last computed step, fg_congruence, names no order.
+    with pytest.raises(ValueError, match="must output its stem, order, generator"):
+        StemReport(tuple(s for s in steps if s is not steps[-2]))
+    pin = steps[-2]
+    stem_four = DerivationStep(
+        pin.claim,
+        pin.status,
+        pin.citation,
+        {**pin.evidence, "outputs": {**pin.evidence["outputs"], "stem": 4}},
+    )
+    with pytest.raises(ValueError, match="stem must be 1, 2 or 3"):
+        StemReport((*steps[:-2], stem_four))
 
 
 # --------------------------------------------------------------------------
@@ -115,99 +128,123 @@ def test_report_json_round_trip_is_exact(stem):
 def test_tampered_report_fails_replay():
     blob = report_to_json(build_stem_report(3))
     for step in blob["steps"]:
-        if step["evidence"] and "value" in step["evidence"]:
-            step["evidence"]["value"] = "23"
+        if step["evidence"] and "value" in step["evidence"]["outputs"]:
+            step["evidence"]["outputs"]["value"] = 23
             break
     else:
-        pytest.fail("expected a step with a 'value' evidence key")
+        pytest.fail("expected a step with a 'value' output")
     with pytest.raises(VerificationError):
         report_from_json(blob).replay()
 
 
-# A value for every evidence field other than ``check`` of every Computed
-# step, keyed by (stem, check, field).  Each makes the step's claim false.
-# Lists of Adams indices become empty: the e-invariant does not depend on the
-# index, so any non-empty list of indices keeps the claim true.
-TAMPERS = {
-    (1, "einv_nonsplit", "space"): "hp2",
-    (1, "einv_nonsplit", "ks"): [],
-    (1, "einv_nonsplit", "verdict"): "Splits",
-    (1, "einv_nonsplit", "e"): "1/3",
-    (1, "eta_square_identity", "a"): -2,
-    (1, "eta_square_identity", "b"): 3,
-    (1, "ko_realify_eta_square", "trivial_rank"): 0,
-    (1, "ko_realify_eta_square", "hopf_count"): 3,
-    (1, "ko_realify_eta_square", "rank"): 3,
-    (1, "ko_realify_eta_square", "reduced"): 1,
-    (1, "order_bracket_first_stem", "space"): "hp2",
-    (1, "order_bracket_first_stem", "ks"): [],
-    (1, "order_bracket_first_stem", "e"): "1/3",
-    (1, "order_bracket_first_stem", "lower"): 3,
-    (1, "order_bracket_first_stem", "upper"): 3,
-    (2, "composite_killed_by_two", "space"): "hp2",
-    (2, "composite_killed_by_two", "order_of_eta"): 3,
-    (2, "composite_killed_by_two", "multiplier"): 4,
-    (3, "jorder_triple", "t"): 4,
-    (3, "jorder_triple", "value"): "23",
-    (3, "einv_lower_bound", "space"): "s2-smash-cp2",
-    (3, "einv_lower_bound", "ks"): [],
-    (3, "einv_lower_bound", "e"): "1/6",
-    (3, "einv_lower_bound", "lower"): 24,
-    (3, "fg_congruence", "n"): 2,
-    (3, "fg_congruence", "B"): "12",
-    (3, "fg_congruence", "nonequiv"): [24, 0],
-    (3, "fg_congruence", "equiv"): [12, 0],
-    (3, "fg_congruence", "cells_equiv"): [48, 52],
-    (3, "fg_congruence", "cells_nonequiv"): [96, 100],
-    (3, "order_pin", "upper"): 48,
-    (3, "order_pin", "lower_multiple"): 24,
-    (3, "order_pin", "not_dividing"): 24,
-    (3, "order_pin", "order"): 12,
+# A value for every input and output of every Computed step, keyed by
+# (stem, check, "inputs" or "outputs", field).  Each makes the step's claim
+# false.  Lists of Adams indices become empty: the e-invariant does not
+# depend on the index, so any non-empty list of indices keeps the claim true.
+ETA_CHAIN_TAMPERS = {
+    ("einv_nonsplit", "inputs", "space"): "hp2",
+    ("einv_nonsplit", "inputs", "ks"): [],
+    ("einv_nonsplit", "outputs", "e"): "1/3",
+    ("einv_nonsplit", "outputs", "verdict"): "Splits",
+    ("eta_square_identity", "outputs", "a"): -2,
+    ("eta_square_identity", "outputs", "b"): 3,
+    ("ko_realify_eta_square", "outputs", "trivial_rank"): 0,
+    ("ko_realify_eta_square", "outputs", "hopf_count"): 3,
+    ("ko_realify_eta_square", "outputs", "rank"): 3,
+    ("ko_realify_eta_square", "outputs", "reduced"): 1,
+    ("order_bracket_first_stem", "outputs", "e"): "1/3",
+    ("order_bracket_first_stem", "outputs", "lower"): 3,
+    ("order_bracket_first_stem", "outputs", "upper"): 3,
+    ("order_bracket_first_stem", "outputs", "stem"): 2,
+    ("order_bracket_first_stem", "outputs", "order"): 3,
+    ("order_bracket_first_stem", "outputs", "generator"): "nu",
 }
-
-# Tampers that still replay: these checks do not derive their inputs from the
-# steps before them (ROADMAP item 7, reports as checked dataflow).
-UNCAUGHT = {
-    (2, "composite_killed_by_two", "multiplier"): "any multiple of 2 passes",
-    (3, "order_pin", "lower_multiple"): "24 also leaves 24 as the only candidate",
+TAMPERS = {
+    **{(stem, *key): value for stem in (1, 2) for key, value in ETA_CHAIN_TAMPERS.items()},
+    (2, "composite_killed_by_two", "outputs", "multiplier"): 4,
+    (2, "composite_killed_by_two", "outputs", "stem"): 1,
+    (2, "composite_killed_by_two", "outputs", "order"): 4,
+    (2, "composite_killed_by_two", "outputs", "generator"): "eta",
+    (3, "jorder_triple", "inputs", "t"): 4,
+    (3, "jorder_triple", "outputs", "value"): 23,
+    (3, "einv_lower_bound", "inputs", "space"): "s2-smash-cp2",
+    (3, "einv_lower_bound", "inputs", "ks"): [],
+    (3, "einv_lower_bound", "outputs", "e"): "1/6",
+    (3, "einv_lower_bound", "outputs", "lower"): 24,
+    (3, "fg_congruence", "inputs", "n"): 2,
+    (3, "fg_congruence", "inputs", "nonequiv"): [24, 0],
+    (3, "fg_congruence", "inputs", "equiv"): [12, 0],
+    (3, "fg_congruence", "outputs", "B"): 12,
+    (3, "fg_congruence", "outputs", "cells_equiv"): [48, 52],
+    (3, "fg_congruence", "outputs", "cells_nonequiv"): [96, 100],
+    (3, "fg_congruence", "outputs", "nonzero_multiple"): 24,
+    (3, "order_pin", "outputs", "upper"): 48,
+    (3, "order_pin", "outputs", "lower_multiple"): 24,
+    (3, "order_pin", "outputs", "not_dividing"): 24,
+    (3, "order_pin", "outputs", "stem"): 2,
+    (3, "order_pin", "outputs", "order"): 12,
+    (3, "order_pin", "outputs", "generator"): "eta",
 }
 
 
 def test_tamper_table_covers_every_evidence_field():
     fields = {
-        (stem, step.evidence["check"], key)
+        (stem, step.evidence["check"], part, key)
         for stem in (1, 2, 3)
         for step in build_stem_report(stem).computed_steps()
-        for key in step.evidence
-        if key != "check"
+        for part in ("inputs", "outputs")
+        for key in step.evidence[part]
     }
     assert fields == set(TAMPERS)
 
 
+# A field name is unique within its step (a claim is formatted from inputs
+# and outputs together), so (stem, check, field) names each tamper.
 @pytest.mark.parametrize(
-    "stem,check,field",
-    [
-        pytest.param(
-            *key,
-            marks=pytest.mark.xfail(strict=True, reason=UNCAUGHT[key])
-            if key in UNCAUGHT
-            else (),
-        )
-        for key in TAMPERS
-    ],
-    ids=lambda part: str(part),
+    "stem,check,part,field", list(TAMPERS), ids=[f"{s}-{c}-{f}" for s, c, _, f in TAMPERS]
 )
-def test_every_single_field_tamper_fails_replay(stem, check, field):
+def test_every_single_field_tamper_fails_replay(stem, check, part, field):
     blob = json.loads(json.dumps(report_to_json(build_stem_report(stem))))
     (evidence,) = [
         s["evidence"]
         for s in blob["steps"]
         if s["evidence"] and s["evidence"]["check"] == check
     ]
-    assert evidence[field] != TAMPERS[stem, check, field]
-    evidence[field] = TAMPERS[stem, check, field]
+    assert evidence[part][field] != TAMPERS[stem, check, part, field]
+    evidence[part][field] = TAMPERS[stem, check, part, field]
     with pytest.raises(VerificationError):
         report_from_json(blob).replay()
+
+
+def _moves_and_deletions(steps):
+    """Each computed step deleted, and moved to the other end of ``steps``:
+    the last to the front, any other to the back."""
+    last = max(i for i, s in enumerate(steps) if s["status"] == "Computed")
+    for i, step in enumerate(steps):
+        if step["status"] == "Computed":
+            rest = steps[:i] + steps[i + 1:]
+            yield rest
+            yield [step, *rest] if i == last else [*rest, step]
+
+
+@pytest.mark.parametrize("stem", [1, 2, 3])
+def test_deleting_or_moving_any_computed_step_fails_replay(stem):
+    blob = json.loads(json.dumps(report_to_json(build_stem_report(stem))))
+    cases = list(_moves_and_deletions(blob["steps"]))
+    assert len(cases) == 2 * len(build_stem_report(stem).computed_steps())
+    for steps in cases:
+        # A report whose last computed step concludes nothing is refused when
+        # it is read back; any other fails when it replays.
+        with pytest.raises((ValueError, VerificationError)):
+            report_from_json({**blob, "steps": steps}).replay()
+
+
+@pytest.mark.parametrize("field,value", [("stem", 2), ("group", "Z4"), ("generator", "eta^2")])
+def test_report_from_json_rejects_a_conclusion_its_steps_do_not_reach(field, value):
+    blob = json.loads(json.dumps(report_to_json(build_stem_report(1))))
+    blob[field] = value
+    with pytest.raises(VerificationError, match="last computed step"):
+        report_from_json(blob)
 
 
 # --------------------------------------------------------------------------
@@ -216,28 +253,40 @@ def test_every_single_field_tamper_fails_replay(stem, check, field):
 
 
 def test_eta_order_chain_shape():
-    steps = eta_order_chain()
-    assert len(steps) == 4
+    earlier = {}
+    steps = eta_order_chain(earlier)
+    assert len(steps) == 5
     statuses = [s.status for s in steps]
-    assert statuses.count(StepStatus.COMPUTED) == 3
+    assert statuses.count(StepStatus.COMPUTED) == 4
     assert statuses.count(StepStatus.PAPER_ASSERTED) == 1
+    # The chain records each computed step's outputs for the steps after it.
+    assert earlier == {s.evidence["check"]: s.evidence["outputs"] for s in steps if s.evidence}
+    assert earlier["order_bracket_first_stem"]["order"] == 2
 
 
 def test_eta_order_chain_replays():
-    for step in eta_order_chain():
-        assert replay_step(step) is True
+    earlier = {}
+    for step in eta_order_chain({}):
+        assert replay_step(step, earlier) is True
+    assert earlier["order_bracket_first_stem"]["generator"] == "eta"
 
 
 def test_chain_replay_detects_tampering():
-    step = eta_order_chain()[0]
+    step = eta_order_chain({})[1]
     tampered = type(step)(
         claim=step.claim,
         status=step.status,
         citation=step.citation,
-        evidence={**step.evidence, "b": 3},
+        evidence={**step.evidence, "outputs": {**step.evidence["outputs"], "b": 3}},
     )
     with pytest.raises(VerificationError):
-        replay_step(tampered)
+        replay_step(tampered, {})
+
+
+def test_a_step_replays_only_after_the_steps_it_reads():
+    bracket = eta_order_chain({})[-1]
+    with pytest.raises(VerificationError, match="einv_nonsplit"):
+        replay_step(bracket, {})
 
 
 def test_number_theory_module_loads_no_report_machinery():

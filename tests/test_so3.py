@@ -178,3 +178,27 @@ def test_rotation3_rejects_nan_entries():
         Rotation3(matrix)
     with pytest.raises(ValueError, match="outside"):
         ball_to_rotation([0.0, math.nan, 0.0])
+
+
+ONE_TURN_SIGN = {
+    "gamma": -1, "alpha": -1, "beta": -1, "alpha-then-beta": 1, "ball-gamma": -1,
+    "identity": 1, "homotopy": -1,
+}
+
+
+@pytest.mark.parametrize("steps", [257, 1025])
+@pytest.mark.parametrize("loop", sorted(ONE_TURN_SIGN))
+def test_every_turn_count_is_rejected_or_lifts_to_the_right_sign(loop, steps):
+    # A step of nearly a full turn looks like a small backward one to the
+    # jump check of ``lift_loop``; before the speed bound, gamma at 256 turns
+    # in 257 steps lifted to -1.  A ValueError is exit 2 on ``lift``.
+    for turns in range(1, steps + 1):
+        try:
+            if loop == "homotopy":
+                samples = homotopy_slice_matrices("alpha", 1.0, steps, turns)
+            else:
+                samples = loop_matrices(loop, steps, turns)
+        except ValueError as exc:
+            assert str(exc).startswith("discontinuity: ")
+            continue
+        assert lift_loop(samples)[1] == ONE_TURN_SIGN[loop] ** turns, turns

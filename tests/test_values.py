@@ -30,11 +30,18 @@ from stemcert.so3 import QuaternionPath
 CP2 = Space("cp2", "cp", 2, 0)
 CP2_MODEL = (CP2,)
 STEP = DerivationStep("eta^2 is essential", StepStatus.PAPER_ASSERTED, "EHP")
+CONCLUSION = {"multiplier": 2, "stem": 2, "order": 2, "generator": "eta^2"}
+CONCLUDING_STEP = DerivationStep(
+    "eta^2 has order dividing 2",
+    StepStatus.COMPUTED,
+    "composition bilinearity",
+    {"check": "composite_killed_by_two", "inputs": {}, "outputs": CONCLUSION},
+)
 
 # Constructor arguments of one instance of every frozen class.
 FROZEN = [
     (DerivationStep, ("c", StepStatus.PAPER_ASSERTED, "cited")),
-    (StemReport, (2, "Z2", "eta^2", (STEP,))),
+    (StemReport, ((CONCLUDING_STEP, STEP),)),
     (TwoCellModel, (1, 2, 2, 12)),
     (ObstructionCertificate, (Verdict.DOES_NOT_SPLIT, 2, 1, 12, Fraction(1, 12))),
     (JOrderBound, (2, 24, ("gcd", "closed", "bernoulli"))),
@@ -141,8 +148,20 @@ def test_keyword_arguments_and_defaults_still_work():
             lambda: DerivationStep("c", StepStatus.PAPER_ASSERTED, "x", {"check": "y"}),
             "carries no machine evidence",
         ),
-        (lambda: StemReport(4, "Z2", "eta", ()), "stem must be 1, 2 or 3"),
-        (lambda: StemReport(3, "Z2", "nu", ()), "must conclude Z24 generated by nu"),
+        (lambda: StemReport((STEP,)), "must output its stem, order, generator"),
+        (
+            lambda: StemReport(
+                (
+                    DerivationStep(
+                        "c",
+                        StepStatus.COMPUTED,
+                        "x",
+                        {"check": "y", "inputs": {}, "outputs": {**CONCLUSION, "stem": 4}},
+                    ),
+                )
+            ),
+            "stem must be 1, 2 or 3",
+        ),
         (lambda: TwoCellModel(2, 2, 2, 0), "b > a >= 1"),
         (lambda: TwoCellModel(0, 2, 2, 0), "b > a >= 1"),
         (lambda: TwoCellModel(1, 2, 1, 0), "Adams index must be at least 2"),
