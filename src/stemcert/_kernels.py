@@ -1,27 +1,74 @@
-"""NumPy implementations of the two hot loops.
+"""NumPy kernel of the Gauss linking double sum.
 
-The Gauss linking double sum (``hopf.gauss_linking``) is blocked so memory
-stays O(N) per row block, and the integer-conjugacy search
-(``einv.conjugacy_witness``) returns the lexicographic-first witness, so
-results do not depend on the machine.
+:func:`gauss_linking_sum` and the separation check of
+``hopf.gauss_linking`` (:func:`closest_squared_distance`) walk the first
+curve in blocks of ``_BLOCK_ROWS`` rows against the whole second curve.
+Each call allocates its few (block x N) buffers once and reuses them for
+every block through ``out=``, so memory is O(_BLOCK_ROWS * N), and a block
+costs a fixed handful of numpy calls.  Distances are formed from coordinate
+differences, never by expanding ``|x|^2 - 2 x.y + |y|^2``, so that no
+cancellation enters them.  The sum runs in a fixed block order, so results
+do not depend on the machine beyond the rounding of its BLAS.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import math
 
 import numpy as np
 
-__all__ = ["gauss_linking_sum", "get_backend", "search_diagonalizer"]
+__all__ = ["gauss_linking_sum", "get_backend"]
 
-#: Rows of the first curve per block of the Gauss sum; memory is
-#: O(_BLOCK_ROWS * N) instead of O(N^2).
-_BLOCK_ROWS = 256
+#: Rows of the first curve per block: at N = 1024 samples each (block x N)
+#: buffer is 512 KiB, small enough to stay in cache between the passes.
+_BLOCK_ROWS = 64
 
 
 def get_backend() -> str:
     """Name of the kernel implementation, recorded in benchmark provenance."""
     return "python"
+
+
+def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise cross products of two (N, 3) arrays, from their components."""
+    ux, uy, uz = u.T
+    vx, vy, vz = v.T
+    return np.stack([uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx], axis=1)
+
+
+def _squared_distance_blocks(rows: np.ndarray, cols: np.ndarray):
+    """Yield ``(start, dist2, scratch)`` for each block of ``rows``.
+
+    ``dist2[i, j]`` is the squared distance between ``rows[start + i]`` and
+    ``cols[j]``, summed over coordinate differences; ``scratch`` is a free
+    buffer of the same shape.  Both are overwritten by the next block.
+    """
+    cols_t = np.ascontiguousarray(cols.T)
+    buffers = np.empty((2, min(_BLOCK_ROWS, len(rows)), len(cols)))
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        block = rows[start : start + _BLOCK_ROWS]
+        dist2, scratch = buffers[:, : len(block)]
+        np.subtract(block[:, 0:1], cols_t[0], out=dist2)
+        dist2 *= dist2
+        for k in (1, 2):
+            np.subtract(block[:, k : k + 1], cols_t[k], out=scratch)
+            scratch *= scratch
+            dist2 += scratch
+        yield start, dist2, scratch
+
+
+def closest_squared_distance(points_a: np.ndarray, points_b: np.ndarray) -> float:
+    """Least squared distance between a point of ``points_a`` and one of
+    ``points_b``, both (N, 3).
+
+    Not in ``__all__``: ``hopf.gauss_linking`` runs it as its separation
+    check, and the benchmark's tracer times it there, as part of that
+    function.
+    """
+    closest2 = math.inf
+    for _, dist2, _ in _squared_distance_blocks(points_a, points_b):
+        closest2 = min(closest2, float(dist2.min()))
+    return closest2
 
 
 def gauss_linking_sum(
@@ -34,52 +81,20 @@ def gauss_linking_sum(
 
     ``mid_*`` are segment midpoints, ``seg_*`` the segment vectors; the
     caller divides by ``4*pi``.  Each term is
-    ``((seg_a x seg_b) . (mid_a - mid_b)) / |mid_a - mid_b|^3``, evaluated
-    component by component on (block rows x len(mid_b)) planes.
+    ``((seg_a x seg_b) . (mid_a - mid_b)) / |mid_a - mid_b|^3``.  The
+    numerators of a block come from one matrix product, by the identity
+    ``(a x b) . (m_a - m_b) = (m_a x a) . b - a . (b x m_b)``: the rows
+    ``[m_a x a, -a]`` times the columns ``[b; b x m_b]``.
     """
-    outer, sub = np.multiply.outer, np.subtract.outer
-    bx, by, bz = mid_b.T
-    ux, uy, uz = seg_b.T
+    left = np.concatenate([_cross(mid_a, seg_a), -seg_a], axis=1)
+    right = np.ascontiguousarray(np.concatenate([seg_b, _cross(seg_b, mid_b)], axis=1).T)
+    triple_buffer = np.empty((min(_BLOCK_ROWS, len(mid_a)), len(mid_b)))
     total = 0.0
-    for start in range(0, len(mid_a), _BLOCK_ROWS):
-        ax, ay, az = mid_a[start : start + _BLOCK_ROWS].T
-        sx, sy, sz = seg_a[start : start + _BLOCK_ROWS].T
-        dx, dy, dz = sub(ax, bx), sub(ay, by), sub(az, bz)
-        triple = (outer(sy, uz) - outer(sz, uy)) * dx
-        triple += (outer(sz, ux) - outer(sx, uz)) * dy
-        triple += (outer(sx, uy) - outer(sy, ux)) * dz
-        dist2 = dx * dx
-        dist2 += dy * dy
-        dist2 += dz * dz
-        triple /= dist2 * np.sqrt(dist2)
+    for start, dist2, scratch in _squared_distance_blocks(mid_a, mid_b):
+        triple = triple_buffer[: len(dist2)]
+        np.matmul(left[start : start + len(dist2)], right, out=triple)
+        np.sqrt(dist2, out=scratch)
+        scratch *= dist2
+        triple /= scratch
         total += float(triple.sum())
     return total
-
-
-def search_diagonalizer(
-    m00: int, c: int, m11: int, bound: int
-) -> Optional[tuple]:
-    """First unit-determinant integral base change making
-    ``[[m00, 0], [c, m11]]`` diagonal, scanning ``(p, q, r, s)`` in
-    lexicographic order over ``[-bound, bound]^4``; ``None`` if none exists.
-    """
-    rng = np.arange(-bound, bound + 1, dtype=np.int64)
-    # Lexicographic (r, s) grid: r varies slowest.
-    r_grid, s_grid = np.meshgrid(rng, rng, indexing="ij")
-    r_flat = r_grid.ravel()
-    s_flat = s_grid.ravel()
-    # Off-diagonal of P*M*adj(P) below the diagonal depends only on (r, s).
-    u10 = (r_flat * m00 + s_flat * c) * s_flat - s_flat * m11 * r_flat
-    for p in rng:
-        for q in rng:
-            # Off-diagonal above the diagonal depends only on (p, q).
-            u01 = -(p * m00 + q * c) * q + q * m11 * p
-            if u01 != 0:
-                continue
-            det = p * s_flat - q * r_flat
-            ok = (np.abs(det) == 1) & (u10 == 0)
-            hits = np.nonzero(ok)[0]
-            if hits.size:
-                i = int(hits[0])
-                return (int(p), int(q), int(r_flat[i]), int(s_flat[i]))
-    return None

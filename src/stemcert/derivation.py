@@ -5,8 +5,10 @@ A ``Computed`` step is one run of a registered check
 parameters, ``earlier`` maps the check name of each computed step before it
 to that step's outputs, and the outputs are JSON-native (lists, ints,
 ``"p/q"`` strings).  Its evidence ``{"check", "inputs", "outputs"}`` is
-recorded by running the check (:func:`computed_step`); :func:`replay_step`
-reruns the check and requires exactly the recorded outputs.  A
+recorded by running the check (:func:`computed_step`), and its claim is the
+check's registered template formatted from the inputs and outputs;
+:func:`replay_step` reruns the check and requires exactly the recorded
+outputs and the claim they format to.  A
 ``PaperAsserted`` step carries no evidence — it records a statement taken
 from the published literature (cited by ``citation``) that this package
 deliberately does not recompute, and is never presented as computed.  A
@@ -42,14 +44,15 @@ class StepStatus(str, Enum):
 _CHECKS: dict = {}
 
 
-def register_check(name: str) -> Callable:
+def register_check(name: str, claim: str) -> Callable:
     """Decorator registering ``fn(inputs, earlier) -> outputs`` as the check
-    ``name`` of ``Computed`` steps."""
+    ``name`` of ``Computed`` steps, whose claim is ``claim`` formatted with
+    ``str.format`` from the inputs and outputs."""
 
     def decorate(fn: Callable[[dict, dict], dict]) -> Callable[[dict, dict], dict]:
         if name in _CHECKS:
             raise ValueError(f"duplicate check name {name!r}")
-        _CHECKS[name] = fn
+        _CHECKS[name] = (fn, claim)
         return fn
 
     return decorate
@@ -84,16 +87,16 @@ class DerivationStep(Frozen):
         return hash((self.claim, self.status, self.citation))
 
 
-def computed_step(
-    earlier: dict, check: str, inputs: dict, claim: str, citation: str
-) -> DerivationStep:
+def computed_step(earlier: dict, check: str, inputs: dict, citation: str) -> DerivationStep:
     """Run ``check`` on ``inputs`` and ``earlier``, add its outputs to
-    ``earlier`` and return the step, with ``claim`` formatted from the inputs
-    and outputs so that each number it quotes is one the check computed."""
-    outputs = _CHECKS[check](inputs, earlier)
+    ``earlier`` and return the step, with the check's claim formatted from
+    the inputs and outputs so that each number it quotes is one the check
+    computed."""
+    fn, template = _CHECKS[check]
+    outputs = fn(inputs, earlier)
     earlier[check] = outputs
     evidence = {"check": check, "inputs": inputs, "outputs": outputs}
-    claim = claim.format(**inputs, **outputs)
+    claim = template.format(**inputs, **outputs)
     return DerivationStep(claim, StepStatus.COMPUTED, citation, evidence)
 
 
@@ -102,24 +105,30 @@ def replay_step(step: DerivationStep, earlier: dict) -> bool:
 
     A computed step reruns its check on its inputs and on ``earlier``, the
     outputs of the computed steps before it, and raises
-    ``VerificationError`` unless that gives exactly the recorded outputs,
-    which it then adds to ``earlier``.  Asserted steps pass.
+    ``VerificationError`` unless that gives exactly the recorded outputs and
+    they format the check's claim template to the step's claim; it then adds
+    the outputs to ``earlier``.  Asserted steps pass.
     """
     if step.status is StepStatus.PAPER_ASSERTED:
         return True
     name, recorded = step.evidence["check"], step.evidence["outputs"]
     if name not in _CHECKS:
         raise VerificationError(f"no check registered under {name!r}")
+    fn, template = _CHECKS[name]
+    inputs = step.evidence["inputs"]
     # Evidence read back from JSON may hold inputs the check rejects or miss
     # an earlier step it reads: that is a failed replay, not a usage error.
     try:
-        outputs = _CHECKS[name](step.evidence["inputs"], earlier)
+        outputs = fn(inputs, earlier)
+        claim = template.format(**inputs, **outputs)
     except (LookupError, TypeError, ValueError, ArithmeticError) as exc:
         raise VerificationError(f"replay failed for step: {step.claim}: {exc!r}") from exc
     if outputs != recorded:
         raise VerificationError(
             f"replay failed for step: {step.claim}: computed {outputs}, recorded {recorded}"
         )
+    if claim != step.claim:
+        raise VerificationError(f"replay failed for step: {step.claim}: the check claims {claim}")
     earlier[name] = outputs
     return True
 

@@ -166,12 +166,22 @@ def conjugacy_witness(cell: TwoCellModel, bound: int = 20) -> Optional[tuple]:
     ``[-bound, bound]`` in lexicographic order and returns the first one with
     ``|det P| = 1`` making ``P M P^(-1)`` diagonal, or ``None``.  Such a
     witness exists iff ``(k^b - k^a)`` divides ``c`` — the brute-force oracle
-    for :func:`splitting_verdict`.
+    for :func:`splitting_verdict`.  The arithmetic is exact, so entries of
+    any size give the same answer.
     """
-    from . import _kernels
-
-    m00, m11 = cell.diagonal
-    return _kernels.search_diagonalizer(m00, cell.c, m11, bound)
+    (m00, m11), c = cell.diagonal, cell.c
+    span = range(-bound, bound + 1)
+    # The entry of P M adj(P) below the diagonal depends only on (r, s), the
+    # one above it only on (p, q): keep the (r, s) that clear theirs, in order.
+    lower = [(r, s) for r in span for s in span if (r * m00 + s * c) * s == s * m11 * r]
+    for p in span:
+        for q in span:
+            if (p * m00 + q * c) * q != q * m11 * p:
+                continue
+            for r, s in lower:
+                if abs(p * s - q * r) == 1:
+                    return (p, q, r, s)
+    return None
 
 
 def certificate_to_json(cert: ObstructionCertificate) -> dict:

@@ -71,9 +71,6 @@ __all__ = [
 ]
 
 _UNIT_TOL = 1e-9
-#: Rows of the first curve per block of the separation check; memory is
-#: O(_BLOCK_ROWS * N) instead of O(N^2).
-_BLOCK_ROWS = 256
 
 
 # --------------------------------------------------------------------------
@@ -158,7 +155,8 @@ class SampledCurve:
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] not in (3, 4):
             raise ValueError("a curve is an (N, 3) or (N, 4) array of samples")
-        if closed and not np.allclose(points[0], points[-1], atol=_UNIT_TOL, rtol=0.0):
+        # Written as "all within", so that a NaN coordinate fails it.
+        if closed and not (np.abs(points[0] - points[-1]) <= _UNIT_TOL).all():
             raise ValueError("a closed curve must end where it starts")
         self.points = points
         self.closed = closed
@@ -313,8 +311,10 @@ def gauss_linking(a: SampledCurve, b: SampledCurve) -> float:
 
     Both curves must be closed, sampled with at least 64 segments, live in
     R^3, and stay more than 1e-3 apart; the result is a real number near an
-    integer (the linking number).  The double sum runs in a deterministic
-    segment order.
+    integer (the linking number).  The separation check over the sample
+    points and the double sum over the segments both run in
+    :mod:`stemcert._kernels`, block by block in a fixed order, in memory
+    linear in the sample count.
     """
     for curve in (a, b):
         if not curve.closed:
@@ -323,15 +323,7 @@ def gauss_linking(a: SampledCurve, b: SampledCurve) -> float:
             raise ValueError("linking is computed for curves in R^3")
         if curve.num_segments < 64:
             raise ValueError("at least 64 segments per curve are required")
-    bx, by, bz = b.points.T
-    closest2 = math.inf
-    for start in range(0, len(a.points), _BLOCK_ROWS):
-        ax, ay, az = a.points[start : start + _BLOCK_ROWS].T
-        dist2 = np.subtract.outer(ax, bx) ** 2
-        dist2 += np.subtract.outer(ay, by) ** 2
-        dist2 += np.subtract.outer(az, bz) ** 2
-        closest2 = min(closest2, float(dist2.min()))
-    if closest2 <= 1e-6:
+    if _kernels.closest_squared_distance(a.points, b.points) <= 1e-6:
         raise ValueError("curves intersect within tolerance")
     mid_a, seg_a = a.segments()
     mid_b, seg_b = b.segments()
@@ -346,10 +338,12 @@ def fiber_linking(
     rng: Union[np.random.Generator, int, None] = None,
 ) -> float:
     """Linking number of the Hopf fibers over two distinct base points,
-    measured after stereographic projection to R^3 from :func:`choose_pole`."""
+    measured after stereographic projection to R^3 from :func:`choose_pole`.
+    Both fibers are projected in one call, on their stacked samples."""
     fibers = [fiber_curve(p1, samples), fiber_curve(p2, samples)]
     pole = choose_pole(fibers, rng)
-    a, b = (SampledCurve(stereographic(f.points, pole), closed=True) for f in fibers)
+    images = stereographic(np.concatenate([f.points for f in fibers]), pole)
+    a, b = (SampledCurve(half, closed=True) for half in np.split(images, 2))
     return gauss_linking(a, b)
 
 

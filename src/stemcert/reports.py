@@ -37,14 +37,21 @@ def _e_invariant(inputs: dict) -> tuple:
     return model, values.pop()
 
 
-@register_check("einv_nonsplit")
+@register_check(
+    "einv_nonsplit",
+    claim="the suspended complex Hopf two-cell model does not split stably: "
+    "its e-invariant is {e} at every tested index",
+)
 def _check_einv_nonsplit(inputs: dict, earlier: dict) -> dict:
     model, e = _e_invariant(inputs)
     verdict = einv.splitting_verdict(model, inputs["ks"]).verdict
     return {"e": str(e), "verdict": verdict.value}
 
 
-@register_check("eta_square_identity")
+@register_check(
+    "eta_square_identity",
+    claim="eta^2 = {b}*eta - 1 in K(CP^1): coefficients (a, b) = ({a}, {b})",
+)
 def _check_eta_square_identity(inputs: dict, earlier: dict) -> dict:
     """eta^2 = a + b*eta in K(CP^1)."""
     mu = make_ring(parse_space("cp1")).generator()
@@ -56,7 +63,11 @@ def _check_eta_square_identity(inputs: dict, earlier: dict) -> dict:
     return {"a": rank - b, "b": b}
 
 
-@register_check("ko_realify_eta_square")
+@register_check(
+    "ko_realify_eta_square",
+    claim="realification: r(eta^2) = {hopf_count}*r(eta) - r(1) has rank {rank} and "
+    "reduced part {reduced}, i.e. r(eta^2) + 2 = 2*r(eta) = 4",
+)
 def _check_ko_realify(inputs: dict, earlier: dict) -> dict:
     """Realify eta^2 = a + b*eta into KO(S^2): a trivial complex line is two
     real ones, so the class is ``2a`` trivial lines plus ``b`` Hopf
@@ -68,7 +79,12 @@ def _check_ko_realify(inputs: dict, earlier: dict) -> dict:
             "reduced": cls.reduced}
 
 
-@register_check("order_bracket_first_stem")
+@register_check(
+    "order_bracket_first_stem",
+    claim="order bookkeeping: the e-invariant {e} of the suspended two-cell "
+    "model gives lower bound {lower}; with {upper}*[h] = 0 the order is "
+    "exactly {order}",
+)
 def _check_order_bracket(inputs: dict, earlier: dict) -> dict:
     """The e-invariant's denominator divides the order of eta, and the order
     divides ``b``: ``b`` Hopf summands realify to a KO-trivial class."""
@@ -82,7 +98,12 @@ def _check_order_bracket(inputs: dict, earlier: dict) -> dict:
             "generator": "eta"}
 
 
-@register_check("composite_killed_by_two")
+@register_check(
+    "composite_killed_by_two",
+    claim="order bookkeeping: {multiplier}*(eta o eta) = ({multiplier} eta) o eta "
+    "= 0 by bilinearity of composition, so eta^2 has order dividing "
+    "{multiplier}",
+)
 def _check_composite(inputs: dict, earlier: dict) -> dict:
     """d * (eta o eta) = (d eta) o eta = 0 for the order d of eta, by
     bilinearity of composition.  With d prime and eta^2 essential (the EHP
@@ -93,18 +114,34 @@ def _check_composite(inputs: dict, earlier: dict) -> dict:
     return {"multiplier": multiplier, "stem": 2, "order": multiplier, "generator": "eta^2"}
 
 
-@register_check("jorder_triple")
+@register_check(
+    "jorder_triple",
+    claim="upper bound: the order of nu divides {value} — gcd fold, prime-by-prime "
+    "closed form, and Bernoulli denominator agree on the J-order bound "
+    "m({t}) = {value}",
+)
 def _check_jorder_triple(inputs: dict, earlier: dict) -> dict:
     return {"value": jorder.order_bound(inputs["t"]).value}
 
 
-@register_check("einv_lower_bound")
+@register_check(
+    "einv_lower_bound",
+    claim="complex K-theory lower bound: the quaternionic two-cell model has "
+    "e-invariant {e}, so {lower} divides the order of nu",
+)
 def _check_einv_lower(inputs: dict, earlier: dict) -> dict:
     model, e = _e_invariant(inputs)
     return {"e": str(e), "lower": einv.order_lower_bound(model, inputs["ks"][0])}
 
 
-@register_check("fg_congruence")
+@register_check(
+    "fg_congruence",
+    claim="congruence bookkeeping: {nonequiv[0]} is not 0 mod {B}, so the Thom "
+    "space of {nonequiv[0]} copies of the bundle (cells {{{cells_nonequiv[0]}, "
+    "{cells_nonequiv[1]}}}) does not split, while {equiv[0]} copies (cells "
+    "{{{cells_equiv[0]}, {cells_equiv[1]}}}) does — hence {nonzero_multiple} "
+    "nu != 0",
+)
 def _check_fg(inputs: dict, earlier: dict) -> dict:
     """With ``B`` the J-order computed before, ``k`` copies of the bundle
     split from none iff ``B`` divides ``k``: the non-equivalent pair
@@ -123,7 +160,12 @@ def _check_fg(inputs: dict, earlier: dict) -> dict:
     }
 
 
-@register_check("order_pin")
+@register_check(
+    "order_pin",
+    claim="order bracket: the order of nu divides {upper}, is a multiple of "
+    "{lower_multiple}, and does not divide {not_dividing}; the only such "
+    "number is {order}",
+)
 def _check_order_pin(inputs: dict, earlier: dict) -> dict:
     """The one divisor of the J-order bound that is a multiple of the
     e-invariant bound and does not divide the nonzero multiple."""
@@ -155,25 +197,15 @@ def eta_order_chain(earlier: dict) -> tuple:
             earlier,
             "einv_nonsplit",
             {"space": "s2-smash-cp2", "ks": [2, 3, 5, 7]},
-            "the suspended complex Hopf two-cell model does not split stably: "
-            "its e-invariant is {e} at every tested index",
             "stemcert.einv.splitting_verdict",
         ),
         computed_step(
             earlier,
             "eta_square_identity",
             {},
-            "eta^2 = {b}*eta - 1 in K(CP^1): coefficients (a, b) = ({a}, {b})",
             "stemcert.kring (truncated ring Z[mu]/(mu^2), eta = 1 + mu)",
         ),
-        computed_step(
-            earlier,
-            "ko_realify_eta_square",
-            {},
-            "realification: r(eta^2) = {hopf_count}*r(eta) - r(1) has rank {rank} and "
-            "reduced part {reduced}, i.e. r(eta^2) + 2 = 2*r(eta) = 4",
-            "stemcert.jorder.ko_s2_realify",
-        ),
+        computed_step(earlier, "ko_realify_eta_square", {}, "stemcert.jorder.ko_s2_realify"),
         DerivationStep(
             "KO-triviality of the realified class makes 2*(Hopf bundle) stably "
             "fiber-homotopy trivial, so its Thom space splits and twice the "
@@ -186,9 +218,6 @@ def eta_order_chain(earlier: dict) -> tuple:
             earlier,
             "order_bracket_first_stem",
             {},
-            "order bookkeeping: the e-invariant {e} of the suspended two-cell "
-            "model gives lower bound {lower}; with {upper}*[h] = 0 the order is "
-            "exactly {order}",
             "stemcert.reports (divisor bookkeeping)",
         ),
     )
@@ -214,9 +243,6 @@ def _stem_two() -> tuple:
             earlier,
             "composite_killed_by_two",
             {},
-            "order bookkeeping: {multiplier}*(eta o eta) = ({multiplier} eta) o eta "
-            "= 0 by bilinearity of composition, so eta^2 has order dividing "
-            "{multiplier}",
             "stemcert.reports (composition bilinearity)",
         ),
         DerivationStep(
@@ -237,21 +263,11 @@ def _stem_two() -> tuple:
 def _stem_three() -> tuple:
     earlier: dict = {}
     return (
-        computed_step(
-            earlier,
-            "jorder_triple",
-            {"t": 2},
-            "upper bound: the order of nu divides {value} — gcd fold, prime-by-prime "
-            "closed form, and Bernoulli denominator agree on the J-order bound "
-            "m({t}) = {value}",
-            "stemcert.jorder.order_bound",
-        ),
+        computed_step(earlier, "jorder_triple", {"t": 2}, "stemcert.jorder.order_bound"),
         computed_step(
             earlier,
             "einv_lower_bound",
             {"space": "hp2", "ks": [2, 3]},
-            "complex K-theory lower bound: the quaternionic two-cell model has "
-            "e-invariant {e}, so {lower} divides the order of nu",
             "stemcert.einv.order_lower_bound",
         ),
         DerivationStep(
@@ -266,22 +282,9 @@ def _stem_three() -> tuple:
             earlier,
             "fg_congruence",
             {"n": 1, "nonequiv": [12, 0], "equiv": [24, 0]},
-            "congruence bookkeeping: {nonequiv[0]} is not 0 mod {B}, so the Thom "
-            "space of {nonequiv[0]} copies of the bundle (cells {{{cells_nonequiv[0]}, "
-            "{cells_nonequiv[1]}}}) does not split, while {equiv[0]} copies (cells "
-            "{{{cells_equiv[0]}, {cells_equiv[1]}}}) does — hence {nonzero_multiple} "
-            "nu != 0",
             "stemcert.jorder.feder_gitler_equivalent",
         ),
-        computed_step(
-            earlier,
-            "order_pin",
-            {},
-            "order bracket: the order of nu divides {upper}, is a multiple of "
-            "{lower_multiple}, and does not divide {not_dividing}; the only such "
-            "number is {order}",
-            "stemcert.reports (divisor bookkeeping)",
-        ),
+        computed_step(earlier, "order_pin", {}, "stemcert.reports (divisor bookkeeping)"),
         DerivationStep(
             "index note: the group above is the degree-3 stable stem (pi_3^S); the "
             "degree-2 stem is the separate Z2 of the stem-2 report",

@@ -28,7 +28,6 @@ ORACLES = {
     "stemcert.einv.conjugacy_witness": (
         "brute-force integer-conjugacy search, the oracle for the splitting verdicts"
     ),
-    "stemcert._kernels.search_diagonalizer": "the search loop of conjugacy_witness",
     "stemcert.hopf.hopf_map": (
         "the Hopf map of one Quaternion, which checks the vectorized map of fiber_curve"
     ),

@@ -188,6 +188,21 @@ def test_witness_is_bound_sensitive():
     assert conjugacy_witness(cell, bound=7) is not None
 
 
+def test_witness_is_exact_beyond_machine_integers():
+    # diag(2^61, 2^62) with c = 2^61: products of these entries overflow
+    # 64-bit integers, yet the first witness is the small one.
+    cell = TwoCellModel(a=61, b=62, k=2, c=2**61)
+    assert conjugacy_witness(cell) == (-1, -1, -1, 0)
+
+
+@pytest.mark.parametrize("c,splits", [(2**64 - 2, True), (0, True), (3, False), (2**63, False)])
+def test_witness_on_a_diagonal_beyond_two_to_the_63(c, splits):
+    cell = TwoCellModel(a=1, b=64, k=2, c=c)  # diag(2, 2^64), modulus 2^64 - 2
+    assert max(cell.diagonal) >= 2**63
+    witness = conjugacy_witness(cell, bound=3)
+    assert (witness is not None) == splits == (c % cell.modulus == 0)
+
+
 def test_oracle_agrees_with_verdict_across_spaces():
     for space in ["cp2", "s2-smash-cp2", "hp2"]:
         cell = two_cell_from(ring(space), 2)

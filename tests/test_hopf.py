@@ -7,6 +7,7 @@ are imported from there; :mod:`stemcert.hopf` supplies the quaternions and
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -268,9 +269,10 @@ def einsum_gauss_sum(mid_a, seg_a, mid_b, seg_b):
     return float(np.sum(triple / (dist2 * np.sqrt(dist2))))
 
 
-@pytest.mark.parametrize("samples", [64, 255, 256, 257, 1024])
+@pytest.mark.parametrize("samples", [63, 64, 65, 255, 256, 257, 1024])
 def test_blocked_gauss_sum_matches_the_full_array_reference(samples):
-    # 255/256/257 sit on the edge of a 256-row block, 1024 spans four.
+    # 63/64/65 sit on the edge of a 64-row block, 255/256/257 on the edge of
+    # four, and 1024 spans sixteen.
     a = fiber_curve([0.0, 0.6, 0.8], samples)
     b = fiber_curve([0.8, 0.0, -0.6], samples)
     pole = choose_pole([a, b])
@@ -283,6 +285,36 @@ def test_blocked_gauss_sum_matches_the_full_array_reference(samples):
         assert abs(_kernels.gauss_linking_sum(*args) - einsum_gauss_sum(*args)) < 1e-12
 
 
+def test_gauss_linking_holds_block_sized_memory():
+    # Two 1024-sample curves: the full (N, N) planes would take 8 MiB each.
+    a = fiber_curve([0.0, 0.6, 0.8], 1024)
+    b = fiber_curve([0.8, 0.0, -0.6], 1024)
+    pole = choose_pole([a, b])
+    first, second = (SampledCurve(stereographic(c.points, pole), closed=True) for c in (a, b))
+    tracemalloc.start()
+    try:
+        gauss_linking(first, second)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fiber_linking_matches_the_two_projection_reference(seed):
+    # Each fiber projected on its own and summed on full arrays; the fiber
+    # over [1, 0, 0] passes through the default pole and re-rolls it.
+    rng = np.random.default_rng(seed)
+    pairs = [([1.0, 0.0, 0.0], random_sphere_point(rng))]
+    pairs += [(random_sphere_point(rng), random_sphere_point(rng)) for _ in range(2)]
+    for p1, p2 in pairs:
+        fibers = [fiber_curve(p1, 256), fiber_curve(p2, 256)]
+        pole = choose_pole(fibers, rng=seed)
+        first, second = (SampledCurve(stereographic(f.points, pole), closed=True) for f in fibers)
+        reference = einsum_gauss_sum(*first.segments(), *second.segments()) / (4.0 * math.pi)
+        assert abs(fiber_linking(p1, p2, samples=256, rng=seed) - reference) < 1e-12
+
+
 def test_gauss_linking_rejects_curves_1e_3_apart():
     circle, _ = unlinked_control(samples=128)
     lifted = SampledCurve(circle.points + [0.0, 0.0, 1e-3], closed=True)
@@ -292,14 +324,17 @@ def test_gauss_linking_rejects_curves_1e_3_apart():
 
 @pytest.mark.parametrize("gap,rejected", [(5e-4, True), (2e-3, False)])
 def test_separation_check_reaches_the_last_block(gap, rejected):
-    # Only sample 768 of the first curve (row block 3 of 4) comes near the
-    # second curve, at the given gap.
-    circle, _ = unlinked_control(samples=1024)
-    theta = np.linspace(0.0, 2.0 * math.pi, 1025)
-    ring = np.stack(
-        [np.zeros_like(theta), np.cos(theta) - 2.0 - gap, np.sin(theta)], axis=1
-    )
-    other = SampledCurve(ring, closed=True)
+    # Two curves of 1024 points, each phased so that only its sample 1000
+    # comes near the other curve, at the given gap.  Whichever curve gives
+    # the rows, that sample lies in the last row block (rows 960-1023), and
+    # the samples either side of it stay about 6e-3 apart.
+    theta = np.linspace(0.0, 2.0 * math.pi, 1024)
+    theta -= theta[1000]
+    zero = np.zeros_like(theta)
+    circle = np.stack([np.sin(theta), -np.cos(theta), zero], axis=1)
+    ring = np.stack([zero, np.cos(theta) - 2.0 - gap, np.sin(theta)], axis=1)
+    assert 1000 // _kernels._BLOCK_ROWS == 1023 // _kernels._BLOCK_ROWS
+    circle, other = SampledCurve(circle, closed=True), SampledCurve(ring, closed=True)
     for pair in ((circle, other), (other, circle)):
         if rejected:
             with pytest.raises(ValueError, match="intersect"):

@@ -137,6 +137,25 @@ def test_tampered_report_fails_replay():
         report_from_json(blob).replay()
 
 
+def test_replay_rejects_a_claim_its_check_does_not_state():
+    blob = json.loads(json.dumps(report_to_json(build_stem_report(3))))
+    (step,) = [s for s in blob["steps"] if s["evidence"] and s["evidence"]["check"] == "order_pin"]
+    step["claim"] = "the order of nu divides 7; the only such number is 7"
+    with pytest.raises(VerificationError, match="the check claims"):
+        report_from_json(blob).replay()
+
+
+@pytest.mark.parametrize("stem", [1, 2, 3])
+def test_editing_any_computed_claim_fails_replay(stem):
+    blob = json.loads(json.dumps(report_to_json(build_stem_report(stem))))
+    for i, step in enumerate(blob["steps"]):
+        if step["status"] == "Computed":
+            steps = [dict(s) for s in blob["steps"]]
+            steps[i]["claim"] = step["claim"].replace(" ", "  ", 1)
+            with pytest.raises(VerificationError, match="the check claims"):
+                report_from_json({**blob, "steps": steps}).replay()
+
+
 # A value for every input and output of every Computed step, keyed by
 # (stem, check, "inputs" or "outputs", field).  Each makes the step's claim
 # false.  Lists of Adams indices become empty: the e-invariant does not
