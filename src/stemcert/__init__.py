@@ -38,7 +38,6 @@ _EXPORTS = {
         "errors": ("ResamplePole", "VerificationError"),
         "exact": ("padic_valuation",),
         "hopf": (
-            "Quaternion",
             "fiber_curve",
             "fiber_linking",
             "gauss_linking",

@@ -292,11 +292,16 @@ def cmd_linking(args) -> int:
 def cmd_lift(args) -> int:
     if args.steps > _MAX_STEPS:
         raise ValueError(f"--steps must be at most {_MAX_STEPS}")
+    if args.loop != "homotopy" and (args.slice is not None or args.variant is not None):
+        raise ValueError("--slice and --variant apply only to --loop homotopy")
     from . import so3
 
     if args.loop == "homotopy":
         mats = so3.homotopy_slice_matrices(
-            args.variant, args.slice, args.steps, args.turns
+            args.variant or "alpha",
+            1.0 if args.slice is None else args.slice,
+            args.steps,
+            args.turns,
         )
     else:
         mats = so3.loop_matrices(args.loop, args.steps, args.turns)
@@ -520,9 +525,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="times the loop is run (at most --steps)",
     )
     p.add_argument(
-        "--slice", type=float, default=1.0, help="homotopy slice parameter in [0, 1]"
+        "--slice",
+        type=float,
+        help="homotopy slice parameter in [0, 1] (default 1; --loop homotopy only)",
     )
-    p.add_argument("--variant", choices=["alpha", "beta"], default="alpha")
+    p.add_argument(
+        "--variant",
+        choices=["alpha", "beta"],
+        help="homotopy target loop (default alpha; --loop homotopy only)",
+    )
     p.add_argument("--expect-monodromy", type=int, choices=[1, -1])
     p.set_defaults(func=cmd_lift)
 

@@ -7,6 +7,11 @@ This module checks, numerically, the geometric facts behind the first stem:
 * Hopf fibers (circles in ``S^3``), stereographic projection, and the Gauss
   linking integral certifying that any two distinct fibers link once.
 
+A quaternion is the 4-tuple ``(w, x, y, z)`` of floats, as in
+:mod:`stemcert.so3`, and a point of ``S^2`` the tuple ``(x, y, z)``.  A
+closed curve is the (N, 3) or (N, 4) array of its N distinct samples, the
+last joined back to the first.
+
 The rotations, the ball model of ``SO(3)``, its loops and their lifts live in
 :mod:`stemcert.so3`, which needs no numpy; this module re-exports them.
 
@@ -24,11 +29,9 @@ from typing import Iterable, Union
 import numpy as np
 
 from . import _kernels
-from ._frozen import Frozen
 from .errors import ResamplePole, VerificationError
 from .so3 import (
     BallPoint,
-    QuaternionPath,
     Rotation3,
     ball_to_rotation,
     homotopy_H,
@@ -44,10 +47,7 @@ from .so3 import (
 # tracer times the functions of this list as ``hopf.*``.
 __all__ = [
     "BallPoint",
-    "Quaternion",
-    "QuaternionPath",
     "Rotation3",
-    "SampledCurve",
     "ball_to_rotation",
     "choose_pole",
     "fiber_curve",
@@ -78,46 +78,26 @@ _UNIT_TOL = 1e-9
 # --------------------------------------------------------------------------
 
 
-class Quaternion(Frozen):
-    """A quaternion ``w + x i + y j + z k`` in double precision."""
-
-    __slots__ = ("w", "x", "y", "z")
-
-    def __init__(self, w: float, x: float, y: float, z: float):
-        self._set(w=w, x=x, y=y, z=z)
-
-    def norm(self) -> float:
-        return math.sqrt(self.w**2 + self.x**2 + self.y**2 + self.z**2)
-
-    def conjugate(self) -> "Quaternion":
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.w, self.x, self.y, self.z])
-
-    def __mul__(self, other: "Quaternion") -> "Quaternion":
-        return qmul(self, other)
-
-    def __neg__(self) -> "Quaternion":
-        return Quaternion(-self.w, -self.x, -self.y, -self.z)
-
-
-I = Quaternion(0.0, 1.0, 0.0, 0.0)
-
-
-def qmul(a: Quaternion, b: Quaternion) -> Quaternion:
-    """Hamilton product with the conventions ij = k, jk = i, ki = j."""
-    return Quaternion(
-        a.w * b.w - a.x * b.x - a.y * b.y - a.z * b.z,
-        a.w * b.x + a.x * b.w + a.y * b.z - a.z * b.y,
-        a.w * b.y - a.x * b.z + a.y * b.w + a.z * b.x,
-        a.w * b.z + a.x * b.y - a.y * b.x + a.z * b.w,
+def qmul(a, b) -> tuple:
+    """Hamilton product of two quaternions ``(w, x, y, z)``, with the
+    conventions ij = k, jk = i, ki = j."""
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return (
+        aw * bw - ax * bx - ay * by - az * bz,
+        aw * bx + ax * bw + ay * bz - az * by,
+        aw * by - ax * bz + ay * bw + az * bx,
+        aw * bz + ax * by - ay * bx + az * bw,
     )
 
 
-def _require_unit(q: Quaternion) -> None:
-    if abs(q.norm() - 1.0) >= _UNIT_TOL:
-        raise ValueError(f"expected a unit quaternion, got norm {q.norm()}")
+def _unit(q) -> tuple:
+    """``q`` as a 4-tuple of floats, after checking that its norm is 1."""
+    w, x, y, z = map(float, q)
+    norm = math.sqrt(w * w + x * x + y * y + z * z)
+    if abs(norm - 1.0) >= _UNIT_TOL:
+        raise ValueError(f"expected a unit quaternion, got norm {norm}")
+    return w, x, y, z
 
 
 # --------------------------------------------------------------------------
@@ -125,15 +105,16 @@ def _require_unit(q: Quaternion) -> None:
 # --------------------------------------------------------------------------
 
 
-def hopf_map(q: Quaternion) -> np.ndarray:
-    """``q -> conj(q) i q`` as a point of S^2 in the (i, j, k) coordinates.
+def hopf_map(q) -> tuple:
+    """``q -> conj(q) i q`` as a point ``(x, y, z)`` of S^2 in the (i, j, k)
+    coordinates.
 
     The real part of ``conj(q) i q`` is ``Re(i q conj(q)) = 0`` exactly, so
     only the imaginary part is returned.
     """
-    _require_unit(q)
-    image = qmul(qmul(q.conjugate(), I), q)
-    return np.array([image.x, image.y, image.z])
+    w, x, y, z = _unit(q)
+    _, hx, hy, hz = qmul(qmul((w, -x, -y, -z), (0.0, 1.0, 0.0, 0.0)), (w, x, y, z))
+    return (hx, hy, hz)
 
 
 def _hopf_points(points: np.ndarray) -> np.ndarray:
@@ -145,40 +126,14 @@ def _hopf_points(points: np.ndarray) -> np.ndarray:
     )
 
 
-class SampledCurve:
-    """An ordered list of sample points in R^3 or R^4 (S^3), with a closed
-    flag; closed curves repeat their first point at the end."""
-
-    __slots__ = ("points", "closed")
-
-    def __init__(self, points: np.ndarray, closed: bool):
-        points = np.asarray(points, dtype=float)
-        if points.ndim != 2 or points.shape[1] not in (3, 4):
-            raise ValueError("a curve is an (N, 3) or (N, 4) array of samples")
-        # Written as "all within", so that a NaN coordinate fails it.
-        if closed and not (np.abs(points[0] - points[-1]) <= _UNIT_TOL).all():
-            raise ValueError("a closed curve must end where it starts")
-        self.points = points
-        self.closed = closed
-
-    @property
-    def num_segments(self) -> int:
-        return len(self.points) - 1
-
-    def segments(self):
-        """Midpoints and difference vectors of the polyline segments."""
-        mids = 0.5 * (self.points[:-1] + self.points[1:])
-        difs = self.points[1:] - self.points[:-1]
-        return np.ascontiguousarray(mids), np.ascontiguousarray(difs)
-
-
-def fiber_curve(p, samples: int) -> SampledCurve:
-    """The Hopf fiber over ``p`` in S^2, sampled as a closed curve in S^3.
+def fiber_curve(p, samples: int) -> np.ndarray:
+    """The Hopf fiber over ``p`` in S^2, sampled as a closed curve in S^3:
+    an (N, 4) array of ``samples`` distinct points.
 
     Finds a base lift ``q0`` with ``hopf_map(q0) = p`` (the rotation taking
     i to p, lifted to a quaternion) and samples
-    ``theta -> (cos theta + i sin theta) * q0`` uniformly; every sample maps
-    back to ``p`` within 1e-9.
+    ``theta -> (cos theta + i sin theta) * q0`` at ``samples`` evenly spaced
+    angles in ``[0, 2 pi)``; every sample maps back to ``p`` within 1e-9.
     """
     p = np.asarray(p, dtype=float)
     if p.shape != (3,) or abs(np.linalg.norm(p) - 1.0) >= _UNIT_TOL:
@@ -198,7 +153,7 @@ def fiber_curve(p, samples: int) -> SampledCurve:
         # conj(q) i q rotates i by -angle about the axis, hence the minus.
         q0 = np.concatenate([[math.cos(angle / 2)], -math.sin(angle / 2) * axis])
 
-    theta = np.linspace(0.0, 2.0 * math.pi, samples + 1)
+    theta = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
     c, s = np.cos(theta), np.sin(theta)
     w0, x0, y0, z0 = q0
     points = np.stack(
@@ -207,7 +162,7 @@ def fiber_curve(p, samples: int) -> SampledCurve:
     )
     if np.abs(_hopf_points(points) - p).max() >= _UNIT_TOL:
         raise VerificationError("fiber samples failed to map back to the base point")
-    return SampledCurve(points=points, closed=True)
+    return points
 
 
 # --------------------------------------------------------------------------
@@ -276,7 +231,7 @@ def hurwitz_units() -> np.ndarray:
 
 
 def choose_pole(
-    curves: Iterable[SampledCurve],
+    curves: Iterable[np.ndarray],
     rng: Union[np.random.Generator, int, None] = None,
 ) -> np.ndarray:
     """Projection pole: ``-1`` by default, re-chosen at random among the 24
@@ -285,7 +240,7 @@ def choose_pole(
 
     def clearance(pole: np.ndarray) -> float:
         return min(
-            float(np.linalg.norm(c.points - pole, axis=1).min()) for c in curves
+            float(np.linalg.norm(c - pole, axis=1).min()) for c in curves
         )
 
     default = np.array([-1.0, 0.0, 0.0, 0.0])
@@ -306,29 +261,33 @@ def choose_pole(
 # --------------------------------------------------------------------------
 
 
-def gauss_linking(a: SampledCurve, b: SampledCurve) -> float:
+def gauss_linking(a, b) -> float:
     """Discretized Gauss double integral over segment midpoints.
 
-    Both curves must be closed, sampled with at least 64 segments, live in
-    R^3, and stay more than 1e-3 apart; the result is a real number near an
-    integer (the linking number).  The separation check over the sample
-    points and the double sum over the segments both run in
-    :mod:`stemcert._kernels`, block by block in a fixed order, in memory
-    linear in the sample count.
+    ``a`` and ``b`` are closed curves in R^3, (N, 3) arrays of at least 64
+    samples each, whose segments join each sample to the next and the last
+    back to the first.  The curves must stay more than 1e-3 apart; the
+    result is a real number near an integer (the linking number).  The
+    separation check over the samples and the double sum over the segments
+    both run in :mod:`stemcert._kernels`, block by block in a fixed order,
+    in memory linear in the sample count.
     """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     for curve in (a, b):
-        if not curve.closed:
-            raise ValueError("linking requires closed curves")
-        if curve.points.shape[1] != 3:
-            raise ValueError("linking is computed for curves in R^3")
-        if curve.num_segments < 64:
-            raise ValueError("at least 64 segments per curve are required")
-    if _kernels.closest_squared_distance(a.points, b.points) <= 1e-6:
+        if curve.ndim != 2 or curve.shape[1] != 3:
+            raise ValueError("linking is computed for (N, 3) arrays of samples in R^3")
+        if len(curve) < 64:
+            raise ValueError("at least 64 samples per curve are required")
+    if _kernels.closest_squared_distance(a, b) <= 1e-6:
         raise ValueError("curves intersect within tolerance")
-    mid_a, seg_a = a.segments()
-    mid_b, seg_b = b.segments()
-    total = _kernels.gauss_linking_sum(mid_a, seg_a, mid_b, seg_b)
+    total = _kernels.gauss_linking_sum(*_segments(a), *_segments(b))
     return total / (4.0 * math.pi)
+
+
+def _segments(points: np.ndarray):
+    """Midpoints and difference vectors of a closed curve's segments."""
+    following = np.roll(points, -1, axis=0)
+    return 0.5 * (points + following), following - points
 
 
 def fiber_linking(
@@ -342,17 +301,14 @@ def fiber_linking(
     Both fibers are projected in one call, on their stacked samples."""
     fibers = [fiber_curve(p1, samples), fiber_curve(p2, samples)]
     pole = choose_pole(fibers, rng)
-    images = stereographic(np.concatenate([f.points for f in fibers]), pole)
-    a, b = (SampledCurve(half, closed=True) for half in np.split(images, 2))
-    return gauss_linking(a, b)
+    return gauss_linking(*np.split(stereographic(np.concatenate(fibers), pole), 2))
 
 
 def unlinked_control(samples: int = 512):
-    """Two planar unit circles 4 apart (linking number 0)."""
-    theta = np.linspace(0.0, 2.0 * math.pi, samples + 1)
+    """Two planar unit circles 4 apart (linking number 0), as (N, 3) arrays."""
+    theta = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
     first = np.stack([np.cos(theta), np.sin(theta), np.zeros_like(theta)], axis=1)
-    second = first + np.array([4.0, 0.0, 0.0])
-    return SampledCurve(first, closed=True), SampledCurve(second, closed=True)
+    return first, first + np.array([4.0, 0.0, 0.0])
 
 
 def random_sphere_point(rng: np.random.Generator) -> np.ndarray:
@@ -369,14 +325,14 @@ def random_sphere_point(rng: np.random.Generator) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
-def rot_from_quat(q: Quaternion) -> Rotation3:
-    """Rotation matrix of ``x -> q x conj(q)`` on the (i, j, k) coordinates.
+def rot_from_quat(q) -> Rotation3:
+    """Rotation matrix of ``x -> q x conj(q)`` on the (i, j, k) coordinates,
+    for a unit quaternion ``q = (w, x, y, z)``.
 
     A group homomorphism from unit quaternions onto SO(3) with kernel
     ``{q, -q}``.
     """
-    _require_unit(q)
-    w, x, y, z = q.w, q.x, q.y, q.z
+    w, x, y, z = _unit(q)
     return Rotation3(
         (
             (1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)),

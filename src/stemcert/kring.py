@@ -124,9 +124,6 @@ class RingModel(Frozen):
             raise ValueError(f"{mono!r} is not in the basis of {self.label}")
         return mono - basis.start
 
-    def zero(self) -> "RingElement":
-        return RingElement(self, (0,) * len(self.basis))
-
     def element(self, coeffs: Mapping[int, int]) -> "RingElement":
         vec = [0] * len(self.basis)
         for mono, c in coeffs.items():
@@ -179,9 +176,6 @@ class RingElement(Frozen):
 
     def scale(self, c: int) -> "RingElement":
         return RingElement(self.model, tuple(c * a for a in self.coeffs))
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
 
     def __str__(self) -> str:
         terms = []

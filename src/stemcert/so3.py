@@ -9,9 +9,11 @@ This module checks, numerically, the SO(3) facts behind the first stem:
 * loop lifting: the monodromy sign of a continuous quaternion lift, which
   detects the generator of ``pi_1(SO(3)) = Z/2``.
 
-A matrix is three row tuples of floats and a quaternion the 4-tuple
-``(w, x, y, z)``.  Every value is a scalar: a 3x3 matrix costs numpy more in
-per-call overhead than in arithmetic, so this module does not import it.
+A matrix is three row tuples of floats, a quaternion the 4-tuple
+``(w, x, y, z)`` (as in :mod:`stemcert.hopf`), and a lifted loop the list of
+its quaternions, returned beside its monodromy sign.  Every value is a
+scalar: a 3x3 matrix costs numpy more in per-call overhead than in
+arithmetic, so this module does not import it.
 Rotations follow the active convention of :func:`stemcert.hopf.rot_from_quat`,
 the matrix of ``x -> q x conj(q)``.
 """
@@ -23,7 +25,6 @@ from typing import Sequence
 
 __all__ = [
     "BallPoint",
-    "QuaternionPath",
     "Rotation3",
     "ball_to_rotation",
     "homotopy_H",
@@ -88,10 +89,6 @@ class Rotation3:
             raise ValueError("matrix must have positive determinant")
         self.matrix = ((a, b, c), (d, e, f), (g, h, i))
 
-    def apply(self, v) -> tuple:
-        x, y, z = v
-        return tuple(r0 * x + r1 * y + r2 * z for r0, r1, r2 in self.matrix)
-
     def __repr__(self) -> str:
         return f"Rotation3({[list(row) for row in self.matrix]})"
 
@@ -153,9 +150,6 @@ class BallPoint:
                         x, y, z = -x, -y, -z
                     break
         self.x, self.y, self.z = float(x), float(y), float(z)
-
-    def norm(self) -> float:
-        return math.sqrt(self.x**2 + self.y**2 + self.z**2)
 
     def as_tuple(self) -> tuple:
         return (self.x, self.y, self.z)
@@ -316,17 +310,6 @@ def homotopy_slice_matrices(variant: str, s: float, steps: int, turns: int = 1) 
     ]
 
 
-class QuaternionPath:
-    """A continuous unit-quaternion lift of a rotation loop with its
-    monodromy sign (-1 when the lift ends at the negative of its start)."""
-
-    __slots__ = ("points", "monodromy")
-
-    def __init__(self, points: list, monodromy: int):
-        self.points = points
-        self.monodromy = monodromy
-
-
 def lift_loop(path: Sequence) -> tuple:
     """Lift a closed rotation loop to S^3 and read off the monodromy sign.
 
@@ -335,9 +318,11 @@ def lift_loop(path: Sequence) -> tuple:
     first).  At least 256 steps are required, every sample must be a
     rotation, consecutive rotations must be within angle 0.2 of each other,
     and the quaternion preimage is chosen at each step to be the one closest
-    to the previous choice.  Returns ``(QuaternionPath, sign)``; sign -1
-    means the loop generates ``pi_1(SO(3))``, +1 that it is nullhomotopic
-    (double-cover criterion).
+    to the previous choice.  Returns ``(points, sign)``: the list of lifted
+    quaternions ``(w, x, y, z)``, one per sample, and the monodromy sign, -1
+    when the lift ends at the negative of its start.  Sign -1 means the loop
+    generates ``pi_1(SO(3))``, +1 that it is nullhomotopic (double-cover
+    criterion).
     """
     samples = list(path)
     if len(samples) < _MIN_STEPS + 1:
@@ -367,4 +352,4 @@ def lift_loop(path: Sequence) -> tuple:
         pw, px, py, pz = w, x, y, z
     w0, x0, y0, z0 = points[0]
     monodromy = 1 if pw * w0 + px * x0 + py * y0 + pz * z0 > 0 else -1
-    return QuaternionPath(points=points, monodromy=monodromy), monodromy
+    return points, monodromy

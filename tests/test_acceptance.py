@@ -169,9 +169,7 @@ def test_criterion_08_double_cover_homomorphism():
 
     def residual():
         worst = 0.0
-        for a_arr, b_arr in pairs:
-            a = hopf.Quaternion(*a_arr)
-            b = hopf.Quaternion(*b_arr)
+        for a, b in pairs.tolist():
             lhs = np.asarray(hopf.rot_from_quat(hopf.qmul(a, b)).matrix)
             rhs = np.asarray(hopf.rot_from_quat(a).matrix) @ np.asarray(
                 hopf.rot_from_quat(b).matrix
@@ -181,7 +179,7 @@ def test_criterion_08_double_cover_homomorphism():
 
     worst, elapsed = _timed(residual)
     assert worst < 1e-12
-    q = hopf.Quaternion(*pairs[0][0])
+    q = pairs[0][0]
     assert (
         np.abs(
             np.asarray(hopf.rot_from_quat(q).matrix)

@@ -471,6 +471,22 @@ def test_lift_rejects_more_turns_than_its_steps_can_follow(capsys, loop):
     assert "error: turns must be at most the number of steps" in err
 
 
+@pytest.mark.parametrize(
+    "flag,value,default", [("--slice", "0.5", "1"), ("--variant", "beta", "alpha")]
+)
+def test_lift_homotopy_flags_apply_only_to_the_homotopy(capsys, flag, value, default):
+    for loop in sorted(set(ONE_TURN_MONODROMY) - {"homotopy"}):
+        code, out, err = run_cli(capsys, "lift", "--loop", loop, flag, value)
+        assert (code, out) == (2, ""), loop
+        assert err == "error: --slice and --variant apply only to --loop homotopy\n"
+    code, out, err = run_cli(capsys, "--json", "lift", "--loop", "homotopy", flag, value)
+    assert code == 0, err
+    assert json.loads(out)["monodromy"] == -1
+    # Omitting the flag runs the homotopy at its default.
+    implicit = run_cli(capsys, "--json", "lift", "--loop", "homotopy")
+    assert implicit == run_cli(capsys, "--json", "lift", "--loop", "homotopy", flag, default)
+
+
 @pytest.mark.parametrize("loop,steps,turns", [("gamma", 257, 256), ("alpha", 301, 300)])
 def test_lift_rejects_turns_that_alias_to_a_small_step(capsys, loop, steps, turns):
     # Each step turns by nearly a full turn; lifted, these loops read -1.

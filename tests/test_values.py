@@ -2,20 +2,19 @@
 
 The frozen classes compare and hash by their fields, never equal an instance
 of another class, refuse attribute assignment and validate in their
-constructors.  ``QuaternionPath`` and ``SampledCurve`` stay mutable and
-compare by identity.
+constructors.  Quaternions, sampled curves and lifted loops have no class:
+they are plain tuples, arrays and lists, whose semantics are Python's and
+numpy's.
 """
 
 import copy
 import pickle
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from stemcert.derivation import DerivationStep, StemReport, StepStatus
 from stemcert.einv import ObstructionCertificate, TwoCellModel, Verdict
-from stemcert.hopf import Quaternion, SampledCurve
 from stemcert.jorder import JOrderBound, KOClassS2, StuntedSpace
 from stemcert.kring import (
     AdamsMatrix,
@@ -25,7 +24,6 @@ from stemcert.kring import (
     make_ring,
     parse_space,
 )
-from stemcert.so3 import QuaternionPath
 
 CP2 = Space("cp2", "cp", 2, 0)
 CP2_MODEL = (CP2,)
@@ -55,7 +53,6 @@ FROZEN = [
     (RingModel, CP2_MODEL),
     (RingElement, (RingModel(*CP2_MODEL), (2, 1))),
     (AdamsMatrix, ("cp2", 2, ((2, 0), (1, 4)), (2, 4))),
-    (Quaternion, (0.0, 1.0, 0.0, 0.0)),
 ]
 SPACE_IDS = {
     "cp2": "ComplexProjective",
@@ -179,25 +176,8 @@ def test_keyword_arguments_and_defaults_still_work():
         (lambda: StuntedSpace("complex", 2, 1, -1), "non-negative"),
         (lambda: KOClassS2(2, 2), "Z/2"),
         (lambda: RingElement(RingModel(*CP2_MODEL), (1,)), "does not match basis"),
-        (lambda: SampledCurve(np.zeros((4, 2)), False), r"\(N, 3\) or \(N, 4\)"),
-        (lambda: SampledCurve(np.eye(3), True), "must end where it starts"),
     ],
 )
 def test_constructors_still_validate(build, message):
     with pytest.raises(ValueError, match=message):
         build()
-
-
-def test_paths_and_curves_are_mutable_and_compare_by_identity():
-    path = QuaternionPath([(1.0, 0.0, 0.0, 0.0)], 1)
-    twin = QuaternionPath([(1.0, 0.0, 0.0, 0.0)], 1)
-    assert path != twin and path == path
-    path.monodromy = -1
-    assert path.monodromy == -1
-    points = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
-    curve, other = SampledCurve(points, True), SampledCurve(points, True)
-    assert curve != other and len({curve, other}) == 2
-    curve.closed = False
-    assert curve.closed is False
-    # The constructor stores float samples, whatever it was given.
-    assert SampledCurve([[1, 0, 0], [0, 1, 0]], False).points.dtype == float
