@@ -5,15 +5,16 @@ mathematics is exact, the invariants that pin down the stable homotopy
 groups in degrees one to three: Adams operations on small projective
 spaces and spheres, e-invariants of two-cell complexes, J-order bounds by
 three independent methods, stable equivalences of stunted projective
-spaces, and floating-point geometric witnesses (Hopf fiber linking,
-rotation-loop monodromy) with explicit tolerances.
+spaces, and geometric witnesses: Hopf fiber linking by integer
+determinants, with a floating-point Gauss integral as reference, and
+rotation-loop monodromy, with explicit tolerances.
 """
 
 import importlib
 
 # Public name -> defining submodule.  ``__getattr__`` imports a submodule the
 # first time one of its names is read, so ``import stemcert`` (and the exact
-# subcommands) never load numpy, ``hopf`` or ``_kernels`` unless asked to.
+# subcommands) never load ``hopf`` or ``_kernels`` unless asked to.
 _EXPORTS = {
     name: submodule
     for submodule, names in {
@@ -39,6 +40,7 @@ _EXPORTS = {
         "exact": ("padic_valuation",),
         "hopf": (
             "fiber_curve",
+            "fiber_determinant",
             "fiber_linking",
             "gauss_linking",
             "hopf_map",

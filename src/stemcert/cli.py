@@ -8,7 +8,7 @@ failed replay, or an ``--expect`` mismatch).
 
 Each handler imports the layers it runs in its own body, so a run loads only
 what its subcommand needs: ``--help`` loads no layer, and the exact
-subcommands load neither numpy nor the layers of the others.
+subcommands load none of the geometric layers.
 """
 
 from __future__ import annotations
@@ -24,15 +24,15 @@ _SUP = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
 _SUB = str.maketrans("0123456789", "₀₁₂₃₄₅₆₇₈₉")
 
 #: Fewest and most ``--samples`` that ``linking`` accepts: the Gauss sum
-#: needs 64 segments per curve, one per sample, and is quadratic in them.
+#: needs 64 segments per curve, one per sample.  A run sums two Gauss
+#: integrals (the reference pair and the unlinked control), each with its
+#: separation check, quadratic in the sample count and independent of
+#: ``--trials``: about 19 s at the cap on a 2-vCPU x86-64 machine.
 _MIN_SAMPLES = 64
 _MAX_SAMPLES = 4096
-#: Largest ``linking --trials``, and largest ``trials * samples**2``: each
-#: trial samples two fibers and sums one Gauss integral over samples**2
-#: pairs.  At the caps, 1000 trials of 512 samples take about 24 s and 16
-#: trials of 4096 samples about 16 s on a 2-vCPU machine.
+#: Largest ``linking --trials``: a trial is a few integer 4x4
+#: determinants, about 1000 trials in 0.03 s.
 _MAX_TRIALS = 1000
-_MAX_LINKING_WORK = 2**28
 #: Largest ``bernoulli --n`` and ``jorder --t``: the tangent-number
 #: recurrence costs O(n^2) operations on O(n log n)-bit integers, about a
 #: second at this size.
@@ -243,47 +243,58 @@ def cmd_linking(args) -> int:
         raise ValueError(f"--samples must be at most {_MAX_SAMPLES}")
     if args.trials > _MAX_TRIALS:
         raise ValueError(f"--trials must be at most {_MAX_TRIALS}")
-    if args.trials * args.samples**2 > _MAX_LINKING_WORK:
-        raise ValueError(
-            f"--trials must be at most {_MAX_LINKING_WORK // args.samples**2} "
-            f"at --samples {args.samples}"
-        )
     if args.seed < 0:
         raise ValueError("--seed must be non-negative")
-    import numpy as np
+    import random
 
     from . import hopf
 
-    rng = np.random.default_rng(args.seed)
-    links = []
-    for _ in range(args.trials):
-        p1 = hopf.random_sphere_point(rng)
-        p2 = hopf.random_sphere_point(rng)
-        while np.linalg.norm(p1 - p2) < 0.1:
-            p2 = hopf.random_sphere_point(rng)
-        links.append(hopf.fiber_linking(p1, p2, samples=args.samples, rng=rng))
+    rng = random.Random(args.seed)
+    pairs = [hopf.draw_fiber_pair(rng) for _ in range(args.trials)]
+    dets = [hopf.fiber_determinant(q, r) for q, r in pairs]
+    links = [hopf.linking_number(det) for det in dets]
+    # The first pair ties the sign convention to the classical integral, and
+    # its mirror-fibration determinant is the negative control.
+    q, r = pairs[0]
+    reference = hopf.fiber_linking(
+        hopf.base_point(q), hopf.base_point(r), samples=args.samples, rng=rng
+    )
+    mirror = hopf.mirror_determinant(q, r)
     control = hopf.gauss_linking(*hopf.unlinked_control(samples=args.samples))
-    worst = max(abs(abs(v) - 1.0) for v in links)
-    if worst > 0.02 or abs(control) > 0.02:
+    if not abs(reference - links[0]) <= 0.02:
         raise VerificationError(
-            f"linking certificate failed: worst fiber deviation {worst:.4f}, "
-            f"control {control:.4f}"
+            f"linking certificate failed: the reference Gauss sum reads "
+            f"{reference:+.4f}, the determinant {dets[0]} gives {links[0]:+d}"
+        )
+    if not mirror < 0:
+        raise VerificationError(
+            f"linking certificate failed: mirror determinant {mirror} is not negative"
+        )
+    if not abs(control) <= 0.02:
+        raise VerificationError(
+            f"linking certificate failed: unlinked control reads {control:.4f}"
         )
     payload = {
         "seed": args.seed,
         "samples": args.samples,
-        "trials": [round(v, 6) for v in links],
-        "max_deviation": round(worst, 6),
+        "trials": links,
+        "determinants": dets,
+        # Every trial is an exact +1 or -1.
+        "max_deviation": 0.0,
+        "reference": round(reference, 6),
+        "mirror_determinant": mirror,
         "unlinked_control": round(control, 6),
     }
     lines = [
-        f"  trial {i + 1:2d}: Lk = {v:+.5f}" for i, v in enumerate(links)
+        f"  trial {i + 1:2d}: det[q, iq, r, ir] = {det:5d}, Lk = {link:+d}"
+        for i, (det, link) in enumerate(zip(dets, links))
     ]
     human = (
         "\n".join(lines)
+        + f"\nreference (trial 1, {args.samples} samples): Gauss sum Lk = {reference:+.5f}"
+        + f"\nmirror (trial 1): det[q, qi, r, ri] = {mirror} < 0"
         + f"\nunlinked control: {control:+.2e}"
-        + f"\nmax | |Lk| - 1 | = {worst:.2e} over {args.trials} trials"
-        + " (every pair of distinct fibers links once)"
+        + f"\nevery pair of distinct fibers links once ({args.trials} integer certificates)"
     )
     _emit(args, payload, human)
     return 0
@@ -494,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--trials",
         type=int,
         default=20,
-        help=f"fiber pairs to link (at most {_MAX_TRIALS}, fewer above 512 samples)",
+        help=f"fiber pairs to certify (at most {_MAX_TRIALS})",
     )
     p.set_defaults(func=cmd_linking)
 

@@ -12,8 +12,7 @@ This module checks, numerically, the SO(3) facts behind the first stem:
 A matrix is three row tuples of floats, a quaternion the 4-tuple
 ``(w, x, y, z)`` (as in :mod:`stemcert.hopf`), and a lifted loop the list of
 its quaternions, returned beside its monodromy sign.  Every value is a
-scalar: a 3x3 matrix costs numpy more in per-call overhead than in
-arithmetic, so this module does not import it.
+scalar in stdlib floats.
 Rotations follow the active convention of :func:`stemcert.hopf.rot_from_quat`,
 the matrix of ``x -> q x conj(q)``.
 """

@@ -9,10 +9,9 @@ warm-up excluded).
 """
 
 import math
+import random
 import time
 from fractions import Fraction
-
-import numpy as np
 
 from stemcert import einv, hopf, jorder, so3
 from stemcert.kring import (
@@ -162,31 +161,34 @@ def test_criterion_07_feder_gitler_and_thom_cells():
     _passed(7, "k = 12 vs 0 inequivalent, 24 vs 0 equivalent; cells {96, 100}")
 
 
+def _unit_quaternion(rng):
+    v = [rng.gauss(0.0, 1.0) for _ in range(4)]
+    n = math.hypot(*v)
+    return [c / n for c in v]
+
+
+def _matrix_gap(a, b):
+    return max(abs(x - y) for row_a, row_b in zip(a, b) for x, y in zip(row_a, row_b))
+
+
 def test_criterion_08_double_cover_homomorphism():
-    rng = np.random.default_rng(2026)
-    pairs = rng.normal(size=(10**4, 2, 4))
-    pairs /= np.linalg.norm(pairs, axis=2, keepdims=True)
+    rng = random.Random(2026)
+    pairs = [(_unit_quaternion(rng), _unit_quaternion(rng)) for _ in range(10**4)]
 
     def residual():
         worst = 0.0
-        for a, b in pairs.tolist():
-            lhs = np.asarray(hopf.rot_from_quat(hopf.qmul(a, b)).matrix)
-            rhs = np.asarray(hopf.rot_from_quat(a).matrix) @ np.asarray(
-                hopf.rot_from_quat(b).matrix
-            )
-            worst = max(worst, float(np.abs(lhs - rhs).max()))
+        for a, b in pairs:
+            lhs = hopf.rot_from_quat(hopf.qmul(a, b)).matrix
+            ra, rb = hopf.rot_from_quat(a).matrix, hopf.rot_from_quat(b).matrix
+            rhs = [[sum(x * y for x, y in zip(row, col)) for col in zip(*rb)] for row in ra]
+            worst = max(worst, _matrix_gap(lhs, rhs))
         return worst
 
     worst, elapsed = _timed(residual)
     assert worst < 1e-12
     q = pairs[0][0]
-    assert (
-        np.abs(
-            np.asarray(hopf.rot_from_quat(q).matrix)
-            - np.asarray(hopf.rot_from_quat(-q).matrix)
-        ).max()
-        == 0.0
-    )
+    minus_q = [-c for c in q]
+    assert _matrix_gap(hopf.rot_from_quat(q).matrix, hopf.rot_from_quat(minus_q).matrix) == 0.0
     assert elapsed < 1.0
     _passed(8, f"residual {worst:.2e} over 10^4 pairs in {elapsed:.2f} s")
 
@@ -216,14 +218,14 @@ def test_criterion_09_monodromy_of_gamma():
 
 
 def test_criterion_10_fiber_linking_20_trials():
-    rng = np.random.default_rng(0)
+    rng = random.Random(0)
 
     def all_trials():
         links = []
         for _ in range(20):
             p1 = hopf.random_sphere_point(rng)
             p2 = hopf.random_sphere_point(rng)
-            while np.linalg.norm(p1 - p2) < 0.1:
+            while math.dist(p1, p2) < 0.1:
                 p2 = hopf.random_sphere_point(rng)
             links.append(hopf.fiber_linking(p1, p2, samples=512, rng=rng))
         control = hopf.gauss_linking(*hopf.unlinked_control(samples=512))

@@ -41,7 +41,6 @@ ORACLES = {
         "the Hopf map of one quaternion tuple, which checks the vectorized map "
         "of fiber_curve"
     ),
-    "stemcert.hopf.qmul": "the Hamilton product of quaternion tuples behind hopf_map",
     "stemcert.hopf.rot_from_quat": (
         "the double cover S^3 -> SO(3), which quat_from_rot inverts"
     ),
@@ -49,6 +48,9 @@ ORACLES = {
         "inverts the stereographic projection that fiber_linking runs"
     ),
     "stemcert._kernels.get_backend": "names the kernel implementation in benchmark provenance",
+    "stemcert.hopf.random_sphere_point": (
+        "uniform float base points for the Gauss-integral oracle of criterion 10"
+    ),
     "stemcert.hopf.hurwitz_units": (
         "pole candidates, drawn only when a fiber passes within 1e-3 of -1"
     ),

@@ -24,7 +24,8 @@ PACKAGE_PARENT = Path(stemcert.__file__).resolve().parent.parent
 PROJECT_ROOT = Path(__file__).resolve().parent.parent
 
 
-# Modules that only the geometric subcommands need; numpy comes in with them.
+# Modules that only the geometric subcommands need, and numpy, which none
+# of them loads.
 GEOMETRY_MODULES = ("numpy", "stemcert.hopf", "stemcert._kernels")
 
 
@@ -198,10 +199,11 @@ def test_exact_subcommands_do_not_import_geometry():
     child = main_in_child(*exact)
     assert child["codes"] == [0] * len(exact)
     assert child["loaded"] == []
-    # Positive control: the same probe sees numpy and hopf once linking runs.
+    # Positive control: the same probe sees hopf and its kernel once linking
+    # runs, and still no numpy.
     child = main_in_child(["linking", "--trials", "1"])
     assert child["codes"] == [0]
-    assert {"numpy", "stemcert.hopf"} <= set(child["loaded"])
+    assert child["loaded"] == ["stemcert.hopf", "stemcert._kernels"]
 
 
 # Runs stemcert.cli.main on the argv in argv[1] in a fresh interpreter, then
@@ -260,9 +262,43 @@ def test_each_subcommand_loads_only_the_layers_it_runs(argv, not_loaded):
     assert child["code"] == 0
     loaded = set(child["modules"])
     assert sorted(loaded & not_loaded) == []
-    assert "dataclasses" not in loaded
-    # numpy imports inspect itself; nothing in the package does.
-    assert ("inspect" in loaded) == ("linking" in argv)
+    # Nothing in the package imports these, linking included.
+    assert sorted(loaded & {"dataclasses", "inspect", "numpy"}) == []
+
+
+# Blocks numpy the way an interpreter without it fails to import it, then runs
+# each argv of argv[1] through stemcert.cli.main and prints the exit codes.
+WITHOUT_NUMPY_IN_CHILD = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None
+from stemcert.cli import main
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+print(json.dumps(codes))
+"""
+
+
+def test_every_subcommand_runs_without_numpy():
+    commands = [
+        ["report", "--stem", "1"],
+        ["jorder", "--t", "2"],
+        ["bernoulli", "--n", "12"],
+        ["adams", "--space", "cp2", "--k", "2", "--elem", "mu"],
+        ["einv", "--space", "hp2"],
+        ["feder-gitler", "--n", "1", "--k", "12", "--l", "0"],
+        ["thom", "--family", "quaternionic", "--n", "1", "--mult", "24"],
+        ["--samples", "64", "linking", "--trials", "3"],
+        ["lift", "--loop", "homotopy"],
+    ]
+    subcommands = {name[4:].replace("_", "-") for name in vars(cli) if name.startswith("cmd_")}
+    assert {next(a for a in argv if a in subcommands) for argv in commands} == subcommands
+    proc = run_child(
+        [sys.executable, "-c", WITHOUT_NUMPY_IN_CHILD, json.dumps(commands)]
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0] * len(commands)
 
 
 # Checks the package API in a fresh interpreter, before and after every
@@ -504,9 +540,36 @@ def test_linking_command_certifies(capsys):
     )
     assert code == 0
     blob = json.loads(out)
-    assert blob["max_deviation"] <= 0.02
+    assert blob["max_deviation"] == 0.0
     assert abs(blob["unlinked_control"]) <= 0.02
     assert len(blob["trials"]) == 3
+    # Each trial is the exact sign of a non-zero integer determinant; the
+    # first pair's Gauss sum has that sign and its mirror pair the other.
+    assert all(type(det) is int and det != 0 for det in blob["determinants"])
+    assert blob["trials"] == [1 if det > 0 else -1 for det in blob["determinants"]]
+    assert abs(blob["reference"] - blob["trials"][0]) <= 0.02
+    assert type(blob["mirror_determinant"]) is int and blob["mirror_determinant"] < 0
+
+
+@pytest.mark.parametrize(
+    "name,tamper,message",
+    [
+        ("fiber_linking", lambda real: lambda *a, **k: -real(*a, **k), "reference Gauss sum reads -1.0"),
+        ("mirror_determinant", lambda real: lambda q, r: -real(q, r), "is not negative"),
+        # r = q i: the pair lies on one circle of the mirror fibration.
+        ("draw_fiber_pair", lambda real: lambda rng: ((1, 0, 1, 0), (0, 1, 0, -1)), "mirror determinant 0"),
+        # r = 2 q: the pair lies on one Hopf fiber.
+        ("draw_fiber_pair", lambda real: lambda rng: ((1, 2, 0, 0), (2, 4, 0, 0)), "zero fiber determinant"),
+    ],
+    ids=["reference-sign", "mirror-positive", "mirror-zero", "zero-determinant"],
+)
+def test_linking_exits_three_on_a_tampered_certificate(capsys, monkeypatch, name, tamper, message):
+    from stemcert import hopf
+
+    monkeypatch.setattr(hopf, name, tamper(getattr(hopf, name)))
+    code, out, err = run_cli(capsys, "--samples", "64", "linking", "--trials", "2")
+    assert (code, out) == (3, "")
+    assert message in err
 
 
 def test_linking_rejects_zero_trials(capsys):
@@ -552,7 +615,7 @@ def test_linking_rejects_samples_below_the_floor_before_sampling(capsys):
         (("thom", "--family", "complex", "--mult", "1", "--n", "{}"), "--n", 100000),
         (("thom", "--family", "quaternionic", "--n", "1", "--mult", "{}"), "--mult", 100000),
         (("lift", "--loop", "gamma", "--steps", "{}"), "--steps", 65536),
-        # 128 samples still certify; 1000 trials take about 2.5 s.
+        # 1000 integer trials and two Gauss sums at 128 samples take about 0.2 s.
         (("--samples", "128", "linking", "--trials", "{}"), "--trials", 1000),
     ],
     ids=[
@@ -586,11 +649,26 @@ def test_size_caps_answer_at_the_cap_and_reject_above_it(capsys, argv, flag, cap
     assert f"error: {flag} must be at most {cap}" in err
 
 
-def test_linking_caps_trials_by_their_gauss_sum_work(capsys):
-    # 16 trials of 4096 samples are 2^28 pair terms.
-    code, out, err = run_cli(capsys, "--samples", "4096", "linking", "--trials", "17")
-    assert (code, out) == (2, "")
-    assert "error: --trials must be at most 16 at --samples 4096" in err
+def test_linking_sums_two_gauss_integrals_whatever_its_trial_count(capsys, monkeypatch):
+    # The trials are integer determinants; only the reference pair and the
+    # unlinked control pay an O(samples^2) sum, so --samples alone bounds the
+    # run and --trials is capped only by its own limit.
+    from stemcert import _kernels
+
+    calls = []
+    kernel = _kernels.gauss_linking_sum
+
+    def counted(*arrays):
+        calls.append(len(arrays[0]))
+        return kernel(*arrays)
+
+    monkeypatch.setattr(_kernels, "gauss_linking_sum", counted)
+    for trials in ("1", "1000"):
+        calls.clear()
+        code, out, err = run_cli(capsys, "--json", "--samples", "64", "linking", "--trials", trials)
+        assert code == 0, err
+        assert len(json.loads(out)["determinants"]) == int(trials)
+        assert calls == [64, 64]
 
 
 def test_einv_checks_the_space_index_before_building_the_ring(capsys, monkeypatch):

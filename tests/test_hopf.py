@@ -4,26 +4,34 @@ rotation-loop monodromy.
 The rotations, the ball model and loop lifting are :mod:`stemcert.so3`'s and
 are imported from there; :mod:`stemcert.hopf` supplies the quaternion
 oracles ``qmul``, ``hopf_map`` and ``rot_from_quat``, which take and return
-plain tuples, and the sampled curves, which are arrays of distinct samples.
+plain tuples, the integer fiber certificates, and the sampled curves, which
+are lists of distinct samples.  numpy serves only as the full-array float
+oracle of the Gauss sum, in the tests that import it.
 """
 
 import math
+import random
 import tracemalloc
+from itertools import permutations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stemcert import _kernels, hopf
-from stemcert.errors import ResamplePole
+from stemcert.errors import ResamplePole, VerificationError
 from stemcert.hopf import (
+    base_point,
     choose_pole,
+    draw_fiber_pair,
     fiber_curve,
+    fiber_determinant,
     fiber_linking,
     gauss_linking,
     hopf_map,
     hurwitz_units,
+    linking_number,
+    mirror_determinant,
     qmul,
     random_sphere_point,
     rot_from_quat,
@@ -48,11 +56,14 @@ ONE = (1.0, 0.0, 0.0, 0.0)
 I = (0.0, 1.0, 0.0, 0.0)
 J = (0.0, 0.0, 1.0, 0.0)
 K = (0.0, 0.0, 0.0, 1.0)
+MINUS_ONE = (-1.0, 0.0, 0.0, 0.0)
+EYE = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
 
 def random_unit_quaternion(rng):
-    v = rng.normal(size=4)
-    return tuple((v / np.linalg.norm(v)).tolist())
+    v = [rng.gauss(0.0, 1.0) for _ in range(4)]
+    n = math.hypot(*v)
+    return tuple(c / n for c in v)
 
 
 def conjugate(q):
@@ -62,6 +73,41 @@ def conjugate(q):
 
 def negate(q):
     return tuple(-c for c in q)
+
+
+def gap(u, v):
+    """Largest coordinate difference of two vectors, or of two matrices."""
+    if isinstance(u[0], (tuple, list)):
+        return max(gap(a, b) for a, b in zip(u, v))
+    return max(abs(a - b) for a, b in zip(u, v))
+
+
+def apply(matrix, v):
+    return tuple(sum(m * c for m, c in zip(row, v)) for row in matrix)
+
+
+def matmul(a, b):
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
+
+
+def leibniz_det(rows):
+    """Determinant as the signed sum over permutations, in exact integers."""
+    total = 0
+    for perm in permutations(range(len(rows))):
+        inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1 :])
+        term = (-1) ** inversions
+        for row, column in zip(rows, perm):
+            term *= row[column]
+        total += term
+    return total
+
+
+def projected_pair(p1, p2, samples):
+    """The fibers over ``p1`` and ``p2``, projected from the pole that
+    :func:`choose_pole` picks."""
+    a, b = fiber_curve(p1, samples), fiber_curve(p2, samples)
+    pole = choose_pole([a, b])
+    return stereographic(a, pole), stereographic(b, pole)
 
 
 # --------------------------------------------------------------------------
@@ -79,34 +125,34 @@ def test_hamilton_table():
 
 
 def test_norm_is_multiplicative():
-    rng = np.random.default_rng(3)
+    rng = random.Random(3)
     for _ in range(50):
-        a, b = rng.normal(size=(2, 4)).tolist()
+        a = [rng.gauss(0.0, 1.0) for _ in range(4)]
+        b = [rng.gauss(0.0, 1.0) for _ in range(4)]
         assert math.isclose(
             math.hypot(*qmul(a, b)), math.hypot(*a) * math.hypot(*b), rel_tol=1e-12
         )
 
 
 def test_conjugate_reverses_products():
-    rng = np.random.default_rng(4)
+    rng = random.Random(4)
     for _ in range(20):
         a, b = random_unit_quaternion(rng), random_unit_quaternion(rng)
         lhs = conjugate(qmul(a, b))
         rhs = qmul(conjugate(b), conjugate(a))
-        assert np.abs(np.subtract(lhs, rhs)).max() < 1e-12
+        assert gap(lhs, rhs) < 1e-12
 
 
 def test_quaternion_oracles_take_and_give_tuples():
-    q = random_unit_quaternion(np.random.default_rng(12))
+    q = random_unit_quaternion(random.Random(12))
     product = qmul(q, I)
     assert type(product) is tuple and len(product) == 4
     image = hopf_map(q)
     assert type(image) is tuple and len(image) == 3
     assert all(type(c) is float for c in product + image)
     # Any 4-sequence of a unit quaternion gives the same values.
-    for same in (list(q), np.array(q)):
-        assert hopf_map(same) == image
-        assert rot_from_quat(same).matrix == rot_from_quat(q).matrix
+    assert hopf_map(list(q)) == image
+    assert rot_from_quat(list(q)).matrix == rot_from_quat(q).matrix
 
 
 # --------------------------------------------------------------------------
@@ -115,26 +161,26 @@ def test_quaternion_oracles_take_and_give_tuples():
 
 
 def test_hopf_map_base_cases():
-    assert np.allclose(hopf_map(ONE), [1, 0, 0])
-    assert np.allclose(hopf_map(I), [1, 0, 0])
-    assert np.allclose(hopf_map(J), [-1, 0, 0])
-    assert np.allclose(hopf_map(K), [-1, 0, 0])
+    assert gap(hopf_map(ONE), (1, 0, 0)) < 1e-12
+    assert gap(hopf_map(I), (1, 0, 0)) < 1e-12
+    assert gap(hopf_map(J), (-1, 0, 0)) < 1e-12
+    assert gap(hopf_map(K), (-1, 0, 0)) < 1e-12
 
 
 def test_hopf_map_lands_on_sphere():
-    rng = np.random.default_rng(5)
+    rng = random.Random(5)
     for _ in range(100):
         p = hopf_map(random_unit_quaternion(rng))
-        assert abs(np.linalg.norm(p) - 1.0) < 1e-12
+        assert abs(math.hypot(*p) - 1.0) < 1e-12
 
 
 def test_hopf_map_is_constant_on_circle_orbits():
-    rng = np.random.default_rng(6)
+    rng = random.Random(6)
     for _ in range(30):
         q = random_unit_quaternion(rng)
         theta = rng.uniform(0, 2 * math.pi)
         rotated = qmul((math.cos(theta), math.sin(theta), 0.0, 0.0), q)
-        assert np.abs(np.subtract(hopf_map(q), hopf_map(rotated))).max() < 1e-12
+        assert gap(hopf_map(q), hopf_map(rotated)) < 1e-12
 
 
 def test_hopf_map_rejects_non_unit():
@@ -145,38 +191,34 @@ def test_hopf_map_rejects_non_unit():
 def test_fiber_over_i_is_the_stabilizer_circle():
     curve = fiber_curve([1.0, 0.0, 0.0], samples=64)
     # {cos t + i sin t}: the j and k components vanish identically.
-    assert np.abs(curve[:, 2:]).max() < 1e-12
-    assert np.abs(np.linalg.norm(curve, axis=1) - 1.0).max() < 1e-12
+    assert max(abs(c) for point in curve for c in point[2:]) < 1e-12
+    assert max(abs(math.hypot(*point) - 1.0) for point in curve) < 1e-12
 
 
 def test_fiber_curve_stores_its_distinct_samples_once():
     curve = fiber_curve([0.0, 0.6, 0.8], 64)
-    assert curve.shape == (64, 4)
-    assert len({tuple(row) for row in curve.tolist()}) == 64
+    assert len(curve) == 64 and all(len(point) == 4 for point in curve)
+    assert len(set(curve)) == 64
     # Unit speed on a great circle: every step, the one from the last sample
     # back to the first included, spans the chord of angle 2 pi / 64.
-    steps = np.linalg.norm(np.roll(curve, -1, axis=0) - curve, axis=1)
-    assert np.abs(steps - 2.0 * math.sin(math.pi / 64)).max() < 1e-12
+    steps = [math.dist(a, b) for a, b in zip(curve, curve[1:] + curve[:1])]
+    assert max(abs(s - 2.0 * math.sin(math.pi / 64)) for s in steps) < 1e-12
 
 
 def test_fiber_over_minus_i_maps_back():
     curve = fiber_curve([-1.0, 0.0, 0.0], samples=64)
-    w, x, y, z = curve.T
-    images = np.stack(
-        [w**2 + x**2 - y**2 - z**2, 2 * (x * y - w * z), 2 * (w * y + x * z)],
-        axis=1,
-    )
-    assert np.abs(images - np.array([-1.0, 0.0, 0.0])).max() < 1e-9
+    for w, x, y, z in curve:
+        image = (w**2 + x**2 - y**2 - z**2, 2 * (x * y - w * z), 2 * (w * y + x * z))
+        assert gap(image, (-1.0, 0.0, 0.0)) < 1e-9
 
 
 @given(st.integers(0, 10**6))
 @settings(max_examples=25, deadline=None)
 def test_fiber_samples_all_map_to_base(seed):
-    rng = np.random.default_rng(seed)
-    p = random_sphere_point(rng)
+    p = random_sphere_point(random.Random(seed))
     curve = fiber_curve(p, samples=48)
     for row in curve[::8]:
-        assert np.abs(hopf_map(row) - p).max() < 1e-9
+        assert gap(hopf_map(row), p) < 1e-9
 
 
 def test_fiber_curve_validation():
@@ -187,59 +229,153 @@ def test_fiber_curve_validation():
 
 
 # --------------------------------------------------------------------------
+# Integer fiber certificates
+# --------------------------------------------------------------------------
+
+
+def test_fiber_determinant_is_the_exact_4x4_determinant():
+    rng = random.Random(21)
+    for _ in range(200):
+        q, r = (tuple(rng.randint(-6, 6) for _ in range(4)) for _ in range(2))
+        left = leibniz_det([q, qmul(I, q), r, qmul(I, r)])
+        right = leibniz_det([q, qmul(q, I), r, qmul(r, I)])
+        assert fiber_determinant(q, r) == left and type(fiber_determinant(q, r)) is int
+        assert mirror_determinant(q, r) == right
+
+
+def test_fiber_determinants_have_one_sign_per_fibration():
+    # Left multiplication by i orients R^4 as (1, i, j, k) does, right
+    # multiplication against it: every pair off one fiber has det > 0 and
+    # mirror det < 0.
+    rng = random.Random(22)
+    for _ in range(500):
+        q, r = (tuple(rng.randint(-6, 6) for _ in range(4)) for _ in range(2))
+        det, mirror = fiber_determinant(q, r), mirror_determinant(q, r)
+        assert det >= 0 and mirror <= 0
+    # Two points of one fiber, and a zero quaternion, give no sign.
+    q = (1, -2, 3, 5)
+    assert fiber_determinant(q, qmul((2, 3, 0, 0), q)) == 0
+    assert fiber_determinant(q, (0, 0, 0, 0)) == 0
+    assert mirror_determinant(q, qmul(q, (2, 3, 0, 0))) == 0
+
+
+def test_linking_number_is_the_sign_and_rejects_zero():
+    assert linking_number(1754) == 1
+    assert linking_number(-3) == -1
+    with pytest.raises(VerificationError, match="zero"):
+        linking_number(0)
+
+
+def test_draw_fiber_pair_gives_separated_non_degenerate_pairs():
+    rng = random.Random(23)
+    for _ in range(300):
+        q, r = draw_fiber_pair(rng)
+        assert all(type(c) is int and -6 <= c <= 6 for c in q + r)
+        assert fiber_determinant(q, r) > 0 > mirror_determinant(q, r)
+        assert math.dist(base_point(q), base_point(r)) >= 0.1 - 1e-12
+
+
+def test_base_point_is_the_hopf_map_of_the_normalized_quaternion():
+    rng = random.Random(24)
+    for _ in range(50):
+        q, _ = draw_fiber_pair(rng)
+        norm = math.hypot(*q)
+        assert gap(base_point(q), hopf_map([c / norm for c in q])) < 1e-12
+        # The fiber through q lies over its base point.
+        unit = [c / norm for c in q]
+        assert gap(hopf_map(qmul((0.6, 0.8, 0.0, 0.0), unit)), base_point(q)) < 1e-12
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_reference_gauss_sum_has_the_sign_of_the_determinant(seed):
+    rng = random.Random(seed)
+    for _ in range(3):
+        q, r = draw_fiber_pair(rng)
+        lk = fiber_linking(base_point(q), base_point(r), samples=128, rng=rng)
+        assert abs(lk - linking_number(fiber_determinant(q, r))) < 0.02
+
+
+# --------------------------------------------------------------------------
 # Stereographic projection and pole choice
 # --------------------------------------------------------------------------
 
 
 def test_stereographic_round_trip():
-    rng = np.random.default_rng(7)
-    # An array of samples, as fiber_linking projects them, and each sample
-    # on its own give the same images, which the inverse maps back.
-    points = np.array([random_unit_quaternion(rng) for _ in range(50)])
-    for pole in (np.array([-1.0, 0.0, 0.0, 0.0]), hurwitz_units()[13]):
+    rng = random.Random(7)
+    # A list of samples, as fiber_linking projects them, and each sample on
+    # its own give the same images, which the inverse maps back.
+    points = [random_unit_quaternion(rng) for _ in range(50)]
+    for pole in (MINUS_ONE, hurwitz_units()[13]):
         images = stereographic(points, pole)
-        assert images.shape == (50, 3)
+        assert len(images) == 50 and all(len(v) == 3 for v in images)
         for q, v in zip(points, images):
-            assert np.abs(stereographic(q, pole) - v).max() < 1e-12
-            assert np.abs(stereographic_inverse(v, pole) - q).max() < 1e-9
+            assert gap(stereographic([q], pole)[0], v) < 1e-12
+            assert gap(stereographic_inverse(v, pole), q) < 1e-9
 
 
 def test_stereographic_rejects_pole_neighborhood():
-    pole = np.array([-1.0, 0.0, 0.0, 0.0])
-    near = np.array([-1.0, 1e-4, 0.0, 0.0]) / math.hypot(1.0, 1e-4)
+    near = (-1.0 / math.hypot(1.0, 1e-4), 1e-4 / math.hypot(1.0, 1e-4), 0.0, 0.0)
     with pytest.raises(ResamplePole):
-        stereographic(pole, pole)
+        stereographic([MINUS_ONE], MINUS_ONE)
     with pytest.raises(ResamplePole):
-        stereographic(np.array([[0.0, 1.0, 0.0, 0.0], near]), pole)
+        stereographic([(0.0, 1.0, 0.0, 0.0), near], MINUS_ONE)
 
 
 def test_stereographic_requires_unit_points_and_pole():
-    pole = np.array([-1.0, 0.0, 0.0, 0.0])
+    doubled = tuple(2.0 * c for c in MINUS_ONE)
     with pytest.raises(ValueError, match="unit vectors"):
-        stereographic(np.array([[0.0, 1.0, 0.0, 0.0], [0.0, 1.0, 1.0, 0.0]]), pole)
-    with pytest.raises(ValueError, match="4-vector"):
-        stereographic(np.array([0.0, 1.0, 0.0]), pole)
+        stereographic([(0.0, 1.0, 0.0, 0.0), (0.0, 1.0, 1.0, 0.0)], MINUS_ONE)
+    with pytest.raises(ValueError, match="4 coordinates"):
+        stereographic([(0.0, 1.0, 0.0)], MINUS_ONE)
+    with pytest.raises(ValueError, match="4 coordinates"):
+        stereographic((0.0, 1.0, 0.0, 0.0), MINUS_ONE)  # a point, not a list of them
     with pytest.raises(ValueError, match="pole"):
-        stereographic(np.array([0.0, 1.0, 0.0, 0.0]), 2.0 * pole)
+        stereographic([(0.0, 1.0, 0.0, 0.0)], doubled)
     with pytest.raises(ValueError, match="pole"):
-        stereographic_inverse(np.zeros(3), 2.0 * pole)
+        stereographic_inverse((0.0, 0.0, 0.0), doubled)
 
 
 def test_hurwitz_units_are_24_distinct_unit_vectors():
     units = hurwitz_units()
-    assert units.shape == (24, 4)
-    assert np.abs(np.linalg.norm(units, axis=1) - 1.0).max() < 1e-12
-    assert len({tuple(u) for u in units}) == 24
+    assert len(units) == 24 and all(len(u) == 4 for u in units)
+    assert max(abs(math.hypot(*u) - 1.0) for u in units) < 1e-12
+    assert len(set(units)) == 24
 
 
 def test_choose_pole_default_and_reroll():
     # A fiber far from -1 keeps the default pole.
     clear = fiber_curve([0.0, 0.0, 1.0], samples=64)
-    assert np.allclose(choose_pole([clear]), [-1.0, 0.0, 0.0, 0.0])
+    assert choose_pole([clear]) == MINUS_ONE
     # The fiber over i passes through -1 itself, forcing a re-choice.
     through_pole = fiber_curve([1.0, 0.0, 0.0], samples=256)
     pole = choose_pole([through_pole], rng=0)
-    assert np.linalg.norm(through_pole - pole, axis=1).min() > 1e-3
+    assert min(math.dist(p, pole) for p in through_pole) > 1e-3
+
+
+def test_every_pole_basis_is_oriented_alike():
+    for pole in [MINUS_ONE, *hurwitz_units()]:
+        basis = hopf._pole_basis(pole)
+        assert abs(hopf._det4([pole, *basis]) + 1.0) < 1e-12
+        for n, e in enumerate(basis):
+            assert abs(hopf._dot(e, pole)) < 1e-12
+            assert all(abs(hopf._dot(e, f) - (n == m)) < 1e-12 for m, f in enumerate(basis))
+
+
+@pytest.mark.parametrize(
+    "p1,p2", [((0.0, 1.0, 0.0), (0.0, 0.0, 1.0)), ((1.0, 0.0, 0.0), (0.0, 0.6, -0.8))]
+)
+def test_one_pair_links_with_one_sign_from_every_pole_that_clears_it(p1, p2):
+    # The fibers over (0, 1, 0) and (0, 0, 1) read +1 from -1 and from +1
+    # alike; the fiber over (1, 0, 0) passes through -1 and +1 themselves.
+    a, b = fiber_curve(p1, 128), fiber_curve(p2, 128)
+    clearing = [
+        pole
+        for pole in [MINUS_ONE, *hurwitz_units()]
+        if min(math.dist(p, pole) for p in a + b) > 1e-3
+    ]
+    assert len(clearing) >= 12
+    for pole in clearing:
+        assert abs(gauss_linking(stereographic(a, pole), stereographic(b, pole)) - 1.0) < 0.02
 
 
 # --------------------------------------------------------------------------
@@ -249,6 +385,32 @@ def test_choose_pole_default_and_reroll():
 
 def test_unlinked_control_is_zero():
     assert abs(gauss_linking(*unlinked_control(samples=256))) < 0.02
+
+
+@pytest.mark.parametrize("samples", [64, 128, 512, 777, 1024])
+def test_no_term_of_the_unlinked_control_vanishes(samples):
+    # Coplanar circles would make every numerator exactly 0, whatever the
+    # integrand code computed; the tilted circle leaves none at 0.
+    np = pytest.importorskip("numpy")
+    (mid_a, seg_a), (mid_b, seg_b) = (
+        (np.asarray(part) for part in hopf._segments(curve))
+        for curve in unlinked_control(samples)
+    )
+    numerators = np.einsum(
+        "ijk,ijk->ij",
+        np.cross(seg_a[:, None, :], seg_b[None, :, :]),
+        mid_a[:, None, :] - mid_b[None, :, :],
+    )
+    assert np.abs(numerators).min() > 0.0
+
+
+def test_unlinked_control_links_once_when_moved_through_the_disc():
+    circle, tilted = unlinked_control(samples=256)
+    # Centred at (1, 0, 0), the tilted circle crosses the plane z = 0 at the
+    # origin, inside the first circle, and at (2, 0, 0), outside it.
+    moved = [(x - 3.0, y, z) for x, y, z in tilted]
+    assert abs(abs(gauss_linking(circle, moved)) - 1.0) < 0.02
+    assert abs(gauss_linking(circle, tilted)) < 0.02
 
 
 def test_hopf_fibers_link_once():
@@ -263,10 +425,7 @@ def test_fiber_linking_survives_pole_reroll():
 
 
 def test_linking_sign_flips_with_orientation():
-    a = fiber_curve([0.0, 0.0, 1.0], samples=256)
-    b = fiber_curve([0.0, 0.0, -1.0], samples=256)
-    pole = choose_pole([a, b])
-    first, second = (stereographic(curve, pole) for curve in (a, b))
+    first, second = projected_pair([0.0, 0.0, 1.0], [0.0, 0.0, -1.0], 256)
     fwd = gauss_linking(first, second)
     assert abs(fwd + gauss_linking(first[::-1], second)) < 1e-9
     assert abs(fwd + gauss_linking(first, second[::-1])) < 1e-9
@@ -276,21 +435,18 @@ def test_linking_sign_flips_with_orientation():
 def test_gauss_linking_does_not_depend_on_the_first_sample(shift):
     # A closed curve has no distinguished start: rolling its samples keeps
     # every segment, the one that wraps around included.
-    a = fiber_curve([0.0, 0.6, 0.8], 256)
-    b = fiber_curve([0.8, 0.0, -0.6], 256)
-    pole = choose_pole([a, b])
-    first, second = (stereographic(curve, pole) for curve in (a, b))
+    first, second = projected_pair([0.0, 0.6, 0.8], [0.8, 0.0, -0.6], 256)
     lk = gauss_linking(first, second)
-    assert abs(gauss_linking(np.roll(first, shift, axis=0), second) - lk) < 1e-12
-    assert abs(gauss_linking(first, np.roll(second, shift, axis=0)) - lk) < 1e-12
+    assert abs(gauss_linking(first[shift:] + first[:shift], second) - lk) < 1e-12
+    assert abs(gauss_linking(first, second[shift:] + second[:shift]) - lk) < 1e-12
 
 
 def test_gauss_linking_validation():
     circle, far = unlinked_control(samples=128)
     with pytest.raises(ValueError, match="R\\^3"):
-        gauss_linking(np.hstack([circle, np.zeros((128, 1))]), far)
+        gauss_linking([point + (0.0,) for point in circle], far)
     with pytest.raises(ValueError, match="R\\^3"):
-        gauss_linking(circle.ravel(), far)
+        gauss_linking([c for point in circle for c in point], far)
     tiny, _ = unlinked_control(samples=32)
     with pytest.raises(ValueError, match="at least 64"):
         gauss_linking(tiny, far)
@@ -298,11 +454,25 @@ def test_gauss_linking_validation():
         gauss_linking(circle, circle)  # zero separation
 
 
-def einsum_gauss_sum(a, b):
+@pytest.mark.parametrize("curve", [0, 1])
+@pytest.mark.parametrize("index", [0, 77, 127])
+def test_gauss_linking_fails_closed_on_a_non_finite_sample(curve, index):
+    # One NaN (or infinite) coordinate anywhere fails the separation check
+    # instead of passing it and returning NaN.
+    for bad in (math.nan, math.inf):
+        pair = [list(c) for c in unlinked_control(samples=128)]
+        x, y, z = pair[curve][index]
+        pair[curve][index] = (x, bad, z)
+        assert math.isnan(_kernels.closest_squared_distance(*pair))
+        with pytest.raises(ValueError, match="intersect"):
+            gauss_linking(*pair)
+
+
+def einsum_gauss_sum(np, a, b):
     """The Gauss double sum of two closed curves on full (N, N, 3) arrays:
-    the reference for the blocked kernel.  Each curve's segments come from
-    appending its first sample to its end."""
-    a, b = (np.concatenate([c, c[:1]]) for c in (a, b))
+    the reference for the kernel.  Each curve's segments come from appending
+    its first sample to its end."""
+    a, b = (np.concatenate([c, c[:1]]) for c in (np.asarray(a), np.asarray(b)))
     mid_a, seg_a = 0.5 * (a[:-1] + a[1:]), a[1:] - a[:-1]
     mid_b, seg_b = 0.5 * (b[:-1] + b[1:]), b[1:] - b[:-1]
     diff = mid_a[:, None, :] - mid_b[None, :, :]
@@ -314,48 +484,46 @@ def einsum_gauss_sum(a, b):
 
 @pytest.mark.parametrize("samples", [63, 64, 65, 255, 256, 257, 1024])
 def test_blocked_gauss_sum_matches_the_full_array_reference(samples):
-    # 63/64/65 sit on the edge of a 64-row block, 255/256/257 on the edge of
-    # four, and 1024 spans sixteen.  The kernel gets the wrap-around
-    # segments that gauss_linking forms.
-    a = fiber_curve([0.0, 0.6, 0.8], samples)
-    b = fiber_curve([0.8, 0.0, -0.6], samples)
-    pole = choose_pole([a, b])
+    # The row-by-row kernel against numpy's full (N, N) arrays, on the
+    # wrap-around segments that gauss_linking forms.
+    np = pytest.importorskip("numpy")
     pairs = [
-        tuple(stereographic(c, pole) for c in (a, b)),
+        projected_pair([0.0, 0.6, 0.8], [0.8, 0.0, -0.6], samples),
         unlinked_control(samples=samples),
     ]
     for first, second in pairs:
-        blocked = _kernels.gauss_linking_sum(*hopf._segments(first), *hopf._segments(second))
-        assert abs(blocked - einsum_gauss_sum(first, second)) < 1e-12
+        kernel = _kernels.gauss_linking_sum(*hopf._segments(first), *hopf._segments(second))
+        assert abs(kernel - einsum_gauss_sum(np, first, second)) < 1e-12
 
 
 def test_gauss_linking_holds_block_sized_memory():
-    # Two 1024-sample curves: the full (N, N) planes would take 8 MiB each.
-    a = fiber_curve([0.0, 0.6, 0.8], 1024)
-    b = fiber_curve([0.8, 0.0, -0.6], 1024)
-    pole = choose_pole([a, b])
-    first, second = (stereographic(c, pole) for c in (a, b))
+    # Two 256-sample curves: one full (N, N) plane of Python floats would
+    # take 2 MiB, while the curves, their segments and the kernel's columns
+    # take about 0.9 KiB per sample.  (Tracing every allocation slows the
+    # sum about fifteenfold, hence the small curves.)
+    first, second = projected_pair([0.0, 0.6, 0.8], [0.8, 0.0, -0.6], 256)
     tracemalloc.start()
     try:
         gauss_linking(first, second)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * 2**20
+    assert peak <= 2**20
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_fiber_linking_matches_the_two_projection_reference(seed):
     # Each fiber projected on its own and summed on full arrays; the fiber
     # over [1, 0, 0] passes through the default pole and re-rolls it.
-    rng = np.random.default_rng(seed)
+    np = pytest.importorskip("numpy")
+    rng = random.Random(seed)
     pairs = [([1.0, 0.0, 0.0], random_sphere_point(rng))]
     pairs += [(random_sphere_point(rng), random_sphere_point(rng)) for _ in range(2)]
     for p1, p2 in pairs:
         fibers = [fiber_curve(p1, 256), fiber_curve(p2, 256)]
         pole = choose_pole(fibers, rng=seed)
         first, second = (stereographic(f, pole) for f in fibers)
-        reference = einsum_gauss_sum(first, second) / (4.0 * math.pi)
+        reference = einsum_gauss_sum(np, first, second) / (4.0 * math.pi)
         assert abs(fiber_linking(p1, p2, samples=256, rng=seed) - reference) < 1e-12
 
 
@@ -381,21 +549,18 @@ def test_fiber_linking_hands_the_kernels_one_row_per_sample(monkeypatch, samples
 def test_gauss_linking_rejects_curves_1e_3_apart():
     circle, _ = unlinked_control(samples=128)
     with pytest.raises(ValueError, match="intersect"):
-        gauss_linking(circle, circle + [0.0, 0.0, 1e-3])
+        gauss_linking(circle, [(x, y, z + 1e-3) for x, y, z in circle])
 
 
 @pytest.mark.parametrize("gap,rejected", [(5e-4, True), (2e-3, False)])
 def test_separation_check_reaches_the_last_block(gap, rejected):
     # Two curves of 1024 samples, each phased so that only its sample 1000
-    # comes near the other curve, at the given gap.  Whichever curve gives
-    # the rows, that sample lies in the last row block (rows 960-1023), and
-    # the samples either side of it stay about 6e-3 apart.
-    theta = np.linspace(0.0, 2.0 * math.pi, 1024, endpoint=False)
-    theta -= theta[1000]
-    zero = np.zeros_like(theta)
-    circle = np.stack([np.sin(theta), -np.cos(theta), zero], axis=1)
-    other = np.stack([zero, np.cos(theta) - 2.0 - gap, np.sin(theta)], axis=1)
-    assert 1000 // _kernels._BLOCK_ROWS == 1023 // _kernels._BLOCK_ROWS
+    # comes near the other curve, at the given gap: whichever curve gives
+    # the rows, the check must walk that far.  The samples either side of it
+    # stay about 6e-3 apart.
+    theta = [2.0 * math.pi * (k - 1000) / 1024 for k in range(1024)]
+    circle = [(math.sin(t), -math.cos(t), 0.0) for t in theta]
+    other = [(0.0, math.cos(t) - 2.0 - gap, math.sin(t)) for t in theta]
     for pair in ((circle, other), (other, circle)):
         if rejected:
             with pytest.raises(ValueError, match="intersect"):
@@ -412,27 +577,25 @@ def test_separation_check_reaches_the_last_block(gap, rejected):
 def test_rot_from_quat_known_rotation():
     # exp(k pi/4) rotates by pi/2 about the z-axis: i -> j.
     q = (math.cos(math.pi / 4), 0.0, 0.0, math.sin(math.pi / 4))
-    image = np.asarray(rot_from_quat(q).matrix) @ [1, 0, 0]
-    assert np.abs(image - [0, 1, 0]).max() < 1e-12
+    assert gap(apply(rot_from_quat(q).matrix, (1, 0, 0)), (0, 1, 0)) < 1e-12
 
 
 def test_rot_from_quat_is_a_homomorphism():
-    rng = np.random.default_rng(8)
+    rng = random.Random(8)
     worst = 0.0
     for _ in range(200):
         a, b = random_unit_quaternion(rng), random_unit_quaternion(rng)
-        lhs = np.asarray(rot_from_quat(qmul(a, b)).matrix)
-        rhs = np.asarray(rot_from_quat(a).matrix) @ np.asarray(rot_from_quat(b).matrix)
-        worst = max(worst, float(np.abs(lhs - rhs).max()))
+        lhs = rot_from_quat(qmul(a, b)).matrix
+        rhs = matmul(rot_from_quat(a).matrix, rot_from_quat(b).matrix)
+        worst = max(worst, gap(lhs, rhs))
     assert worst < 1e-12
 
 
 def test_rot_from_quat_identifies_antipodes():
-    rng = np.random.default_rng(9)
+    rng = random.Random(9)
     for _ in range(50):
         q = random_unit_quaternion(rng)
-        diff = np.asarray(rot_from_quat(q).matrix) - rot_from_quat(negate(q)).matrix
-        assert np.abs(diff).max() < 1e-15
+        assert gap(rot_from_quat(q).matrix, rot_from_quat(negate(q)).matrix) < 1e-15
 
 
 def test_rot_from_quat_rejects_non_unit():
@@ -442,37 +605,35 @@ def test_rot_from_quat_rejects_non_unit():
 
 def test_rotation3_rejects_non_rotations():
     with pytest.raises(ValueError, match="3x3"):
-        Rotation3(np.eye(2))
-    skewed = np.eye(3)
-    skewed[0, 1] = 1e-8
+        Rotation3(((1.0, 0.0), (0.0, 1.0)))
+    skewed = ((1.0, 1e-8, 0.0), EYE[1], EYE[2])
     with pytest.raises(ValueError, match="orthogonal"):
         Rotation3(skewed)
     with pytest.raises(ValueError, match="orthogonal"):
-        Rotation3(2.0 * np.eye(3))
+        Rotation3(tuple(tuple(2.0 * c for c in row) for row in EYE))
     with pytest.raises(ValueError, match="determinant"):
-        Rotation3(np.diag([1.0, 1.0, -1.0]))
-    rng = np.random.default_rng(11)
+        Rotation3((EYE[0], EYE[1], (0.0, 0.0, -1.0)))
+    rng = random.Random(11)
     for _ in range(20):
-        m = np.asarray(rot_from_quat(random_unit_quaternion(rng)).matrix)
+        m = rot_from_quat(random_unit_quaternion(rng)).matrix
         with pytest.raises(ValueError, match="determinant"):
-            Rotation3(m[[1, 0, 2]])
+            Rotation3((m[1], m[0], m[2]))
 
 
 def test_quat_from_rot_inverts_up_to_sign():
-    rng = np.random.default_rng(10)
+    rng = random.Random(10)
     for _ in range(100):
-        q = np.array(random_unit_quaternion(rng))
+        q = random_unit_quaternion(rng)
         back = quat_from_rot(rot_from_quat(q))
-        assert min(np.abs(back - q).max(), np.abs(back + q).max()) < 1e-9
+        assert min(gap(back, q), gap(back, negate(q))) < 1e-9
 
 
 def test_quat_from_rot_near_angle_pi():
     # Max-trace extraction stays stable where the trace is lowest.
-    for axis in np.eye(3):
-        r = ball_to_rotation(math.pi * axis)
+    for axis in EYE:
+        r = ball_to_rotation([math.pi * c for c in axis])
         q = quat_from_rot(r)
-        back = np.asarray(rot_from_quat(q).matrix)
-        assert np.abs(back - np.asarray(r.matrix)).max() < 1e-12
+        assert gap(rot_from_quat(q).matrix, r.matrix) < 1e-12
 
 
 # --------------------------------------------------------------------------
@@ -494,17 +655,15 @@ def test_ball_point_rejects_outside():
 
 
 def test_ball_to_rotation_identity_and_antipodes():
-    origin = np.asarray(ball_to_rotation([0.0, 0.0, 0.0]).matrix)
-    assert np.abs(origin - np.eye(3)).max() == 0.0
-    v = np.array([1.0, 2.0, 2.0])
-    v = math.pi * v / np.linalg.norm(v)
-    diff = np.asarray(ball_to_rotation(v).matrix) - ball_to_rotation(-v).matrix
-    assert np.abs(diff).max() < 1e-12
+    assert gap(ball_to_rotation([0.0, 0.0, 0.0]).matrix, EYE) == 0.0
+    v = [math.pi * c / 3.0 for c in (1.0, 2.0, 2.0)]
+    antipode = [-c for c in v]
+    assert gap(ball_to_rotation(v).matrix, ball_to_rotation(antipode).matrix) < 1e-12
 
 
 def test_ball_to_rotation_rotates_by_norm():
     r = ball_to_rotation([0.0, 0.0, math.pi / 2])
-    assert np.abs(np.asarray(r.matrix) @ [1, 0, 0] - [0, 1, 0]).max() < 1e-12
+    assert gap(apply(r.matrix, (1, 0, 0)), (0, 1, 0)) < 1e-12
 
 
 # --------------------------------------------------------------------------
@@ -512,28 +671,30 @@ def test_ball_to_rotation_rotates_by_norm():
 # --------------------------------------------------------------------------
 
 
+def grid(count):
+    return [k / (count - 1) for k in range(count)]
+
+
 def test_loop_point_endpoints_close_in_the_quotient():
     for name in ("gamma", "alpha", "beta"):
         start = loop_point(name, 0.0)
         end = loop_point(name, 1.0)
-        assert np.abs(np.asarray(start.as_tuple()) - end.as_tuple()).max() < 1e-9
+        assert gap(start.as_tuple(), end.as_tuple()) < 1e-9
 
 
 def test_homotopy_connects_gamma_to_the_target():
     for variant in ("alpha", "beta"):
-        for t in np.linspace(0, 1, 9):
-            at0 = np.asarray(homotopy_H(variant, 0.0, t).as_tuple())
-            gamma = np.asarray(loop_point("gamma", t).as_tuple())
-            assert np.abs(at0 - gamma).max() < 1e-9
-            at1 = np.asarray(homotopy_H(variant, 1.0, t).as_tuple())
-            target = np.asarray(loop_point(variant, t).as_tuple())
-            assert np.abs(at1 - target).max() < 1e-9
+        for t in grid(9):
+            at0 = homotopy_H(variant, 0.0, t).as_tuple()
+            assert gap(at0, loop_point("gamma", t).as_tuple()) < 1e-9
+            at1 = homotopy_H(variant, 1.0, t).as_tuple()
+            assert gap(at1, loop_point(variant, t).as_tuple()) < 1e-9
 
 
 def test_homotopy_stays_in_the_ball():
     for variant in ("alpha", "beta"):
-        for s in np.linspace(0, 1, 5):
-            for t in np.linspace(0, 1, 17):
+        for s in grid(5):
+            for t in grid(17):
                 assert math.hypot(*homotopy_H(variant, s, t).as_tuple()) <= math.pi + 1e-9
 
 
@@ -550,16 +711,16 @@ def test_displayed_matrices_match_the_ball_model():
     # The alpha/beta matrix paths equal the Rodrigues rotation of the
     # boundary semicircles exactly (to rounding).
     for name in ("alpha", "beta"):
-        for t in np.linspace(0, 1, 33):
-            displayed = np.asarray(matrix_path(name, t).matrix)
-            modeled = np.asarray(ball_to_rotation(loop_point(name, t)).matrix)
-            assert np.abs(displayed - modeled).max() < 1e-12
+        for t in grid(33):
+            displayed = matrix_path(name, t).matrix
+            modeled = ball_to_rotation(loop_point(name, t)).matrix
+            assert gap(displayed, modeled) < 1e-12
 
 
 def test_gamma_matrix_path_period_is_two():
-    closed = np.asarray(matrix_path("gamma", 0.0).matrix)
-    assert np.abs(np.asarray(matrix_path("gamma", 2.0).matrix) - closed).max() < 1e-12
-    assert np.abs(np.asarray(matrix_path("gamma", 1.0).matrix) - closed).max() > 1.0
+    closed = matrix_path("gamma", 0.0).matrix
+    assert gap(matrix_path("gamma", 2.0).matrix, closed) < 1e-12
+    assert gap(matrix_path("gamma", 1.0).matrix, closed) > 1.0
 
 
 # --------------------------------------------------------------------------
@@ -605,11 +766,9 @@ def test_identity_loop_is_trivial():
 
 def test_lift_returns_continuous_unit_path():
     points, _ = lift_loop(loop_matrices("gamma", 512))
-    points = np.asarray(points)
-    norms = np.linalg.norm(points, axis=1)
-    assert np.abs(norms - 1.0).max() < 1e-9
-    dots = np.sum(points[1:] * points[:-1], axis=1)
-    assert dots.min() > 0.99  # consecutive lifts stay on the same sheet
+    assert max(abs(math.hypot(*p) - 1.0) for p in points) < 1e-9
+    dots = [sum(a * b for a, b in zip(p, q)) for p, q in zip(points[1:], points)]
+    assert min(dots) > 0.99  # consecutive lifts stay on the same sheet
 
 
 def test_lift_loop_rejects_open_and_jumpy_paths():

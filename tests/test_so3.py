@@ -2,12 +2,12 @@
 
 ``numpy_ball_to_rotation`` and ``numpy_quat_from_rot`` are the array
 versions that ``stemcert.hopf`` used before the rotations moved to
-``stemcert.so3``; they stay here as the reference.
+``stemcert.so3``; they stay here as the reference, and the tests that use
+them skip where numpy is not installed.
 """
 
 import math
 
-import numpy as np
 import pytest
 
 from stemcert.so3 import (
@@ -24,8 +24,9 @@ from stemcert.so3 import (
 LOOPS = ("gamma", "alpha", "beta", "alpha-then-beta", "ball-gamma", "identity")
 
 
-def numpy_ball_to_rotation(v) -> np.ndarray:
+def numpy_ball_to_rotation(v):
     """Rodrigues' formula ``I + sin(theta) k + (1 - cos(theta)) k @ k``."""
+    np = pytest.importorskip("numpy")
     v = np.asarray(v, dtype=float)
     theta = np.linalg.norm(v)
     if theta < 1e-15:
@@ -35,12 +36,14 @@ def numpy_ball_to_rotation(v) -> np.ndarray:
     return np.eye(3) + math.sin(theta) * k + (1.0 - math.cos(theta)) * (k @ k)
 
 
-def numpy_branch(m: np.ndarray):
+def numpy_branch(m):
     """Which formula the max-trace extraction uses: "trace" or a diagonal index."""
+    np = pytest.importorskip("numpy")
     return "trace" if float(np.trace(m)) > 0 else int(np.argmax(np.diag(m)))
 
 
-def numpy_quat_from_rot(m: np.ndarray) -> np.ndarray:
+def numpy_quat_from_rot(m):
+    np = pytest.importorskip("numpy")
     branch = numpy_branch(m)
     if branch == "trace":
         r = math.sqrt(1.0 + float(np.trace(m)))
@@ -72,6 +75,7 @@ def numpy_quat_from_rot(m: np.ndarray) -> np.ndarray:
 def assert_quaternions_match(matrices):
     """``quat_from_rot`` equals the numpy extraction on every matrix; returns
     the branches used."""
+    np = pytest.importorskip("numpy")
     branches = set()
     for matrix in matrices:
         m = np.asarray(matrix)
@@ -84,6 +88,7 @@ def assert_quaternions_match(matrices):
 def ball_points():
     """Random points of the ball, points on its radius-pi boundary (random
     directions and the three axes, both signs), and the origin."""
+    np = pytest.importorskip("numpy")
     rng = np.random.default_rng(13)
     directions = rng.normal(size=(200, 3))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
@@ -94,6 +99,7 @@ def ball_points():
 
 
 def test_ball_to_rotation_matches_rodrigues_with_k_squared():
+    np = pytest.importorskip("numpy")
     for v in ball_points():
         r = ball_to_rotation(v)
         assert np.abs(np.asarray(r.matrix) - numpy_ball_to_rotation(v)).max() < 1e-12
@@ -111,6 +117,7 @@ def test_quat_from_rot_matches_the_numpy_extraction_on_all_four_branches():
 @pytest.mark.parametrize("turns", [1, 2])
 @pytest.mark.parametrize("name", LOOPS)
 def test_every_loop_sample_matches_the_numpy_formulas(name, turns):
+    np = pytest.importorskip("numpy")
     steps = 512
     samples = loop_matrices(name, steps, turns)
     assert len(samples) == steps + 1
@@ -125,6 +132,7 @@ def test_every_loop_sample_matches_the_numpy_formulas(name, turns):
 @pytest.mark.parametrize("variant", ["alpha", "beta"])
 @pytest.mark.parametrize("s", [0.0, 0.3, 1.0])
 def test_every_homotopy_sample_matches_the_numpy_formulas(variant, s):
+    np = pytest.importorskip("numpy")
     steps = 512
     samples = homotopy_slice_matrices(variant, s, steps)
     assert len(samples) == steps + 1
@@ -167,6 +175,7 @@ def test_each_loop_sample_is_checked_once(monkeypatch, build):
 
 
 def test_lift_loop_accepts_numpy_arrays():
+    np = pytest.importorskip("numpy")
     samples = np.asarray([r.matrix for r in loop_matrices("gamma", 512, turns=3)])
     assert samples.shape == (513, 3, 3)
     assert lift_loop(samples)[1] == -1
