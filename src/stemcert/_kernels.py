@@ -1,20 +1,27 @@
 """Pure-Python kernel of the Gauss linking double sum.
 
-:func:`gauss_linking_sum` and the separation check of
-``hopf.gauss_linking`` (:func:`closest_squared_distance`) walk the first
-curve one point at a time against the whole second curve, so memory is
-linear in the sample count.  Distances come from :func:`math.dist`, on
-coordinate differences, never by expanding ``|x|^2 - 2 x.y + |y|^2``, so
-that no cancellation enters them.  Each row of the sum is added up on its
-own and the rows in a fixed order, so results do not depend on the machine.
+:func:`gauss_linking_sum` walks the first curve one point at a time
+against the whole second curve, and the separation check of
+``hopf.gauss_linking`` (:func:`closest_squared_distance`) against the points
+of the second curve near it in x, so memory is linear in the sample count.
+Distances come from :func:`math.dist`, on coordinate differences, never by
+expanding ``|x|^2 - 2 x.y + |y|^2``, so that no cancellation enters them.
+Each row of the sum is added up on its own and the rows in a fixed order, so
+results do not depend on the machine.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from itertools import chain, repeat
 
 __all__ = ["gauss_linking_sum", "get_backend"]
+
+#: Half-width in x of the separation check's sweep window: twice the 1e-3
+#: separation, so that rounding in ``x +- _WINDOW`` cannot drop a pair that
+#: is closer than 1e-3.
+_WINDOW = 2e-3
 
 
 def get_backend() -> str:
@@ -24,8 +31,19 @@ def get_backend() -> str:
 
 def closest_squared_distance(points_a: list, points_b: list) -> float:
     """Least squared distance between a point of ``points_a`` and one of
-    ``points_b``, both lists of 3-tuples; NaN unless every coordinate is
-    finite, so that a ``closest > tolerance`` test fails closed.
+    ``points_b``, both lists of 3-tuples, exact whenever some pair lies at
+    most 1e-3 apart; NaN unless every coordinate is finite, so that a
+    ``closest > tolerance`` test fails closed.
+
+    A sort-and-sweep: ``points_b`` is sorted on x, and each point of
+    ``points_a`` is measured only against the points whose x lies within
+    ``_WINDOW`` of its own, found by bisection.  A pair outside that window
+    is more than 1e-3 apart, even after rounding in the window's bounds.  So
+    when the closest pair is at most 1e-3 apart, the result is its squared
+    distance, as a walk over every pair gives it.  Otherwise the result is
+    only known to exceed 1e-6: it is the least over the pairs in the window,
+    or inf if there are none.  The cost is ``O(N log N)`` plus one distance
+    per pair in the window.
 
     Not in ``__all__``: ``hopf.gauss_linking`` runs it as its separation
     check, and the benchmark's tracer times it there, as part of that
@@ -33,7 +51,14 @@ def closest_squared_distance(points_a: list, points_b: list) -> float:
     """
     if not all(map(math.isfinite, chain.from_iterable(chain(points_a, points_b)))):
         return math.nan
-    closest = min(min(map(math.dist, repeat(p), points_b)) for p in points_a)
+    ordered = sorted(points_b)
+    xs = [p[0] for p in ordered]
+    closest = math.inf
+    for p in points_a:
+        x = p[0]
+        window = ordered[bisect_left(xs, x - _WINDOW) : bisect_right(xs, x + _WINDOW)]
+        if window:
+            closest = min(closest, min(map(math.dist, repeat(p), window)))
     return closest * closest
 
 

@@ -53,8 +53,8 @@ _MAX_ADAMS_EXPONENT = 32
 _MAX_PRIMES = 64
 #: Largest ``thom --n`` and ``--mult``: the output lists one cell per index.
 _MAX_THOM_INDEX = 100_000
-#: Largest ``lift --steps``: sampling and lifting are linear in the step
-#: count and keep every sample in memory, about 1.5 s and 70 MB at this size.
+#: Largest ``lift --steps``: sampling and lifting take time linear in the
+#: step count and hold a few samples at a time, whatever the count.
 _MAX_STEPS = 65_536
 
 _GROUP_DISPLAY = {"Z2": "Z₂", "Z24": "Z₂₄"}
@@ -279,11 +279,14 @@ def cmd_linking(args) -> int:
         "samples": args.samples,
         "trials": links,
         "determinants": dets,
+        # The integer quaternions q, r behind each determinant.
+        "pairs": [[list(q), list(r)] for q, r in pairs],
         # Every trial is an exact +1 or -1.
         "max_deviation": 0.0,
         "reference": round(reference, 6),
         "mirror_determinant": mirror,
-        "unlinked_control": round(control, 6),
+        # Plus 0.0 turns a rounded -0.0 into 0.0.
+        "unlinked_control": round(control, 6) + 0.0,
     }
     lines = [
         f"  trial {i + 1:2d}: det[q, iq, r, ir] = {det:5d}, Lk = {link:+d}"
@@ -316,7 +319,7 @@ def cmd_lift(args) -> int:
         )
     else:
         mats = so3.loop_matrices(args.loop, args.steps, args.turns)
-    _, sign = so3.lift_loop(mats)
+    sign = so3.lift_loop(mats)
     if args.expect_monodromy is not None and sign != args.expect_monodromy:
         raise VerificationError(
             f"expected monodromy {args.expect_monodromy}, computed {sign}"

@@ -9,10 +9,12 @@ This module checks, numerically, the SO(3) facts behind the first stem:
 * loop lifting: the monodromy sign of a continuous quaternion lift, which
   detects the generator of ``pi_1(SO(3)) = Z/2``.
 
-A matrix is three row tuples of floats, a quaternion the 4-tuple
-``(w, x, y, z)`` (as in :mod:`stemcert.hopf`), and a lifted loop the list of
-its quaternions, returned beside its monodromy sign.  Every value is a
-scalar in stdlib floats.
+A matrix is three row tuples of floats and a quaternion the 4-tuple
+``(w, x, y, z)`` (as in :mod:`stemcert.hopf`).  A sampled loop is a one-shot
+iterator of rotations, built as it is read, and :func:`lift_loop` consumes
+any iterable of samples once and returns only the sign, so a lift holds a
+few samples at a time whatever its step count.  Every value is a scalar in
+stdlib floats.
 Rotations follow the active convention of :func:`stemcert.hopf.rot_from_quat`,
 the matrix of ``x -> q x conj(q)``.
 """
@@ -20,7 +22,8 @@ the matrix of ``x -> q x conj(q)``.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from itertools import repeat
+from typing import Iterable, Iterator
 
 __all__ = [
     "BallPoint",
@@ -254,10 +257,11 @@ def matrix_path(name: str, t: float) -> Rotation3:
 # --------------------------------------------------------------------------
 
 
-def _grid(steps: int, turns: int, loop: str) -> list:
+def _grid(steps: int, turns: int, loop: str) -> Iterator[float]:
     """``steps + 1`` evenly spaced parameters from 0 to ``turns``, after
     checking both counts and that no step of ``loop`` turns by more than
-    ``_MAX_JUMP``."""
+    ``_MAX_JUMP``.  The checks run at call time; the parameters come one at
+    a time."""
     if steps < _MIN_STEPS:
         raise ValueError(f"at least {_MIN_STEPS} steps are required")
     if turns < 1:
@@ -270,10 +274,10 @@ def _grid(steps: int, turns: int, loop: str) -> list:
             f"discontinuity: {turns} turns in {steps} steps move {loop} by up to "
             f"{jump:.3f} radians per step, more than {_MAX_JUMP}"
         )
-    return [turns * k / steps for k in range(steps + 1)]
+    return (turns * k / steps for k in range(steps + 1))
 
 
-def loop_matrices(name: str, steps: int, turns: int = 1) -> list:
+def loop_matrices(name: str, steps: int, turns: int = 1) -> Iterator[Rotation3]:
     """Sampled closed matrix loops for the lift command.
 
     The loop runs ``turns`` times through ``steps`` intervals in all, so its
@@ -282,62 +286,56 @@ def loop_matrices(name: str, steps: int, turns: int = 1) -> list:
     full period per turn (``t in [0, 2]`` for gamma, ``[0, 1]`` otherwise);
     ``alpha-then-beta`` runs alpha over the first half of each turn and beta
     over the second; ``ball-gamma`` runs gamma through the ball model
-    instead; ``identity`` is the constant loop.  Returns the ``steps + 1``
-    :class:`Rotation3` samples, the last equal to the first.
+    instead; ``identity`` is the constant loop.  The arguments are checked at
+    call time; the ``steps + 1`` :class:`Rotation3` samples, the last equal
+    to the first, then come from a one-shot iterator, built as it is read.
     """
     ts = _grid(steps, turns, name if name in _LOOP_SPEED else _require_loop_name(name))
     if name == "identity":
-        return [Rotation3(_IDENTITY)] * len(ts)
+        return repeat(Rotation3(_IDENTITY), steps + 1)
     if name == "ball-gamma":
-        return [ball_to_rotation(loop_point("gamma", t % 1.0)) for t in ts]
+        return (ball_to_rotation(loop_point("gamma", t % 1.0)) for t in ts)
     if name == "alpha-then-beta":
-        return [
-            matrix_path("alpha" if t % 1.0 < 0.5 else "beta", 2.0 * t)
-            for t in ts
-        ]
+        return (matrix_path("alpha" if t % 1.0 < 0.5 else "beta", 2.0 * t) for t in ts)
     period = 2.0 if name == "gamma" else 1.0
-    return [matrix_path(name, period * t) for t in ts]
+    return (matrix_path(name, period * t) for t in ts)
 
 
-def homotopy_slice_matrices(variant: str, s: float, steps: int, turns: int = 1) -> list:
+def homotopy_slice_matrices(
+    variant: str, s: float, steps: int, turns: int = 1
+) -> Iterator[Rotation3]:
     """The closed loop ``t -> ball_to_rotation(H(s, t))``, ``t in [0, 1]``,
-    run ``turns`` times through ``steps`` intervals in all, as
-    :class:`Rotation3` samples."""
-    return [
-        ball_to_rotation(homotopy_H(variant, s, t % 1.0))
-        for t in _grid(steps, turns, "homotopy")
-    ]
+    run ``turns`` times through ``steps`` intervals in all, as a one-shot
+    iterator of :class:`Rotation3` samples.  The step counts, the variant
+    and ``s`` are checked at call time."""
+    ts = _grid(steps, turns, "homotopy")
+    homotopy_H(variant, s, 0.0)
+    return (ball_to_rotation(homotopy_H(variant, s, t % 1.0)) for t in ts)
 
 
-def lift_loop(path: Sequence) -> tuple:
-    """Lift a closed rotation loop to S^3 and read off the monodromy sign.
+def lift_loop(path: Iterable) -> int:
+    """Lift a closed rotation loop to S^3 and return its monodromy sign.
 
-    ``path`` is a sequence of sampled rotations (``Rotation3`` or 3x3 nested
-    sequences such as an (N, 3, 3) array; closed: the last equals the
-    first).  At least 256 steps are required, every sample must be a
-    rotation, consecutive rotations must be within angle 0.2 of each other,
-    and the quaternion preimage is chosen at each step to be the one closest
-    to the previous choice.  Returns ``(points, sign)``: the list of lifted
-    quaternions ``(w, x, y, z)``, one per sample, and the monodromy sign, -1
-    when the lift ends at the negative of its start.  Sign -1 means the loop
-    generates ``pi_1(SO(3))``, +1 that it is nullhomotopic (double-cover
-    criterion).
+    ``path`` is an iterable of sampled rotations (``Rotation3`` or 3x3
+    nested sequences such as the rows of an (N, 3, 3) array; closed: the
+    last equals the first), consumed once, in one pass that holds only the
+    first rotation, the previous lifted quaternion and a sample count.  Each
+    sample is checked to be a rotation as it is read, and consecutive
+    rotations must lie within angle 0.2 of each other; the quaternion
+    preimage is chosen at each step to be the one closest to the previous
+    choice.  At the end at least 256 steps are required, and the last sample
+    must equal the first within 1e-9.  The sign is -1 when the lift ends at
+    the negative of its start: the loop generates ``pi_1(SO(3))``; +1 means
+    it is nullhomotopic (double-cover criterion).
     """
-    samples = list(path)
-    if len(samples) < _MIN_STEPS + 1:
+    samples = (m if isinstance(m, Rotation3) else Rotation3(m) for m in path)
+    first = last = next(samples, None)
+    if first is None:
         raise ValueError(f"at least {_MIN_STEPS} steps are required")
-    samples = [m if isinstance(m, Rotation3) else Rotation3(m) for m in samples]
-    first, last = samples[0], samples[-1]
-    gap = max(
-        abs(p - q) for r, s in zip(first.matrix, last.matrix) for p, q in zip(r, s)
-    )
-    if gap >= _UNIT_TOL:
-        raise ValueError("the sampled path is not a closed loop")
-
-    pw, px, py, pz = quat_from_rot(first)
-    points = [(pw, px, py, pz)]
-    for m in samples[1:]:
-        w, x, y, z = quat_from_rot(m)
+    w0, x0, y0, z0 = pw, px, py, pz = quat_from_rot(first)
+    steps = 0
+    for last in samples:
+        w, x, y, z = quat_from_rot(last)
         dot = w * pw + x * px + y * py + z * pz
         # Rotation-angle distance between consecutive samples.
         jump = 2.0 * math.acos(min(1.0, abs(dot)))
@@ -347,8 +345,13 @@ def lift_loop(path: Sequence) -> tuple:
             )
         if dot < 0:
             w, x, y, z = -w, -x, -y, -z
-        points.append((w, x, y, z))
         pw, px, py, pz = w, x, y, z
-    w0, x0, y0, z0 = points[0]
-    monodromy = 1 if pw * w0 + px * x0 + py * y0 + pz * z0 > 0 else -1
-    return points, monodromy
+        steps += 1
+    if steps < _MIN_STEPS:
+        raise ValueError(f"at least {_MIN_STEPS} steps are required")
+    gap = max(
+        abs(p - q) for r, s in zip(first.matrix, last.matrix) for p, q in zip(r, s)
+    )
+    if gap >= _UNIT_TOL:
+        raise ValueError("the sampled path is not a closed loop")
+    return 1 if pw * w0 + px * x0 + py * y0 + pz * z0 > 0 else -1

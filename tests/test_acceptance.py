@@ -195,13 +195,13 @@ def test_criterion_08_double_cover_homomorphism():
 
 def test_criterion_09_monodromy_of_gamma():
     def all_lifts():
-        once = so3.lift_loop(so3.loop_matrices("gamma", 512))[1]
-        twice = so3.lift_loop(so3.loop_matrices("gamma", 512, turns=2))[1]
+        once = so3.lift_loop(so3.loop_matrices("gamma", 512))
+        twice = so3.lift_loop(so3.loop_matrices("gamma", 512, turns=2))
         refined = {
-            so3.lift_loop(so3.loop_matrices("gamma", n))[1] for n in (256, 4096)
+            so3.lift_loop(so3.loop_matrices("gamma", n)) for n in (256, 4096)
         }
         slices = {
-            so3.lift_loop(so3.homotopy_slice_matrices(variant, s, 256))[1]
+            so3.lift_loop(so3.homotopy_slice_matrices(variant, s, 256))
             for variant in ("alpha", "beta")
             for s in (0.0, 0.25, 0.5, 0.75, 1.0)
         }

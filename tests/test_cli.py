@@ -8,6 +8,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -35,13 +36,34 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_child(argv):
-    """Run ``argv`` against the same ``stemcert`` that this suite imported."""
+def child_env():
+    """The environment in which a child runs the same ``stemcert`` that this
+    suite imported."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(PACKAGE_PARENT), env.get("PYTHONPATH")])
     )
-    return subprocess.run(argv, capture_output=True, text=True, env=env)
+    return env
+
+
+def run_child(argv):
+    """Run ``argv`` against the same ``stemcert`` that this suite imported."""
+    return subprocess.run(argv, capture_output=True, text=True, env=child_env())
+
+
+def run_child_rusage(argv):
+    """Run ``argv`` as :func:`run_child` does; return its exit code, its
+    stdout and its peak resident set in KiB, as ``os.wait4`` reports it."""
+    if not sys.platform.startswith("linux"):
+        pytest.skip("ru_maxrss counts KiB on Linux")
+    proc = subprocess.Popen(
+        argv, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=child_env()
+    )
+    with proc.stdout:
+        out = proc.stdout.read().decode()
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return proc.returncode, out, usage.ru_maxrss
 
 
 def declared_console_script():
@@ -465,6 +487,20 @@ def test_lift_json(capsys):
     assert json.loads(out)["monodromy"] == 1
 
 
+def test_lift_at_its_step_cap_holds_no_more_than_help():
+    # Lifting streams its samples, so even the step cap needs no memory
+    # beyond what the interpreter holds for --help; held as a list, the
+    # 65537 samples alone would take about 35 MB.
+    code, out, help_kib = run_child_rusage([sys.executable, "-m", "stemcert.cli", "--help"])
+    assert code == 0 and out
+    code, out, lift_kib = run_child_rusage(
+        [sys.executable, "-m", "stemcert.cli", "--json", "lift", "--loop", "gamma", "--steps", "65536"]
+    )
+    assert code == 0
+    assert json.loads(out)["monodromy"] == -1
+    assert lift_kib - help_kib <= 4 * 1024
+
+
 ONE_TURN_MONODROMY = {
     "gamma": -1,
     "alpha": -1,
@@ -549,6 +585,48 @@ def test_linking_command_certifies(capsys):
     assert blob["trials"] == [1 if det > 0 else -1 for det in blob["determinants"]]
     assert abs(blob["reference"] - blob["trials"][0]) <= 0.02
     assert type(blob["mirror_determinant"]) is int and blob["mirror_determinant"] < 0
+
+
+def test_linking_json_prints_no_negative_zero(capsys):
+    # This control's sum is a tiny negative number, which rounds to -0.0.
+    code, out, err = run_cli(
+        capsys, "--json", "--seed", "7", "--samples", "128", "linking", "--trials", "3"
+    )
+    assert code == 0, err
+    assert "-0.0" not in out
+    assert json.loads(out)["unlinked_control"] == 0.0
+
+
+def leibniz_determinant(rows):
+    """The determinant as the signed sum over permutations of products of
+    entries, one from each row and column; exact on ints."""
+    total = 0
+    for perm in permutations(range(len(rows))):
+        inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1 :])
+        term = -1 if inversions % 2 else 1
+        for row, column in zip(rows, perm):
+            term *= row[column]
+        total += term
+    return total
+
+
+def test_linking_json_records_the_pair_behind_each_determinant(capsys):
+    code, out, err = run_cli(
+        capsys, "--json", "--seed", "3", "--samples", "64", "linking", "--trials", "20"
+    )
+    assert code == 0, err
+    blob = json.loads(out)
+    pairs = blob["pairs"]
+    assert len(pairs) == len(blob["determinants"]) == 20
+    for (q, r), det in zip(pairs, blob["determinants"]):
+        assert all(type(c) is int and -6 <= c <= 6 for c in q + r)
+        # i (w, x, y, z) = (-x, w, -z, y), the fiber through q.
+        left = [(-x, w, -z, y) for w, x, y, z in (q, r)]
+        assert leibniz_determinant([q, left[0], r, left[1]]) == det
+    # (w, x, y, z) i = (-x, w, z, -y), the mirror fiber through q.
+    q, r = pairs[0]
+    right = [(-x, w, z, -y) for w, x, y, z in (q, r)]
+    assert leibniz_determinant([q, right[0], r, right[1]]) == blob["mirror_determinant"]
 
 
 @pytest.mark.parametrize(

@@ -569,6 +569,56 @@ def test_separation_check_reaches_the_last_block(gap, rejected):
             assert math.isfinite(gauss_linking(*pair))
 
 
+def walked_squared_distance(a, b):
+    """The least squared distance over every pair of samples: the O(N^2)
+    walk that the separation check's sweep must agree with."""
+    closest = min(math.dist(p, q) for p in a for q in b)
+    return closest * closest
+
+
+def near_touching_pairs(samples):
+    """Circles whose closest samples lie at gaps around 1e-3: two in
+    perpendicular planes, both ways round, the second's samples all sharing
+    x = 0 so that its whole curve falls in one sweep window; and a circle
+    beside its own translate along x."""
+    theta = [2.0 * math.pi * k / samples for k in range(samples)]
+    circle = [(math.sin(t), -math.cos(t), 0.0) for t in theta]
+    for gap in (0.0, 5e-4, 9.99e-4, 1e-3, 1.001e-3, 2e-3, 0.1):
+        other = [(0.0, math.cos(t) - 2.0 - gap, math.sin(t)) for t in theta]
+        yield circle, other
+        yield other, circle
+        # The circle moved along x by the gap: each sample's near partner
+        # differs from it in x alone, at the edge of the 1e-3 window.
+        yield circle, [(x + gap, y, z) for x, y, z in circle]
+
+
+def random_pairs(seed):
+    """Clouds of random points in boxes small enough that their closest
+    pair falls either side of 1e-3."""
+    rng = random.Random(seed)
+    for side in (0.01, 0.03, 0.1, 1.0):
+        yield tuple(
+            [tuple(rng.uniform(0.0, side) for _ in range(3)) for _ in range(128)]
+            for _ in range(2)
+        )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_separation_sweep_agrees_with_the_walk_over_every_pair(seed):
+    verdicts = set()
+    pairs = [*random_pairs(seed), *near_touching_pairs(256)]
+    for a, b in pairs:
+        walked = walked_squared_distance(a, b)
+        swept = _kernels.closest_squared_distance(a, b)
+        assert (swept > 1e-6) == (walked > 1e-6), (walked, swept)
+        if walked <= 1e-6:
+            assert swept == walked  # the same pair, measured the same way
+        else:
+            assert swept >= walked  # a subset of the pairs, or inf
+        verdicts.add(walked > 1e-6)
+    assert verdicts == {True, False}
+
+
 # --------------------------------------------------------------------------
 # The double cover
 # --------------------------------------------------------------------------
@@ -729,54 +779,63 @@ def test_gamma_matrix_path_period_is_two():
 
 
 def test_gamma_lift_is_essential():
-    _, sign = lift_loop(loop_matrices("gamma", 512))
+    sign = lift_loop(loop_matrices("gamma", 512))
     assert sign == -1
 
 
 def test_gamma_twice_is_nullhomotopic():
-    _, sign = lift_loop(loop_matrices("gamma", 512, turns=2))
+    sign = lift_loop(loop_matrices("gamma", 512, turns=2))
     assert sign == 1
 
 
 def test_monodromy_stable_under_refinement():
-    signs = {lift_loop(loop_matrices("gamma", n))[1] for n in (256, 1024, 4096)}
+    signs = {lift_loop(loop_matrices("gamma", n)) for n in (256, 1024, 4096)}
     assert signs == {-1}
 
 
 def test_alpha_beta_and_their_concatenation():
-    assert lift_loop(loop_matrices("alpha", 512))[1] == -1
-    assert lift_loop(loop_matrices("beta", 512))[1] == -1
-    assert lift_loop(loop_matrices("alpha-then-beta", 512))[1] == 1
+    assert lift_loop(loop_matrices("alpha", 512)) == -1
+    assert lift_loop(loop_matrices("beta", 512)) == -1
+    assert lift_loop(loop_matrices("alpha-then-beta", 512)) == 1
 
 
 def test_monodromy_constant_along_the_homotopy():
     for s in (0.0, 0.25, 0.5, 0.75, 1.0):
         mats = homotopy_slice_matrices("alpha", s, 512)
-        assert lift_loop(mats)[1] == -1
+        assert lift_loop(mats) == -1
 
 
 def test_ball_gamma_agrees_with_matrix_gamma():
-    assert lift_loop(loop_matrices("ball-gamma", 512))[1] == -1
+    assert lift_loop(loop_matrices("ball-gamma", 512)) == -1
 
 
 def test_identity_loop_is_trivial():
-    _, sign = lift_loop(loop_matrices("identity", 512))
+    sign = lift_loop(loop_matrices("identity", 512))
     assert sign == 1
 
 
 def test_lift_returns_continuous_unit_path():
-    points, _ = lift_loop(loop_matrices("gamma", 512))
+    # The lift that lift_loop walks without keeping it, built here from
+    # quat_from_rot: each preimage is the one nearer the previous point.
+    points = []
+    for rotation in loop_matrices("gamma", 512):
+        q = quat_from_rot(rotation)
+        if points and sum(a * b for a, b in zip(q, points[-1])) < 0:
+            q = tuple(-c for c in q)
+        points.append(q)
     assert max(abs(math.hypot(*p) - 1.0) for p in points) < 1e-9
     dots = [sum(a * b for a, b in zip(p, q)) for p, q in zip(points[1:], points)]
     assert min(dots) > 0.99  # consecutive lifts stay on the same sheet
+    sign = 1 if sum(a * b for a, b in zip(points[0], points[-1])) > 0 else -1
+    assert sign == lift_loop(loop_matrices("gamma", 512)) == -1
 
 
 def test_lift_loop_rejects_open_and_jumpy_paths():
-    open_path = loop_matrices("gamma", 512)[:300]  # ends mid-rotation
+    open_path = list(loop_matrices("gamma", 512))[:300]  # ends mid-rotation
     with pytest.raises(ValueError):
         lift_loop(open_path)
     # 20 turns over 300 steps jumps ~0.42 radians per step: rejected.
     with pytest.raises(ValueError):
         lift_loop(loop_matrices("gamma", 300, turns=20))
     with pytest.raises(ValueError):
-        lift_loop(loop_matrices("gamma", 512)[:100])  # too few samples
+        lift_loop(list(loop_matrices("gamma", 512))[:100])  # too few samples

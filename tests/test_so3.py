@@ -7,6 +7,7 @@ them skip where numpy is not installed.
 """
 
 import math
+import tracemalloc
 
 import pytest
 
@@ -119,7 +120,7 @@ def test_quat_from_rot_matches_the_numpy_extraction_on_all_four_branches():
 def test_every_loop_sample_matches_the_numpy_formulas(name, turns):
     np = pytest.importorskip("numpy")
     steps = 512
-    samples = loop_matrices(name, steps, turns)
+    samples = list(loop_matrices(name, steps, turns))
     assert len(samples) == steps + 1
     assert_quaternions_match(r.matrix for r in samples)
     if name == "ball-gamma":
@@ -134,7 +135,7 @@ def test_every_loop_sample_matches_the_numpy_formulas(name, turns):
 def test_every_homotopy_sample_matches_the_numpy_formulas(variant, s):
     np = pytest.importorskip("numpy")
     steps = 512
-    samples = homotopy_slice_matrices(variant, s, steps)
+    samples = list(homotopy_slice_matrices(variant, s, steps))
     assert len(samples) == steps + 1
     assert_quaternions_match(r.matrix for r in samples)
     for k, sample in enumerate(samples):
@@ -144,8 +145,8 @@ def test_every_homotopy_sample_matches_the_numpy_formulas(variant, s):
 
 
 def test_lift_loop_rejects_one_non_orthogonal_sample():
-    samples = loop_matrices("gamma", 512)
-    assert lift_loop(samples)[1] == -1
+    samples = list(loop_matrices("gamma", 512))
+    assert lift_loop(samples) == -1
     skewed = [list(row) for row in samples[300].matrix]
     skewed[0][1] += 1e-6
     samples[300] = skewed
@@ -178,7 +179,7 @@ def test_lift_loop_accepts_numpy_arrays():
     np = pytest.importorskip("numpy")
     samples = np.asarray([r.matrix for r in loop_matrices("gamma", 512, turns=3)])
     assert samples.shape == (513, 3, 3)
-    assert lift_loop(samples)[1] == -1
+    assert lift_loop(samples) == -1
 
 
 def test_rotation3_rejects_nan_entries():
@@ -210,4 +211,42 @@ def test_every_turn_count_is_rejected_or_lifts_to_the_right_sign(loop, steps):
         except ValueError as exc:
             assert str(exc).startswith("discontinuity: ")
             continue
-        assert lift_loop(samples)[1] == ONE_TURN_SIGN[loop] ** turns, turns
+        assert lift_loop(samples) == ONE_TURN_SIGN[loop] ** turns, turns
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: loop_matrices("gamma", 4096),
+        lambda: homotopy_slice_matrices("beta", 0.5, 4096),
+    ],
+    ids=["gamma", "homotopy"],
+)
+def test_lifting_a_sample_stream_holds_a_few_samples(build):
+    # The builder and the lift hold a few samples at a time; a list of the
+    # 4097 samples alone, each a Rotation3 and its rows, would take 2 MiB.
+    tracemalloc.start()
+    try:
+        sign = lift_loop(build())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sign == -1
+    assert peak < 64 * 1024
+
+
+def test_builders_check_their_arguments_at_call_time_and_stream_once():
+    with pytest.raises(ValueError, match="at least 256 steps"):
+        loop_matrices("gamma", 255)
+    with pytest.raises(ValueError, match="discontinuity: "):
+        homotopy_slice_matrices("alpha", 1.0, 256, 16)
+    with pytest.raises(ValueError, match="must lie in"):
+        homotopy_slice_matrices("alpha", 1.5, 256)
+    with pytest.raises(ValueError, match="target loop"):
+        homotopy_slice_matrices("gamma", 0.5, 256)
+    samples = loop_matrices("gamma", 512)
+    assert lift_loop(samples) == -1
+    # The iterator is spent: a second lift sees no samples at all.
+    assert next(samples, None) is None
+    with pytest.raises(ValueError, match="at least 256 steps"):
+        lift_loop(samples)
