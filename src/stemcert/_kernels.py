@@ -3,7 +3,8 @@
 :func:`gauss_linking_sum` walks the first curve one point at a time
 against the whole second curve, and the separation check of
 ``hopf.gauss_linking`` (:func:`closest_squared_distance`) against the points
-of the second curve near it in x, so memory is linear in the sample count.
+of the second curve near it along one axis, so memory is linear in the
+sample count.
 Distances come from :func:`math.dist`, on coordinate differences, never by
 expanding ``|x|^2 - 2 x.y + |y|^2``, so that no cancellation enters them.
 Each row of the sum is added up on its own and the rows in a fixed order, so
@@ -15,12 +16,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from itertools import chain, repeat
+from operator import itemgetter
 
 __all__ = ["gauss_linking_sum", "get_backend"]
 
-#: Half-width in x of the separation check's sweep window: twice the 1e-3
-#: separation, so that rounding in ``x +- _WINDOW`` cannot drop a pair that
-#: is closer than 1e-3.
+#: Half-width along the sweep axis of the separation check's window: twice
+#: the 1e-3 separation, so that rounding in ``key +- _WINDOW`` cannot drop a
+#: pair that is closer than 1e-3.
 _WINDOW = 2e-3
 
 
@@ -35,14 +37,16 @@ def closest_squared_distance(points_a: list, points_b: list) -> float:
     most 1e-3 apart; NaN unless every coordinate is finite, so that a
     ``closest > tolerance`` test fails closed.
 
-    A sort-and-sweep: ``points_b`` is sorted on x, and each point of
-    ``points_a`` is measured only against the points whose x lies within
-    ``_WINDOW`` of its own, found by bisection.  A pair outside that window
-    is more than 1e-3 apart, even after rounding in the window's bounds.  So
-    when the closest pair is at most 1e-3 apart, the result is its squared
-    distance, as a walk over every pair gives it.  Otherwise the result is
-    only known to exceed 1e-6: it is the least over the pairs in the window,
-    or inf if there are none.  The cost is ``O(N log N)`` plus one distance
+    A sort-and-sweep on the axis along which ``points_b`` spreads widest,
+    so that curves in a plane x = const (or y, z = const) spread over many
+    windows: ``points_b`` is sorted on that coordinate, and each point of
+    ``points_a`` is measured only against the points whose coordinate lies
+    within ``_WINDOW`` of its own, found by bisection.  A pair outside that
+    window is more than 1e-3 apart along the axis, hence in R^3, even after
+    rounding in the window's bounds.  So when the closest pair is at most
+    1e-3 apart, the result is its squared distance, as a walk over every
+    pair gives it.  Otherwise the result is only known to exceed 1e-6: it
+    is the least over the pairs in the window, or inf if there are none.  The cost is ``O(N log N)`` plus one distance
     per pair in the window.
 
     Not in ``__all__``: ``hopf.gauss_linking`` runs it as its separation
@@ -51,12 +55,14 @@ def closest_squared_distance(points_a: list, points_b: list) -> float:
     """
     if not all(map(math.isfinite, chain.from_iterable(chain(points_a, points_b)))):
         return math.nan
-    ordered = sorted(points_b)
-    xs = [p[0] for p in ordered]
+    spreads = [max(c) - min(c) for c in zip(*points_b)]
+    axis = spreads.index(max(spreads)) if spreads else 0
+    ordered = sorted(points_b, key=itemgetter(axis))
+    keys = [p[axis] for p in ordered]
     closest = math.inf
     for p in points_a:
-        x = p[0]
-        window = ordered[bisect_left(xs, x - _WINDOW) : bisect_right(xs, x + _WINDOW)]
+        key = p[axis]
+        window = ordered[bisect_left(keys, key - _WINDOW) : bisect_right(keys, key + _WINDOW)]
         if window:
             closest = min(closest, min(map(math.dist, repeat(p), window)))
     return closest * closest

@@ -2,10 +2,12 @@
 
 import importlib.metadata
 import json
+import math
 import os
 import re
 import shlex
 import shutil
+import signal
 import subprocess
 import sys
 from itertools import permutations
@@ -727,26 +729,248 @@ def test_size_caps_answer_at_the_cap_and_reject_above_it(capsys, argv, flag, cap
     assert f"error: {flag} must be at most {cap}" in err
 
 
-def test_linking_sums_two_gauss_integrals_whatever_its_trial_count(capsys, monkeypatch):
+#: Malformed values for every subcommand, each with the exit code it must
+#: give: 0 for a value that is valid after all, 2 for a value rejected by
+#: the program or by argparse, 3 for a failed ``--expect``.
+MALFORMED = [
+    ("bernoulli --n 3", 2),
+    ("bernoulli --n -2", 2),
+    ("bernoulli --n 0", 0),
+    ("bernoulli --n x", 2),
+    ("bernoulli --n 123456789012345678901234567890", 2),
+    ("jorder --t 2 --K 0", 2),
+    ("jorder --t 2 --K -5", 2),
+    ("jorder --t 2 --K 1", 2),
+    ("jorder --t 0", 2),
+    ("jorder --t 3", 0),
+    ("jorder --t -2", 2),
+    ("jorder --t 2 --N 0", 2),
+    ("jorder --t 2 --N -1", 2),
+    ("jorder --t 2 --expect 0", 3),
+    ("adams --space hp2 --k 2 --elem phi^-1", 2),
+    ("adams --space hp2 --k 2 --elem 3*phi", 2),
+    ("adams --space hp2 --k 2 --elem phi^0", 2),
+    ("adams --space hp2 --k 2 --elem ''", 2),
+    ("adams --space hp2 --k 2 --elem mu", 2),
+    ("adams --space cp2 --k 2 --elem mu^3", 2),
+    ("adams --space cp2 --k 0 --elem mu", 2),
+    ("adams --space cp2 --k -3 --elem mu", 2),
+    ("adams --space cp0 --k 2 --elem mu", 2),
+    ("adams --space xx --k 2 --elem mu", 2),
+    ("einv --space hp2 --primes 1", 2),
+    ("einv --space hp2 --primes ''", 2),
+    ("einv --space hp2 --primes ,,", 2),
+    ("einv --space hp2 --primes 2.0", 2),
+    ("einv --space cp3", 2),
+    ("einv --space s2", 2),
+    ("einv --space hp2 --expect-verdict Splits", 3),
+    ("einv --space hp2 --expect-verdict Bogus", 2),
+    ("thom --family complex --n 2 --mult 3 --suspend -1", 2),
+    ("thom --family complex --n 0 --mult 3", 2),
+    ("thom --family complex --n -1 --mult 3", 2),
+    ("thom --family complex --n 2 --mult 0", 2),
+    ("thom --family complex --n 2 --mult -3", 2),
+    ("thom --family real --n 2 --mult 3", 2),
+    ("feder-gitler --n 1 --k 12 --l 0 --Bn 0", 2),
+    ("feder-gitler --n 1 --k 12 --l 0 --Bn -24", 2),
+    ("feder-gitler --n 0 --k 12 --l 0", 2),
+    ("feder-gitler --n -1 --k 12 --l 0", 2),
+    ("feder-gitler --n 2 --k 12 --l 0", 2),
+    ("feder-gitler --n 2 --k 12 --l 0 --Bn 0", 2),
+    ("feder-gitler --n 1 --k -1 --l 0", 2),
+    ("lift --loop homotopy --slice nan", 2),
+    ("lift --loop homotopy --slice inf", 2),
+    ("lift --loop homotopy --slice -0.5", 2),
+    ("lift --loop homotopy --slice 2", 2),
+    ("lift --turns 0", 2),
+    ("lift --turns -1", 2),
+    ("lift --steps 0", 2),
+    ("lift --steps 255", 2),
+    ("lift --loop nope", 2),
+    ("lift --variant beta", 2),
+    ("lift --expect-monodromy 1", 3),
+    ("report --stem 4", 2),
+    ("report --stem 0", 2),
+    ("report --stem x", 2),
+    ("linking --trials 0", 2),
+    ("--seed 123456789012345678901234567890 --samples 64 linking --trials 1", 0),
+    ("--samples nan linking", 2),
+    ("--seed x linking", 2),
+]
+
+
+@pytest.mark.parametrize("line,code", MALFORMED, ids=[line for line, _ in MALFORMED])
+def test_malformed_values_exit_with_a_deliberate_message(capsys, line, code):
+    # In this process: argparse leaves through SystemExit, the program by
+    # returning; no value may escape as an uncaught exception.
+    try:
+        got = cli.main(shlex.split(line))
+    except SystemExit as exc:
+        got = exc.code
+    out, err = capsys.readouterr()
+    assert got == code, err
+    if code == 0:
+        assert err == "" and out
+    else:
+        assert err.startswith(("error: ", "verification failure: ", "usage: ")), err
+
+
+def test_malformed_values_cover_every_subcommand():
+    subcommands = {name[4:].replace("_", "-") for name in vars(cli) if name.startswith("cmd_")}
+    covered = {next(a for a in shlex.split(line) if a in subcommands) for line, _ in MALFORMED}
+    assert covered == subcommands
+
+
+def test_linking_sums_two_gauss_integrals_whatever_its_trial_count(capsys, monkeypatch, tmp_path):
     # The trials are integer determinants; only the reference pair and the
     # unlinked control pay an O(samples^2) sum, so --samples alone bounds the
-    # run and --trials is capped only by its own limit.
+    # run and --trials is capped only by its own limit.  The control's sum
+    # runs in a forked worker, so each call is appended to a file that both
+    # processes write.
     from stemcert import _kernels
 
-    calls = []
+    calls = tmp_path / "calls"
     kernel = _kernels.gauss_linking_sum
 
     def counted(*arrays):
-        calls.append(len(arrays[0]))
+        with open(calls, "a") as fh:
+            fh.write(f"{len(arrays[0])}\n")
         return kernel(*arrays)
 
     monkeypatch.setattr(_kernels, "gauss_linking_sum", counted)
     for trials in ("1", "1000"):
-        calls.clear()
+        calls.write_text("")
         code, out, err = run_cli(capsys, "--json", "--samples", "64", "linking", "--trials", trials)
         assert code == 0, err
         assert len(json.loads(out)["determinants"]) == int(trials)
-        assert calls == [64, 64]
+        assert sorted(map(int, calls.read_text().split())) == [64, 64]
+
+
+def assert_no_child_left():
+    """This process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def linked_circles(samples=512):
+    """A unit circle in the xy-plane and one through its disc, in the
+    xz-plane: linking number +-1."""
+    theta = [2.0 * math.pi * k / samples for k in range(samples)]
+    return (
+        [(math.cos(t), math.sin(t), 0.0) for t in theta],
+        [(1.0 + math.cos(t), 0.0, math.sin(t)) for t in theta],
+    )
+
+
+def touching_circles(samples=512):
+    """One unit circle, twice."""
+    circle = linked_circles(samples)[0]
+    return circle, list(circle)
+
+
+def refuse(*args, **kwargs):
+    raise ValueError("no reference")
+
+
+def test_linking_worker_returns_the_control(capsys):
+    code, out, err = run_cli(capsys, "--json", "--samples", "64", "linking", "--trials", "2")
+    assert code == 0, err
+    assert abs(json.loads(out)["unlinked_control"]) <= 0.02
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize(
+    "name,replacement,code,message",
+    [
+        # The reference fails while the worker sums; the worker is killed.
+        ("fiber_linking", refuse, 2, "error: no reference\n"),
+        (
+            "unlinked_control",
+            linked_circles,
+            3,
+            "verification failure: linking certificate failed: unlinked control reads ",
+        ),
+        (
+            "unlinked_control",
+            touching_circles,
+            2,
+            "error: curves intersect within tolerance (or a sample is not finite)\n",
+        ),
+    ],
+    ids=["reference-error", "linked-control", "touching-control"],
+)
+def test_linking_worker_errors_exit_as_in_one_process(capsys, monkeypatch, name, replacement, code, message):
+    from stemcert import hopf
+
+    monkeypatch.setattr(hopf, name, replacement)
+    got_code, out, err = run_cli(capsys, "--samples", "64", "linking", "--trials", "2")
+    assert (got_code, out) == (code, "")
+    assert err.startswith(message), err
+    assert_no_child_left()
+
+
+def test_linking_worker_interrupted_ends_in_the_parent_alone(capsys, monkeypatch):
+    # KeyboardInterrupt in the worker's sum: the worker leaves through
+    # os._exit, and cli.main returns once, in this process, with exit 3.
+    from stemcert import hopf
+
+    parent = os.getpid()
+    gauss_linking = hopf.gauss_linking
+
+    def interrupted_in_worker(*curves):
+        if os.getpid() != parent:
+            raise KeyboardInterrupt
+        return gauss_linking(*curves)
+
+    monkeypatch.setattr(hopf, "gauss_linking", interrupted_in_worker)
+    returns = []
+    try:
+        returns.append(cli.main(["--samples", "64", "linking", "--trials", "2"]))
+    finally:
+        if os.getpid() != parent:
+            os._exit(99)  # a worker that came back into this stack stops here
+    out, err = capsys.readouterr()
+    assert (returns, out) == ([3], "")
+    assert err == "verification failure: a forked worker ended with no result (exit status 1)\n"
+    assert_no_child_left()
+
+
+def test_linking_worker_killed_by_a_signal_exits_three(capsys, monkeypatch):
+    from stemcert import hopf
+
+    parent = os.getpid()
+    gauss_linking = hopf.gauss_linking
+
+    def killed_in_worker(*curves):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return gauss_linking(*curves)
+
+    monkeypatch.setattr(hopf, "gauss_linking", killed_in_worker)
+    code, out, err = run_cli(capsys, "--samples", "64", "linking", "--trials", "2")
+    assert (code, out) == (3, "")
+    assert err == (
+        f"verification failure: a forked worker ended with no result "
+        f"(killed by signal {int(signal.SIGKILL)})\n"
+    )
+    assert_no_child_left()
+
+
+def test_linking_without_fork_prints_the_same(capsys, monkeypatch):
+    # Without os.fork (Windows), or when fork fails, the control runs in
+    # this process after the reference.
+    argv = ("--json", "--seed", "4", "--samples", "128", "linking", "--trials", "3")
+    code, forked, err = run_cli(capsys, *argv)
+    assert code == 0, err
+
+    def no_process(*args):
+        raise BlockingIOError("fork: no process to spare")
+
+    monkeypatch.setattr(os, "fork", no_process)
+    assert run_cli(capsys, *argv) == (0, forked, "")
+    monkeypatch.delattr(os, "fork")
+    assert run_cli(capsys, *argv) == (0, forked, "")
+    assert_no_child_left()
 
 
 def test_einv_checks_the_space_index_before_building_the_ring(capsys, monkeypatch):

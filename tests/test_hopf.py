@@ -579,8 +579,8 @@ def walked_squared_distance(a, b):
 def near_touching_pairs(samples):
     """Circles whose closest samples lie at gaps around 1e-3: two in
     perpendicular planes, both ways round, the second's samples all sharing
-    x = 0 so that its whole curve falls in one sweep window; and a circle
-    beside its own translate along x."""
+    x = 0, so that the sweep must not run along x; and a circle beside its
+    own translate along x."""
     theta = [2.0 * math.pi * k / samples for k in range(samples)]
     circle = [(math.sin(t), -math.cos(t), 0.0) for t in theta]
     for gap in (0.0, 5e-4, 9.99e-4, 1e-3, 1.001e-3, 2e-3, 0.1):
@@ -603,10 +603,20 @@ def random_pairs(seed):
         )
 
 
+def flattened_pairs(seed):
+    """The clouds of :func:`random_pairs` pressed into the plane x = 0.5,
+    then into y = 0.5: every point shares that coordinate."""
+    for axis in (0, 1):
+        for pair in random_pairs(seed):
+            yield tuple(
+                [p[:axis] + (0.5,) + p[axis + 1 :] for p in cloud] for cloud in pair
+            )
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_separation_sweep_agrees_with_the_walk_over_every_pair(seed):
     verdicts = set()
-    pairs = [*random_pairs(seed), *near_touching_pairs(256)]
+    pairs = [*random_pairs(seed), *flattened_pairs(seed), *near_touching_pairs(256)]
     for a, b in pairs:
         walked = walked_squared_distance(a, b)
         swept = _kernels.closest_squared_distance(a, b)
@@ -617,6 +627,27 @@ def test_separation_sweep_agrees_with_the_walk_over_every_pair(seed):
             assert swept >= walked  # a subset of the pairs, or inf
         verdicts.add(walked > 1e-6)
     assert verdicts == {True, False}
+
+
+def test_separation_sweep_spreads_curves_in_a_plane_x_const(monkeypatch):
+    # Concentric circles of radii 1 and 1.5 in the plane x = 0: a sweep
+    # along x would put every sample in one window and measure all N^2
+    # pairs.  Along the widest axis, each window holds a few samples.
+    samples = 4096
+    theta = [2.0 * math.pi * k / samples for k in range(samples)]
+    inner = [(0.0, math.cos(t), math.sin(t)) for t in theta]
+    outer = [(0.0, 1.5 * math.cos(t), 1.5 * math.sin(t)) for t in theta]
+    measured = []
+    dist = math.dist
+
+    def counted(p, q):
+        measured.append(None)
+        return dist(p, q)
+
+    monkeypatch.setattr(math, "dist", counted)
+    closest = _kernels.closest_squared_distance(inner, outer)
+    assert len(measured) < 50 * samples
+    assert closest > 1e-6
 
 
 # --------------------------------------------------------------------------
