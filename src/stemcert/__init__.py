@@ -6,7 +6,8 @@ groups in degrees one to three: Adams operations on small projective
 spaces and spheres, e-invariants of two-cell complexes, J-order bounds by
 three independent methods, stable equivalences of stunted projective
 spaces, and geometric witnesses: Hopf fiber linking by integer
-determinants, with a floating-point Gauss integral as reference, and
+determinants, with the signed crossings of projected fiber polygons as an
+exact reference and a floating-point Gauss integral as its oracle, and
 rotation-loop monodromy, with explicit tolerances.
 """
 
@@ -44,6 +45,7 @@ _EXPORTS = {
             "fiber_linking",
             "gauss_linking",
             "hopf_map",
+            "polygon_linking",
             "qmul",
             "rot_from_quat",
             "stereographic",

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 
@@ -24,12 +23,12 @@ from .errors import ResamplePole, VerificationError
 _SUP = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
 _SUB = str.maketrans("0123456789", "₀₁₂₃₄₅₆₇₈₉")
 
-#: Fewest and most ``--samples`` that ``linking`` accepts: the Gauss sum
-#: needs 64 segments per curve, one per sample.  A run sums two Gauss
-#: integrals (the reference pair and the unlinked control) side by side in
-#: two processes, each with its separation check, quadratic in the sample
-#: count and independent of ``--trials``: about 7 s at the cap on a 2-vCPU
-#: x86-64 machine.
+#: Fewest and most ``--samples`` that ``linking`` accepts, the vertex count
+#: of each polygon.  A run counts the signed crossings of two polygon pairs
+#: (the reference pair and the unlinked control), in time about linear in
+#: the sample count and independent of ``--trials``: about 0.2 s at both caps
+#: on a 2-vCPU x86-64 machine.  The floor keeps the sample range of the
+#: float Gauss sum, which needs 64 segments per curve.
 _MIN_SAMPLES = 64
 _MAX_SAMPLES = 4096
 #: Largest ``linking --trials``: a trial is a few integer 4x4
@@ -236,85 +235,6 @@ def cmd_thom(args) -> int:
     return 0
 
 
-class _Forked:
-    """``fn(*args)``, which returns a float, run in a forked worker process
-    while this one goes on; :meth:`result` waits for its value.
-
-    The worker sends the value exactly (``float.hex``) through a pipe, or the
-    class and message of a ``ValueError``, ``ResamplePole`` or
-    ``VerificationError``, which :meth:`result` raises again as the same
-    class with the same message.  A worker that ends without a result (any
-    other exception, a signal) makes :meth:`result` raise
-    ``VerificationError``.  The worker always leaves through ``os._exit``:
-    it never returns into its caller's stack, runs no ``atexit`` hook and
-    flushes no inherited stdio buffer.  Leaving the ``with`` block before
-    :meth:`result` kills and reaps the worker, so no process outlives it.
-    Where ``os.fork`` is missing or fails, :meth:`result` calls ``fn`` in
-    this process.  The CLI starts no thread, so forking it is safe.
-    """
-
-    _ERRORS = (ValueError, ResamplePole, VerificationError)
-
-    def __init__(self, fn, *args):
-        self.pid = None
-        self._call = lambda: fn(*args)
-        if not hasattr(os, "fork"):
-            return
-        read_fd, write_fd = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            os.close(read_fd)
-            os.close(write_fd)
-            return
-        if pid == 0:
-            status = 1
-            try:
-                os.close(read_fd)
-                try:
-                    text = f"float\n{self._call().hex()}"
-                except self._ERRORS as exc:
-                    kind = next(c for c in self._ERRORS if isinstance(exc, c))
-                    text = f"{kind.__name__}\n{exc}"
-                with open(write_fd, "w", encoding="utf-8") as pipe:
-                    pipe.write(text)
-                status = 0
-            finally:
-                os._exit(status)
-        os.close(write_fd)
-        # Only the worker keeps the arguments.
-        self._call = None
-        self.pid, self._pipe = pid, open(read_fd, encoding="utf-8")
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        if self.pid is not None:
-            import signal
-
-            self._pipe.close()
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-            self.pid = None
-
-    def result(self) -> float:
-        if self.pid is None:
-            return self._call()
-        with self._pipe:
-            kind, _, text = self._pipe.read().partition("\n")
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = None
-        code = os.waitstatus_to_exitcode(status)
-        errors = {error.__name__: error for error in self._ERRORS}
-        if code == 0 and kind == "float":
-            return float.fromhex(text)
-        if code == 0 and kind in errors:
-            raise errors[kind](text)
-        how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
-        raise VerificationError(f"a forked worker ended with no result ({how})")
-
-
 def cmd_linking(args) -> int:
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
@@ -334,28 +254,30 @@ def cmd_linking(args) -> int:
     pairs = [hopf.draw_fiber_pair(rng) for _ in range(args.trials)]
     dets = [hopf.fiber_determinant(q, r) for q, r in pairs]
     links = [hopf.linking_number(det) for det in dets]
-    # The first pair ties the sign convention to the classical integral, and
-    # its mirror-fibration determinant is the negative control.  The
-    # unlinked control's Gauss sum runs in a forked worker meanwhile.
+    # The first pair ties the sign convention to an independent integer, the
+    # signed crossings of its projected fibers, and its mirror-fibration
+    # determinant is the negative control.
     q, r = pairs[0]
-    with _Forked(hopf.gauss_linking, *hopf.unlinked_control(samples=args.samples)) as worker:
-        reference = hopf.fiber_linking(
-            hopf.base_point(q), hopf.base_point(r), samples=args.samples, rng=rng
-        )
-        mirror = hopf.mirror_determinant(q, r)
-        control = worker.result()
-    if not abs(reference - links[0]) <= 0.02:
+    reference = hopf.fiber_polygon_linking(
+        hopf.base_point(q), hopf.base_point(r), samples=args.samples, rng=rng
+    )
+    mirror = hopf.mirror_determinant(q, r)
+    try:
+        control = hopf.polygon_linking(*hopf.unlinked_control(samples=args.samples))
+    except ResamplePole as exc:
+        raise VerificationError(f"linking certificate failed: unlinked control: {exc}") from None
+    if reference != links[0]:
         raise VerificationError(
-            f"linking certificate failed: the reference Gauss sum reads "
-            f"{reference:+.4f}, the determinant {dets[0]} gives {links[0]:+d}"
+            f"linking certificate failed: the reference crossing count is "
+            f"{reference:+d}, the determinant {dets[0]} gives {links[0]:+d}"
         )
     if not mirror < 0:
         raise VerificationError(
             f"linking certificate failed: mirror determinant {mirror} is not negative"
         )
-    if not abs(control) <= 0.02:
+    if control != 0:
         raise VerificationError(
-            f"linking certificate failed: unlinked control reads {control:.4f}"
+            f"linking certificate failed: unlinked control reads {control:+d}"
         )
     payload = {
         "seed": args.seed,
@@ -366,10 +288,9 @@ def cmd_linking(args) -> int:
         "pairs": [[list(q), list(r)] for q, r in pairs],
         # Every trial is an exact +1 or -1.
         "max_deviation": 0.0,
-        "reference": round(reference, 6),
+        "reference": reference,
         "mirror_determinant": mirror,
-        # Plus 0.0 turns a rounded -0.0 into 0.0.
-        "unlinked_control": round(control, 6) + 0.0,
+        "unlinked_control": control,
     }
     lines = [
         f"  trial {i + 1:2d}: det[q, iq, r, ir] = {det:5d}, Lk = {link:+d}"
@@ -377,9 +298,9 @@ def cmd_linking(args) -> int:
     ]
     human = (
         "\n".join(lines)
-        + f"\nreference (trial 1, {args.samples} samples): Gauss sum Lk = {reference:+.5f}"
+        + f"\nreference (trial 1, {args.samples} samples): signed crossings Lk = {reference:+d}"
         + f"\nmirror (trial 1): det[q, qi, r, ri] = {mirror} < 0"
-        + f"\nunlinked control: {control:+.2e}"
+        + f"\nunlinked control: signed crossings Lk = {control}"
         + f"\nevery pair of distinct fibers links once ({args.trials} integer certificates)"
     )
     _emit(args, payload, human)

@@ -8,9 +8,15 @@ This module checks the geometric facts behind the first stem:
   quaternion ``q`` is the oriented plane spanned by ``q`` and ``i q``, and
   two such fibers link with the sign of the integer ``det[q, iq, r, ir]``
   (H. Hopf, *Math. Ann.* 104, 1931; Gluck and Warner, *Duke Math. J.* 50,
-  1983), and
-* in floats, the same fact as the classical integral: Hopf fibers (circles
-  in ``S^3``), stereographic projection, and the Gauss linking sum.
+  1983),
+* the same fact as an independent exact count: Hopf fibers (circles in
+  ``S^3``) sampled as polygons, stereographic projection, and the signed
+  crossings of the two polygons in a coordinate projection, each decided
+  on the dyadic rationals of the float vertices, with an isotopy bound
+  that ties the polygons to their round circles (:func:`polygon_linking`),
+  and
+* in floats, the classical integral: the Gauss linking sum, which no
+  command runs, as the oracle of that count.
 
 A quaternion is the 4-tuple ``(w, x, y, z)``, as in :mod:`stemcert.so3`:
 of ints for the integer certificates, of floats elsewhere.  A point of
@@ -30,10 +36,9 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import product
+from itertools import chain, product
 from typing import Iterable, Union
 
-from . import _kernels
 from .errors import ResamplePole, VerificationError
 from .so3 import (
     BallPoint,
@@ -60,6 +65,7 @@ __all__ = [
     "fiber_curve",
     "fiber_determinant",
     "fiber_linking",
+    "fiber_polygon_linking",
     "gauss_linking",
     "homotopy_H",
     "homotopy_slice_matrices",
@@ -71,6 +77,7 @@ __all__ = [
     "loop_point",
     "matrix_path",
     "mirror_determinant",
+    "polygon_linking",
     "qmul",
     "quat_from_rot",
     "random_sphere_point",
@@ -85,8 +92,17 @@ _I = (0, 1, 0, 0)
 #: Entries of a drawn integer quaternion lie in [-_DRAW_BOUND, _DRAW_BOUND].
 _DRAW_BOUND = 6
 #: Tilt, in radians, of the unlinked control's second circle out of the
-#: first circle's plane.
+#: first circle's plane, and that circle's centre.
 _CONTROL_TILT = 1.0
+_CONTROL_CENTRE = (1.5, 0.0, 0.0)
+#: Bound on a polygon vertex's distance from the round circle it samples,
+#: per unit of the circle's scale ``max(1, |centre| + radius)``.  A projected
+#: fiber sample lies within about 1e-15 (1 + |v|^2) of its exact circle, and
+#: ``|v|`` stays below about 2e3 at the 1e-3 pole clearance.
+_VERTEX_ERROR = 1e-9
+#: Sign of a crossing whose over-strand direction turns counterclockwise,
+#: by less than a half turn, onto its under-strand direction.
+_CROSSING_SIGN = 1
 
 
 # --------------------------------------------------------------------------
@@ -306,10 +322,19 @@ def stereographic(points, pole) -> list:
         raise ValueError("expected unit vectors")
     if not min(math.dist(p, pole) for p in points) > 1e-3:
         raise ResamplePole("sample too close to the projection pole")
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = e1, e2, e3
+    n0, n1, n2, n3 = pole
     images = []
-    for p in points:
-        scale = 1.0 - _dot(p, pole)
-        images.append((_dot(p, e1) / scale, _dot(p, e2) / scale, _dot(p, e3) / scale))
+    # The dot products of _dot, written out term by term in its order.
+    for p0, p1, p2, p3 in points:
+        scale = 1.0 - (p0 * n0 + p1 * n1 + p2 * n2 + p3 * n3)
+        images.append(
+            (
+                (p0 * a0 + p1 * a1 + p2 * a2 + p3 * a3) / scale,
+                (p0 * b0 + p1 * b1 + p2 * b2 + p3 * b3) / scale,
+                (p0 * c0 + p1 * c1 + p2 * c2 + p3 * c3) / scale,
+            )
+        )
     return images
 
 
@@ -373,8 +398,11 @@ def gauss_linking(a, b) -> float:
     non-finite coordinate fails that check too; the result is a real number
     near an integer (the linking number).  The separation check over the
     samples and the double sum over the segments both run in
-    :mod:`stemcert._kernels`, in memory linear in the sample count.
+    :mod:`stemcert._kernels`, in memory linear in the sample count.  No
+    command runs it: it is the float oracle of :func:`polygon_linking`.
     """
+    from . import _kernels
+
     curves = []
     for curve in (a, b):
         points = _points(curve, 3, "linking is computed for curves of points in R^3")
@@ -404,23 +432,338 @@ def fiber_linking(
 ) -> float:
     """Linking number of the Hopf fibers over two distinct base points,
     measured after stereographic projection to R^3 from :func:`choose_pole`.
-    Both fibers are projected in one call, on their joined samples."""
+    Both fibers are projected in one call, on their joined samples.  No
+    command runs it: it is the float oracle of :func:`fiber_polygon_linking`."""
     first, second = fiber_curve(p1, samples), fiber_curve(p2, samples)
     projected = stereographic(first + second, choose_pole([first, second], rng))
     return gauss_linking(projected[:samples], projected[samples:])
 
 
 def unlinked_control(samples: int = 512):
-    """Two unit circles with centres 4 apart (linking number 0), as lists of
-    3-tuples.  The second is tilted by 1 radian out of the first's plane, so
-    no term of their Gauss sum vanishes: moved to pass through the first
-    circle's disc, the same pair links once."""
+    """Two unit circles, as lists of ``samples`` 3-tuples each: the first in
+    the plane z = 0 about the origin, the second about ``c = (1.5, 0, 0)``
+    as ``c + cos t (0, 1, 0) + sin t (cos 1, 0, sin 1)``, so tilted by 1
+    radian out of the first's plane, and no term of their Gauss sum vanishes
+    (no segment of one is parallel to a segment of the other).
+
+    The second circle meets the plane z = 0 at ``(1.5, +-1, 0)``, outside
+    the first circle's disc, so the pair does not link; yet their xy
+    projections cross, with crossings of both signs.  Moved to the centre
+    ``(0.6, 0.5, 0)``, it meets that plane once inside the disc, at
+    ``(0.6, -0.5, 0)``, and the pair links once.
+    """
     step = 2.0 * math.pi / samples
-    angles = [k * step for k in range(samples)]
+    cx, cy, cz = _CONTROL_CENTRE
     tilt_c, tilt_s = math.cos(_CONTROL_TILT), math.sin(_CONTROL_TILT)
-    first = [(math.cos(t), math.sin(t), 0.0) for t in angles]
-    second = [(4.0 + math.cos(t), tilt_c * math.sin(t), tilt_s * math.sin(t)) for t in angles]
+    first, second = [], []
+    for k in range(samples):
+        c, s = math.cos(k * step), math.sin(k * step)
+        first.append((c, s, 0.0))
+        second.append((cx + tilt_c * s, cy + c, cz + tilt_s * s))
     return first, second
+
+
+# --------------------------------------------------------------------------
+# Signed crossings
+# --------------------------------------------------------------------------
+
+
+def polygon_linking(a, b) -> int:
+    """Linking number of two closed polygons in R^3, exactly: the signed
+    count of the crossings where ``a`` passes over ``b`` in a coordinate
+    projection (D. Rolfsen, *Knots and Links*, ch. 5).
+
+    ``a`` and ``b`` are sequences of 3-tuples whose vertices sample round
+    circles in cyclic order, the last joined back to the first, as
+    :func:`unlinked_control` and the stereographic image of a fiber do.
+    Three checks make the count the linking number of those circles:
+
+    * **Exactness.**  Each float vertex is read as the dyadic rational it
+      is.  A sweep over the segments' projected bounding boxes, which only
+      compares vertex floats, picks every segment pair whose projections
+      can meet; each is decided by exact integer orientation and height
+      tests.
+    * **Degenerate projections.**  A vertex of one polygon on the other in
+      projection, overlapping projected segments, or two segments that
+      meet in R^3 move the count from the projection along z to the one
+      along x, then y; each keeps the orientation of R^3.  If all three are
+      degenerate, :class:`VerificationError` is raised.
+    * **Isotopy.**  Moving each vertex onto its circle and then each chord
+      onto its arc moves no point further than the polygon's largest
+      sagitta plus the vertex error bound (:func:`_circle_slack`).  So while
+      the polygons lie further apart than the sum of those bounds for both,
+      neither passes through the other on the way, and the polygons link as
+      their circles do.  That distance is checked over every segment pair
+      that can come so close, and a failure raises :class:`ResamplePole`.
+
+    Raises ``ValueError`` for polygons whose vertices are not finite points
+    of R^3 on one round circle, in order.
+    """
+    polygons = []
+    for polygon in (a, b):
+        points = _points(polygon, 3, "linking is computed for polygons of points in R^3")
+        if len(points) < 3:
+            raise ValueError("a polygon needs at least 3 vertices")
+        if not all(map(math.isfinite, chain.from_iterable(points))):
+            raise ValueError("polygon vertices must be finite")
+        polygons.append(points)
+    # Rounded up, against the certificate.
+    slack = (_circle_slack(polygons[0]) + _circle_slack(polygons[1])) * (1.0 + 1e-6)
+    closest = _closest_within(*polygons, slack)
+    if closest is not None:
+        raise ResamplePole(
+            f"isotopy bound fails: the polygons come {closest:.3g} apart, within "
+            f"{slack:.3g}, the sum of their sagittas and vertex error bounds"
+        )
+    for axis in (2, 0, 1):
+        signs = _crossings(*polygons, axis)
+        if signs is not None:
+            return sum(signs)
+    raise VerificationError("every coordinate projection of the two polygons is degenerate")
+
+
+def _circle_slack(points: list) -> float:
+    """How far the straight-line homotopies that carry the closed polygon
+    ``points`` onto the round circle it samples move any point, at most:
+    the largest sagitta ``(L + 2 e)^2 / 4R`` of a chord of length ``L``,
+    plus the vertex error bound ``e``.
+
+    The circle is the one through three well-spread vertices: the first,
+    the vertex farthest from it and the vertex farthest from the line
+    through those two.  Every vertex must lie within ``e`` of it, where
+    ``e = _VERTEX_ERROR * max(1, |centre| + R)``, or ``ValueError`` is
+    raised.  The vertices must go round the circle once, in one direction,
+    by steps of at most a quarter turn; so each edge is the chord of the arc
+    between its ends that holds no other vertex, and its sagitta is below
+    ``L^2 / 4R``.  A polygon that does not raises :class:`ResamplePole`.
+    The float rounding of this bound is far below ``e``.
+    """
+    first = points[0]
+    fx, fy, fz = first
+    far = max(points, key=lambda p: math.dist(p, first))
+    u = ux, uy, uz = far[0] - fx, far[1] - fy, far[2] - fz
+
+    def off_line(p) -> float:
+        dx, dy, dz = p[0] - fx, p[1] - fy, p[2] - fz
+        return (dy * uz - dz * uy) ** 2 + (dz * ux - dx * uz) ** 2 + (dx * uy - dy * ux) ** 2
+
+    third = max(points, key=off_line)
+    v = third[0] - fx, third[1] - fy, third[2] - fz
+    w = _cross(u, v)
+    w2 = _dot(w, w)
+    if not w2 > 0.0:
+        raise ValueError("polygon vertices must lie on a round circle")
+    uu, vv = _dot(u, u), _dot(v, v)
+    offset = [(uu * c + vv * d) / (2.0 * w2) for c, d in zip(_cross(v, w), _cross(w, u))]
+    cx, cy, cz = fx + offset[0], fy + offset[1], fz + offset[2]
+    radius = math.hypot(*offset)
+    nx, ny, nz = (c / math.sqrt(w2) for c in w)
+    ax, ay, az = (c / radius for c in offset)  # a unit vector in the circle's plane
+    bx, by, bz = ny * az - nz * ay, nz * ax - nx * az, nx * ay - ny * ax
+    error = _VERTEX_ERROR * max(1.0, math.hypot(cx, cy, cz) + radius)
+
+    # Each vertex in the circle's plane, in the basis (a, b).
+    planar = []
+    for x, y, z in points:
+        dx, dy, dz = x - cx, y - cy, z - cz
+        h = dx * nx + dy * ny + dz * nz
+        dx, dy, dz = dx - h * nx, dy - h * ny, dz - h * nz
+        if not (abs(h) <= error and abs(math.hypot(dx, dy, dz) - radius) <= error):
+            raise ValueError("polygon vertices must lie on a round circle")
+        planar.append((dx * ax + dy * ay + dz * az, dx * bx + dy * by + dz * bz))
+    # Signed turns, as (cross, dot) of consecutive vertices about the centre.
+    turns = [
+        (x0 * y1 - y0 * x1, x0 * x1 + y0 * y1)
+        for (x0, y0), (x1, y1) in zip(planar, planar[1:] + planar[:1])
+    ]
+    direction = 1.0 if turns[0][0] > 0.0 else -1.0
+    if not (
+        all(direction * cross > 0.0 and dot >= 0.0 for cross, dot in turns)
+        and abs(math.fsum(math.atan2(cross, dot) for cross, dot in turns)) < 3.0 * math.pi
+    ):
+        raise ResamplePole("the polygon does not go once round its circle by short steps")
+    chord = max(map(math.dist, points, points[1:] + points[:1]))
+    return (chord + 2.0 * error) ** 2 / (4.0 * radius) + error
+
+
+def _closest_within(a: list, b: list, gap: float):
+    """The distance of some segment of the closed polygon ``a`` from some
+    segment of ``b`` that is at most ``gap``, or None if every pair lies
+    further apart.  Only pairs whose bounding boxes meet, once those of
+    ``a`` are widened by ``2 gap`` (twice, so that rounding cannot narrow
+    them below ``gap``), are measured."""
+    xyz = (0, 1, 2)
+    for i, j in _overlapping(_boxes(a, xyz, 2.0 * gap), _boxes(b, xyz)):
+        distance = _segment_distance(a[i - 1], a[i], b[j - 1], b[j])
+        if not distance > gap:
+            return distance
+    return None
+
+
+def _segment_distance(p0, p1, q0, q1) -> float:
+    """Distance between the segments ``p0 p1`` and ``q0 q1`` of R^3 (the
+    closest-point parameters, clamped to both segments)."""
+    d1, d2, r = _sub(p1, p0), _sub(q1, q0), _sub(p0, q0)
+    a, e, f = _dot(d1, d1), _dot(d2, d2), _dot(d2, r)
+    if a == 0.0 and e == 0.0:
+        return math.dist(p0, q0)
+    if a == 0.0:
+        s, t = 0.0, min(max(f / e, 0.0), 1.0)
+    else:
+        c = _dot(d1, r)
+        if e == 0.0:
+            s, t = min(max(-c / a, 0.0), 1.0), 0.0
+        else:
+            b = _dot(d1, d2)
+            denom = a * e - b * b
+            s = min(max((b * f - c * e) / denom, 0.0), 1.0) if denom > 0.0 else 0.0
+            t = (b * s + f) / e
+            if t < 0.0:
+                s, t = min(max(-c / a, 0.0), 1.0), 0.0
+            elif t > 1.0:
+                s, t = min(max((b - c) / a, 0.0), 1.0), 1.0
+    return math.dist(
+        tuple(x + s * dx for x, dx in zip(p0, d1)), tuple(y + t * dy for y, dy in zip(q0, d2))
+    )
+
+
+def _crossings(a: list, b: list, axis: int):
+    """The signs of the crossings where the closed polygon ``a`` passes over
+    ``b``, seen down coordinate ``axis`` (the height) onto the next two
+    coordinates in cyclic order; None if that projection is degenerate.
+
+    Segment pairs whose projected bounding boxes meet are the candidates,
+    and each is decided exactly on the dyadic rationals of its vertices:
+    a crossing needs each segment's ends strictly on either side of the
+    other's line, and its sign is that of the cross product of ``a``'s
+    direction with ``b``'s, as the right-hand rule gives it.
+    """
+    u, v = (axis + 1) % 3, (axis + 2) % 3
+    signs = []
+    for i, j in _overlapping(_boxes(a, (u, v)), _boxes(b, (u, v))):
+        ax0, ay0, az0, ax1, ay1, az1, bx0, by0, bz0, bx1, by1, bz1 = _integers(
+            [point[k] for point in (a[i - 1], a[i], b[j - 1], b[j]) for k in (u, v, axis)]
+        )
+        # Each end of one segment against the line of the other.
+        dax, day, dbx, dby = ax1 - ax0, ay1 - ay0, bx1 - bx0, by1 - by0
+        o1 = dax * (by0 - ay0) - day * (bx0 - ax0)
+        o2 = dax * (by1 - ay0) - day * (bx1 - ax0)
+        o3 = dbx * (ay0 - by0) - dby * (ax0 - bx0)
+        o4 = dbx * (ay1 - by0) - dby * (ax1 - bx0)
+        if o1 * o2 > 0 or o3 * o4 > 0:
+            continue
+        if not (o1 * o2 < 0 and o3 * o4 < 0):
+            return None  # touching or collinear in projection
+        # The heights there, a's at o3 / (o3 - o4) of its way and b's at
+        # o1 / (o1 - o2), compared over their common denominator.
+        over = (o3 * az1 - o4 * az0) * (o1 - o2) - (o1 * bz1 - o2 * bz0) * (o3 - o4)
+        if over == 0:
+            return None  # the segments meet in R^3
+        if (over > 0) == ((o3 - o4 > 0) == (o1 - o2 > 0)):
+            # o2 - o1 is the cross product of the two directions.
+            signs.append(_CROSSING_SIGN if o2 > 0 else -_CROSSING_SIGN)
+    return signs
+
+
+def _boxes(points: list, coords: tuple, widen: float = 0.0) -> list:
+    """The bounding box of each segment of the closed polygon ``points``
+    (segment ``i`` joins vertex ``i - 1`` to vertex ``i``) on the
+    coordinates ``coords``, as ``(lo, hi, lo, hi, ...)``, widened by
+    ``widen`` on every side."""
+    boxes = []
+    previous = points[-1]
+    for point in points:
+        box = []
+        for k in coords:
+            lo, hi = previous[k], point[k]
+            if lo > hi:
+                lo, hi = hi, lo
+            box += (lo - widen, hi + widen)
+        boxes.append(box)
+        previous = point
+    return boxes
+
+
+def _overlapping(boxes_a: list, boxes_b: list) -> list:
+    """The index pairs ``(i, j)`` whose closed boxes ``boxes_a[i]`` and
+    ``boxes_b[j]`` meet; a box is ``(lo, hi, lo, hi)`` in two coordinates
+    or ``(lo, hi, lo, hi, lo, hi)`` in three.
+
+    A sweep along the first coordinate: the boxes enter in the order of
+    their lower ends, and each is tested against the boxes of the other
+    list that are still open there.  It only compares the floats it is
+    given, so no pair is lost to rounding.
+    """
+    boxes = (boxes_a, boxes_b)
+    events = sorted(
+        [(box[0], 0, i) for i, box in enumerate(boxes_a)]
+        + [(box[0], 1, j) for j, box in enumerate(boxes_b)]
+    )
+    open_boxes = [[], []]
+    pairs = []
+    for start, side, index in events:
+        box, others = boxes[side][index], boxes[1 - side]
+        still = open_boxes[1 - side] = [j for j in open_boxes[1 - side] if others[j][1] >= start]
+        for j in still:
+            other = others[j]
+            if (
+                box[2] <= other[3]
+                and other[2] <= box[3]
+                and (len(box) == 4 or (box[4] <= other[5] and other[4] <= box[5]))
+            ):
+                pairs.append((index, j) if side == 0 else (j, index))
+        open_boxes[side].append(index)
+    return pairs
+
+
+def _integers(values: list) -> list:
+    """Finite floats as integers over one common power-of-two denominator,
+    so that every sign test on them is exact."""
+    ratios = [x.as_integer_ratio() for x in values]
+    scale = max(d for _, d in ratios)
+    return [n * (scale // d) for n, d in ratios]
+
+
+def _sub(p, q) -> tuple:
+    return tuple(a - b for a, b in zip(p, q))
+
+
+def _cross(p, q) -> tuple:
+    return (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0])
+
+
+def fiber_polygon_linking(
+    p1,
+    p2,
+    samples: int = 512,
+    rng: Union[random.Random, int, None] = None,
+) -> int:
+    """Exact linking number of the Hopf fibers over two distinct base
+    points: :func:`polygon_linking` of their stereographic images, whose
+    vertices are ``samples`` points of each fiber.
+
+    Stereographic projection keeps the orientation of S^3 and carries each
+    fiber to a round circle.  The pole is :func:`choose_pole`'s; where the
+    polygons fail the isotopy bound from it, every other Hurwitz unit is
+    tried, in random order, and :class:`VerificationError` is raised once
+    none passes.
+    """
+    first, second = fiber_curve(p1, samples), fiber_curve(p2, samples)
+    if not isinstance(rng, random.Random):
+        rng = random.Random(rng)
+    pole = choose_pole([first, second], rng)
+
+    def poles():
+        yield pole
+        yield from (p for p in rng.sample(hurwitz_units(), 24) if p != pole)
+
+    for candidate in poles():
+        try:
+            projected = stereographic(first + second, candidate)
+            return polygon_linking(projected[:samples], projected[samples:])
+        except ResamplePole as exc:
+            failure = exc
+    raise VerificationError(f"the isotopy bound fails from every pole (the last: {failure})")
 
 
 def random_sphere_point(rng: random.Random) -> tuple:

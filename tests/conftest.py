@@ -8,8 +8,7 @@ import pytest
 @pytest.fixture(autouse=True)
 def no_child_process_outlives_the_test():
     """After each test, this process has no child left, running or a
-    zombie: every process a test starts, the CLI's forked workers included,
-    has been reaped."""
+    zombie: every process a test starts has been reaped."""
     yield
     if not hasattr(os, "WNOHANG"):
         return

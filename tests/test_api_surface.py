@@ -48,11 +48,22 @@ ORACLES = {
         "inverts the stereographic projection that fiber_linking runs"
     ),
     "stemcert._kernels.get_backend": "names the kernel implementation in benchmark provenance",
+    "stemcert.hopf.gauss_linking": (
+        "the float Gauss-integral oracle of criterion 10, against which "
+        "polygon_linking's signed crossings are checked"
+    ),
+    "stemcert.hopf.fiber_linking": (
+        "the float Gauss-integral oracle of criterion 10 for a pair of fibers"
+    ),
+    "stemcert._kernels.gauss_linking_sum": (
+        "the double sum of the float Gauss-integral oracle of criterion 10"
+    ),
     "stemcert.hopf.random_sphere_point": (
         "uniform float base points for the Gauss-integral oracle of criterion 10"
     ),
     "stemcert.hopf.hurwitz_units": (
-        "pole candidates, drawn only when a fiber passes within 1e-3 of -1"
+        "pole candidates, drawn only when a fiber passes within 1e-3 of -1 "
+        "or the isotopy bound fails from -1"
     ),
 }
 

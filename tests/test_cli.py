@@ -7,9 +7,9 @@ import os
 import re
 import shlex
 import shutil
-import signal
 import subprocess
 import sys
+import time
 from itertools import permutations
 from pathlib import Path
 
@@ -223,11 +223,11 @@ def test_exact_subcommands_do_not_import_geometry():
     child = main_in_child(*exact)
     assert child["codes"] == [0] * len(exact)
     assert child["loaded"] == []
-    # Positive control: the same probe sees hopf and its kernel once linking
-    # runs, and still no numpy.
+    # Positive control: the same probe sees hopf once linking runs, and
+    # still neither the Gauss-sum kernel nor numpy.
     child = main_in_child(["linking", "--trials", "1"])
     assert child["codes"] == [0]
-    assert child["loaded"] == ["stemcert.hopf", "stemcert._kernels"]
+    assert child["loaded"] == ["stemcert.hopf"]
 
 
 # Runs stemcert.cli.main on the argv in argv[1] in a fresh interpreter, then
@@ -579,24 +579,25 @@ def test_linking_command_certifies(capsys):
     assert code == 0
     blob = json.loads(out)
     assert blob["max_deviation"] == 0.0
-    assert abs(blob["unlinked_control"]) <= 0.02
     assert len(blob["trials"]) == 3
     # Each trial is the exact sign of a non-zero integer determinant; the
-    # first pair's Gauss sum has that sign and its mirror pair the other.
+    # first pair's signed crossings count that sign and its mirror pair has
+    # the other.
     assert all(type(det) is int and det != 0 for det in blob["determinants"])
     assert blob["trials"] == [1 if det > 0 else -1 for det in blob["determinants"]]
-    assert abs(blob["reference"] - blob["trials"][0]) <= 0.02
     assert type(blob["mirror_determinant"]) is int and blob["mirror_determinant"] < 0
 
 
-def test_linking_json_prints_no_negative_zero(capsys):
-    # This control's sum is a tiny negative number, which rounds to -0.0.
-    code, out, err = run_cli(
-        capsys, "--json", "--seed", "7", "--samples", "128", "linking", "--trials", "3"
-    )
-    assert code == 0, err
-    assert "-0.0" not in out
-    assert json.loads(out)["unlinked_control"] == 0.0
+@pytest.mark.parametrize("samples", ["64", "128", "1024"])
+def test_linking_reference_and_control_are_exact_integers(capsys, samples):
+    for seed in ("1", "2", "3", "7"):
+        code, out, err = run_cli(
+            capsys, "--json", "--seed", seed, "--samples", samples, "linking", "--trials", "3"
+        )
+        assert code == 0, err
+        blob = json.loads(out)
+        assert type(blob["reference"]) is int and blob["reference"] == blob["trials"][0]
+        assert type(blob["unlinked_control"]) is int and blob["unlinked_control"] == 0
 
 
 def leibniz_determinant(rows):
@@ -631,17 +632,36 @@ def test_linking_json_records_the_pair_behind_each_determinant(capsys):
     assert leibniz_determinant([q, right[0], r, right[1]]) == blob["mirror_determinant"]
 
 
+def moved_through_the_disc(first, second):
+    """The unlinked control with its second circle moved from (1.5, 0, 0)
+    to (0.6, 0.5, 0), through the first circle's disc."""
+    return first, [(x - 0.9, y + 0.5, z) for x, y, z in second]
+
+
 @pytest.mark.parametrize(
     "name,tamper,message",
     [
-        ("fiber_linking", lambda real: lambda *a, **k: -real(*a, **k), "reference Gauss sum reads -1.0"),
+        ("_CROSSING_SIGN", lambda real: -real, "the reference crossing count is -1"),
+        (
+            "unlinked_control",
+            lambda real: lambda samples: moved_through_the_disc(*real(samples)),
+            "unlinked control reads -1",
+        ),
+        ("_circle_slack", lambda real: lambda points: 1e3, "the isotopy bound fails from every pole"),
         ("mirror_determinant", lambda real: lambda q, r: -real(q, r), "is not negative"),
         # r = q i: the pair lies on one circle of the mirror fibration.
         ("draw_fiber_pair", lambda real: lambda rng: ((1, 0, 1, 0), (0, 1, 0, -1)), "mirror determinant 0"),
         # r = 2 q: the pair lies on one Hopf fiber.
         ("draw_fiber_pair", lambda real: lambda rng: ((1, 2, 0, 0), (2, 4, 0, 0)), "zero fiber determinant"),
     ],
-    ids=["reference-sign", "mirror-positive", "mirror-zero", "zero-determinant"],
+    ids=[
+        "crossing-sign",
+        "control-through-disc",
+        "isotopy-every-pole",
+        "mirror-positive",
+        "mirror-zero",
+        "zero-determinant",
+    ],
 )
 def test_linking_exits_three_on_a_tampered_certificate(capsys, monkeypatch, name, tamper, message):
     from stemcert import hopf
@@ -695,7 +715,7 @@ def test_linking_rejects_samples_below_the_floor_before_sampling(capsys):
         (("thom", "--family", "complex", "--mult", "1", "--n", "{}"), "--n", 100000),
         (("thom", "--family", "quaternionic", "--n", "1", "--mult", "{}"), "--mult", 100000),
         (("lift", "--loop", "gamma", "--steps", "{}"), "--steps", 65536),
-        # 1000 integer trials and two Gauss sums at 128 samples take about 0.2 s.
+        # 1000 integer trials and two crossing counts at 128 samples take about 0.03 s.
         (("--samples", "128", "linking", "--trials", "{}"), "--trials", 1000),
     ],
     ids=[
@@ -821,35 +841,48 @@ def test_malformed_values_cover_every_subcommand():
     assert covered == subcommands
 
 
-def test_linking_sums_two_gauss_integrals_whatever_its_trial_count(capsys, monkeypatch, tmp_path):
+def test_linking_counts_two_polygon_pairs_whatever_its_trial_count(capsys, monkeypatch):
     # The trials are integer determinants; only the reference pair and the
-    # unlinked control pay an O(samples^2) sum, so --samples alone bounds the
-    # run and --trials is capped only by its own limit.  The control's sum
-    # runs in a forked worker, so each call is appended to a file that both
-    # processes write.
-    from stemcert import _kernels
+    # unlinked control are counted as polygons of --samples vertices, so
+    # --samples alone bounds the run and --trials is capped only by its own
+    # limit.
+    from stemcert import hopf
 
-    calls = tmp_path / "calls"
-    kernel = _kernels.gauss_linking_sum
+    calls = []
+    polygon_linking = hopf.polygon_linking
 
-    def counted(*arrays):
-        with open(calls, "a") as fh:
-            fh.write(f"{len(arrays[0])}\n")
-        return kernel(*arrays)
+    def counted(a, b):
+        calls.append((len(a), len(b)))
+        return polygon_linking(a, b)
 
-    monkeypatch.setattr(_kernels, "gauss_linking_sum", counted)
+    monkeypatch.setattr(hopf, "polygon_linking", counted)
     for trials in ("1", "1000"):
-        calls.write_text("")
-        code, out, err = run_cli(capsys, "--json", "--samples", "64", "linking", "--trials", trials)
+        calls.clear()
+        code, out, err = run_cli(capsys, "--json", "--samples", "128", "linking", "--trials", trials)
         assert code == 0, err
         assert len(json.loads(out)["determinants"]) == int(trials)
-        assert sorted(map(int, calls.read_text().split())) == [64, 64]
+        assert calls == [(128, 128), (128, 128)]
 
 
-def assert_no_child_left():
-    """This process has no child, running or unreaped."""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+def test_linking_at_both_caps_runs_within_its_time_bound(capsys):
+    # Two crossing counts of 4096-gons and 1000 determinants: about 0.2 s in
+    # this process on a 2-vCPU x86-64 VM.  The bound leaves room for a
+    # loaded machine.
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "--json", "--samples", "4096", "linking", "--trials", "1000")
+    elapsed = time.perf_counter() - start
+    assert code == 0, err
+    assert len(json.loads(out)["trials"]) == 1000
+    assert elapsed < 2.0
+
+
+def test_linking_runs_in_one_process(capsys, monkeypatch):
+    def no_fork(*args):
+        raise AssertionError("linking forked a process")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    code, out, err = run_cli(capsys, "--samples", "64", "linking", "--trials", "2")
+    assert code == 0, err
 
 
 def linked_circles(samples=512):
@@ -872,18 +905,10 @@ def refuse(*args, **kwargs):
     raise ValueError("no reference")
 
 
-def test_linking_worker_returns_the_control(capsys):
-    code, out, err = run_cli(capsys, "--json", "--samples", "64", "linking", "--trials", "2")
-    assert code == 0, err
-    assert abs(json.loads(out)["unlinked_control"]) <= 0.02
-    assert_no_child_left()
-
-
 @pytest.mark.parametrize(
     "name,replacement,code,message",
     [
-        # The reference fails while the worker sums; the worker is killed.
-        ("fiber_linking", refuse, 2, "error: no reference\n"),
+        ("fiber_polygon_linking", refuse, 2, "error: no reference\n"),
         (
             "unlinked_control",
             linked_circles,
@@ -893,84 +918,20 @@ def test_linking_worker_returns_the_control(capsys):
         (
             "unlinked_control",
             touching_circles,
-            2,
-            "error: curves intersect within tolerance (or a sample is not finite)\n",
+            3,
+            "verification failure: linking certificate failed: unlinked control: "
+            "isotopy bound fails",
         ),
     ],
     ids=["reference-error", "linked-control", "touching-control"],
 )
-def test_linking_worker_errors_exit_as_in_one_process(capsys, monkeypatch, name, replacement, code, message):
+def test_linking_errors_exit_with_their_own_codes(capsys, monkeypatch, name, replacement, code, message):
     from stemcert import hopf
 
     monkeypatch.setattr(hopf, name, replacement)
     got_code, out, err = run_cli(capsys, "--samples", "64", "linking", "--trials", "2")
     assert (got_code, out) == (code, "")
     assert err.startswith(message), err
-    assert_no_child_left()
-
-
-def test_linking_worker_interrupted_ends_in_the_parent_alone(capsys, monkeypatch):
-    # KeyboardInterrupt in the worker's sum: the worker leaves through
-    # os._exit, and cli.main returns once, in this process, with exit 3.
-    from stemcert import hopf
-
-    parent = os.getpid()
-    gauss_linking = hopf.gauss_linking
-
-    def interrupted_in_worker(*curves):
-        if os.getpid() != parent:
-            raise KeyboardInterrupt
-        return gauss_linking(*curves)
-
-    monkeypatch.setattr(hopf, "gauss_linking", interrupted_in_worker)
-    returns = []
-    try:
-        returns.append(cli.main(["--samples", "64", "linking", "--trials", "2"]))
-    finally:
-        if os.getpid() != parent:
-            os._exit(99)  # a worker that came back into this stack stops here
-    out, err = capsys.readouterr()
-    assert (returns, out) == ([3], "")
-    assert err == "verification failure: a forked worker ended with no result (exit status 1)\n"
-    assert_no_child_left()
-
-
-def test_linking_worker_killed_by_a_signal_exits_three(capsys, monkeypatch):
-    from stemcert import hopf
-
-    parent = os.getpid()
-    gauss_linking = hopf.gauss_linking
-
-    def killed_in_worker(*curves):
-        if os.getpid() != parent:
-            os.kill(os.getpid(), signal.SIGKILL)
-        return gauss_linking(*curves)
-
-    monkeypatch.setattr(hopf, "gauss_linking", killed_in_worker)
-    code, out, err = run_cli(capsys, "--samples", "64", "linking", "--trials", "2")
-    assert (code, out) == (3, "")
-    assert err == (
-        f"verification failure: a forked worker ended with no result "
-        f"(killed by signal {int(signal.SIGKILL)})\n"
-    )
-    assert_no_child_left()
-
-
-def test_linking_without_fork_prints_the_same(capsys, monkeypatch):
-    # Without os.fork (Windows), or when fork fails, the control runs in
-    # this process after the reference.
-    argv = ("--json", "--seed", "4", "--samples", "128", "linking", "--trials", "3")
-    code, forked, err = run_cli(capsys, *argv)
-    assert code == 0, err
-
-    def no_process(*args):
-        raise BlockingIOError("fork: no process to spare")
-
-    monkeypatch.setattr(os, "fork", no_process)
-    assert run_cli(capsys, *argv) == (0, forked, "")
-    monkeypatch.delattr(os, "fork")
-    assert run_cli(capsys, *argv) == (0, forked, "")
-    assert_no_child_left()
 
 
 def test_einv_checks_the_space_index_before_building_the_ring(capsys, monkeypatch):

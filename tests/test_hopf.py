@@ -27,11 +27,13 @@ from stemcert.hopf import (
     fiber_curve,
     fiber_determinant,
     fiber_linking,
+    fiber_polygon_linking,
     gauss_linking,
     hopf_map,
     hurwitz_units,
     linking_number,
     mirror_determinant,
+    polygon_linking,
     qmul,
     random_sphere_point,
     rot_from_quat,
@@ -404,11 +406,17 @@ def test_no_term_of_the_unlinked_control_vanishes(samples):
     assert np.abs(numerators).min() > 0.0
 
 
+def moved_through_the_disc(curve):
+    """The unlinked control's second circle moved from its centre
+    (1.5, 0, 0) to (0.6, 0.5, 0)."""
+    return [(x - 0.9, y + 0.5, z) for x, y, z in curve]
+
+
 def test_unlinked_control_links_once_when_moved_through_the_disc():
     circle, tilted = unlinked_control(samples=256)
-    # Centred at (1, 0, 0), the tilted circle crosses the plane z = 0 at the
-    # origin, inside the first circle, and at (2, 0, 0), outside it.
-    moved = [(x - 3.0, y, z) for x, y, z in tilted]
+    # Centred at (0.6, 0.5, 0), the tilted circle crosses the plane z = 0 at
+    # (0.6, -0.5, 0), inside the first circle, and at (0.6, 1.5, 0), outside.
+    moved = moved_through_the_disc(tilted)
     assert abs(abs(gauss_linking(circle, moved)) - 1.0) < 0.02
     assert abs(gauss_linking(circle, tilted)) < 0.02
 
@@ -648,6 +656,201 @@ def test_separation_sweep_spreads_curves_in_a_plane_x_const(monkeypatch):
     closest = _kernels.closest_squared_distance(inner, outer)
     assert len(measured) < 50 * samples
     assert closest > 1e-6
+
+
+# --------------------------------------------------------------------------
+# Signed crossings
+# --------------------------------------------------------------------------
+
+
+def circle(centre, u, v, samples):
+    """``samples`` points of ``centre + cos t u + sin t v``, the quarter
+    turns exact: a cosine or sine below 1e-15 is read as 0."""
+    points = []
+    for k in range(samples):
+        t = 2.0 * math.pi * k / samples
+        c, s = (x if abs(x) > 1e-15 else 0.0 for x in (math.cos(t), math.sin(t)))
+        points.append(tuple(o + c * a + s * b for o, a, b in zip(centre, u, v)))
+    return points
+
+
+@pytest.mark.parametrize("samples", [64, 128, 512, 1024, 4096])
+def test_unlinked_control_crosses_with_both_signs_and_sums_to_zero(samples):
+    # The xy projections of the control cross, so its 0 is a sum of signed
+    # crossings that cancel, not an empty candidate set.
+    first, second = unlinked_control(samples)
+    signs = hopf._crossings(first, second, 2)
+    assert sorted(set(signs)) == [-1, 1]
+    assert polygon_linking(first, second) == 0
+    # Moved through the disc, the same circle links once, with the sign of
+    # the float Gauss sum.
+    moved = moved_through_the_disc(second)
+    link = polygon_linking(first, moved)
+    assert abs(link) == 1
+    assert link == round(gauss_linking(first, moved))
+
+
+@pytest.mark.parametrize("samples", [64, 128, 512, 4096])
+def test_fiber_crossings_have_the_sign_of_the_determinant(samples):
+    rng = random.Random(samples)
+    for _ in range(6 if samples < 4096 else 2):
+        q, r = draw_fiber_pair(rng)
+        link = fiber_polygon_linking(base_point(q), base_point(r), samples=samples, rng=rng)
+        assert link == linking_number(fiber_determinant(q, r))
+
+
+def test_a_failed_isotopy_bound_tries_the_other_poles(monkeypatch):
+    q, r = draw_fiber_pair(random.Random(4))
+    tried = []
+    project = hopf.stereographic
+
+    def recording(points, pole):
+        tried.append(tuple(pole))
+        return project(points, pole)
+
+    slack = hopf._circle_slack
+    calls = []
+
+    def fails_first(points):
+        # The first pole's two polygons fail the bound; later ones pass.
+        calls.append(None)
+        return 1e3 if len(calls) <= 1 else slack(points)
+
+    monkeypatch.setattr(hopf, "stereographic", recording)
+    monkeypatch.setattr(hopf, "_circle_slack", fails_first)
+    link = fiber_polygon_linking(base_point(q), base_point(r), samples=128, rng=0)
+    assert link == linking_number(fiber_determinant(q, r))
+    assert len(tried) == 2 and tried[0] == MINUS_ONE and tried[1] in hurwitz_units()
+    # Where no pole passes, each of the 24 is tried once.
+    tried.clear()
+    monkeypatch.setattr(hopf, "_circle_slack", lambda points: 1e3)
+    with pytest.raises(VerificationError, match="isotopy bound fails from every pole"):
+        fiber_polygon_linking(base_point(q), base_point(r), samples=128, rng=0)
+    assert sorted(tried) == sorted(hurwitz_units())
+
+
+def test_polygon_linking_agrees_with_the_gauss_oracle_from_every_clear_pole():
+    rng = random.Random(5)
+    for _ in range(4):
+        q, r = draw_fiber_pair(rng)
+        a, b = fiber_curve(base_point(q), 256), fiber_curve(base_point(r), 256)
+        for pole in hurwitz_units()[:8]:
+            try:
+                first, second = stereographic(a, pole), stereographic(b, pole)
+                link = polygon_linking(first, second)
+            except ResamplePole:
+                continue
+            assert abs(gauss_linking(first, second) - link) < 0.02
+            # One orientation reversed reverses the sign; the order of the
+            # pair does not matter.
+            assert polygon_linking(first[::-1], second) == -link
+            assert polygon_linking(second, first) == link
+
+
+def test_a_degenerate_projection_moves_the_count_to_the_next_axis():
+    flat = circle((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), 256)
+    # Its first vertex (1, 0, 0.5) lies straight above the flat circle's
+    # first vertex (1, 0, 0), so the xy projections touch there.
+    tilted = circle((1.0, -1.0, 0.5), (0.0, 1.0, 0.0), (0.6, 0.0, 0.8), 256)
+    assert tilted[0] == (1.0, 0.0, 0.5)
+    assert hopf._crossings(flat, tilted, 2) is None
+    assert hopf._crossings(flat, tilted, 0) is not None
+    link = polygon_linking(flat, tilted)
+    assert abs(link) == 1
+    assert link == round(gauss_linking(flat, tilted))
+
+
+def test_every_projection_degenerate_raises():
+    # The second circle, in the xz-plane, passes through the first's disc.
+    # Its vertices (1, 0, 1), (2, 0, 0) and (0, 0, 0) project onto the first
+    # circle's vertices (1, 0, 0) down z, (1, 0, 0) down x and (0, 1, 0)
+    # down y.
+    flat = circle((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), 64)
+    upright = circle((1.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0), 64)
+    assert [hopf._crossings(flat, upright, axis) for axis in (2, 0, 1)] == [None] * 3
+    with pytest.raises(VerificationError, match="every coordinate projection"):
+        polygon_linking(flat, upright)
+
+
+def test_polygons_closer_than_their_sagittas_fail_the_isotopy_bound():
+    # 1e-3 apart at their nearest vertices: a chord of the 64-gon strays
+    # 1.2e-3 from its arc, so the polygons prove nothing about the circles,
+    # though they are disjoint; at 4096 vertices the bound holds.
+    for samples, passes in ((64, False), (4096, True)):
+        first = circle((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), samples)
+        second = circle((2.001, 0.0, 0.0), (-1.0, 0.0, 0.0), (0.0, 0.0, 1.0), samples)
+        if passes:
+            assert polygon_linking(first, second) == 0
+        else:
+            with pytest.raises(ResamplePole, match="isotopy bound fails"):
+                polygon_linking(first, second)
+    first, _ = unlinked_control(128)
+    with pytest.raises(ResamplePole, match="isotopy bound fails"):
+        polygon_linking(first, list(first))
+
+
+def test_polygon_linking_takes_only_circles_gone_round_once_by_short_steps():
+    first, second = unlinked_control(128)
+    ellipse = [(2.0 * x, y, z) for x, y, z in first]
+    with pytest.raises(ValueError, match="round circle"):
+        polygon_linking(ellipse, second)
+    with pytest.raises(ValueError, match="round circle"):
+        polygon_linking([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (2.0, 0.0, 0.0)], second)
+    with pytest.raises(ValueError, match="finite"):
+        polygon_linking(first[:-1] + [(math.nan, 0.0, 0.0)], second)
+    with pytest.raises(ValueError, match="R\\^3"):
+        polygon_linking([p + (0.0,) for p in first], second)
+    # Twice round, or in steps of a third of a turn.
+    with pytest.raises(ResamplePole, match="once round"):
+        polygon_linking(first[::2] + first[::2], second)
+    with pytest.raises(ResamplePole, match="once round"):
+        polygon_linking(first[::43], second)
+
+
+def test_crossing_tests_read_each_float_as_its_exact_dyadic_rational():
+    from fractions import Fraction
+
+    rng = random.Random(2)
+    for _ in range(200):
+        values = [rng.uniform(-1.0, 1.0) * 2.0 ** rng.randint(-60, 60) for _ in range(6)]
+        integers = hopf._integers(values)
+        # One common scale carries each float to its integer exactly.
+        scale = Fraction(integers[0]) / Fraction(values[0])
+        assert all(Fraction(n) == scale * Fraction(x) for n, x in zip(integers, values))
+    for _ in range(200):
+        # A third point rounded onto the line through two others: the
+        # orientation of the three is tiny, and exactly that of the rationals.
+        x0, y0, x1, y1 = (rng.uniform(-1.0, 1.0) for _ in range(4))
+        t = rng.uniform(-2.0, 2.0)
+        x2, y2 = x0 + t * (x1 - x0), y0 + t * (y1 - y0)
+        a0, b0, a1, b1, a2, b2 = hopf._integers([x0, y0, x1, y1, x2, y2])
+        f0, g0, f1, g1, f2, g2 = map(Fraction, (x0, y0, x1, y1, x2, y2))
+        exact = (f1 - f0) * (g2 - g0) - (g1 - g0) * (f2 - f0)
+        orientation = (a1 - a0) * (b2 - b0) - (b1 - b0) * (a2 - a0)
+        assert (orientation > 0) - (orientation < 0) == (exact > 0) - (exact < 0)
+
+
+def random_box(rng, dims):
+    """``(lo, hi, ...)`` over ``dims`` coordinates, from a few values so
+    that boxes often share a bound."""
+    bounds = []
+    for _ in range(dims):
+        bounds += sorted(rng.choice((0.0, 0.25, 0.5, rng.random())) for _ in range(2))
+    return tuple(bounds)
+
+
+@pytest.mark.parametrize("dims", [2, 3])
+def test_box_sweep_finds_every_pair_of_meeting_boxes(dims):
+    rng = random.Random(dims)
+    for _ in range(20):
+        boxes_a, boxes_b = ([random_box(rng, dims) for _ in range(30)] for _ in range(2))
+        walked = [
+            (i, j)
+            for i, p in enumerate(boxes_a)
+            for j, q in enumerate(boxes_b)
+            if all(p[k] <= q[k + 1] and q[k] <= p[k + 1] for k in range(0, 2 * dims, 2))
+        ]
+        assert sorted(hopf._overlapping(boxes_a, boxes_b)) == walked
 
 
 # --------------------------------------------------------------------------
