@@ -25,7 +25,8 @@ _SUB = str.maketrans("0123456789", "₀₁₂₃₄₅₆₇₈₉")
 
 #: Fewest and most ``--samples`` that ``linking`` accepts, the vertex count
 #: of each polygon.  A run counts the signed crossings of two polygon pairs
-#: (the reference pair and the unlinked control), in time about linear in
+#: (the reference pair, again for each pole that fails its isotopy bound,
+#: and the unlinked control), in time about linear in
 #: the sample count and independent of ``--trials``: about 0.2 s at both caps
 #: on a 2-vCPU x86-64 machine.  The floor keeps the sample range of the
 #: float Gauss sum, which needs 64 segments per curve.
@@ -258,9 +259,7 @@ def cmd_linking(args) -> int:
     # signed crossings of its projected fibers, and its mirror-fibration
     # determinant is the negative control.
     q, r = pairs[0]
-    reference = hopf.fiber_polygon_linking(
-        hopf.base_point(q), hopf.base_point(r), samples=args.samples, rng=rng
-    )
+    reference = hopf.fiber_polygon_linking(hopf.base_point(q), hopf.base_point(r), args.samples)
     mirror = hopf.mirror_determinant(q, r)
     try:
         control = hopf.polygon_linking(*hopf.unlinked_control(samples=args.samples))

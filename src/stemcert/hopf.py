@@ -322,19 +322,10 @@ def stereographic(points, pole) -> list:
         raise ValueError("expected unit vectors")
     if not min(math.dist(p, pole) for p in points) > 1e-3:
         raise ResamplePole("sample too close to the projection pole")
-    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = e1, e2, e3
-    n0, n1, n2, n3 = pole
     images = []
-    # The dot products of _dot, written out term by term in its order.
-    for p0, p1, p2, p3 in points:
-        scale = 1.0 - (p0 * n0 + p1 * n1 + p2 * n2 + p3 * n3)
-        images.append(
-            (
-                (p0 * a0 + p1 * a1 + p2 * a2 + p3 * a3) / scale,
-                (p0 * b0 + p1 * b1 + p2 * b2 + p3 * b3) / scale,
-                (p0 * c0 + p1 * c1 + p2 * c2 + p3 * c3) / scale,
-            )
-        )
+    for p in points:
+        scale = 1.0 - _dot(p, pole)
+        images.append((_dot(p, e1) / scale, _dot(p, e2) / scale, _dot(p, e3) / scale))
     return images
 
 
@@ -732,34 +723,23 @@ def _cross(p, q) -> tuple:
     return (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0])
 
 
-def fiber_polygon_linking(
-    p1,
-    p2,
-    samples: int = 512,
-    rng: Union[random.Random, int, None] = None,
-) -> int:
+def fiber_polygon_linking(p1, p2, samples: int = 512) -> int:
     """Exact linking number of the Hopf fibers over two distinct base
     points: :func:`polygon_linking` of their stereographic images, whose
     vertices are ``samples`` points of each fiber.
 
     Stereographic projection keeps the orientation of S^3 and carries each
-    fiber to a round circle.  The pole is :func:`choose_pole`'s; where the
-    polygons fail the isotopy bound from it, every other Hurwitz unit is
-    tried, in random order, and :class:`VerificationError` is raised once
-    none passes.
+    fiber to a round circle.  The pole is ``-1``; where a sample comes
+    within 1e-3 of it or the polygons fail the isotopy bound from it, the
+    other 23 Hurwitz units are tried in :func:`hurwitz_units`' order, and
+    :class:`VerificationError` is raised once none passes.  The answer is
+    a function of the two base points and ``samples`` alone.
     """
     first, second = fiber_curve(p1, samples), fiber_curve(p2, samples)
-    if not isinstance(rng, random.Random):
-        rng = random.Random(rng)
-    pole = choose_pole([first, second], rng)
-
-    def poles():
-        yield pole
-        yield from (p for p in rng.sample(hurwitz_units(), 24) if p != pole)
-
-    for candidate in poles():
+    default = (-1.0, 0.0, 0.0, 0.0)
+    for pole in [default, *(u for u in hurwitz_units() if u != default)]:
         try:
-            projected = stereographic(first + second, candidate)
+            projected = stereographic(first + second, pole)
             return polygon_linking(projected[:samples], projected[samples:])
         except ResamplePole as exc:
             failure = exc

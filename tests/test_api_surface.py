@@ -61,9 +61,8 @@ ORACLES = {
     "stemcert.hopf.random_sphere_point": (
         "uniform float base points for the Gauss-integral oracle of criterion 10"
     ),
-    "stemcert.hopf.hurwitz_units": (
-        "pole candidates, drawn only when a fiber passes within 1e-3 of -1 "
-        "or the isotopy bound fails from -1"
+    "stemcert.hopf.choose_pole": (
+        "the projection pole of fiber_linking, the float oracle of criterion 10"
     ),
 }
 

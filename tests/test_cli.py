@@ -585,7 +585,9 @@ def test_linking_command_certifies(capsys):
     # the other.
     assert all(type(det) is int and det != 0 for det in blob["determinants"])
     assert blob["trials"] == [1 if det > 0 else -1 for det in blob["determinants"]]
+    assert type(blob["reference"]) is int and blob["reference"] == blob["trials"][0]
     assert type(blob["mirror_determinant"]) is int and blob["mirror_determinant"] < 0
+    assert type(blob["unlinked_control"]) is int and blob["unlinked_control"] == 0
 
 
 @pytest.mark.parametrize("samples", ["64", "128", "1024"])
@@ -841,14 +843,18 @@ def test_malformed_values_cover_every_subcommand():
     assert covered == subcommands
 
 
-def test_linking_counts_two_polygon_pairs_whatever_its_trial_count(capsys, monkeypatch):
+@pytest.mark.parametrize("seed,retries", [("0", False), ("10", True)])
+def test_linking_counts_the_same_polygon_pairs_whatever_its_trial_count(
+    capsys, monkeypatch, seed, retries
+):
     # The trials are integer determinants; only the reference pair and the
     # unlinked control are counted as polygons of --samples vertices, so
     # --samples alone bounds the run and --trials is capped only by its own
-    # limit.
+    # limit.  The reference pair is counted once per pole tried, in a fixed
+    # order: at seed 10 its 64-gons fail the isotopy bound from -1, and
+    # --trials changes that number no more than at seed 0, where -1 passes.
     from stemcert import hopf
 
-    calls = []
     polygon_linking = hopf.polygon_linking
 
     def counted(a, b):
@@ -856,12 +862,17 @@ def test_linking_counts_two_polygon_pairs_whatever_its_trial_count(capsys, monke
         return polygon_linking(a, b)
 
     monkeypatch.setattr(hopf, "polygon_linking", counted)
+    counts = {}
     for trials in ("1", "1000"):
-        calls.clear()
-        code, out, err = run_cli(capsys, "--json", "--samples", "128", "linking", "--trials", trials)
+        calls = []
+        code, out, err = run_cli(
+            capsys, "--json", "--seed", seed, "--samples", "64", "linking", "--trials", trials
+        )
         assert code == 0, err
         assert len(json.loads(out)["determinants"]) == int(trials)
-        assert calls == [(128, 128), (128, 128)]
+        assert set(calls) == {(64, 64)} and (len(calls) > 2) == retries
+        counts[trials] = len(calls)
+    assert counts["1"] == counts["1000"]
 
 
 def test_linking_at_both_caps_runs_within_its_time_bound(capsys):

@@ -695,7 +695,7 @@ def test_fiber_crossings_have_the_sign_of_the_determinant(samples):
     rng = random.Random(samples)
     for _ in range(6 if samples < 4096 else 2):
         q, r = draw_fiber_pair(rng)
-        link = fiber_polygon_linking(base_point(q), base_point(r), samples=samples, rng=rng)
+        link = fiber_polygon_linking(base_point(q), base_point(r), samples=samples)
         assert link == linking_number(fiber_determinant(q, r))
 
 
@@ -718,15 +718,17 @@ def test_a_failed_isotopy_bound_tries_the_other_poles(monkeypatch):
 
     monkeypatch.setattr(hopf, "stereographic", recording)
     monkeypatch.setattr(hopf, "_circle_slack", fails_first)
-    link = fiber_polygon_linking(base_point(q), base_point(r), samples=128, rng=0)
+    link = fiber_polygon_linking(base_point(q), base_point(r), samples=128)
     assert link == linking_number(fiber_determinant(q, r))
-    assert len(tried) == 2 and tried[0] == MINUS_ONE and tried[1] in hurwitz_units()
-    # Where no pole passes, each of the 24 is tried once.
+    others = [u for u in hurwitz_units() if u != MINUS_ONE]
+    assert tried == [MINUS_ONE, others[0]]
+    # Where no pole passes, each of the 24 is tried once, -1 first and the
+    # rest in a fixed order.
     tried.clear()
     monkeypatch.setattr(hopf, "_circle_slack", lambda points: 1e3)
     with pytest.raises(VerificationError, match="isotopy bound fails from every pole"):
-        fiber_polygon_linking(base_point(q), base_point(r), samples=128, rng=0)
-    assert sorted(tried) == sorted(hurwitz_units())
+        fiber_polygon_linking(base_point(q), base_point(r), samples=128)
+    assert tried == [MINUS_ONE, *others]
 
 
 def test_polygon_linking_agrees_with_the_gauss_oracle_from_every_clear_pole():
