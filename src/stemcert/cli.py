@@ -13,10 +13,10 @@ subcommands load none of the geometric layers.
 
 from __future__ import annotations
 
-import argparse
 import json
 import re
 import sys
+import types
 
 from .errors import ResamplePole, VerificationError
 
@@ -373,202 +373,219 @@ def cmd_report(args) -> int:
     _emit(args, payload, _render_report(report))
     return 0
 
-
 # --------------------------------------------------------------------------
-# Parser
+# Command line
 # --------------------------------------------------------------------------
 
+#: Per subcommand, and under None for the options before it, the help line
+#: and the options.  An option is ``(flag, type, default, required,
+#: choices, help)``; type ``bool`` marks a switch that takes no value, and
+#: every level also takes ``-h``/``--help``.  ``main`` runs subcommand
+#: ``name`` through ``cmd_<name>``, looked up when it dispatches.
+_TABLE = {
+    None: ("Exact-arithmetic certificates for the first three stable homotopy stems.", (
+        ("--json", bool, False, False, None, "emit machine-readable JSON"),
+        ("--seed", int, 0, False, None, "non-negative seed for randomized geometric checks"),
+        ("--samples", int, 512, False, None, f"points per curve (linking: {_MIN_SAMPLES} to {_MAX_SAMPLES})"),
+    )),
+    "adams": ("apply an Adams operation to a ring element", (
+        ("--space", str, None, True, None, f"e.g. cp2, hp2, s2-smash-cp2 (indices <= {_MAX_ADAMS_INDEX})"),
+        ("--k", int, None, True, None, f"at most {_MAX_ADAMS_K}"),
+        ("--elem", str, None, True, None, f"monomial, e.g. mu^2*nu (exponents <= {_MAX_ADAMS_EXPONENT})"),
+    )),
+    "einv": ("splitting verdict and e-invariant", (
+        ("--space", str, None, True, None, f"two-cell space, e.g. hp2 (indices <= {_MAX_ADAMS_INDEX})"),
+        ("--primes", str, "2,3,5", False, None, f"up to {_MAX_PRIMES} Adams indices in 2..{_MAX_ADAMS_K}"),
+        # The values of ``einv.Verdict``, spelled out so that reading the
+        # command line imports no layer.
+        ("--expect-verdict", str, None, False, ("Splits", "DoesNotSplit", "Inconclusive"),
+         "fail (exit 3) unless the verdict matches"),
+    )),
+    "jorder": ("J-order bound m(t), three ways", (
+        ("--t", int, None, True, None, f"at most {_MAX_BERNOULLI_INDEX}"),
+        ("--K", int, 200, False, None, f"gcd fold over k = 2..K (at most {_MAX_FOLD_K})"),
+        ("--N", int, None, False, None, f"exponent in the fold (default t + 10, at most {_MAX_FOLD_N})"),
+        ("--expect", int, None, False, None, "fail (exit 3) unless m(t) matches"),
+    )),
+    "bernoulli": ("exact Bernoulli number B_n (n even)", (
+        ("--n", int, None, True, None, f"at most {_MAX_BERNOULLI_INDEX}"),
+    )),
+    "feder-gitler": ("stable equivalence of stunted projective spaces", (
+        ("--n", int, None, True, None, None),
+        ("--k", int, None, True, None, None),
+        ("--l", int, None, True, None, None),
+        ("--Bn", int, None, False, None, "J-order B_n (n >= 2; n = 1 takes only the computed B_1)"),
+    )),
+    "thom": ("Thom space as a stunted projective space", (
+        ("--family", str, None, True, ("complex", "quaternionic"), None),
+        ("--n", int, None, True, None, f"base projective space index (at most {_MAX_THOM_INDEX})"),
+        ("--mult", int, None, True, None, f"number of bundle copies (at most {_MAX_THOM_INDEX})"),
+        ("--suspend", int, 0, False, None, None),
+    )),
+    "linking": ("linking numbers of random Hopf fibers", (
+        ("--trials", int, 20, False, None, f"fiber pairs to certify (at most {_MAX_TRIALS})"),
+    )),
+    "lift": ("monodromy of a rotation loop's lift", (
+        ("--loop", str, "gamma", False,
+         ("gamma", "alpha", "beta", "alpha-then-beta", "ball-gamma", "identity", "homotopy"), None),
+        ("--steps", int, 1024, False, None, f"sample intervals of the whole loop (256 to {_MAX_STEPS})"),
+        ("--turns", int, 1, False, None, "times the loop is run (at most --steps)"),
+        ("--slice", float, None, False, None, "homotopy slice in [0, 1] (default 1; homotopy only)"),
+        ("--variant", str, None, False, ("alpha", "beta"), "target loop (default alpha; homotopy only)"),
+        ("--expect-monodromy", int, None, False, (1, -1), None),
+    )),
+    "report": ("derivation report for a stem", (("--stem", int, None, True, (1, 2, 3), None),)),
+}
+_HELP_FLAGS = ("-h", "--help")
+#: A token that starts with "-" but names no option is still a value when
+#: it looks like a negative number (argparse's pattern) or holds a space.
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="stemcert",
-        allow_abbrev=False,
-        description=(
-            "Exact-arithmetic certificates for the first three stable "
-            "homotopy stems."
-        ),
-    )
-    parser.add_argument(
-        "--json", action="store_true", help="emit machine-readable JSON"
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="non-negative seed for randomized geometric checks",
-    )
-    parser.add_argument(
-        "--samples",
-        type=int,
-        default=512,
-        help=(
-            "sample count per curve for geometric checks "
-            f"(linking accepts {_MIN_SAMPLES} to {_MAX_SAMPLES})"
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", metavar="command")
 
-    p = sub.add_parser("adams", help="apply an Adams operation to a ring element")
-    p.add_argument(
-        "--space",
-        required=True,
-        help=f"e.g. cp2, hp2, s2, s2-smash-cp2 (indices at most {_MAX_ADAMS_INDEX})",
-    )
-    p.add_argument("--k", type=int, required=True, help=f"at most {_MAX_ADAMS_K}")
-    p.add_argument(
-        "--elem",
-        required=True,
-        help=(
-            "basis monomial, e.g. mu or mu^2*nu "
-            f"(exponents at most {_MAX_ADAMS_EXPONENT})"
-        ),
-    )
-    p.set_defaults(func=cmd_adams)
+class _Stop(Exception):
+    """Reading the command line stops, in the options of the command in
+    ``args[0]`` (None: the global ones): at an error, whose message is
+    ``args[1]``, or for ``-h``/``--help``, with no message."""
 
-    p = sub.add_parser("einv", help="splitting verdict and e-invariant")
-    p.add_argument(
-        "--space",
-        required=True,
-        help=(
-            "a two-cell space, e.g. hp2 or s2-smash-cp2 "
-            f"(indices at most {_MAX_ADAMS_INDEX})"
-        ),
-    )
-    p.add_argument(
-        "--primes",
-        default="2,3,5",
-        help=(
-            f"comma-separated Adams indices, each from 2 to {_MAX_ADAMS_K} "
-            f"(at most {_MAX_PRIMES} of them)"
-        ),
-    )
-    p.add_argument(
-        "--expect-verdict",
-        # The values of ``einv.Verdict``, spelled out so that building the
-        # parser imports no layer.
-        choices=("Splits", "DoesNotSplit", "Inconclusive"),
-        help="fail (exit 3) unless the verdict matches",
-    )
-    p.set_defaults(func=cmd_einv)
 
-    p = sub.add_parser("jorder", help="J-order bound m(t), three ways")
-    p.add_argument(
-        "--t", type=int, required=True, help=f"at most {_MAX_BERNOULLI_INDEX}"
-    )
-    p.add_argument(
-        "--K", type=int, default=200, help=f"gcd fold over k = 2..K (at most {_MAX_FOLD_K})"
-    )
-    p.add_argument(
-        "--N",
-        type=int,
-        default=None,
-        help=f"exponent of k in the fold (default t + 10, at most {_MAX_FOLD_N})",
-    )
-    p.add_argument("--expect", type=int, help="fail (exit 3) unless m(t) matches")
-    p.set_defaults(func=cmd_jorder)
+def _dest(flag: str) -> str:
+    return flag.lstrip("-").replace("-", "_")
 
-    p = sub.add_parser("bernoulli", help="exact Bernoulli number B_n (n even)")
-    p.add_argument(
-        "--n", type=int, required=True, help=f"at most {_MAX_BERNOULLI_INDEX}"
-    )
-    p.set_defaults(func=cmd_bernoulli)
 
-    p = sub.add_parser(
-        "feder-gitler", help="stable equivalence of stunted projective spaces"
-    )
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument(
-        "--Bn",
-        type=int,
-        default=None,
-        help="J-order B_n (for n >= 2; n = 1 takes only the computed B_1)",
-    )
-    p.set_defaults(func=cmd_feder_gitler)
+def _classify(token: str, options: dict, command):
+    """How argparse reads ``token`` against ``options``: None for a value,
+    else ``(flag, explicit value or None)``, the flag None for an unknown
+    option.  A subcommand's long flags abbreviate to a unique prefix."""
+    if token[:1] != "-" or token == "-":
+        return None
+    if token in options:
+        return token, None
+    head, sep, explicit = token.partition("=")
+    if sep and head in options:
+        return head, explicit
+    if token[1] == "-":
+        found = [f for f in options if command and f.startswith(head)]
+        explicit = explicit if sep else None
+    else:
+        # A one-letter flag takes the rest of its token as its value.
+        found, explicit = [f for f in options if f == token[:2]], token[2:]
+    if len(found) > 1:
+        raise _Stop(command, f"ambiguous option: {token} could match {', '.join(found)}")
+    if found:
+        return found[0], explicit
+    if _NEGATIVE_NUMBER.match(token) or " " in token:
+        return None
+    return None, None
 
-    p = sub.add_parser("thom", help="Thom space as a stunted projective space")
-    p.add_argument(
-        "--family", choices=["complex", "quaternionic"], required=True
-    )
-    p.add_argument(
-        "--n",
-        type=int,
-        required=True,
-        help=f"base projective space index (at most {_MAX_THOM_INDEX})",
-    )
-    p.add_argument(
-        "--mult",
-        type=int,
-        required=True,
-        help=f"number of bundle copies (at most {_MAX_THOM_INDEX})",
-    )
-    p.add_argument("--suspend", type=int, default=0)
-    p.set_defaults(func=cmd_thom)
 
-    p = sub.add_parser("linking", help="linking numbers of random Hopf fibers")
-    p.add_argument(
-        "--trials",
-        type=int,
-        default=20,
-        help=f"fiber pairs to certify (at most {_MAX_TRIALS})",
-    )
-    p.set_defaults(func=cmd_linking)
+def _read(tokens: list, command, values: dict) -> list:
+    """Read the options of ``command`` (None: the global ones) from
+    ``tokens`` into ``values``, as argparse does, and return the tokens
+    left unrecognized.  At the top level the first value names the
+    subcommand, which reads every token after it."""
+    specs = _TABLE[command][1]
+    options = dict.fromkeys(_HELP_FLAGS) | {spec[0]: spec for spec in specs}
+    # Every token is read before any option acts, so an ambiguous
+    # abbreviation fails even after -h.  "--" is no value, and every token
+    # after it is one.
+    kinds = []
+    for token in tokens:
+        if token == "--":
+            kinds += ["--"] + [None] * (len(tokens) - len(kinds) - 1)
+            break
+        kinds.append(_classify(token, options, command))
+    values.update((_dest(spec[0]), spec[2]) for spec in specs)
+    seen, extras, i = set(), [], 0
+    while i < len(tokens):
+        token, kind = tokens[i], kinds[i]
+        i += 1
+        if kind is None or kind == "--":
+            if command is not None:
+                extras.append(token)
+                continue
+            if token not in _TABLE:
+                choices = ", ".join(repr(name) for name in _TABLE if name)
+                raise _Stop(None, f"argument command: invalid choice: {token!r} (choose from {choices})")
+            values["command"] = token
+            return extras + _read(tokens[i:], token, values)
+        flag, explicit = kind
+        if flag is None:
+            extras.append(token)
+            continue
+        spec = options[flag]
+        if spec is None or spec[1] is bool:
+            # Only "-hh..." repeats a one-letter switch inside its token.
+            if explicit is not None and not (flag == "-h" and token.strip("h") == "-"):
+                raise _Stop(command, f"argument {flag}: ignored explicit argument in {token!r}")
+            if spec is None:
+                raise _Stop(command)
+            values[_dest(flag)] = True
+            continue
+        if explicit is None:
+            if i == len(tokens) or kinds[i] is not None:
+                raise _Stop(command, f"argument {flag}: expected one argument")
+            explicit, i = tokens[i], i + 1
+        convert, choices = spec[1], spec[4]
+        try:
+            value = convert(explicit)
+        except ValueError:
+            raise _Stop(command, f"argument {flag}: invalid {convert.__name__} value: {explicit!r}") from None
+        if choices and value not in choices:
+            allowed = ", ".join(map(repr, choices))
+            raise _Stop(command, f"argument {flag}: invalid choice: {value!r} (choose from {allowed})")
+        values[_dest(flag)] = value
+        seen.add(flag)
+    missing = [spec[0] for spec in specs if spec[3] and spec[0] not in seen]
+    if missing:
+        raise _Stop(command, f"the following arguments are required: {', '.join(missing)}")
+    return extras
 
-    p = sub.add_parser("lift", help="monodromy of a rotation loop's lift")
-    p.add_argument(
-        "--loop",
-        default="gamma",
-        choices=[
-            "gamma",
-            "alpha",
-            "beta",
-            "alpha-then-beta",
-            "ball-gamma",
-            "identity",
-            "homotopy",
-        ],
-    )
-    p.add_argument(
-        "--steps",
-        type=int,
-        default=1024,
-        help=f"sample intervals of the whole loop (256 to {_MAX_STEPS})",
-    )
-    p.add_argument(
-        "--turns",
-        type=int,
-        default=1,
-        help="times the loop is run (at most --steps)",
-    )
-    p.add_argument(
-        "--slice",
-        type=float,
-        help="homotopy slice parameter in [0, 1] (default 1; --loop homotopy only)",
-    )
-    p.add_argument(
-        "--variant",
-        choices=["alpha", "beta"],
-        help="homotopy target loop (default alpha; --loop homotopy only)",
-    )
-    p.add_argument("--expect-monodromy", type=int, choices=[1, -1])
-    p.set_defaults(func=cmd_lift)
 
-    p = sub.add_parser("report", help="derivation report for a stem")
-    p.add_argument("--stem", type=int, required=True, choices=[1, 2, 3])
-    p.set_defaults(func=cmd_report)
+def _shown(spec: tuple) -> str:
+    """An option as usage and help show it, with its value's placeholder."""
+    if spec[1] is bool:
+        return spec[0]
+    return f"{spec[0]} " + ("{%s}" % ",".join(map(str, spec[4])) if spec[4] else _dest(spec[0]).upper())
 
-    return parser
+
+def _usage(command) -> str:
+    shown = [_shown(spec) if spec[3] else f"[{_shown(spec)}]" for spec in _TABLE[command][1]]
+    prog = f"stemcert {command}" if command else "stemcert"
+    return " ".join(["usage:", prog, "[-h]", *shown] + ([] if command else ["command ..."]))
+
+
+def _help(command) -> str:
+    """The help page that ``-h`` prints for ``command`` (None: the top)."""
+    options = [("-h, --help", "show this help message and exit")]
+    options += [(_shown(spec), spec[5]) for spec in _TABLE[command][1]]
+    commands = [(name, info[0]) for name, info in _TABLE.items() if name]
+    tables = {"options": options} if command else {"commands": commands, "options": options}
+    sections = [_usage(command), _TABLE[command][0]]
+    for title, rows in tables.items():
+        width = min(max(len(left) for left, _ in rows), 24)
+        sections.append("\n".join([f"{title}:"] + [f"  {a:<{width}}  {b or ''}".rstrip() for a, b in rows]))
+    return "\n\n".join(sections) + "\n"
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if not getattr(args, "func", None):
-        parser.print_help()
+    values = {"command": None}
+    try:
+        extras = _read(sys.argv[1:] if argv is None else list(argv), None, values)
+        if extras:
+            raise _Stop(None, f"unrecognized arguments: {' '.join(extras)}")
+    except _Stop as stop:
+        command, *message = stop.args
+        if not message:
+            print(_help(command), end="")
+            return 0
+        prog = f"stemcert {command}" if command else "stemcert"
+        print(f"{_usage(command)}\n{prog}: error: {message[0]}", file=sys.stderr)
+        return 2
+    if values["command"] is None:
+        print(_help(None), end="")
         return 2
     try:
-        return args.func(args)
+        return globals()["cmd_" + _dest(values["command"])](types.SimpleNamespace(**values))
     except (ValueError, ResamplePole) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -731,13 +731,19 @@ def fiber_polygon_linking(p1, p2, samples: int = 512) -> int:
     Stereographic projection keeps the orientation of S^3 and carries each
     fiber to a round circle.  The pole is ``-1``; where a sample comes
     within 1e-3 of it or the polygons fail the isotopy bound from it, the
-    other 23 Hurwitz units are tried in :func:`hurwitz_units`' order, and
+    other 23 Hurwitz units are tried in :func:`hurwitz_units`' order, except
+    that ``+1``, ``+i`` and ``-i`` come last: they lie on the Hopf fiber of
+    ``-1``, so they tend to fail where it failed.
     :class:`VerificationError` is raised once none passes.  The answer is
     a function of the two base points and ``samples`` alone.
     """
     first, second = fiber_curve(p1, samples), fiber_curve(p2, samples)
+    units = hurwitz_units()
+    # -1, +1, +i and -i: the units on the Hopf fiber through -1.
+    fiber = [u for u in units if u[2] == u[3] == 0.0]
     default = (-1.0, 0.0, 0.0, 0.0)
-    for pole in [default, *(u for u in hurwitz_units() if u != default)]:
+    poles = [default, *(u for u in units if u not in fiber), *(u for u in fiber if u != default)]
+    for pole in poles:
         try:
             projected = stereographic(first + second, pole)
             return polygon_linking(projected[:samples], projected[samples:])

@@ -142,22 +142,29 @@ class BallPoint:
     __slots__ = ("x", "y", "z")
 
     def __init__(self, x: float, y: float, z: float):
-        n = math.sqrt(x * x + y * y + z * z)
-        if not n <= math.pi + _UNIT_TOL:
-            raise ValueError("point lies outside the closed ball of radius pi")
-        if n >= math.pi - _UNIT_TOL:
-            for coord in (x, y, z):
-                if abs(coord) > 1e-12:
-                    if coord < 0:
-                        x, y, z = -x, -y, -z
-                    break
-        self.x, self.y, self.z = float(x), float(y), float(z)
+        self.x, self.y, self.z = _canonical(x, y, z)
 
     def as_tuple(self) -> tuple:
         return (self.x, self.y, self.z)
 
     def __repr__(self) -> str:
         return f"BallPoint({self.x}, {self.y}, {self.z})"
+
+
+def _canonical(x: float, y: float, z: float) -> tuple:
+    """``(x, y, z)`` as floats, checked to lie in the closed ball of radius
+    pi; on its boundary, the antipode whose first coordinate of magnitude
+    above 1e-12 is positive."""
+    n = math.sqrt(x * x + y * y + z * z)
+    if not n <= math.pi + _UNIT_TOL:
+        raise ValueError("point lies outside the closed ball of radius pi")
+    if n >= math.pi - _UNIT_TOL:
+        for coord in (x, y, z):
+            if abs(coord) > 1e-12:
+                if coord < 0:
+                    x, y, z = -x, -y, -z
+                break
+    return float(x), float(y), float(z)
 
 
 def ball_to_rotation(b) -> Rotation3:
@@ -169,19 +176,23 @@ def ball_to_rotation(b) -> Rotation3:
     equal rotations.
     """
     x, y, z = b.as_tuple() if isinstance(b, BallPoint) else map(float, b)
+    return Rotation3(_rodrigues(x, y, z))
+
+
+def _rodrigues(x: float, y: float, z: float) -> tuple:
+    """The rows of :func:`ball_to_rotation` at the float point ``(x, y, z)``,
+    checked to lie in the closed ball of radius pi."""
     theta = math.sqrt(x * x + y * y + z * z)
     if not theta <= math.pi + _UNIT_TOL:
         raise ValueError("point lies outside the closed ball of radius pi")
     if theta < 1e-15:
-        return Rotation3(_IDENTITY)
+        return _IDENTITY
     ux, uy, uz = x / theta, y / theta, z / theta
     s, c = math.sin(theta), 1.0 - math.cos(theta)
-    return Rotation3(
-        (
-            (1.0 - c * (uy * uy + uz * uz), c * ux * uy - s * uz, c * ux * uz + s * uy),
-            (c * ux * uy + s * uz, 1.0 - c * (ux * ux + uz * uz), c * uy * uz - s * ux),
-            (c * ux * uz - s * uy, c * uy * uz + s * ux, 1.0 - c * (ux * ux + uy * uy)),
-        )
+    return (
+        (1.0 - c * (uy * uy + uz * uz), c * ux * uy - s * uz, c * ux * uz + s * uy),
+        (c * ux * uy + s * uz, 1.0 - c * (ux * ux + uz * uz), c * uy * uz - s * ux),
+        (c * ux * uz - s * uy, c * uy * uz + s * ux, 1.0 - c * (ux * ux + uy * uy)),
     )
 
 
@@ -242,14 +253,26 @@ def matrix_path(name: str, t: float) -> Rotation3:
     underlying loop), while alpha and beta close over ``t in [0, 1]``.  The
     parameter is therefore not restricted to [0, 1] here.
     """
-    name = _require_loop_name(name)
-    if name == "gamma":
-        c, s = math.cos(math.pi * t), math.sin(math.pi * t)
-        return Rotation3(((c, s, 0.0), (-s, c, 0.0), (0.0, 0.0, 1.0)))
+    return Rotation3(_PATH_ROWS[_require_loop_name(name)](t))
+
+
+def _gamma_rows(t: float) -> tuple:
+    c, s = math.cos(math.pi * t), math.sin(math.pi * t)
+    return ((c, s, 0.0), (-s, c, 0.0), (0.0, 0.0, 1.0))
+
+
+def _alpha_rows(t: float) -> tuple:
     c, s = math.cos(2.0 * math.pi * t), math.sin(2.0 * math.pi * t)
-    if name == "alpha":
-        return Rotation3(((-1.0, 0.0, 0.0), (0.0, -c, -s), (0.0, -s, c)))
-    return Rotation3(((-1.0, 0.0, 0.0), (0.0, -c, s), (0.0, s, c)))
+    return ((-1.0, 0.0, 0.0), (0.0, -c, -s), (0.0, -s, c))
+
+
+def _beta_rows(t: float) -> tuple:
+    c, s = math.cos(2.0 * math.pi * t), math.sin(2.0 * math.pi * t)
+    return ((-1.0, 0.0, 0.0), (0.0, -c, s), (0.0, s, c))
+
+
+#: The rows of :func:`matrix_path` by loop name, for a name already checked.
+_PATH_ROWS = {"gamma": _gamma_rows, "alpha": _alpha_rows, "beta": _beta_rows}
 
 
 # --------------------------------------------------------------------------
@@ -289,16 +312,26 @@ def loop_matrices(name: str, steps: int, turns: int = 1) -> Iterator[Rotation3]:
     instead; ``identity`` is the constant loop.  The arguments are checked at
     call time; the ``steps + 1`` :class:`Rotation3` samples, the last equal
     to the first, then come from a one-shot iterator, built as it is read.
+    The name is checked once; each sample is the :func:`matrix_path` or
+    ``ball_to_rotation(loop_point(...))`` value, by the same arithmetic.
     """
-    ts = _grid(steps, turns, name if name in _LOOP_SPEED else _require_loop_name(name))
+    if name not in _LOOP_SPEED:
+        name = _require_loop_name(name)
+    ts = _grid(steps, turns, name)
     if name == "identity":
         return repeat(Rotation3(_IDENTITY), steps + 1)
     if name == "ball-gamma":
-        return (ball_to_rotation(loop_point("gamma", t % 1.0)) for t in ts)
+        # loop_point("gamma", t % 1.0), canonicalized as a BallPoint.
+        return (
+            Rotation3(_rodrigues(*_canonical(0.0, 0.0, math.pi * math.cos(pi_t))))
+            for pi_t in (math.pi * (t % 1.0) for t in ts)
+        )
     if name == "alpha-then-beta":
-        return (matrix_path("alpha" if t % 1.0 < 0.5 else "beta", 2.0 * t) for t in ts)
-    period = 2.0 if name == "gamma" else 1.0
-    return (matrix_path(name, period * t) for t in ts)
+        return (
+            Rotation3((_alpha_rows if t % 1.0 < 0.5 else _beta_rows)(2.0 * t)) for t in ts
+        )
+    rows, period = _PATH_ROWS[name], 2.0 if name == "gamma" else 1.0
+    return (Rotation3(rows(period * t)) for t in ts)
 
 
 def homotopy_slice_matrices(
@@ -307,10 +340,15 @@ def homotopy_slice_matrices(
     """The closed loop ``t -> ball_to_rotation(H(s, t))``, ``t in [0, 1]``,
     run ``turns`` times through ``steps`` intervals in all, as a one-shot
     iterator of :class:`Rotation3` samples.  The step counts, the variant
-    and ``s`` are checked at call time."""
+    and ``s`` are checked once, at call time; each sample is the
+    ``ball_to_rotation(homotopy_H(...))`` value, by the same arithmetic."""
     ts = _grid(steps, turns, "homotopy")
     homotopy_H(variant, s, 0.0)
-    return (ball_to_rotation(homotopy_H(variant, s, t % 1.0)) for t in ts)
+    scale = (-1.0 if _require_loop_name(variant) == "alpha" else 1.0) * math.pi * s
+    return (
+        Rotation3(_rodrigues(*_canonical(0.0, scale * math.sin(pi_t), math.pi * math.cos(pi_t))))
+        for pi_t in (math.pi * (t % 1.0) for t in ts)
+    )
 
 
 def lift_loop(path: Iterable) -> int:

@@ -64,6 +64,13 @@ ORACLES = {
     "stemcert.hopf.choose_pole": (
         "the projection pole of fiber_linking, the float oracle of criterion 10"
     ),
+    # The so3 loop builders check their arguments once per loop and build
+    # each sample by the arithmetic of these point functions, which
+    # tests/test_so3.py checks them against.
+    "stemcert.so3.matrix_path": "the gamma, alpha and beta samples of loop_matrices",
+    "stemcert.so3.loop_point": "the ball-gamma samples of loop_matrices, through ball_to_rotation",
+    "stemcert.so3.ball_to_rotation": "the ball-gamma and homotopy samples",
+    "stemcert.so3.BallPoint.as_tuple": "the coordinates ball_to_rotation reads from a BallPoint",
 }
 
 LOOPS = ("gamma", "alpha", "beta", "alpha-then-beta", "ball-gamma", "identity", "homotopy")

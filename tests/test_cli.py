@@ -139,7 +139,8 @@ def test_python_m_stemcert_passes_exit_codes():
     assert json.loads(proc.stdout)["m"] == "24"
     proc = run_child([sys.executable, "-m", "stemcert", "frobnicate"])
     assert proc.returncode == 2
-    # argparse exits 2 by itself; exit 3 comes only from main's return value.
+    # main returns every exit code, 2 and 3 included; only __main__'s
+    # sys.exit passes them on to the process.
     proc = run_child(
         [sys.executable, "-m", "stemcert", "jorder", "--t", "2", "--expect", "23"]
     )
@@ -177,10 +178,7 @@ from stemcert.cli import main
 codes = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
-        try:
-            codes.append(main(argv))
-        except SystemExit as exc:
-            codes.append(exc.code)
+        codes.append(main(argv))
 print(json.dumps({
     "codes": codes,
     "loaded": [m for m in json.loads(sys.argv[2]) if m in sys.modules],
@@ -236,10 +234,7 @@ ONE_COMMAND_IN_CHILD = """
 import contextlib, io, json, sys
 from stemcert.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
-    try:
-        code = main(json.loads(sys.argv[1]))
-    except SystemExit as exc:
-        code = exc.code
+    code = main(json.loads(sys.argv[1]))
 print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
 """
 
@@ -253,28 +248,34 @@ EXACT_LAYERS = {
     for name in ("derivation", "einv", "exact", "jorder", "kring", "reports")
 }
 JORDER_ONLY = {"stemcert.kring", "stemcert.einv", "stemcert.reports", "stemcert.derivation"}
+#: What argparse would load: the command line is read from a table in
+#: ``cli`` instead, off the start-up path of every command.
+ARGPARSE_MODULES = {"argparse", "gettext", "locale"}
 
 
 @pytest.mark.parametrize(
     "argv,not_loaded",
     [
-        (["--help"], PACKAGE_MODULES - {"stemcert.cli", "stemcert.errors"}),
-        (["jorder", "--t", "2"], JORDER_ONLY),
-        (["bernoulli", "--n", "12"], JORDER_ONLY),
-        (["thom", "--family", "complex", "--n", "2", "--mult", "3"], JORDER_ONLY),
-        (["feder-gitler", "--n", "1", "--k", "12", "--l", "0"], JORDER_ONLY),
-        (
-            ["adams", "--space", "s2-smash-cp2", "--k", "3", "--elem", "mu*nu"],
-            {"stemcert.jorder", "stemcert.einv", "stemcert.reports", "stemcert.exact", "fractions"},
-        ),
-        (["lift", "--loop", "gamma"], EXACT_LAYERS),
-        (["lift", "--loop", "homotopy"], EXACT_LAYERS),
-        (
-            ["einv", "--space", "hp2"],
-            {"stemcert.jorder", "stemcert.reports", "stemcert.exact"},
-        ),
-        (["report", "--stem", "3"], {"stemcert.so3", "stemcert.hopf"}),
-        (["--samples", "256", "linking", "--trials", "1"], EXACT_LAYERS),
+        (argv, not_loaded | ARGPARSE_MODULES)
+        for argv, not_loaded in [
+            (["--help"], PACKAGE_MODULES - {"stemcert.cli", "stemcert.errors"}),
+            (["jorder", "--t", "2"], JORDER_ONLY),
+            (["bernoulli", "--n", "12"], JORDER_ONLY),
+            (["thom", "--family", "complex", "--n", "2", "--mult", "3"], JORDER_ONLY),
+            (["feder-gitler", "--n", "1", "--k", "12", "--l", "0"], JORDER_ONLY),
+            (
+                ["adams", "--space", "s2-smash-cp2", "--k", "3", "--elem", "mu*nu"],
+                {"stemcert.jorder", "stemcert.einv", "stemcert.reports", "stemcert.exact", "fractions"},
+            ),
+            (["lift", "--loop", "gamma"], EXACT_LAYERS),
+            (["lift", "--loop", "homotopy"], EXACT_LAYERS),
+            (
+                ["einv", "--space", "hp2"],
+                {"stemcert.jorder", "stemcert.reports", "stemcert.exact"},
+            ),
+            (["report", "--stem", "3"], {"stemcert.so3", "stemcert.hopf"}),
+            (["--samples", "256", "linking", "--trials", "1"], EXACT_LAYERS),
+        ]
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else None,
 )
@@ -403,11 +404,8 @@ def test_einv_json_contract(capsys):
 def test_expect_verdict_choices_are_the_verdicts():
     from stemcert import einv
 
-    (subparsers,) = (a for a in cli.build_parser()._actions if a.dest == "command")
-    (action,) = (
-        a for a in subparsers.choices["einv"]._actions if a.dest == "expect_verdict"
-    )
-    assert list(action.choices) == [v.value for v in einv.Verdict]
+    (choices,) = (spec[4] for spec in cli._TABLE["einv"][1] if spec[0] == "--expect-verdict")
+    assert list(choices) == [v.value for v in einv.Verdict]
 
 
 def test_jorder_json_contract(capsys):
@@ -753,7 +751,7 @@ def test_size_caps_answer_at_the_cap_and_reject_above_it(capsys, argv, flag, cap
 
 #: Malformed values for every subcommand, each with the exit code it must
 #: give: 0 for a value that is valid after all, 2 for a value rejected by
-#: the program or by argparse, 3 for a failed ``--expect``.
+#: the program or by the command-line parser, 3 for a failed ``--expect``.
 MALFORMED = [
     ("bernoulli --n 3", 2),
     ("bernoulli --n -2", 2),
@@ -823,12 +821,9 @@ MALFORMED = [
 
 @pytest.mark.parametrize("line,code", MALFORMED, ids=[line for line, _ in MALFORMED])
 def test_malformed_values_exit_with_a_deliberate_message(capsys, line, code):
-    # In this process: argparse leaves through SystemExit, the program by
-    # returning; no value may escape as an uncaught exception.
-    try:
-        got = cli.main(shlex.split(line))
-    except SystemExit as exc:
-        got = exc.code
+    # In this process: main returns every exit code, a rejected argument's
+    # included; no value may escape as an uncaught exception.
+    got = cli.main(shlex.split(line))
     out, err = capsys.readouterr()
     assert got == code, err
     if code == 0:

@@ -720,8 +720,13 @@ def test_a_failed_isotopy_bound_tries_the_other_poles(monkeypatch):
     monkeypatch.setattr(hopf, "_circle_slack", fails_first)
     link = fiber_polygon_linking(base_point(q), base_point(r), samples=128)
     assert link == linking_number(fiber_determinant(q, r))
-    others = [u for u in hurwitz_units() if u != MINUS_ONE]
-    assert tried == [MINUS_ONE, others[0]]
+    # +1, +i and -i, on the Hopf fiber through -1, come last.  This pair's
+    # 128-gons also fail the bound from +-j and +-k, and pass from the first
+    # half-integer unit.
+    fiber = [(1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0), (0.0, -1.0, 0.0, 0.0)]
+    others = [u for u in hurwitz_units() if u != MINUS_ONE and u not in fiber] + fiber
+    assert tried == [MINUS_ONE, *others[:5]]
+    assert others[4] == (0.5, 0.5, 0.5, 0.5)
     # Where no pole passes, each of the 24 is tried once, -1 first and the
     # rest in a fixed order.
     tried.clear()
@@ -729,6 +734,29 @@ def test_a_failed_isotopy_bound_tries_the_other_poles(monkeypatch):
     with pytest.raises(VerificationError, match="isotopy bound fails from every pole"):
         fiber_polygon_linking(base_point(q), base_point(r), samples=128)
     assert tried == [MINUS_ONE, *others]
+
+
+def test_the_reference_pair_needs_at_most_two_poles(monkeypatch):
+    # The reference pair of ``linking --seed s --samples 64``, s = 0..99:
+    # where -1 fails, the first pole off its Hopf fiber passes.
+    tried = []
+    project = hopf.stereographic
+
+    def recording(points, pole):
+        tried.append(pole)
+        return project(points, pole)
+
+    monkeypatch.setattr(hopf, "stereographic", recording)
+    counts = []
+    for seed in range(100):
+        q, r = draw_fiber_pair(random.Random(seed))
+        tried.clear()
+        link = fiber_polygon_linking(base_point(q), base_point(r), samples=64)
+        assert link == linking_number(fiber_determinant(q, r))
+        counts.append(len(tried))
+    assert max(counts) <= 2
+    # A positive control: -1 fails for some of these seeds.
+    assert 2 in counts
 
 
 def test_polygon_linking_agrees_with_the_gauss_oracle_from_every_clear_pole():

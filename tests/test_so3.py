@@ -19,6 +19,7 @@ from stemcert.so3 import (
     lift_loop,
     loop_matrices,
     loop_point,
+    matrix_path,
     quat_from_rot,
 )
 
@@ -250,3 +251,39 @@ def test_builders_check_their_arguments_at_call_time_and_stream_once():
     assert next(samples, None) is None
     with pytest.raises(ValueError, match="at least 256 steps"):
         lift_loop(samples)
+
+
+def public_samples(loop, steps, turns, variant="alpha", s=1.0):
+    """The samples of a sampled loop, each from the public point functions."""
+    ts = [turns * k / steps for k in range(steps + 1)]
+    if loop == "homotopy":
+        return [ball_to_rotation(homotopy_H(variant, s, t % 1.0)) for t in ts]
+    if loop == "identity":
+        return [Rotation3(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)))] * len(ts)
+    if loop == "ball-gamma":
+        return [ball_to_rotation(loop_point("gamma", t % 1.0)) for t in ts]
+    if loop == "alpha-then-beta":
+        return [matrix_path("alpha" if t % 1.0 < 0.5 else "beta", 2.0 * t) for t in ts]
+    return [matrix_path(loop, (2.0 if loop == "gamma" else 1.0) * t) for t in ts]
+
+
+@pytest.mark.parametrize("turns", [1, 2])
+@pytest.mark.parametrize("loop", LOOPS)
+def test_loop_samples_are_the_public_path_values(loop, turns):
+    built = [m.matrix for m in loop_matrices(loop, 256, turns)]
+    assert built == [m.matrix for m in public_samples(loop, 256, turns)]
+
+
+@pytest.mark.parametrize("turns", [1, 2])
+@pytest.mark.parametrize("variant,s", [("alpha", 1.0), ("beta", 1.0), ("alpha", 0.0), ("beta", 0.37)])
+def test_homotopy_samples_are_the_public_path_values(variant, s, turns):
+    built = [m.matrix for m in homotopy_slice_matrices(variant, s, 256, turns)]
+    assert built == [m.matrix for m in public_samples("homotopy", 256, turns, variant, s)]
+
+
+def test_loop_matrices_reads_a_loop_name_as_matrix_path_does():
+    # The name is normalized once, so gamma keeps its period of 2 and closes.
+    assert [m.matrix for m in loop_matrices(" Gamma", 256)] == [
+        m.matrix for m in loop_matrices("gamma", 256)
+    ]
+    assert lift_loop(loop_matrices("BETA", 256)) == -1
