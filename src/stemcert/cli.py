@@ -464,7 +464,7 @@ def _classify(token: str, options: dict, command):
     if sep and head in options:
         return head, explicit
     if token[1] == "-":
-        found = [f for f in options if command and f.startswith(head)]
+        found = [f for f in options if f.startswith(head)] if command else []
         explicit = explicit if sep else None
     else:
         # A one-letter flag takes the rest of its token as its value.

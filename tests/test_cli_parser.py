@@ -486,6 +486,19 @@ def test_narrowings_exit_two_and_help_before_them_still_prints():
         assert new_outcome(shlex.split(line)) == ("help", page), line
 
 
+def test_help_pages_list_every_subcommand_and_option(capsys):
+    assert cli.main(["--help"]) == 0
+    top = capsys.readouterr().out
+    for command, (about, specs) in cli._TABLE.items():
+        if command:
+            assert f"  {command}" in top and about in top
+            assert cli.main([command, "--help"]) == 0
+        page = capsys.readouterr().out if command else top
+        assert page.startswith("usage: stemcert" + (f" {command} " if command else " "))
+        for flag, _, _, _, _, text in specs:
+            assert f"  {flag}" in page and (text or "") in page
+
+
 FLAGS = sorted({spec[0] for _, specs in cli._TABLE.values() for spec in specs} | {"-h", "--help"})
 PREFIXES = sorted({flag[:n] for flag in FLAGS for n in range(2, len(flag))} - set(FLAGS))
 VALUES = [
