@@ -53,7 +53,8 @@ _MAX_ADAMS_EXPONENT = 32
 #: Most Adams indices in ``einv --primes``; each one costs an Adams matrix,
 #: and each index is at most ``_MAX_ADAMS_K``.
 _MAX_PRIMES = 64
-#: Largest ``thom --n`` and ``--mult``: the output lists one cell per index.
+#: Largest ``thom --n``, ``--mult`` and ``--suspend``: the output lists one
+#: cell per index, each of a dimension that grows with all three.
 _MAX_THOM_INDEX = 100_000
 #: Largest ``lift --steps``: sampling and lifting take time linear in the
 #: step count and hold a few samples at a time, whatever the count.
@@ -139,14 +140,13 @@ def cmd_einv(args) -> int:
     space = _parse_bounded_space(args.space)
     primes = _parse_primes(args.primes)
     model = make_ring(space)
-    cert = einv.splitting_verdict(model, primes)
+    cells = [einv.two_cell_from(model, k) for k in primes]
+    cert = einv.verdict_from_cells(cells)
     if args.expect_verdict and cert.verdict.value != args.expect_verdict:
         raise VerificationError(
             f"expected verdict {args.expect_verdict}, computed {cert.verdict.value}"
         )
-    lines = [
-        f"  k={k}: e = {einv.e_invariant(model, k)}" for k in primes
-    ]
+    lines = [f"  k={cell.k}: e = {einv.e_of_cells(cell)}" for cell in cells]
     human = (
         f"{args.space}: {cert.verdict.value} "
         f"(witness k={cert.k}, c={cert.c}, modulus={cert.modulus}, e={cert.e})\n"
@@ -216,7 +216,7 @@ def cmd_feder_gitler(args) -> int:
 def cmd_thom(args) -> int:
     from . import jorder
 
-    for flag, value in (("--n", args.n), ("--mult", args.mult)):
+    for flag, value in (("--n", args.n), ("--mult", args.mult), ("--suspend", args.suspend)):
         if value > _MAX_THOM_INDEX:
             raise ValueError(f"{flag} must be at most {_MAX_THOM_INDEX}")
     space = jorder.thom_space(args.family, args.n, args.mult)
@@ -420,7 +420,7 @@ _TABLE = {
         ("--family", str, None, True, ("complex", "quaternionic"), None),
         ("--n", int, None, True, None, f"base projective space index (at most {_MAX_THOM_INDEX})"),
         ("--mult", int, None, True, None, f"number of bundle copies (at most {_MAX_THOM_INDEX})"),
-        ("--suspend", int, 0, False, None, None),
+        ("--suspend", int, 0, False, None, f"extra suspensions (at most {_MAX_THOM_INDEX})"),
     )),
     "linking": ("linking numbers of random Hopf fibers", (
         ("--trials", int, 20, False, None, f"fiber pairs to certify (at most {_MAX_TRIALS})"),

@@ -387,9 +387,10 @@ def gauss_linking(a, b) -> float:
     points each, whose segments join each point to the next and the last
     back to the first.  The curves must stay more than 1e-3 apart, and a
     non-finite coordinate fails that check too; the result is a real number
-    near an integer (the linking number).  The separation check over the
-    samples and the double sum over the segments both run in
-    :mod:`stemcert._kernels`, in memory linear in the sample count.  No
+    near an integer (the linking number).  The separation check
+    (:func:`_closest_squared_distance`) runs on the box sweep of
+    :func:`polygon_linking`, and the double sum over the segments in
+    :mod:`stemcert._kernels`, both in memory linear in the sample count.  No
     command runs it: it is the float oracle of :func:`polygon_linking`.
     """
     from . import _kernels
@@ -400,10 +401,30 @@ def gauss_linking(a, b) -> float:
         if len(points) < 64:
             raise ValueError("at least 64 samples per curve are required")
         curves.append(points)
-    if not _kernels.closest_squared_distance(*curves) > 1e-6:
+    if not _closest_squared_distance(*curves) > 1e-6:
         raise ValueError("curves intersect within tolerance (or a sample is not finite)")
     total = _kernels.gauss_linking_sum(*_segments(curves[0]), *_segments(curves[1]))
     return total / (4.0 * math.pi)
+
+
+def _closest_squared_distance(a: list, b: list) -> float:
+    """Least squared distance between a vertex of ``a`` and one of ``b``,
+    exact whenever some pair lies at most 1e-3 apart; NaN unless every
+    coordinate is finite, so that a ``closest > tolerance`` test fails
+    closed.
+
+    Two vertices at most 1e-3 apart end segments whose boxes meet once those
+    of ``a`` are widened by 2e-3 (twice, so that rounding cannot narrow
+    them below 1e-3), so only the ends of such segment pairs are measured.
+    When no pair is that close, the result is only known to exceed 1e-6: it
+    is the least over the pairs measured, or inf if there are none.
+    """
+    if not all(map(math.isfinite, chain.from_iterable(a + b))):
+        return math.nan
+    xyz = _widest_first(a, b, (0, 1, 2))
+    pairs = _overlapping(_boxes(a, xyz, 2e-3), _boxes(b, xyz))
+    closest = min((math.dist(a[i], b[j]) for i, j in pairs), default=math.inf)
+    return closest * closest
 
 
 def _segments(points: list):
@@ -583,7 +604,7 @@ def _closest_within(a: list, b: list, gap: float):
     further apart.  Only pairs whose bounding boxes meet, once those of
     ``a`` are widened by ``2 gap`` (twice, so that rounding cannot narrow
     them below ``gap``), are measured."""
-    xyz = (0, 1, 2)
+    xyz = _widest_first(a, b, (0, 1, 2))
     for i, j in _overlapping(_boxes(a, xyz, 2.0 * gap), _boxes(b, xyz)):
         distance = _segment_distance(a[i - 1], a[i], b[j - 1], b[j])
         if not distance > gap:
@@ -630,8 +651,9 @@ def _crossings(a: list, b: list, axis: int):
     direction with ``b``'s, as the right-hand rule gives it.
     """
     u, v = (axis + 1) % 3, (axis + 2) % 3
+    uv = _widest_first(a, b, (u, v))
     signs = []
-    for i, j in _overlapping(_boxes(a, (u, v)), _boxes(b, (u, v))):
+    for i, j in _overlapping(_boxes(a, uv), _boxes(b, uv)):
         ax0, ay0, az0, ax1, ay1, az1, bx0, by0, bz0, bx1, by1, bz1 = _integers(
             [point[k] for point in (a[i - 1], a[i], b[j - 1], b[j]) for k in (u, v, axis)]
         )
@@ -654,6 +676,15 @@ def _crossings(a: list, b: list, axis: int):
             # o2 - o1 is the cross product of the two directions.
             signs.append(_CROSSING_SIGN if o2 > 0 else -_CROSSING_SIGN)
     return signs
+
+
+def _widest_first(a: list, b: list, coords: tuple) -> tuple:
+    """``coords`` with the one on which the vertices of ``a`` and ``b``
+    spread widest moved to the front (the first of equals), so that the
+    sweep of :func:`_overlapping` runs along it."""
+    columns = list(zip(*a, *b))
+    widest = max(coords, key=lambda k: max(columns[k]) - min(columns[k]))
+    return (widest, *(k for k in coords if k != widest))
 
 
 def _boxes(points: list, coords: tuple, widen: float = 0.0) -> list:
@@ -680,10 +711,13 @@ def _overlapping(boxes_a: list, boxes_b: list) -> list:
     ``boxes_b[j]`` meet; a box is ``(lo, hi, lo, hi)`` in two coordinates
     or ``(lo, hi, lo, hi, lo, hi)`` in three.
 
-    A sweep along the first coordinate: the boxes enter in the order of
-    their lower ends, and each is tested against the boxes of the other
-    list that are still open there.  It only compares the floats it is
-    given, so no pair is lost to rounding.
+    A sweep along the first coordinate, which every caller makes the one
+    on which its curves spread widest (:func:`_widest_first`), so that
+    curves in a plane x = const (or y, z = const) do not enter all at once:
+    the boxes enter in the order of their lower ends, and each is tested
+    against the boxes of the other list that are still open there.  It
+    only compares the floats it is given, so no pair is lost to rounding.
+    This is the package's one search for nearby curve elements.
     """
     boxes = (boxes_a, boxes_b)
     events = sorted(

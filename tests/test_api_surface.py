@@ -38,8 +38,9 @@ ORACLES = {
         "the diagonal entries k^a and k^b, which only conjugacy_witness reads"
     ),
     "stemcert.hopf.hopf_map": (
-        "the Hopf map of one quaternion tuple, which checks the vectorized map "
-        "of fiber_curve"
+        "the Hopf map conj(q) i q by quaternion products, against which the "
+        "tests check the closed form _hopf_point that base_point and "
+        "fiber_curve map through"
     ),
     "stemcert.hopf.rot_from_quat": (
         "the double cover S^3 -> SO(3), which quat_from_rot inverts"

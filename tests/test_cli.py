@@ -714,6 +714,7 @@ def test_linking_rejects_samples_below_the_floor_before_sampling(capsys):
         (("einv", "--space", "hp2", "--primes", "2,{}"), "--primes index", 256),
         (("thom", "--family", "complex", "--mult", "1", "--n", "{}"), "--n", 100000),
         (("thom", "--family", "quaternionic", "--n", "1", "--mult", "{}"), "--mult", 100000),
+        (("thom", "--family", "complex", "--n", "1", "--mult", "1", "--suspend", "{}"), "--suspend", 100000),
         (("lift", "--loop", "gamma", "--steps", "{}"), "--steps", 65536),
         # 1000 integer trials and two crossing counts at 128 samples take about 0.03 s.
         (("--samples", "128", "linking", "--trials", "{}"), "--trials", 1000),
@@ -730,6 +731,7 @@ def test_linking_rejects_samples_below_the_floor_before_sampling(capsys):
         "einv-primes-index",
         "thom-n",
         "thom-mult",
+        "thom-suspend",
         "lift-steps",
         "linking-trials",
     ],
@@ -880,6 +882,34 @@ def test_linking_at_both_caps_runs_within_its_time_bound(capsys):
     assert code == 0, err
     assert len(json.loads(out)["trials"]) == 1000
     assert elapsed < 2.0
+
+
+#: Every other capped command at its caps, as the CI caps step runs it.
+CAPPED_COMMANDS = [
+    "jorder --t 2000 --K 1024 --N 4096",
+    "bernoulli --n 2000",
+    "adams --space hp256 --k 256 --elem phi^32",
+    "einv --space s256-smash-cp2 --primes " + ",".join(map(str, range(193, 257))),
+    "lift --loop homotopy --steps 65536",
+    "thom --family complex --n 100000 --mult 100000 --suspend 100000",
+    "thom --family quaternionic --n 100000 --mult 100000 --suspend 100000",
+]
+
+
+@pytest.mark.parametrize(
+    "command",
+    CAPPED_COMMANDS,
+    ids=["jorder", "bernoulli", "adams", "einv", "lift", "thom-complex", "thom-quaternionic"],
+)
+def test_capped_commands_run_within_their_time_bound(capsys, command):
+    # At most about 1.1 s each (jorder) in this process on a 2-vCPU x86-64
+    # VM.  The bound leaves room for a loaded machine.
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "--json", *command.split())
+    elapsed = time.perf_counter() - start
+    assert code == 0, err
+    assert json.loads(out)
+    assert elapsed < 5.0
 
 
 def test_linking_runs_in_one_process(capsys, monkeypatch):

@@ -11,6 +11,7 @@ oracle of the Gauss sum, in the tests that import it.
 
 import math
 import random
+import time
 import tracemalloc
 from itertools import permutations
 
@@ -471,7 +472,7 @@ def test_gauss_linking_fails_closed_on_a_non_finite_sample(curve, index):
         pair = [list(c) for c in unlinked_control(samples=128)]
         x, y, z = pair[curve][index]
         pair[curve][index] = (x, bad, z)
-        assert math.isnan(_kernels.closest_squared_distance(*pair))
+        assert math.isnan(hopf._closest_squared_distance(*pair))
         with pytest.raises(ValueError, match="intersect"):
             gauss_linking(*pair)
 
@@ -547,8 +548,10 @@ def test_fiber_linking_hands_the_kernels_one_row_per_sample(monkeypatch, samples
 
         return record
 
-    for name in ("closest_squared_distance", "gauss_linking_sum"):
-        monkeypatch.setattr(_kernels, name, recording(getattr(_kernels, name)))
+    monkeypatch.setattr(
+        hopf, "_closest_squared_distance", recording(hopf._closest_squared_distance)
+    )
+    monkeypatch.setattr(_kernels, "gauss_linking_sum", recording(_kernels.gauss_linking_sum))
     lk = fiber_linking([0.0, 0.6, 0.8], [0.8, 0.0, -0.6], samples=samples)
     assert abs(abs(lk) - 1.0) < 0.02
     assert rows == [samples] * 6
@@ -596,7 +599,7 @@ def near_touching_pairs(samples):
         yield circle, other
         yield other, circle
         # The circle moved along x by the gap: each sample's near partner
-        # differs from it in x alone, at the edge of the 1e-3 window.
+        # differs from it in x alone, at the edge of the 1e-3 separation.
         yield circle, [(x + gap, y, z) for x, y, z in circle]
 
 
@@ -627,7 +630,7 @@ def test_separation_sweep_agrees_with_the_walk_over_every_pair(seed):
     pairs = [*random_pairs(seed), *flattened_pairs(seed), *near_touching_pairs(256)]
     for a, b in pairs:
         walked = walked_squared_distance(a, b)
-        swept = _kernels.closest_squared_distance(a, b)
+        swept = hopf._closest_squared_distance(a, b)
         assert (swept > 1e-6) == (walked > 1e-6), (walked, swept)
         if walked <= 1e-6:
             assert swept == walked  # the same pair, measured the same way
@@ -639,8 +642,8 @@ def test_separation_sweep_agrees_with_the_walk_over_every_pair(seed):
 
 def test_separation_sweep_spreads_curves_in_a_plane_x_const(monkeypatch):
     # Concentric circles of radii 1 and 1.5 in the plane x = 0: a sweep
-    # along x would put every sample in one window and measure all N^2
-    # pairs.  Along the widest axis, each window holds a few samples.
+    # along x would open every box at once and measure all N^2 pairs.
+    # Along the widest axis, each box meets a few others at most.
     samples = 4096
     theta = [2.0 * math.pi * k / samples for k in range(samples)]
     inner = [(0.0, math.cos(t), math.sin(t)) for t in theta]
@@ -653,7 +656,7 @@ def test_separation_sweep_spreads_curves_in_a_plane_x_const(monkeypatch):
         return dist(p, q)
 
     monkeypatch.setattr(math, "dist", counted)
-    closest = _kernels.closest_squared_distance(inner, outer)
+    closest = hopf._closest_squared_distance(inner, outer)
     assert len(measured) < 50 * samples
     assert closest > 1e-6
 
@@ -697,6 +700,22 @@ def test_fiber_crossings_have_the_sign_of_the_determinant(samples):
         q, r = draw_fiber_pair(rng)
         link = fiber_polygon_linking(base_point(q), base_point(r), samples=samples)
         assert link == linking_number(fiber_determinant(q, r))
+
+
+def test_polygon_sweep_spreads_circles_in_a_plane_x_const():
+    # The circles of the separation test above, as polygons: the isotopy
+    # bound and the crossing counts sweep along y or z, not along x, where
+    # every box would be open at once.  Coplanar and concentric, they do
+    # not link; their projection down z is degenerate, the one down x not.
+    samples = 4096
+    inner = circle((0.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), samples)
+    outer = circle((0.0, 0.0, 0.0), (0.0, 1.5, 0.0), (0.0, 0.0, 1.5), samples)
+    start = time.perf_counter()
+    link = polygon_linking(inner, outer)
+    elapsed = time.perf_counter() - start
+    assert link == 0
+    # About 0.08 s on a 2-vCPU x86-64 VM; a sweep along x takes about 3 s.
+    assert elapsed < 0.5
 
 
 def test_a_failed_isotopy_bound_tries_the_other_poles(monkeypatch):
@@ -869,18 +888,44 @@ def random_box(rng, dims):
     return tuple(bounds)
 
 
+def flattened(boxes, axis):
+    """``boxes`` pressed onto the plane where coordinate ``axis`` is 0.5:
+    every box has the range ``[0.5, 0.5]`` there."""
+    return [box[: 2 * axis] + (0.5, 0.5) + box[2 * axis + 2 :] for box in boxes]
+
+
+def swept_along(boxes, axis):
+    """``boxes`` with the range of coordinate ``axis`` moved to the front,
+    where the sweep runs."""
+    return [box[2 * axis : 2 * axis + 2] + box[: 2 * axis] + box[2 * axis + 2 :] for box in boxes]
+
+
+def walked_pairs(boxes_a, boxes_b):
+    """The index pairs whose closed boxes meet, by a walk over every pair."""
+    return [
+        (i, j)
+        for i, p in enumerate(boxes_a)
+        for j, q in enumerate(boxes_b)
+        if all(p[k] <= q[k + 1] and q[k] <= p[k + 1] for k in range(0, len(p), 2))
+    ]
+
+
 @pytest.mark.parametrize("dims", [2, 3])
 def test_box_sweep_finds_every_pair_of_meeting_boxes(dims):
     rng = random.Random(dims)
     for _ in range(20):
         boxes_a, boxes_b = ([random_box(rng, dims) for _ in range(30)] for _ in range(2))
-        walked = [
-            (i, j)
-            for i, p in enumerate(boxes_a)
-            for j, q in enumerate(boxes_b)
-            if all(p[k] <= q[k + 1] and q[k] <= p[k + 1] for k in range(0, 2 * dims, 2))
-        ]
+        walked = walked_pairs(boxes_a, boxes_b)
         assert sorted(hopf._overlapping(boxes_a, boxes_b)) == walked
+        # Flattened on x, then on y, the boxes all share that coordinate's
+        # range; the sweep must find the same pairs along it and along every
+        # other coordinate.
+        for axis in (0, 1):
+            flat_a, flat_b = flattened(boxes_a, axis), flattened(boxes_b, axis)
+            walked = walked_pairs(flat_a, flat_b)
+            for first in range(dims):
+                swept = hopf._overlapping(swept_along(flat_a, first), swept_along(flat_b, first))
+                assert sorted(swept) == walked
 
 
 # --------------------------------------------------------------------------
