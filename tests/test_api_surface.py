@@ -65,6 +65,15 @@ ORACLES = {
     "stemcert.hopf.choose_pole": (
         "the projection pole of fiber_linking, the float oracle of criterion 10"
     ),
+    # linking runs the column form of these four; each is a tuple view of
+    # it, and the tests read the curves and counts through them.
+    "stemcert.hopf.fiber_curve": "the tuple view of the fiber samples fiber_polygon_linking takes",
+    "stemcert.hopf.stereographic": "the tuple view of the projection fiber_polygon_linking runs",
+    "stemcert.hopf.polygon_linking": (
+        "the tuple view of the signed crossing count that fiber_polygon_linking "
+        "and control_linking run"
+    ),
+    "stemcert.hopf.unlinked_control": "the tuple view of the circles control_linking counts",
     # The so3 loop builders check their arguments once per loop and build
     # each sample by the arithmetic of these point functions, which
     # tests/test_so3.py checks them against.

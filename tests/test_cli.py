@@ -1,5 +1,6 @@
 """Command-line surface: output contracts and exit codes."""
 
+import hashlib
 import importlib.metadata
 import json
 import math
@@ -10,6 +11,7 @@ import shutil
 import subprocess
 import sys
 import time
+from array import array
 from itertools import permutations
 from pathlib import Path
 
@@ -501,6 +503,21 @@ def test_lift_at_its_step_cap_holds_no_more_than_help():
     assert lift_kib - help_kib <= 4 * 1024
 
 
+def test_linking_at_its_sample_cap_holds_little_more_than_help():
+    # The polygons are held as coordinate columns, 8 bytes a coordinate, and
+    # the crossing sweeps keep only the boxes still open, so at the sample
+    # cap, with a second pole tried (a sample of seed 23's reference pair
+    # comes within 1e-3 of -1), linking needs about 1 MiB beyond --help.
+    # Held as tuples, the 4096-gons took about 9 MiB more.
+    code, out, help_kib = run_child_rusage([sys.executable, "-m", "stemcert.cli", "--help"])
+    assert code == 0 and out
+    argv = "--json --seed 23 --samples 4096 linking --trials 1".split()
+    code, out, linking_kib = run_child_rusage([sys.executable, "-m", "stemcert.cli", *argv])
+    assert code == 0
+    assert json.loads(out)["reference"] == 1
+    assert linking_kib - help_kib <= 1536
+
+
 ONE_TURN_MONODROMY = {
     "gamma": -1,
     "alpha": -1,
@@ -633,9 +650,11 @@ def test_linking_json_records_the_pair_behind_each_determinant(capsys):
 
 
 def moved_through_the_disc(first, second):
-    """The unlinked control with its second circle moved from (1.5, 0, 0)
-    to (0.6, 0.5, 0), through the first circle's disc."""
-    return first, [(x - 0.9, y + 0.5, z) for x, y, z in second]
+    """The unlinked control, in the column form ``linking`` counts it in,
+    with its second circle moved from (1.5, 0, 0) to (0.6, 0.5, 0), through
+    the first circle's disc."""
+    xs, ys, zs = second
+    return first, (array("d", [x - 0.9 for x in xs]), array("d", [y + 0.5 for y in ys]), zs)
 
 
 @pytest.mark.parametrize(
@@ -643,7 +662,7 @@ def moved_through_the_disc(first, second):
     [
         ("_CROSSING_SIGN", lambda real: -real, "the reference crossing count is -1"),
         (
-            "unlinked_control",
+            "_unlinked_control",
             lambda real: lambda samples: moved_through_the_disc(*real(samples)),
             "unlinked control reads -1",
         ),
@@ -852,13 +871,14 @@ def test_linking_counts_the_same_polygon_pairs_whatever_its_trial_count(
     # --trials changes that number no more than at seed 0, where -1 passes.
     from stemcert import hopf
 
-    polygon_linking = hopf.polygon_linking
+    polygon_linking = hopf._polygon_linking
 
     def counted(a, b):
-        calls.append((len(a), len(b)))
+        # Both polygons in column form: the length of a coordinate column.
+        calls.append((len(a[0]), len(b[0])))
         return polygon_linking(a, b)
 
-    monkeypatch.setattr(hopf, "polygon_linking", counted)
+    monkeypatch.setattr(hopf, "_polygon_linking", counted)
     counts = {}
     for trials in ("1", "1000"):
         calls = []
@@ -870,6 +890,54 @@ def test_linking_counts_the_same_polygon_pairs_whatever_its_trial_count(
         assert set(calls) == {(64, 64)} and (len(calls) > 2) == retries
         counts[trials] = len(calls)
     assert counts["1"] == counts["1000"]
+
+
+#: SHA-256 (first 16 hex digits) of ``--json --seed S --samples N linking``
+#: stdout, as the tuple-based polygons of the previous release printed it.
+LINKING_DIGESTS = {
+    (0, 64): "6ffa36f9115154a8",
+    (0, 512): "19069e709db456fe",
+    (0, 1024): "6c676b9332555bb6",
+    (1, 64): "82c4060724ef6ceb",
+    (1, 512): "d723b170ec2f979b",
+    (1, 1024): "c0fbaea20b8f62ee",
+    (2, 64): "f8d5817b583e9433",
+    (2, 512): "e53a287eb1554645",
+    (2, 1024): "de0716513e2de702",
+    (3, 64): "84295295d7dedcc1",
+    (3, 512): "6891f01ad0c24c2b",
+    (3, 1024): "a6c2936b36ec30ca",
+    (4, 64): "95561e7ee8051a3d",
+    (4, 512): "bf08b16b12b9f902",
+    (4, 1024): "1505066f391c0b7b",
+    (5, 64): "40470994a225f783",
+    (5, 512): "d9f412600fc8f8eb",
+    (5, 1024): "1397ee7d24230f00",
+    (6, 64): "e84a837f6a81aeda",
+    (6, 512): "232aa11150e80d74",
+    (6, 1024): "4f2b93423bdac70a",
+    (7, 64): "45237f58a2772c3e",
+    (7, 512): "a7bd8a6aecb44aa9",
+    (7, 1024): "40c562b7160c2e51",
+    (8, 64): "5f36161d20f451c8",
+    (8, 512): "5b7738e13e550d4f",
+    (8, 1024): "900295400b87af43",
+    (9, 64): "36b4ba947ee557c6",
+    (9, 512): "45fba139fcf2edf8",
+    (9, 1024): "838257ec7d2f2afa",
+    (23, 64): "ece2119a422d27a9",
+    (23, 512): "78eccf9b1096bef1",
+    (23, 1024): "661da59044c58fc3",
+    (23, 4096): "5afe40df96b6645d",
+}
+
+
+def test_linking_json_is_byte_identical_to_the_recorded_digests(capsys):
+    for (seed, samples), digest in LINKING_DIGESTS.items():
+        argv = f"--json --seed {seed} --samples {samples} linking".split()
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest, (seed, samples)
 
 
 def test_linking_at_both_caps_runs_within_its_time_bound(capsys):
@@ -937,6 +1005,15 @@ def touching_circles(samples=512):
     return circle, list(circle)
 
 
+def in_columns(curves):
+    """``curves``, a function of the sample count that returns two lists of
+    points, made to return them in the column form that ``linking`` counts
+    its unlinked control in."""
+    return lambda samples: tuple(
+        tuple(array("d", column) for column in zip(*curve)) for curve in curves(samples)
+    )
+
+
 def refuse(*args, **kwargs):
     raise ValueError("no reference")
 
@@ -946,14 +1023,14 @@ def refuse(*args, **kwargs):
     [
         ("fiber_polygon_linking", refuse, 2, "error: no reference\n"),
         (
-            "unlinked_control",
-            linked_circles,
+            "_unlinked_control",
+            in_columns(linked_circles),
             3,
             "verification failure: linking certificate failed: unlinked control reads ",
         ),
         (
-            "unlinked_control",
-            touching_circles,
+            "_unlinked_control",
+            in_columns(touching_circles),
             3,
             "verification failure: linking certificate failed: unlinked control: "
             "isotopy bound fails",

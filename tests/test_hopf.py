@@ -5,14 +5,18 @@ The rotations, the ball model and loop lifting are :mod:`stemcert.so3`'s and
 are imported from there; :mod:`stemcert.hopf` supplies the quaternion
 oracles ``qmul``, ``hopf_map`` and ``rot_from_quat``, which take and return
 plain tuples, the integer fiber certificates, and the sampled curves, which
-are lists of distinct samples.  numpy serves only as the full-array float
-oracle of the Gauss sum, in the tests that import it.
+are lists of distinct samples.  The private helpers take curves in column
+form, one array of floats per coordinate (:func:`columns`).  numpy serves
+only as the full-array float oracle of the Gauss sum, in the tests that
+import it.
 """
 
 import math
 import random
 import time
 import tracemalloc
+import weakref
+from array import array
 from itertools import permutations
 
 import pytest
@@ -103,6 +107,20 @@ def leibniz_det(rows):
             term *= row[column]
         total += term
     return total
+
+
+def columns(points):
+    """A curve given as a list of points, in the column form that the
+    private helpers of :mod:`stemcert.hopf` take: one array of floats per
+    coordinate."""
+    return tuple(array("d", column) for column in zip(*points))
+
+
+def crossings(a, b, axis):
+    """``hopf._crossings`` of two polygons given as lists of points, with
+    the sweep axes that ``polygon_linking`` picks for them."""
+    a, b = columns(a), columns(b)
+    return hopf._crossings(a, b, axis, hopf._spreads(a, b))
 
 
 def projected_pair(p1, p2, samples):
@@ -396,7 +414,7 @@ def test_no_term_of_the_unlinked_control_vanishes(samples):
     # integrand code computed; the tilted circle leaves none at 0.
     np = pytest.importorskip("numpy")
     (mid_a, seg_a), (mid_b, seg_b) = (
-        (np.asarray(part) for part in hopf._segments(curve))
+        (np.asarray(part) for part in hopf._segments(columns(curve)))
         for curve in unlinked_control(samples)
     )
     numerators = np.einsum(
@@ -472,7 +490,7 @@ def test_gauss_linking_fails_closed_on_a_non_finite_sample(curve, index):
         pair = [list(c) for c in unlinked_control(samples=128)]
         x, y, z = pair[curve][index]
         pair[curve][index] = (x, bad, z)
-        assert math.isnan(hopf._closest_squared_distance(*pair))
+        assert math.isnan(hopf._closest_squared_distance(*map(columns, pair)))
         with pytest.raises(ValueError, match="intersect"):
             gauss_linking(*pair)
 
@@ -501,7 +519,9 @@ def test_blocked_gauss_sum_matches_the_full_array_reference(samples):
         unlinked_control(samples=samples),
     ]
     for first, second in pairs:
-        kernel = _kernels.gauss_linking_sum(*hopf._segments(first), *hopf._segments(second))
+        kernel = _kernels.gauss_linking_sum(
+            *hopf._segments(columns(first)), *hopf._segments(columns(second))
+        )
         assert abs(kernel - einsum_gauss_sum(np, first, second)) < 1e-12
 
 
@@ -539,17 +559,20 @@ def test_fiber_linking_matches_the_two_projection_reference(seed):
 @pytest.mark.parametrize("samples", [64, 128, 1024])
 def test_fiber_linking_hands_the_kernels_one_row_per_sample(monkeypatch, samples):
     # Neither the separation check nor the sum sees a repeated endpoint.
+    # The separation check takes each curve in column form.
     rows = []
 
-    def recording(kernel):
+    def recording(kernel, length=len):
         def record(*arrays):
-            rows.extend(len(x) for x in arrays)
+            rows.extend(map(length, arrays))
             return kernel(*arrays)
 
         return record
 
     monkeypatch.setattr(
-        hopf, "_closest_squared_distance", recording(hopf._closest_squared_distance)
+        hopf,
+        "_closest_squared_distance",
+        recording(hopf._closest_squared_distance, lambda curve: len(curve[0])),
     )
     monkeypatch.setattr(_kernels, "gauss_linking_sum", recording(_kernels.gauss_linking_sum))
     lk = fiber_linking([0.0, 0.6, 0.8], [0.8, 0.0, -0.6], samples=samples)
@@ -630,7 +653,7 @@ def test_separation_sweep_agrees_with_the_walk_over_every_pair(seed):
     pairs = [*random_pairs(seed), *flattened_pairs(seed), *near_touching_pairs(256)]
     for a, b in pairs:
         walked = walked_squared_distance(a, b)
-        swept = hopf._closest_squared_distance(a, b)
+        swept = hopf._closest_squared_distance(columns(a), columns(b))
         assert (swept > 1e-6) == (walked > 1e-6), (walked, swept)
         if walked <= 1e-6:
             assert swept == walked  # the same pair, measured the same way
@@ -656,7 +679,7 @@ def test_separation_sweep_spreads_curves_in_a_plane_x_const(monkeypatch):
         return dist(p, q)
 
     monkeypatch.setattr(math, "dist", counted)
-    closest = hopf._closest_squared_distance(inner, outer)
+    closest = hopf._closest_squared_distance(columns(inner), columns(outer))
     assert len(measured) < 50 * samples
     assert closest > 1e-6
 
@@ -682,7 +705,7 @@ def test_unlinked_control_crosses_with_both_signs_and_sums_to_zero(samples):
     # The xy projections of the control cross, so its 0 is a sum of signed
     # crossings that cancel, not an empty candidate set.
     first, second = unlinked_control(samples)
-    signs = hopf._crossings(first, second, 2)
+    signs = crossings(first, second, 2)
     assert sorted(set(signs)) == [-1, 1]
     assert polygon_linking(first, second) == 0
     # Moved through the disc, the same circle links once, with the sign of
@@ -721,21 +744,21 @@ def test_polygon_sweep_spreads_circles_in_a_plane_x_const():
 def test_a_failed_isotopy_bound_tries_the_other_poles(monkeypatch):
     q, r = draw_fiber_pair(random.Random(4))
     tried = []
-    project = hopf.stereographic
+    project = hopf._stereographic
 
-    def recording(points, pole):
+    def recording(curves, pole):
         tried.append(tuple(pole))
-        return project(points, pole)
+        return project(curves, pole)
 
     slack = hopf._circle_slack
     calls = []
 
-    def fails_first(points):
+    def fails_first(polygon):
         # The first pole's two polygons fail the bound; later ones pass.
         calls.append(None)
-        return 1e3 if len(calls) <= 1 else slack(points)
+        return 1e3 if len(calls) <= 1 else slack(polygon)
 
-    monkeypatch.setattr(hopf, "stereographic", recording)
+    monkeypatch.setattr(hopf, "_stereographic", recording)
     monkeypatch.setattr(hopf, "_circle_slack", fails_first)
     link = fiber_polygon_linking(base_point(q), base_point(r), samples=128)
     assert link == linking_number(fiber_determinant(q, r))
@@ -755,17 +778,54 @@ def test_a_failed_isotopy_bound_tries_the_other_poles(monkeypatch):
     assert tried == [MINUS_ONE, *others]
 
 
+def test_a_failed_pole_frees_its_polygons_before_the_next_is_tried(monkeypatch):
+    # Seed 10's reference 128-gons fail the isotopy bound from -1.  Only the
+    # message of that failure is kept, so its projected polygons are gone
+    # when the next pole is projected; the exception's traceback would keep
+    # them alive.
+    q, r = draw_fiber_pair(random.Random(10))
+    project = hopf._stereographic
+    columns_made, columns_alive = [], []
+
+    def recording(curves, pole):
+        columns_alive.append(sum(ref() is not None for ref in columns_made))
+        polygons = project(curves, pole)
+        columns_made.extend(weakref.ref(column) for polygon in polygons for column in polygon)
+        return polygons
+
+    monkeypatch.setattr(hopf, "_stereographic", recording)
+    link = fiber_polygon_linking(base_point(q), base_point(r), samples=128)
+    assert link == linking_number(fiber_determinant(q, r))
+    assert columns_alive == [0, 0]
+
+
+def test_fiber_polygon_linking_holds_columns_not_tuples():
+    # Seed 23's pair at 1024 samples, the pole tried twice: the fibers,
+    # their images and one sweep's sorted lower ends, about 0.2 KiB per
+    # sample.  As tuples and box lists the peak was about 1.9 MiB.
+    q, r = draw_fiber_pair(random.Random(23))
+    p1, p2 = base_point(q), base_point(r)
+    tracemalloc.start()
+    try:
+        link = fiber_polygon_linking(p1, p2, samples=1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert link == linking_number(fiber_determinant(q, r))
+    assert peak <= 512 * 1024
+
+
 def test_the_reference_pair_needs_at_most_two_poles(monkeypatch):
     # The reference pair of ``linking --seed s --samples 64``, s = 0..99:
     # where -1 fails, the first pole off its Hopf fiber passes.
     tried = []
-    project = hopf.stereographic
+    project = hopf._stereographic
 
-    def recording(points, pole):
+    def recording(curves, pole):
         tried.append(pole)
-        return project(points, pole)
+        return project(curves, pole)
 
-    monkeypatch.setattr(hopf, "stereographic", recording)
+    monkeypatch.setattr(hopf, "_stereographic", recording)
     counts = []
     for seed in range(100):
         q, r = draw_fiber_pair(random.Random(seed))
@@ -802,8 +862,8 @@ def test_a_degenerate_projection_moves_the_count_to_the_next_axis():
     # first vertex (1, 0, 0), so the xy projections touch there.
     tilted = circle((1.0, -1.0, 0.5), (0.0, 1.0, 0.0), (0.6, 0.0, 0.8), 256)
     assert tilted[0] == (1.0, 0.0, 0.5)
-    assert hopf._crossings(flat, tilted, 2) is None
-    assert hopf._crossings(flat, tilted, 0) is not None
+    assert crossings(flat, tilted, 2) is None
+    assert crossings(flat, tilted, 0) is not None
     link = polygon_linking(flat, tilted)
     assert abs(link) == 1
     assert link == round(gauss_linking(flat, tilted))
@@ -816,7 +876,7 @@ def test_every_projection_degenerate_raises():
     # down y.
     flat = circle((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), 64)
     upright = circle((1.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0), 64)
-    assert [hopf._crossings(flat, upright, axis) for axis in (2, 0, 1)] == [None] * 3
+    assert [crossings(flat, upright, axis) for axis in (2, 0, 1)] == [None] * 3
     with pytest.raises(VerificationError, match="every coordinate projection"):
         polygon_linking(flat, upright)
 
@@ -879,25 +939,34 @@ def test_crossing_tests_read_each_float_as_its_exact_dyadic_rational():
         assert (orientation > 0) - (orientation < 0) == (exact > 0) - (exact < 0)
 
 
-def random_box(rng, dims):
-    """``(lo, hi, ...)`` over ``dims`` coordinates, from a few values so
-    that boxes often share a bound."""
-    bounds = []
-    for _ in range(dims):
-        bounds += sorted(rng.choice((0.0, 0.25, 0.5, rng.random())) for _ in range(2))
-    return tuple(bounds)
+def random_polygon(rng, dims):
+    """30 vertices in ``dims`` coordinates, each drawn from a few values so
+    that the segments' boxes often share a bound."""
+    return [
+        tuple(rng.choice((0.0, 0.25, 0.5, rng.random())) for _ in range(dims))
+        for _ in range(30)
+    ]
 
 
-def flattened(boxes, axis):
-    """``boxes`` pressed onto the plane where coordinate ``axis`` is 0.5:
-    every box has the range ``[0.5, 0.5]`` there."""
-    return [box[: 2 * axis] + (0.5, 0.5) + box[2 * axis + 2 :] for box in boxes]
+def segment_boxes(polygon, widen=0.0):
+    """The box of each segment of the closed polygon ``polygon`` (segment
+    ``i`` joins vertex ``i - 1`` to vertex ``i``), widened by ``widen``, as
+    ``(lo, hi, lo, hi, ...)``."""
+    return [
+        tuple(c for x, y in zip(p, q) for c in (min(x, y) - widen, max(x, y) + widen))
+        for p, q in zip(polygon[-1:] + polygon[:-1], polygon)
+    ]
 
 
-def swept_along(boxes, axis):
-    """``boxes`` with the range of coordinate ``axis`` moved to the front,
-    where the sweep runs."""
-    return [box[2 * axis : 2 * axis + 2] + box[: 2 * axis] + box[2 * axis + 2 :] for box in boxes]
+def flattened(polygon, axis):
+    """``polygon`` pressed onto the plane where coordinate ``axis`` is 0.5:
+    every segment's box has the range ``[0.5, 0.5]`` there."""
+    return [p[:axis] + (0.5,) + p[axis + 1 :] for p in polygon]
+
+
+def swept_along(first, dims):
+    """The coordinates with ``first``, where the sweep runs, at the front."""
+    return (first, *(k for k in range(dims) if k != first))
 
 
 def walked_pairs(boxes_a, boxes_b):
@@ -914,17 +983,21 @@ def walked_pairs(boxes_a, boxes_b):
 def test_box_sweep_finds_every_pair_of_meeting_boxes(dims):
     rng = random.Random(dims)
     for _ in range(20):
-        boxes_a, boxes_b = ([random_box(rng, dims) for _ in range(30)] for _ in range(2))
-        walked = walked_pairs(boxes_a, boxes_b)
-        assert sorted(hopf._overlapping(boxes_a, boxes_b)) == walked
+        a, b = random_polygon(rng, dims), random_polygon(rng, dims)
+        # The first polygon's boxes widened, as the distance checks widen them.
+        for widen in (0.0, 0.1):
+            walked = walked_pairs(segment_boxes(a, widen), segment_boxes(b))
+            swept = hopf._overlapping(columns(a), columns(b), tuple(range(dims)), widen)
+            assert sorted(swept) == walked
         # Flattened on x, then on y, the boxes all share that coordinate's
         # range; the sweep must find the same pairs along it and along every
         # other coordinate.
         for axis in (0, 1):
-            flat_a, flat_b = flattened(boxes_a, axis), flattened(boxes_b, axis)
-            walked = walked_pairs(flat_a, flat_b)
+            flat_a, flat_b = flattened(a, axis), flattened(b, axis)
+            walked = walked_pairs(segment_boxes(flat_a), segment_boxes(flat_b))
             for first in range(dims):
-                swept = hopf._overlapping(swept_along(flat_a, first), swept_along(flat_b, first))
+                coords = swept_along(first, dims)
+                swept = hopf._overlapping(columns(flat_a), columns(flat_b), coords)
                 assert sorted(swept) == walked
 
 
