@@ -41,13 +41,11 @@ set of rotations but reverses composition order.)
 
 from __future__ import annotations
 
-import heapq
 import math
-import random
 from array import array
-from itertools import chain, product, repeat
+from itertools import chain, product
 from operator import mul
-from typing import Iterable, Union
+from typing import TYPE_CHECKING, Iterable, Union
 
 from .errors import ResamplePole, VerificationError
 from .so3 import (
@@ -62,6 +60,9 @@ from .so3 import (
     matrix_path,
     quat_from_rot,
 )
+
+if TYPE_CHECKING:
+    import random
 
 # The SO(3) names stay listed here, as the same objects: the benchmark's
 # tracer times the functions of this list as ``hopf.*``.
@@ -402,25 +403,28 @@ def hurwitz_units() -> list:
     return units
 
 
-def choose_pole(
-    curves: Iterable[list],
-    rng: Union[random.Random, int, None] = None,
-) -> tuple:
-    """Projection pole: ``-1`` by default, re-chosen at random among the 24
-    fixed candidates if any curve sample comes within 1e-3 of it."""
+#: The projection poles, in the order in which both linking counts try
+#: them: -1, then the 20 Hurwitz units off the Hopf fiber of -1 in
+#: :func:`hurwitz_units`' order, then +1, +i and -i, which lie on that fiber
+#: and so tend to fail where -1 failed.
+_POLES = (
+    (-1.0, 0.0, 0.0, 0.0),
+    *(u for u in hurwitz_units() if u[2:] != (0.0, 0.0)),
+    (1.0, 0.0, 0.0, 0.0),
+    (0.0, 1.0, 0.0, 0.0),
+    (0.0, -1.0, 0.0, 0.0),
+)
+
+
+def choose_pole(curves: Iterable[list]) -> tuple:
+    """The projection pole of :func:`fiber_linking`: the first pole of the
+    order that :func:`fiber_polygon_linking` walks (``-1``, the 20 Hurwitz
+    units off its Hopf fiber, then ``+1``, ``+i`` and ``-i``) from which
+    every sample of ``curves`` (sequences of 4-tuples) lies more than 1e-3
+    away.  ``ValueError`` if none does."""
     curves = list(curves)
-
-    def clearance(pole: tuple) -> float:
-        return min(math.dist(p, pole) for curve in curves for p in curve)
-
-    default = (-1.0, 0.0, 0.0, 0.0)
-    if clearance(default) > 1e-3:
-        return default
-    if not isinstance(rng, random.Random):
-        rng = random.Random(rng)
-    candidates = hurwitz_units()
-    for pole in rng.sample(candidates, len(candidates)):
-        if clearance(pole) > 1e-3:
+    for pole in _POLES:
+        if min(math.dist(p, pole) for curve in curves for p in curve) > 1e-3:
             return pole
     raise ValueError("no pole candidate clears every curve sample")
 
@@ -437,11 +441,12 @@ def gauss_linking(a, b) -> float:
     points each, whose segments join each point to the next and the last
     back to the first.  The curves must stay more than 1e-3 apart, and a
     non-finite coordinate fails that check too; the result is a real number
-    near an integer (the linking number).  The separation check
-    (:func:`_closest_squared_distance`) runs on the box sweep of
-    :func:`polygon_linking`, and the double sum over the segments in
-    :mod:`stemcert._kernels`, both in memory linear in the sample count.  No
-    command runs it: it is the float oracle of :func:`polygon_linking`.
+    near an integer (the linking number).  The separation is measured
+    segment to segment by :func:`_closest_within`, the test of the isotopy
+    bound of :func:`polygon_linking` on the same box sweep, and the double
+    sum over the segments runs in :mod:`stemcert._kernels`, both in memory
+    linear in the sample count.  No command runs it: it is the float oracle
+    of :func:`polygon_linking`.
     """
     from . import _kernels
 
@@ -451,30 +456,11 @@ def gauss_linking(a, b) -> float:
         if len(columns[0]) < 64:
             raise ValueError("at least 64 samples per curve are required")
         curves.append(columns)
-    if not _closest_squared_distance(*curves) > 1e-6:
+    finite = all(map(math.isfinite, chain(*curves[0], *curves[1])))
+    if not finite or _closest_within(*curves, 1e-3, _spreads(*curves)) is not None:
         raise ValueError("curves intersect within tolerance (or a sample is not finite)")
     total = _kernels.gauss_linking_sum(*_segments(curves[0]), *_segments(curves[1]))
     return total / (4.0 * math.pi)
-
-
-def _closest_squared_distance(a: tuple, b: tuple) -> float:
-    """Least squared distance between a vertex of ``a`` and one of ``b``
-    (curves in column form), exact whenever some pair lies at most 1e-3
-    apart; NaN unless every coordinate is finite, so that a
-    ``closest > tolerance`` test fails closed.
-
-    Two vertices at most 1e-3 apart end segments whose boxes meet once those
-    of ``a`` are widened by 2e-3 (twice, so that rounding cannot narrow
-    them below 1e-3), so only the ends of such segment pairs are measured.
-    When no pair is that close, the result is only known to exceed 1e-6: it
-    is the least over the pairs measured, or inf if there are none.
-    """
-    if not all(map(math.isfinite, chain(*a, *b))):
-        return math.nan
-    xyz = _widest_first((0, 1, 2), _spreads(a, b))
-    pairs = _overlapping(a, b, xyz, 2e-3)
-    closest = min((math.dist(_vertex(a, i), _vertex(b, j)) for i, j in pairs), default=math.inf)
-    return closest * closest
 
 
 def _segments(curve: tuple):
@@ -488,18 +474,16 @@ def _segments(curve: tuple):
     return mids, steps
 
 
-def fiber_linking(
-    p1,
-    p2,
-    samples: int = 512,
-    rng: Union[random.Random, int, None] = None,
-) -> float:
+def fiber_linking(p1, p2, samples: int = 512) -> float:
     """Linking number of the Hopf fibers over two distinct base points,
-    measured after stereographic projection to R^3 from :func:`choose_pole`.
-    Both fibers are projected in one call, on their joined samples.  No
-    command runs it: it is the float oracle of :func:`fiber_polygon_linking`."""
+    measured after stereographic projection to R^3 from :func:`choose_pole`:
+    the pole that :func:`fiber_polygon_linking` counts from whenever that
+    pole passes the isotopy bound.  Both fibers are projected in one call,
+    on their joined samples, so the result is a function of the inputs
+    alone.  No command runs it: it is the float oracle of
+    :func:`fiber_polygon_linking`."""
     first, second = fiber_curve(p1, samples), fiber_curve(p2, samples)
-    projected = stereographic(first + second, choose_pole([first, second], rng))
+    projected = stereographic(first + second, choose_pole([first, second]))
     return gauss_linking(projected[:samples], projected[samples:])
 
 
@@ -781,26 +765,26 @@ def _overlapping(a: tuple, b: tuple, coords: tuple, widen: float = 0.0):
     A sweep along ``coords[0]``, which every caller makes the coordinate on
     which its curves spread widest (:func:`_widest_first`), so that curves
     in a plane x = const (or y, z = const) do not enter all at once: the
-    boxes enter in the order of their lower ends there (ties: ``a``'s
-    first, then by index), and each is tested against the boxes of the
-    other polygon that are still open there.  Only the lower ends on the
-    sweep coordinate are stored for every segment, to sort them; a box is
-    read from the vertex columns when it enters and kept while it is open.
-    The pairs are yielded as they are found.  It only compares the floats
-    it is given, so no pair is lost to rounding.  This is the package's one
-    search for nearby curve elements.
+    boxes enter in the order of their lower ends there, by one stable sort
+    of both polygons' lower ends, ``a``'s first (so ties go to ``a``, then
+    by index), and each is tested against the boxes of the other polygon
+    that are still open there.  Only the lower ends on the sweep coordinate
+    are stored for every segment, to sort them; a box is read from the
+    vertex columns when it enters and kept while it is open.  The pairs are
+    yielded as they are found.  It only compares the floats it is given, so
+    no pair is lost to rounding.  This is the package's one search for
+    nearby curve elements.
     """
     polygons, widths = (a, b), (widen, 0.0)
-    streams = []
-    for side, (polygon, width) in enumerate(zip(polygons, widths)):
+    starts = array("d")
+    for polygon, width in zip(polygons, widths):
         column = polygon[coords[0]]
-        starts = array("d", (lo - width for lo in map(min, chain(column[-1:], column), column)))
-        # Each side's boxes are sorted on their own, one side at a time, and
-        # the two streams merged on (start, side, index).
-        order = array("l", sorted(range(len(starts)), key=starts.__getitem__))
-        streams.append(zip(map(starts.__getitem__, order), repeat(side), order))
+        starts.extend(lo - width for lo in map(min, chain(column[-1:], column), column))
+    count = len(a[0])
     open_boxes = [[], []]
-    for start, side, index in heapq.merge(*streams):
+    for event in array("l", sorted(range(len(starts)), key=starts.__getitem__)):
+        side = int(event >= count)
+        start, index = starts[event], event - side * count
         polygon, width = polygons[side], widths[side]
         # The box as (index, lo, hi, lo, hi, ...), on the coordinates in turn.
         box = [index]
@@ -847,21 +831,17 @@ def fiber_polygon_linking(p1, p2, samples: int = 512) -> int:
     vertices are ``samples`` points of each fiber.
 
     Stereographic projection keeps the orientation of S^3 and carries each
-    fiber to a round circle.  The pole is ``-1``; where a sample comes
-    within 1e-3 of it or the polygons fail the isotopy bound from it, the
-    other 23 Hurwitz units are tried in :func:`hurwitz_units`' order, except
-    that ``+1``, ``+i`` and ``-i`` come last: they lie on the Hopf fiber of
-    ``-1``, so they tend to fail where it failed.
-    :class:`VerificationError` is raised once none passes.  The answer is
-    a function of the two base points and ``samples`` alone.
+    fiber to a round circle.  The poles are tried in the order that
+    :func:`choose_pole` walks for the float oracle: ``-1``, then the 20
+    Hurwitz units off the Hopf fiber of ``-1`` in :func:`hurwitz_units`'
+    order, then ``+1``, ``+i`` and ``-i``, which lie on that fiber and so
+    tend to fail where it failed.  A pole is passed over where a sample
+    comes within 1e-3 of it or the polygons fail the isotopy bound from it,
+    and :class:`VerificationError` is raised once none passes.  The answer
+    is a function of the two base points and ``samples`` alone.
     """
     fibers = [_fiber(p1, samples), _fiber(p2, samples)]
-    units = hurwitz_units()
-    # -1, +1, +i and -i: the units on the Hopf fiber through -1.
-    fiber = [u for u in units if u[2] == u[3] == 0.0]
-    default = (-1.0, 0.0, 0.0, 0.0)
-    poles = [default, *(u for u in units if u not in fiber), *(u for u in fiber if u != default)]
-    for pole in poles:
+    for pole in _POLES:
         try:
             return _polygon_linking(*_stereographic(fibers, pole))
         except ResamplePole as exc:

@@ -227,7 +227,7 @@ def test_criterion_10_fiber_linking_20_trials():
             p2 = hopf.random_sphere_point(rng)
             while math.dist(p1, p2) < 0.1:
                 p2 = hopf.random_sphere_point(rng)
-            links.append(hopf.fiber_linking(p1, p2, samples=512, rng=rng))
+            links.append(hopf.fiber_linking(p1, p2, samples=512))
         control = hopf.gauss_linking(*hopf.unlinked_control(samples=512))
         return links, control
 

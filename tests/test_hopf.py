@@ -312,7 +312,7 @@ def test_reference_gauss_sum_has_the_sign_of_the_determinant(seed):
     rng = random.Random(seed)
     for _ in range(3):
         q, r = draw_fiber_pair(rng)
-        lk = fiber_linking(base_point(q), base_point(r), samples=128, rng=rng)
+        lk = fiber_linking(base_point(q), base_point(r), samples=128)
         assert abs(lk - linking_number(fiber_determinant(q, r))) < 0.02
 
 
@@ -363,14 +363,62 @@ def test_hurwitz_units_are_24_distinct_unit_vectors():
     assert len(set(units)) == 24
 
 
-def test_choose_pole_default_and_reroll():
+def test_choose_pole_default_and_fallback():
     # A fiber far from -1 keeps the default pole.
     clear = fiber_curve([0.0, 0.0, 1.0], samples=64)
     assert choose_pole([clear]) == MINUS_ONE
     # The fiber over i passes through -1 itself, forcing a re-choice.
     through_pole = fiber_curve([1.0, 0.0, 0.0], samples=256)
-    pole = choose_pole([through_pole], rng=0)
+    pole = choose_pole([through_pole])
     assert min(math.dist(p, pole) for p in through_pole) > 1e-3
+
+
+def test_both_linking_counts_walk_one_pole_order():
+    # -1, then the 20 Hurwitz units off its Hopf fiber in hurwitz_units()
+    # order, then +1, +i and -i, which lie on that fiber.
+    off_fiber = [u for u in hurwitz_units() if u[2:] != (0.0, 0.0)]
+    assert len(off_fiber) == 20
+    assert hopf._POLES == (MINUS_ONE, *off_fiber, ONE, I, negate(I))
+    # The fiber over i passes through -1, +1, +i and -i; the second pole of
+    # the order, j, clears it.
+    through_pole = fiber_curve([1.0, 0.0, 0.0], samples=256)
+    assert choose_pole([through_pole]) == hopf._POLES[1] == J
+
+
+@pytest.mark.parametrize(
+    "p1,p2", [((1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)), ((0.0, 0.6, 0.8), (0.8, 0.0, -0.6))]
+)
+def test_fiber_linking_is_a_function_of_its_inputs(p1, p2):
+    # The first pair passes through -1 and so projects from a later pole.
+    first = fiber_linking(p1, p2, samples=128)
+    assert all(fiber_linking(p1, p2, samples=128) == first for _ in range(3))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fiber_linking_projects_from_the_pole_the_exact_count_counts_from(monkeypatch, seed):
+    # Each pole that either count projects from is recorded; the exact count
+    # returns from the last one it tries.
+    rng = random.Random(seed)
+    pairs = [([1.0, 0.0, 0.0], random_sphere_point(rng))]
+    pairs += [(random_sphere_point(rng), random_sphere_point(rng)) for _ in range(2)]
+    tried = []
+    project = hopf._stereographic
+
+    def recording(curves, pole):
+        tried.append(tuple(pole))
+        return project(curves, pole)
+
+    monkeypatch.setattr(hopf, "_stereographic", recording)
+    counted = []
+    for p1, p2 in pairs:
+        tried.clear()
+        fiber_polygon_linking(p1, p2, samples=256)
+        counted.append(tried[-1])
+        tried.clear()
+        fiber_linking(p1, p2, samples=256)
+        assert tried == counted[-1:]
+    # The fiber over [1, 0, 0] passes through -1: both move on from it.
+    assert counted[0] != MINUS_ONE
 
 
 def test_every_pole_basis_is_oriented_alike():
@@ -447,7 +495,7 @@ def test_hopf_fibers_link_once():
 
 def test_fiber_linking_survives_pole_reroll():
     # One fiber passes through the default pole; the result must not change.
-    lk = fiber_linking([1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], samples=256, rng=0)
+    lk = fiber_linking([1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], samples=256)
     assert abs(abs(lk) - 1.0) < 0.02
 
 
@@ -483,14 +531,17 @@ def test_gauss_linking_validation():
 
 @pytest.mark.parametrize("curve", [0, 1])
 @pytest.mark.parametrize("index", [0, 77, 127])
-def test_gauss_linking_fails_closed_on_a_non_finite_sample(curve, index):
+def test_gauss_linking_fails_closed_on_a_non_finite_sample(monkeypatch, curve, index):
     # One NaN (or infinite) coordinate anywhere fails the separation check
-    # instead of passing it and returning NaN.
-    for bad in (math.nan, math.inf):
+    # instead of passing it and returning NaN: the sum is never reached.
+    def unreached(*arrays):
+        raise AssertionError("the Gauss sum ran on a non-finite sample")
+
+    monkeypatch.setattr(_kernels, "gauss_linking_sum", unreached)
+    for bad in (math.nan, math.inf, -math.inf):
         pair = [list(c) for c in unlinked_control(samples=128)]
         x, y, z = pair[curve][index]
         pair[curve][index] = (x, bad, z)
-        assert math.isnan(hopf._closest_squared_distance(*map(columns, pair)))
         with pytest.raises(ValueError, match="intersect"):
             gauss_linking(*pair)
 
@@ -543,17 +594,17 @@ def test_gauss_linking_holds_block_sized_memory():
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_fiber_linking_matches_the_two_projection_reference(seed):
     # Each fiber projected on its own and summed on full arrays; the fiber
-    # over [1, 0, 0] passes through the default pole and re-rolls it.
+    # over [1, 0, 0] passes through the default pole and moves it on.
     np = pytest.importorskip("numpy")
     rng = random.Random(seed)
     pairs = [([1.0, 0.0, 0.0], random_sphere_point(rng))]
     pairs += [(random_sphere_point(rng), random_sphere_point(rng)) for _ in range(2)]
     for p1, p2 in pairs:
         fibers = [fiber_curve(p1, 256), fiber_curve(p2, 256)]
-        pole = choose_pole(fibers, rng=seed)
+        pole = choose_pole(fibers)
         first, second = (stereographic(f, pole) for f in fibers)
         reference = einsum_gauss_sum(np, first, second) / (4.0 * math.pi)
-        assert abs(fiber_linking(p1, p2, samples=256, rng=seed) - reference) < 1e-12
+        assert abs(fiber_linking(p1, p2, samples=256) - reference) < 1e-12
 
 
 @pytest.mark.parametrize("samples", [64, 128, 1024])
@@ -561,20 +612,19 @@ def test_fiber_linking_hands_the_kernels_one_row_per_sample(monkeypatch, samples
     # Neither the separation check nor the sum sees a repeated endpoint.
     # The separation check takes each curve in column form.
     rows = []
+    closest_within = hopf._closest_within
 
-    def recording(kernel, length=len):
-        def record(*arrays):
-            rows.extend(map(length, arrays))
-            return kernel(*arrays)
+    def record_curves(a, b, gap, spreads):
+        rows.extend(len(curve[0]) for curve in (a, b))
+        return closest_within(a, b, gap, spreads)
 
-        return record
+    def record_arrays(*arrays):
+        rows.extend(map(len, arrays))
+        return gauss_linking_sum(*arrays)
 
-    monkeypatch.setattr(
-        hopf,
-        "_closest_squared_distance",
-        recording(hopf._closest_squared_distance, lambda curve: len(curve[0])),
-    )
-    monkeypatch.setattr(_kernels, "gauss_linking_sum", recording(_kernels.gauss_linking_sum))
+    gauss_linking_sum = _kernels.gauss_linking_sum
+    monkeypatch.setattr(hopf, "_closest_within", record_curves)
+    monkeypatch.setattr(_kernels, "gauss_linking_sum", record_arrays)
     lk = fiber_linking([0.0, 0.6, 0.8], [0.8, 0.0, -0.6], samples=samples)
     assert abs(abs(lk) - 1.0) < 0.02
     assert rows == [samples] * 6
@@ -603,11 +653,26 @@ def test_separation_check_reaches_the_last_block(gap, rejected):
             assert math.isfinite(gauss_linking(*pair))
 
 
-def walked_squared_distance(a, b):
-    """The least squared distance over every pair of samples: the O(N^2)
-    walk that the separation check's sweep must agree with."""
-    closest = min(math.dist(p, q) for p in a for q in b)
-    return closest * closest
+def walked_distance(a, b):
+    """The least distance between a segment of the closed curve ``a`` and
+    one of ``b``, by the O(N^2) walk over every pair that the separation
+    check's sweep must agree with: exact wherever some pair lies within
+    2e-3, and otherwise over 2e-3 or inf.  A pair whose midpoints lie
+    further apart than its two half-lengths and 2e-3 is passed over
+    unmeasured, as its segments cannot come within 2e-3."""
+
+    def segments(curve):
+        return [
+            (p0, p1, [0.5 * (x + y) for x, y in zip(p0, p1)], 0.5 * math.dist(p0, p1))
+            for p0, p1 in zip(curve[-1:] + curve[:-1], curve)
+        ]
+
+    closest, of_b = math.inf, segments(b)
+    for p0, p1, mid_p, half_p in segments(a):
+        for q0, q1, mid_q, half_q in of_b:
+            if math.dist(mid_p, mid_q) - half_p - half_q <= 2e-3:
+                closest = min(closest, hopf._segment_distance(p0, p1, q0, q1))
+    return closest
 
 
 def near_touching_pairs(samples):
@@ -652,14 +717,13 @@ def test_separation_sweep_agrees_with_the_walk_over_every_pair(seed):
     verdicts = set()
     pairs = [*random_pairs(seed), *flattened_pairs(seed), *near_touching_pairs(256)]
     for a, b in pairs:
-        walked = walked_squared_distance(a, b)
-        swept = hopf._closest_squared_distance(columns(a), columns(b))
-        assert (swept > 1e-6) == (walked > 1e-6), (walked, swept)
-        if walked <= 1e-6:
-            assert swept == walked  # the same pair, measured the same way
-        else:
-            assert swept >= walked  # a subset of the pairs, or inf
-        verdicts.add(walked > 1e-6)
+        walked = walked_distance(a, b)
+        a, b = columns(a), columns(b)
+        swept = hopf._closest_within(a, b, 1e-3, hopf._spreads(a, b))
+        assert (swept is None) == (walked > 1e-3), (walked, swept)
+        if swept is not None:
+            assert walked <= swept <= 1e-3  # one of the pairs walked
+        verdicts.add(walked > 1e-3)
     assert verdicts == {True, False}
 
 
@@ -672,16 +736,16 @@ def test_separation_sweep_spreads_curves_in_a_plane_x_const(monkeypatch):
     inner = [(0.0, math.cos(t), math.sin(t)) for t in theta]
     outer = [(0.0, 1.5 * math.cos(t), 1.5 * math.sin(t)) for t in theta]
     measured = []
-    dist = math.dist
+    segment_distance = hopf._segment_distance
 
-    def counted(p, q):
+    def counted(*ends):
         measured.append(None)
-        return dist(p, q)
+        return segment_distance(*ends)
 
-    monkeypatch.setattr(math, "dist", counted)
-    closest = hopf._closest_squared_distance(columns(inner), columns(outer))
+    monkeypatch.setattr(hopf, "_segment_distance", counted)
+    inner, outer = columns(inner), columns(outer)
+    assert hopf._closest_within(inner, outer, 1e-3, hopf._spreads(inner, outer)) is None
     assert len(measured) < 50 * samples
-    assert closest > 1e-6
 
 
 # --------------------------------------------------------------------------
@@ -969,14 +1033,39 @@ def swept_along(first, dims):
     return (first, *(k for k in range(dims) if k != first))
 
 
+def meet(p, q):
+    """Whether the closed boxes ``p`` and ``q`` meet."""
+    return all(p[k] <= q[k + 1] and q[k] <= p[k + 1] for k in range(0, len(p), 2))
+
+
 def walked_pairs(boxes_a, boxes_b):
     """The index pairs whose closed boxes meet, by a walk over every pair."""
     return [
         (i, j)
         for i, p in enumerate(boxes_a)
         for j, q in enumerate(boxes_b)
-        if all(p[k] <= q[k + 1] and q[k] <= p[k + 1] for k in range(0, len(p), 2))
+        if meet(p, q)
     ]
+
+
+def sweep_order(boxes_a, boxes_b, first):
+    """The pairs of :func:`walked_pairs` in the order in which a sweep along
+    coordinate ``first`` finds them: the boxes enter in the order of
+    ``(lower end there, side, index)``, ``a``'s side first, and each entering
+    box meets the other side's boxes in the order in which they entered."""
+    sides = (boxes_a, boxes_b)
+    events = sorted(
+        (box[2 * first], side, index)
+        for side, boxes in enumerate(sides)
+        for index, box in enumerate(boxes)
+    )
+    entered, pairs = ([], []), []
+    for _, side, index in events:
+        for other in entered[1 - side]:
+            if meet(sides[side][index], sides[1 - side][other]):
+                pairs.append((index, other) if side == 0 else (other, index))
+        entered[side].append(index)
+    return pairs
 
 
 @pytest.mark.parametrize("dims", [2, 3])
@@ -986,19 +1075,27 @@ def test_box_sweep_finds_every_pair_of_meeting_boxes(dims):
         a, b = random_polygon(rng, dims), random_polygon(rng, dims)
         # The first polygon's boxes widened, as the distance checks widen them.
         for widen in (0.0, 0.1):
-            walked = walked_pairs(segment_boxes(a, widen), segment_boxes(b))
-            swept = hopf._overlapping(columns(a), columns(b), tuple(range(dims)), widen)
-            assert sorted(swept) == walked
+            boxes_a, boxes_b = segment_boxes(a, widen), segment_boxes(b)
+            swept = list(hopf._overlapping(columns(a), columns(b), tuple(range(dims)), widen))
+            assert sorted(swept) == walked_pairs(boxes_a, boxes_b)
+            assert swept == sweep_order(boxes_a, boxes_b, 0)
         # Flattened on x, then on y, the boxes all share that coordinate's
         # range; the sweep must find the same pairs along it and along every
         # other coordinate.
         for axis in (0, 1):
             flat_a, flat_b = flattened(a, axis), flattened(b, axis)
-            walked = walked_pairs(segment_boxes(flat_a), segment_boxes(flat_b))
+            boxes_a, boxes_b = segment_boxes(flat_a), segment_boxes(flat_b)
+            walked = walked_pairs(boxes_a, boxes_b)
             for first in range(dims):
                 coords = swept_along(first, dims)
-                swept = hopf._overlapping(columns(flat_a), columns(flat_b), coords)
+                swept = list(hopf._overlapping(columns(flat_a), columns(flat_b), coords))
                 assert sorted(swept) == walked
+                assert swept == sweep_order(boxes_a, boxes_b, first)
+
+
+def test_hopf_imports_neither_heapq_nor_random():
+    # One stable sort enters the boxes, and the pole order is fixed.
+    assert not {"heapq", "random"} & set(vars(hopf))
 
 
 # --------------------------------------------------------------------------
