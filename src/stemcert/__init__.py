@@ -6,9 +6,9 @@ groups in degrees one to three: Adams operations on small projective
 spaces and spheres, e-invariants of two-cell complexes, J-order bounds by
 three independent methods, stable equivalences of stunted projective
 spaces, and geometric witnesses: Hopf fiber linking by integer
-determinants, with the signed crossings of projected fiber polygons as an
-exact reference and a floating-point Gauss integral as its oracle, and
-rotation-loop monodromy, with explicit tolerances.
+determinants, with the disc crossings of their round stereographic images
+as an exact reference and a floating-point Gauss integral as its oracle,
+and rotation-loop monodromy, with explicit tolerances.
 """
 
 import importlib
@@ -40,12 +40,12 @@ _EXPORTS = {
         "errors": ("ResamplePole", "VerificationError"),
         "exact": ("padic_valuation",),
         "hopf": (
+            "circle_linking",
             "fiber_curve",
             "fiber_determinant",
             "fiber_linking",
             "gauss_linking",
             "hopf_map",
-            "polygon_linking",
             "qmul",
             "rot_from_quat",
             "stereographic",

@@ -18,21 +18,16 @@ import re
 import sys
 import types
 
-from .errors import ResamplePole, VerificationError
+from .errors import VerificationError
 
 _SUP = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
 _SUB = str.maketrans("0123456789", "₀₁₂₃₄₅₆₇₈₉")
 
-#: Fewest and most ``--samples`` that ``linking`` accepts, the vertex count
-#: of each polygon.  A run counts the signed crossings of two polygon pairs
-#: (the reference pair, again for each pole that fails its isotopy bound,
-#: and the unlinked control), in time about linear in
-#: the sample count and independent of ``--trials``: about 0.2 s at both caps
-#: on a 2-vCPU x86-64 machine.  Its memory is linear too, about 0.2 KiB per
-#: sample, as the polygons are held as coordinate columns: at the cap the
-#: run peaks within 1.5 MiB of the resident set of ``--help``.  The floor
-#: keeps the sample range of the float Gauss sum, which needs 64 segments
-#: per curve.
+#: Fewest and most ``--samples`` that ``linking`` accepts.  No certificate
+#: reads the flag: every count runs on exact round circles.  It stays
+#: accepted within these bounds, and echoed as ``samples`` in ``--json``,
+#: only because the ``linking`` rows of ``perfbench/run.py`` pass it and
+#: their oracle reads it back.
 _MIN_SAMPLES = 64
 _MAX_SAMPLES = 4096
 #: Largest ``linking --trials``: a trial is a few integer 4x4
@@ -259,24 +254,27 @@ def cmd_linking(args) -> int:
     dets = [hopf.fiber_determinant(q, r) for q, r in pairs]
     links = [hopf.linking_number(det) for det in dets]
     # The first pair ties the sign convention to an independent integer, the
-    # signed crossings of its projected fibers, and its mirror-fibration
-    # determinant is the negative control.
+    # disc crossings of its fibers' round images, and the same count of its
+    # mirror-fibration circles, like their determinant, is the negative
+    # control of that sign.
     q, r = pairs[0]
-    reference = hopf.fiber_polygon_linking(hopf.base_point(q), hopf.base_point(r), args.samples)
-    mirror = hopf.mirror_determinant(q, r)
-    try:
-        control = hopf.control_linking(args.samples)
-    except ResamplePole as exc:
-        raise VerificationError(f"linking certificate failed: unlinked control: {exc}") from None
+    reference = hopf.fiber_circle_linking(q, r)
     if reference != links[0]:
         raise VerificationError(
             f"linking certificate failed: the reference crossing count is "
             f"{reference:+d}, the determinant {dets[0]} gives {links[0]:+d}"
         )
+    mirror = hopf.mirror_determinant(q, r)
     if not mirror < 0:
         raise VerificationError(
             f"linking certificate failed: mirror determinant {mirror} is not negative"
         )
+    mirror_link = hopf.fiber_circle_linking(q, r, mirror=True)
+    if mirror_link != -1:
+        raise VerificationError(
+            f"linking certificate failed: the mirror crossing count is {mirror_link:+d}, not -1"
+        )
+    control = hopf.circle_linking(*hopf.UNLINKED_CONTROL)
     if control != 0:
         raise VerificationError(
             f"linking certificate failed: unlinked control reads {control:+d}"
@@ -300,9 +298,9 @@ def cmd_linking(args) -> int:
     ]
     human = (
         "\n".join(lines)
-        + f"\nreference (trial 1, {args.samples} samples): signed crossings Lk = {reference:+d}"
-        + f"\nmirror (trial 1): det[q, qi, r, ri] = {mirror} < 0"
-        + f"\nunlinked control: signed crossings Lk = {control}"
+        + f"\nreference (trial 1): disc crossings Lk = {reference:+d}"
+        + f"\nmirror (trial 1): det[q, qi, r, ri] = {mirror} < 0, disc crossings Lk = {mirror_link:+d}"
+        + f"\nunlinked control: disc crossings Lk = {control}"
         + f"\nevery pair of distinct fibers links once ({args.trials} integer certificates)"
     )
     _emit(args, payload, human)
@@ -389,7 +387,7 @@ _TABLE = {
     None: ("Exact-arithmetic certificates for the first three stable homotopy stems.", (
         ("--json", bool, False, False, None, "emit machine-readable JSON"),
         ("--seed", int, 0, False, None, "non-negative seed for randomized geometric checks"),
-        ("--samples", int, 512, False, None, f"points per curve (linking: {_MIN_SAMPLES} to {_MAX_SAMPLES})"),
+        ("--samples", int, 512, False, None, f"changes no certificate; kept for the benchmark's linking rows ({_MIN_SAMPLES} to {_MAX_SAMPLES})"),
     )),
     "adams": ("apply an Adams operation to a ring element", (
         ("--space", str, None, True, None, f"e.g. cp2, hp2, s2-smash-cp2 (indices <= {_MAX_ADAMS_INDEX})"),
@@ -589,7 +587,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return globals()["cmd_" + _dest(values["command"])](types.SimpleNamespace(**values))
-    except (ValueError, ResamplePole) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except VerificationError as exc:

@@ -9,26 +9,24 @@ This module checks the geometric facts behind the first stem:
   two such fibers link with the sign of the integer ``det[q, iq, r, ir]``
   (H. Hopf, *Math. Ann.* 104, 1931; Gluck and Warner, *Duke Math. J.* 50,
   1983),
-* the same fact as an independent exact count: Hopf fibers (circles in
-  ``S^3``) sampled as polygons, stereographic projection, and the signed
-  crossings of the two polygons in a coordinate projection, each decided
-  on the dyadic rationals of the float vertices, with an isotopy bound
-  that ties the polygons to their round circles (:func:`polygon_linking`),
-  and
-* in floats, the classical integral: the Gauss linking sum, which no
-  command runs, as the oracle of that count.
+* the same fact as an independent exact count: stereographic projection
+  from -1 carries the fiber through an integer quaternion to a round circle
+  with rational centre, plane and squared radius, and two such circles link
+  as often as one crosses the disc of the other, each crossing decided by
+  one exact sign in a quadratic field (:func:`circle_linking`,
+  :func:`fiber_circle_linking`), and
+* in floats, the classical integral: the Gauss linking sum of sampled
+  fibers, which no command runs, as the oracle of that count.
 
 A quaternion is the 4-tuple ``(w, x, y, z)``, as in :mod:`stemcert.so3`:
 of ints for the integer certificates, of floats elsewhere.  A point of
-``S^2`` is the tuple ``(x, y, z)``.  In the public functions a closed curve
-is the list of its N distinct samples, each a tuple, the last joined back
-to the first.  Inside the module the same curve is held in column form: a
-tuple of one ``array('d')`` per coordinate, each of length N, so that a
-vertex costs 8 bytes per coordinate rather than a tuple of float objects.
-Every check and every count runs on the columns; :func:`fiber_curve`,
-:func:`stereographic`, :func:`unlinked_control` and :func:`polygon_linking`
-convert between the two forms and add nothing else, and
-:func:`gauss_linking` reads its curves into columns too.
+``S^2`` is the tuple ``(x, y, z)``, and a round circle the tuple of
+integers that :func:`circle_linking` describes.  In the public functions a
+sampled closed curve is the list of its N distinct samples, each a tuple,
+the last joined back to the first.  :func:`gauss_linking` holds its curves
+in column form: a tuple of one ``array('d')`` per coordinate, each of
+length N, so that a vertex costs 8 bytes per coordinate rather than a tuple
+of float objects.
 
 The rotations, the ball model of ``SO(3)``, its loops and their lifts live in
 :mod:`stemcert.so3`; this module re-exports them.
@@ -69,15 +67,16 @@ if TYPE_CHECKING:
 __all__ = [
     "BallPoint",
     "Rotation3",
+    "UNLINKED_CONTROL",
     "ball_to_rotation",
     "base_point",
     "choose_pole",
-    "control_linking",
+    "circle_linking",
     "draw_fiber_pair",
+    "fiber_circle_linking",
     "fiber_curve",
     "fiber_determinant",
     "fiber_linking",
-    "fiber_polygon_linking",
     "gauss_linking",
     "homotopy_H",
     "homotopy_slice_matrices",
@@ -89,7 +88,6 @@ __all__ = [
     "loop_point",
     "matrix_path",
     "mirror_determinant",
-    "polygon_linking",
     "qmul",
     "quat_from_rot",
     "random_sphere_point",
@@ -100,21 +98,18 @@ __all__ = [
 ]
 
 _UNIT_TOL = 1e-9
-_I = (0, 1, 0, 0)
+_I, _J, _K = (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
 #: Entries of a drawn integer quaternion lie in [-_DRAW_BOUND, _DRAW_BOUND].
 _DRAW_BOUND = 6
-#: Tilt, in radians, of the unlinked control's second circle out of the
-#: first circle's plane, and that circle's centre.
-_CONTROL_TILT = 1.0
-_CONTROL_CENTRE = (1.5, 0.0, 0.0)
-#: Bound on a polygon vertex's distance from the round circle it samples,
-#: per unit of the circle's scale ``max(1, |centre| + radius)``.  A projected
-#: fiber sample lies within about 1e-15 (1 + |v|^2) of its exact circle, and
-#: ``|v|`` stays below about 2e3 at the 1e-3 pole clearance.
-_VERTEX_ERROR = 1e-9
-#: Sign of a crossing whose over-strand direction turns counterclockwise,
-#: by less than a half turn, onto its under-strand direction.
-_CROSSING_SIGN = 1
+#: The integer quaternions that :func:`fiber_circle_linking` multiplies a
+#: pair of fibers by, in turn, until their projection is in general position.
+_MOVES = ((1, 0, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1))
+#: The unlinked control, each circle as ``(centre, u, v, scale)``: the points
+#: ``(centre + cos t u + sin t v) / scale``.  The first is the unit circle in
+#: the plane z = 0; the second has radius 1 and centre (3/2, 0, 0), and is
+#: spanned by (0, 1, 0) and (3/5, 0, 4/5), tilted by about 0.93 radian out of
+#: the first's plane.
+_CONTROL = (((0, 0, 0), (1, 0, 0), (0, 1, 0), 1), ((15, 0, 0), (0, 10, 0), (6, 0, 8), 10))
 
 
 # --------------------------------------------------------------------------
@@ -146,6 +141,14 @@ def _unit(q) -> tuple:
 
 def _dot(u, v) -> float:
     return sum(map(mul, u, v))
+
+
+def _sub(p, q) -> tuple:
+    return tuple(a - b for a, b in zip(p, q))
+
+
+def _cross(p, q) -> tuple:
+    return (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0])
 
 
 def _columns(points, dim: int, message: str) -> tuple:
@@ -216,12 +219,6 @@ def fiber_curve(p, samples: int) -> list:
     ``theta -> (cos theta + i sin theta) * q0`` at ``samples`` evenly spaced
     angles in ``[0, 2 pi)``; every sample maps back to ``p`` within 1e-9.
     """
-    return list(zip(*_fiber(p, samples)))
-
-
-def _fiber(p, samples: int) -> tuple:
-    """:func:`fiber_curve` in column form: the ``w``, ``x``, ``y`` and ``z``
-    columns of the samples."""
     px, py, pz = map(float, p)
     if not abs(math.hypot(px, py, pz) - 1.0) < _UNIT_TOL:
         raise ValueError("the base point must lie on the unit sphere")
@@ -240,15 +237,11 @@ def _fiber(p, samples: int) -> tuple:
         w0, x0, y0, z0 = math.cos(half), 0.0, s * pz, -s * py
 
     cos, sin = _turn(samples)
-    fiber = (
-        array("d", [c * w0 - s * x0 for c, s in zip(cos, sin)]),
-        array("d", [c * x0 + s * w0 for c, s in zip(cos, sin)]),
-        array("d", [c * y0 - s * z0 for c, s in zip(cos, sin)]),
-        array("d", [c * z0 + s * y0 for c, s in zip(cos, sin)]),
-    )
-    worst = max(
-        abs(h - t) for point in zip(*fiber) for h, t in zip(_hopf_point(*point), (px, py, pz))
-    )
+    fiber = [
+        (c * w0 - s * x0, c * x0 + s * w0, c * y0 - s * z0, c * z0 + s * y0)
+        for c, s in zip(cos, sin)
+    ]
+    worst = max(abs(h - t) for point in fiber for h, t in zip(_hopf_point(*point), (px, py, pz)))
     if not worst < _UNIT_TOL:
         raise VerificationError("fiber samples failed to map back to the base point")
     return fiber
@@ -317,6 +310,158 @@ def draw_fiber_pair(rng: random.Random) -> tuple:
 
 
 # --------------------------------------------------------------------------
+# Exact linking of round circles
+# --------------------------------------------------------------------------
+
+
+def _sign(n: int) -> int:
+    return (n > 0) - (n < 0)
+
+
+def _surd_sign(x: int, y: int, d: int) -> int:
+    """The sign (1, 0 or -1) of ``x + y sqrt(d)``, for integers ``x``, ``y``
+    and ``d > 0``: where the two terms differ in sign, that of the larger,
+    found by comparing ``x^2`` with ``y^2 d``."""
+    if x * y >= 0:
+        return _sign(x) or _sign(y)
+    return _sign(x) * _sign(x * x - y * y * d)
+
+
+def circle_linking(a, b) -> int:
+    """Linking number of two disjoint oriented round circles in R^3,
+    exactly: the signed number of points where ``b`` crosses the open disc
+    that ``a`` bounds (D. Rolfsen, *Knots and Links*, ch. 5).
+
+    A circle is ``(normal, centre, radius2, scale, sign)``, all integers:
+    the circle about ``centre / scale`` of squared radius
+    ``radius2 / scale^2``, in the plane ``normal . u = normal . centre /
+    scale``, run counterclockwise about ``sign * normal`` (``scale`` is
+    positive and ``sign`` is 1 or -1).  Over the common scale the two planes
+    meet in a line with integer data, and ``b`` meets that line at the two
+    roots ``(-beta +- sqrt D) / dd`` of one integer quadratic.  With equal
+    ``sign``s, ``b`` crosses the plane of ``a`` along its oriented normal at
+    the ``+`` root and against it at the ``-`` root.  Each point lies inside
+    the disc where some ``x +- y sqrt D`` is negative: a sign decided by
+    comparing ``x^2`` with ``y^2 D``.
+
+    Raises ``ValueError`` for a pair in no general position: coplanar
+    circles, ``b`` tangent to the plane of ``a``, or a point of ``b`` on
+    ``a``.
+    """
+    (na, ca, ra, sa, oa), (nb, cb, rb, sb, ob) = a, b
+    ca, cb = [sb * c for c in ca], [sa * c for c in cb]
+    ra, rb = ra * sb * sb, rb * sa * sa
+    d = _cross(na, nb)
+    if not any(d):
+        # Parallel planes: b misses the plane of a, or lies in it.
+        if _dot(na, _sub(cb, ca)) == 0:
+            raise ValueError("the circles are coplanar")
+        return 0
+    # The line of the two planes: the points (u0 + t d) / dd.
+    dd = _dot(d, d)
+    ka, kb = _dot(na, ca), _dot(nb, cb)
+    u0 = [ka * m + kb * n for m, n in zip(_cross(nb, d), _cross(d, na))]
+    # Along it, dd^2 (|u - centre|^2 - radius^2) = dd t^2 + 2 beta t + gamma
+    # for each circle.
+    pa, pb = ([u - dd * c for u, c in zip(u0, centre)] for centre in (ca, cb))
+    beta_a, beta_b = _dot(d, pa), _dot(d, pb)
+    gamma_a, gamma_b = _dot(pa, pa) - dd * dd * ra, _dot(pb, pb) - dd * dd * rb
+    disc = beta_b * beta_b - dd * gamma_b
+    if disc < 0:
+        return 0  # b misses the plane of a
+    if disc == 0:
+        raise ValueError("the second circle touches the plane of the first")
+    # At b's point t = (-beta_b + e sqrt(disc)) / dd, a's quadratic less b's,
+    # times dd, is x + e y sqrt(disc); b's tangent there has the sign
+    # oa ob e against a's oriented normal.
+    x = dd * (gamma_a - gamma_b) - 2 * beta_b * (beta_a - beta_b)
+    y = 2 * (beta_a - beta_b)
+    count = 0
+    for e in (1, -1):
+        inside = _surd_sign(x, e * y, disc)
+        if inside == 0:
+            raise ValueError("the circles meet")
+        count += e * (inside < 0)
+    return oa * ob * count
+
+
+def _fiber_circle(q, mirror: bool) -> tuple:
+    """The stereographic image from -1 of the fiber through the non-zero
+    integer quaternion ``q`` (of the mirror fibration if ``mirror``), as a
+    circle of :func:`circle_linking`.
+
+    The fiber is the unit circle of the plane span(q, iq), cut out by the
+    hyperplanes ``<jq, p> = 0`` and ``<kq, p> = 0``.  From -1 a hyperplane
+    of normal ``n`` maps to ``n_w (1 - |u|^2) + 2 n_v . u = 0``, so the
+    image lies in the plane ``m . u = 0``, with
+    ``m = (kq)_w (jq)_v - (jq)_w (kq)_v``, and on the sphere of the
+    combination ``(jq)_w jq + (kq)_w kq``.  With ``c = (jq)_w^2 + (kq)_w^2``,
+    that sphere has its centre ``((jq)_w (jq)_v + (kq)_w (kq)_v) / c`` in the
+    plane and the squared radius ``|q|^2 / c``.  The circle's orientation is
+    that of the tangent ``iq`` (``q i`` in the mirror fibration) at
+    ``q / |q|``, a sign in ``Q(sqrt |q|^2)``.  ``m = 0`` exactly when the
+    fiber passes through the pole, which raises ``ValueError``.  (In the
+    mirror fibration ``jq`` and ``kq`` read ``q j`` and ``q k``.)
+    """
+    if mirror:
+        jq, kq, tangent = qmul(q, _J), qmul(q, _K), qmul(q, _I)
+    else:
+        jq, kq, tangent = qmul(_J, q), qmul(_K, q), qmul(_I, q)
+    (a, *alpha), (b, *beta) = jq, kq
+    normal = [b * m - a * n for m, n in zip(alpha, beta)]
+    if not any(normal):
+        raise ValueError("a fiber passes through the pole")
+    c = a * a + b * b
+    centre = [a * m + b * n for m, n in zip(alpha, beta)]
+    norm2 = _dot(q, q)
+    # With s = sqrt(norm2), u = q_v / (s + q_w) and its tangent, scaled by
+    # positive factors: u - centre / c ~ p0 - s centre, u' ~ t0 + s t_v.
+    (qw, *qv), (tw, *tv) = q, tangent
+    p0 = [c * m - qw * g for m, g in zip(qv, centre)]
+    t0 = [qw * m - tw * n for m, n in zip(tv, qv)]
+
+    def turn(u, v):
+        return _dot(normal, _cross(u, v))
+
+    x = turn(p0, t0) - norm2 * turn(centre, tv)
+    y = turn(p0, tv) - turn(centre, t0)
+    return normal, centre, norm2 * c, c, _surd_sign(x, y, norm2)
+
+
+def fiber_circle_linking(q, r, mirror: bool = False) -> int:
+    """Exact linking number of the Hopf fibers through the non-zero integer
+    quaternions ``q`` and ``r``, or with ``mirror`` of the circles
+    ``q (cos theta + i sin theta)`` and ``r (...)`` of the mirror fibration:
+    :func:`circle_linking` of their stereographic images from -1, which
+    keeps the orientation of S^3.
+
+    A degenerate projection (a fiber through -1, or a pair that
+    :func:`circle_linking` rejects) multiplies ``q`` and ``r`` on the right
+    (on the left, in the mirror fibration) by the next of 1, 1 + j and
+    1 + k.  That map is conformal, keeps the orientation of R^4 and carries
+    fibers to fibers, so it moves the pole without changing the linking
+    number.  :class:`VerificationError` once none is left.
+    """
+    for move in _MOVES:
+        moved = (qmul(move, p) if mirror else qmul(p, move) for p in (q, r))
+        try:
+            return circle_linking(*(_fiber_circle(p, mirror) for p in moved))
+        except ValueError as exc:
+            failure = exc
+    raise VerificationError(
+        f"every projection of the fibers through {q} and {r} is degenerate "
+        f"({len(_MOVES)} moves; the last: {failure})"
+    )
+
+
+#: The circles of :func:`unlinked_control`, as :func:`circle_linking` takes
+#: them: the negative control of the exact count.
+UNLINKED_CONTROL = tuple(
+    (_cross(u, v), centre, _dot(u, u), scale, 1) for centre, u, v, scale in _CONTROL
+)
+
+
+# --------------------------------------------------------------------------
 # Stereographic projection
 # --------------------------------------------------------------------------
 
@@ -353,30 +498,17 @@ def stereographic(points, pole) -> list:
     Every point must be a unit vector more than 1e-3 away from the unit
     pole; a point nearer the pole raises :class:`ResamplePole`.
     """
-    points = _columns(points, 4, "expected points of S^3 with 4 coordinates")
-    (images,) = _stereographic([points], pole)
-    return list(zip(*images))
-
-
-def _stereographic(curves: list, pole) -> list:
-    """:func:`stereographic` in column form: the image of each curve of
-    ``curves`` (4 columns each), as 3 columns.  The checks run over all the
-    curves' points before any is projected."""
+    points = list(zip(*_columns(points, 4, "expected points of S^3 with 4 coordinates")))
     e1, e2, e3 = _pole_basis(pole)
     pole = tuple(map(float, pole))
-    if not all(abs(math.hypot(*p) - 1.0) < _UNIT_TOL for curve in curves for p in zip(*curve)):
+    if not all(abs(math.hypot(*p) - 1.0) < _UNIT_TOL for p in points):
         raise ValueError("expected unit vectors")
-    if not min(math.dist(p, pole) for curve in curves for p in zip(*curve)) > 1e-3:
+    if not min(math.dist(p, pole) for p in points) > 1e-3:
         raise ResamplePole("sample too close to the projection pole")
     images = []
-    for curve in curves:
-        xs, ys, zs = array("d"), array("d"), array("d")
-        for p in zip(*curve):
-            scale = 1.0 - _dot(p, pole)
-            xs.append(_dot(p, e1) / scale)
-            ys.append(_dot(p, e2) / scale)
-            zs.append(_dot(p, e3) / scale)
-        images.append((xs, ys, zs))
+    for p in points:
+        scale = 1.0 - _dot(p, pole)
+        images.append((_dot(p, e1) / scale, _dot(p, e2) / scale, _dot(p, e3) / scale))
     return images
 
 
@@ -403,7 +535,7 @@ def hurwitz_units() -> list:
     return units
 
 
-#: The projection poles, in the order in which both linking counts try
+#: The projection poles, in the order in which :func:`choose_pole` tries
 #: them: -1, then the 20 Hurwitz units off the Hopf fiber of -1 in
 #: :func:`hurwitz_units`' order, then +1, +i and -i, which lie on that fiber
 #: and so tend to fail where -1 failed.
@@ -418,10 +550,9 @@ _POLES = (
 
 def choose_pole(curves: Iterable[list]) -> tuple:
     """The projection pole of :func:`fiber_linking`: the first pole of the
-    order that :func:`fiber_polygon_linking` walks (``-1``, the 20 Hurwitz
-    units off its Hopf fiber, then ``+1``, ``+i`` and ``-i``) from which
-    every sample of ``curves`` (sequences of 4-tuples) lies more than 1e-3
-    away.  ``ValueError`` if none does."""
+    order ``-1``, the 20 Hurwitz units off its Hopf fiber, then ``+1``,
+    ``+i`` and ``-i``, from which every sample of ``curves`` (sequences of
+    4-tuples) lies more than 1e-3 away.  ``ValueError`` if none does."""
     curves = list(curves)
     for pole in _POLES:
         if min(math.dist(p, pole) for curve in curves for p in curve) > 1e-3:
@@ -442,11 +573,10 @@ def gauss_linking(a, b) -> float:
     back to the first.  The curves must stay more than 1e-3 apart, and a
     non-finite coordinate fails that check too; the result is a real number
     near an integer (the linking number).  The separation is measured
-    segment to segment by :func:`_closest_within`, the test of the isotopy
-    bound of :func:`polygon_linking` on the same box sweep, and the double
-    sum over the segments runs in :mod:`stemcert._kernels`, both in memory
-    linear in the sample count.  No command runs it: it is the float oracle
-    of :func:`polygon_linking`.
+    segment to segment by :func:`_closest_within`, on a box sweep, and the
+    double sum over the segments runs in :mod:`stemcert._kernels`, both in
+    memory linear in the sample count.  No command runs it: it is the float
+    oracle of :func:`circle_linking`.
     """
     from . import _kernels
 
@@ -457,7 +587,7 @@ def gauss_linking(a, b) -> float:
             raise ValueError("at least 64 samples per curve are required")
         curves.append(columns)
     finite = all(map(math.isfinite, chain(*curves[0], *curves[1])))
-    if not finite or _closest_within(*curves, 1e-3, _spreads(*curves)) is not None:
+    if not finite or _closest_within(*curves, 1e-3) is not None:
         raise ValueError("curves intersect within tolerance (or a sample is not finite)")
     total = _kernels.gauss_linking_sum(*_segments(curves[0]), *_segments(curves[1]))
     return total / (4.0 * math.pi)
@@ -476,190 +606,49 @@ def _segments(curve: tuple):
 
 def fiber_linking(p1, p2, samples: int = 512) -> float:
     """Linking number of the Hopf fibers over two distinct base points,
-    measured after stereographic projection to R^3 from :func:`choose_pole`:
-    the pole that :func:`fiber_polygon_linking` counts from whenever that
-    pole passes the isotopy bound.  Both fibers are projected in one call,
-    on their joined samples, so the result is a function of the inputs
-    alone.  No command runs it: it is the float oracle of
-    :func:`fiber_polygon_linking`."""
+    measured after stereographic projection to R^3 from :func:`choose_pole`.
+    Both fibers are projected in one call, on their joined samples, so the
+    result is a function of the inputs alone.  No command runs it: it is
+    the float oracle of :func:`fiber_circle_linking`."""
     first, second = fiber_curve(p1, samples), fiber_curve(p2, samples)
     projected = stereographic(first + second, choose_pole([first, second]))
     return gauss_linking(projected[:samples], projected[samples:])
 
 
 def unlinked_control(samples: int = 512):
-    """Two unit circles, as lists of ``samples`` 3-tuples each: the first in
-    the plane z = 0 about the origin, the second about ``c = (1.5, 0, 0)``
-    as ``c + cos t (0, 1, 0) + sin t (cos 1, 0, sin 1)``, so tilted by 1
-    radian out of the first's plane, and no term of their Gauss sum vanishes
-    (no segment of one is parallel to a segment of the other).
+    """The two circles of :data:`UNLINKED_CONTROL`, as lists of ``samples``
+    3-tuples each, at evenly spaced ``t``: the unit circle in the plane
+    z = 0, and ``c + cos t (0, 1, 0) + sin t (3/5, 0, 4/5)`` about
+    ``c = (3/2, 0, 0)``.  No term of their Gauss sum vanishes (no segment of
+    one is parallel to a segment of the other).
 
-    The second circle meets the plane z = 0 at ``(1.5, +-1, 0)``, outside
+    The second circle meets the plane z = 0 at ``(3/2, +-1, 0)``, outside
     the first circle's disc, so the pair does not link; yet their xy
     projections cross, with crossings of both signs.  Moved to the centre
-    ``(0.6, 0.5, 0)``, it meets that plane once inside the disc, at
-    ``(0.6, -0.5, 0)``, and the pair links once.
+    ``(3/5, 1/2, 0)``, it meets that plane once inside the disc, at
+    ``(3/5, -1/2, 0)``, and the pair links once.
     """
-    return tuple(list(zip(*curve)) for curve in _unlinked_control(samples))
-
-
-def _unlinked_control(samples: int) -> tuple:
-    """:func:`unlinked_control` in column form."""
-    cx, cy, cz = _CONTROL_CENTRE
-    tilt_c, tilt_s = math.cos(_CONTROL_TILT), math.sin(_CONTROL_TILT)
     cos, sin = _turn(samples)
-    first = (cos, sin, array("d", [0.0]) * samples)
-    second = (
-        array("d", [cx + tilt_c * s for s in sin]),
-        array("d", [cy + c for c in cos]),
-        array("d", [cz + tilt_s * s for s in sin]),
+    return tuple(
+        [
+            tuple((o + c * m + s * n) / scale for o, m, n in zip(centre, u, v))
+            for c, s in zip(cos, sin)
+        ]
+        for centre, u, v, scale in _CONTROL
     )
-    return first, second
 
 
-def control_linking(samples: int = 512) -> int:
-    """:func:`polygon_linking` of the two circles of :func:`unlinked_control`,
-    which do not link: the negative control of the signed crossing count,
-    run on their column form."""
-    return _polygon_linking(*_unlinked_control(samples))
-
-
-# --------------------------------------------------------------------------
-# Signed crossings
-# --------------------------------------------------------------------------
-
-
-def polygon_linking(a, b) -> int:
-    """Linking number of two closed polygons in R^3, exactly: the signed
-    count of the crossings where ``a`` passes over ``b`` in a coordinate
-    projection (D. Rolfsen, *Knots and Links*, ch. 5).
-
-    ``a`` and ``b`` are sequences of 3-tuples whose vertices sample round
-    circles in cyclic order, the last joined back to the first, as
-    :func:`unlinked_control` and the stereographic image of a fiber do.
-    Three checks make the count the linking number of those circles:
-
-    * **Exactness.**  Each float vertex is read as the dyadic rational it
-      is.  A sweep over the segments' projected bounding boxes, which only
-      compares vertex floats, picks every segment pair whose projections
-      can meet; each is decided by exact integer orientation and height
-      tests.
-    * **Degenerate projections.**  A vertex of one polygon on the other in
-      projection, overlapping projected segments, or two segments that
-      meet in R^3 move the count from the projection along z to the one
-      along x, then y; each keeps the orientation of R^3.  If all three are
-      degenerate, :class:`VerificationError` is raised.
-    * **Isotopy.**  Moving each vertex onto its circle and then each chord
-      onto its arc moves no point further than the polygon's largest
-      sagitta plus the vertex error bound (:func:`_circle_slack`).  So while
-      the polygons lie further apart than the sum of those bounds for both,
-      neither passes through the other on the way, and the polygons link as
-      their circles do.  That distance is checked over every segment pair
-      that can come so close, and a failure raises :class:`ResamplePole`.
-
-    Raises ``ValueError`` for polygons whose vertices are not finite points
-    of R^3 on one round circle, in order.
-    """
-    message = "linking is computed for polygons of points in R^3"
-    return _polygon_linking(_columns(a, 3, message), _columns(b, 3, message))
-
-
-def _polygon_linking(a: tuple, b: tuple) -> int:
-    """:func:`polygon_linking` of two polygons in column form."""
-    for polygon in (a, b):
-        if len(polygon[0]) < 3:
-            raise ValueError("a polygon needs at least 3 vertices")
-        if not all(map(math.isfinite, chain(*polygon))):
-            raise ValueError("polygon vertices must be finite")
-    # Rounded up, against the certificate.
-    slack = (_circle_slack(a) + _circle_slack(b)) * (1.0 + 1e-6)
-    spreads = _spreads(a, b)
-    closest = _closest_within(a, b, slack, spreads)
-    if closest is not None:
-        raise ResamplePole(
-            f"isotopy bound fails: the polygons come {closest:.3g} apart, within "
-            f"{slack:.3g}, the sum of their sagittas and vertex error bounds"
-        )
-    for axis in (2, 0, 1):
-        signs = _crossings(a, b, axis, spreads)
-        if signs is not None:
-            return sum(signs)
-    raise VerificationError("every coordinate projection of the two polygons is degenerate")
-
-
-def _circle_slack(polygon: tuple) -> float:
-    """How far the straight-line homotopies that carry the closed polygon
-    ``polygon`` (in column form) onto the round circle it samples move any
-    point, at most: the largest sagitta ``(L + 2 e)^2 / 4R`` of a chord of
-    length ``L``, plus the vertex error bound ``e``.
-
-    The circle is the one through three well-spread vertices: the first,
-    the vertex farthest from it and the vertex farthest from the line
-    through those two.  Every vertex must lie within ``e`` of it, where
-    ``e = _VERTEX_ERROR * max(1, |centre| + R)``, or ``ValueError`` is
-    raised.  The vertices must go round the circle once, in one direction,
-    by steps of at most a quarter turn; so each edge is the chord of the arc
-    between its ends that holds no other vertex, and its sagitta is below
-    ``L^2 / 4R``.  A polygon that does not raises :class:`ResamplePole`.
-    The float rounding of this bound is far below ``e``.
-    """
-    first = _vertex(polygon, 0)
-    fx, fy, fz = first
-    far = max(zip(*polygon), key=lambda p: math.dist(p, first))
-    u = ux, uy, uz = far[0] - fx, far[1] - fy, far[2] - fz
-
-    def off_line(p) -> float:
-        dx, dy, dz = p[0] - fx, p[1] - fy, p[2] - fz
-        return (dy * uz - dz * uy) ** 2 + (dz * ux - dx * uz) ** 2 + (dx * uy - dy * ux) ** 2
-
-    third = max(zip(*polygon), key=off_line)
-    v = third[0] - fx, third[1] - fy, third[2] - fz
-    w = _cross(u, v)
-    w2 = _dot(w, w)
-    if not w2 > 0.0:
-        raise ValueError("polygon vertices must lie on a round circle")
-    uu, vv = _dot(u, u), _dot(v, v)
-    offset = [(uu * c + vv * d) / (2.0 * w2) for c, d in zip(_cross(v, w), _cross(w, u))]
-    cx, cy, cz = fx + offset[0], fy + offset[1], fz + offset[2]
-    radius = math.hypot(*offset)
-    nx, ny, nz = (c / math.sqrt(w2) for c in w)
-    ax, ay, az = (c / radius for c in offset)  # a unit vector in the circle's plane
-    bx, by, bz = ny * az - nz * ay, nz * ax - nx * az, nx * ay - ny * ax
-    error = _VERTEX_ERROR * max(1.0, math.hypot(cx, cy, cz) + radius)
-
-    # Each vertex in the circle's plane, in the basis (a, b).
-    along, across = array("d"), array("d")
-    for x, y, z in zip(*polygon):
-        dx, dy, dz = x - cx, y - cy, z - cz
-        h = dx * nx + dy * ny + dz * nz
-        dx, dy, dz = dx - h * nx, dy - h * ny, dz - h * nz
-        if not (abs(h) <= error and abs(math.hypot(dx, dy, dz) - radius) <= error):
-            raise ValueError("polygon vertices must lie on a round circle")
-        along.append(dx * ax + dy * ay + dz * az)
-        across.append(dx * bx + dy * by + dz * bz)
-    # Signed turns, as (cross, dot) of consecutive vertices about the centre.
-    consecutive = (along, across, along[1:] + along[:1], across[1:] + across[:1])
-    crosses = array("d", [x0 * y1 - y0 * x1 for x0, y0, x1, y1 in zip(*consecutive)])
-    dots = array("d", [x0 * x1 + y0 * y1 for x0, y0, x1, y1 in zip(*consecutive)])
-    direction = 1.0 if crosses[0] > 0.0 else -1.0
-    if not (
-        all(direction * cross > 0.0 and dot >= 0.0 for cross, dot in zip(crosses, dots))
-        and abs(math.fsum(map(math.atan2, crosses, dots))) < 3.0 * math.pi
-    ):
-        raise ResamplePole("the polygon does not go once round its circle by short steps")
-    ends = zip(*(column[1:] + column[:1] for column in polygon))
-    chord = max(map(math.dist, zip(*polygon), ends))
-    return (chord + 2.0 * error) ** 2 / (4.0 * radius) + error
-
-
-def _closest_within(a: tuple, b: tuple, gap: float, spreads: tuple):
+def _closest_within(a: tuple, b: tuple, gap: float):
     """The distance of some segment of the closed polygon ``a`` from some
     segment of ``b`` (both in column form) that is at most ``gap``, or None
     if every pair lies further apart.  Only pairs whose bounding boxes meet,
     once those of ``a`` are widened by ``2 gap`` (twice, so that rounding
     cannot narrow them below ``gap``), are measured, in a sweep along the
-    coordinate of the largest of the polygons' ``spreads``."""
-    xyz = _widest_first((0, 1, 2), spreads)
+    coordinate on which the two polygons' vertices spread widest (the first
+    of equals)."""
+    spreads = [max(max(p), max(q)) - min(min(p), min(q)) for p, q in zip(a, b)]
+    widest = spreads.index(max(spreads))
+    xyz = (widest, *(k for k in range(3) if k != widest))
     for i, j in _overlapping(a, b, xyz, 2.0 * gap):
         distance = _segment_distance(
             _vertex(a, i - 1), _vertex(a, i), _vertex(b, j - 1), _vertex(b, j)
@@ -696,89 +685,28 @@ def _segment_distance(p0, p1, q0, q1) -> float:
     )
 
 
-def _crossings(a: tuple, b: tuple, axis: int, spreads: tuple):
-    """The signs of the crossings where the closed polygon ``a`` passes over
-    ``b`` (both in column form), seen down coordinate ``axis`` (the height)
-    onto the next two coordinates in cyclic order; None if that projection
-    is degenerate.
-
-    Segment pairs whose projected bounding boxes meet are the candidates,
-    found by a sweep along the one of the two coordinates with the larger
-    of the polygons' ``spreads``, and each is decided exactly on the dyadic
-    rationals of its vertices: a crossing needs each segment's ends
-    strictly on either side of the other's line, and its sign is that of
-    the cross product of ``a``'s direction with ``b``'s, as the right-hand
-    rule gives it.
-    """
-    u, v = (axis + 1) % 3, (axis + 2) % 3
-    uv = _widest_first((u, v), spreads)
-    # The projected coordinates, then the height.
-    a_uvh, b_uvh = (a[u], a[v], a[axis]), (b[u], b[v], b[axis])
-    signs = []
-    for i, j in _overlapping(a, b, uv):
-        ends = ((a_uvh, i - 1), (a_uvh, i), (b_uvh, j - 1), (b_uvh, j))
-        ax0, ay0, az0, ax1, ay1, az1, bx0, by0, bz0, bx1, by1, bz1 = _integers(
-            [column[n] for columns, n in ends for column in columns]
-        )
-        # Each end of one segment against the line of the other.
-        dax, day, dbx, dby = ax1 - ax0, ay1 - ay0, bx1 - bx0, by1 - by0
-        o1 = dax * (by0 - ay0) - day * (bx0 - ax0)
-        o2 = dax * (by1 - ay0) - day * (bx1 - ax0)
-        o3 = dbx * (ay0 - by0) - dby * (ax0 - bx0)
-        o4 = dbx * (ay1 - by0) - dby * (ax1 - bx0)
-        if o1 * o2 > 0 or o3 * o4 > 0:
-            continue
-        if not (o1 * o2 < 0 and o3 * o4 < 0):
-            return None  # touching or collinear in projection
-        # The heights there, a's at o3 / (o3 - o4) of its way and b's at
-        # o1 / (o1 - o2), compared over their common denominator.
-        over = (o3 * az1 - o4 * az0) * (o1 - o2) - (o1 * bz1 - o2 * bz0) * (o3 - o4)
-        if over == 0:
-            return None  # the segments meet in R^3
-        if (over > 0) == ((o3 - o4 > 0) == (o1 - o2 > 0)):
-            # o2 - o1 is the cross product of the two directions.
-            signs.append(_CROSSING_SIGN if o2 > 0 else -_CROSSING_SIGN)
-    return signs
-
-
-def _spreads(a: tuple, b: tuple) -> tuple:
-    """How widely the vertices of the curves ``a`` and ``b`` (in column
-    form) spread on each coordinate: the width of their joint range."""
-    return tuple(max(max(p), max(q)) - min(min(p), min(q)) for p, q in zip(a, b))
-
-
-def _widest_first(coords: tuple, spreads: tuple) -> tuple:
-    """``coords`` with the one of largest ``spreads`` moved to the front
-    (the first of equals), so that the sweep of :func:`_overlapping` runs
-    along it."""
-    widest = max(coords, key=spreads.__getitem__)
-    return (widest, *(k for k in coords if k != widest))
-
-
-def _overlapping(a: tuple, b: tuple, coords: tuple, widen: float = 0.0):
+def _overlapping(a: tuple, b: tuple, xyz: tuple, widen: float = 0.0):
     """The index pairs ``(i, j)`` for which the closed bounding box of
     segment ``i`` of the closed polygon ``a``, widened by ``widen`` on every
-    side, meets that of segment ``j`` of ``b`` on the coordinates
-    ``coords``.  Both polygons are in column form, and segment ``i`` joins
-    vertex ``i - 1`` to vertex ``i``.
+    side, meets that of segment ``j`` of ``b``.  Both polygons are in column
+    form in R^3, and segment ``i`` joins vertex ``i - 1`` to vertex ``i``.
 
-    A sweep along ``coords[0]``, which every caller makes the coordinate on
-    which its curves spread widest (:func:`_widest_first`), so that curves
-    in a plane x = const (or y, z = const) do not enter all at once: the
-    boxes enter in the order of their lower ends there, by one stable sort
-    of both polygons' lower ends, ``a``'s first (so ties go to ``a``, then
-    by index), and each is tested against the boxes of the other polygon
-    that are still open there.  Only the lower ends on the sweep coordinate
-    are stored for every segment, to sort them; a box is read from the
-    vertex columns when it enters and kept while it is open.  The pairs are
-    yielded as they are found.  It only compares the floats it is given, so
-    no pair is lost to rounding.  This is the package's one search for
-    nearby curve elements.
+    A sweep along coordinate ``xyz[0]`` (``xyz`` orders the three), which
+    :func:`_closest_within` makes the one on which its curves spread widest,
+    so that curves in a plane x = const (or y, z = const) do not enter all
+    at once: the boxes enter in the order of their lower ends there, by one
+    stable sort of both polygons' lower ends, ``a``'s first (so ties go to
+    ``a``, then by index), and each is tested against the boxes of the other
+    polygon that are still open there.  Only the lower ends on the sweep
+    coordinate are stored for every segment, to sort them; a box is read
+    from the vertex columns when it enters and kept while it is open.  The
+    pairs are yielded as they are found.  It only compares the floats it is
+    given, so no pair is lost to rounding.
     """
     polygons, widths = (a, b), (widen, 0.0)
     starts = array("d")
     for polygon, width in zip(polygons, widths):
-        column = polygon[coords[0]]
+        column = polygon[xyz[0]]
         starts.extend(lo - width for lo in map(min, chain(column[-1:], column), column))
     count = len(a[0])
     open_boxes = [[], []]
@@ -786,9 +714,9 @@ def _overlapping(a: tuple, b: tuple, coords: tuple, widen: float = 0.0):
         side = int(event >= count)
         start, index = starts[event], event - side * count
         polygon, width = polygons[side], widths[side]
-        # The box as (index, lo, hi, lo, hi, ...), on the coordinates in turn.
+        # The box as (index, lo, hi, lo, hi, lo, hi), on the coordinates in turn.
         box = [index]
-        for k in coords:
+        for k in xyz:
             lo, hi = polygon[k][index - 1], polygon[k][index]
             if lo > hi:
                 lo, hi = hi, lo
@@ -799,7 +727,8 @@ def _overlapping(a: tuple, b: tuple, coords: tuple, widen: float = 0.0):
             if (
                 box[3] <= other[4]
                 and other[3] <= box[4]
-                and (len(box) == 5 or (box[5] <= other[6] and other[5] <= box[6]))
+                and box[5] <= other[6]
+                and other[5] <= box[6]
             ):
                 yield (index, other[0]) if side == 0 else (other[0], index)
         if not still:
@@ -807,48 +736,6 @@ def _overlapping(a: tuple, b: tuple, coords: tuple, widen: float = 0.0):
             # boxes would pile up until it has: drop them here.
             open_boxes[side] = [mine for mine in open_boxes[side] if mine[2] >= start]
         open_boxes[side].append(box)
-
-
-def _integers(values: list) -> list:
-    """Finite floats as integers over one common power-of-two denominator,
-    so that every sign test on them is exact."""
-    ratios = [x.as_integer_ratio() for x in values]
-    scale = max(d for _, d in ratios)
-    return [n * (scale // d) for n, d in ratios]
-
-
-def _sub(p, q) -> tuple:
-    return tuple(a - b for a, b in zip(p, q))
-
-
-def _cross(p, q) -> tuple:
-    return (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0])
-
-
-def fiber_polygon_linking(p1, p2, samples: int = 512) -> int:
-    """Exact linking number of the Hopf fibers over two distinct base
-    points: :func:`polygon_linking` of their stereographic images, whose
-    vertices are ``samples`` points of each fiber.
-
-    Stereographic projection keeps the orientation of S^3 and carries each
-    fiber to a round circle.  The poles are tried in the order that
-    :func:`choose_pole` walks for the float oracle: ``-1``, then the 20
-    Hurwitz units off the Hopf fiber of ``-1`` in :func:`hurwitz_units`'
-    order, then ``+1``, ``+i`` and ``-i``, which lie on that fiber and so
-    tend to fail where it failed.  A pole is passed over where a sample
-    comes within 1e-3 of it or the polygons fail the isotopy bound from it,
-    and :class:`VerificationError` is raised once none passes.  The answer
-    is a function of the two base points and ``samples`` alone.
-    """
-    fibers = [_fiber(p1, samples), _fiber(p2, samples)]
-    for pole in _POLES:
-        try:
-            return _polygon_linking(*_stereographic(fibers, pole))
-        except ResamplePole as exc:
-            # Only the message: the exception's traceback would keep this
-            # pole's polygons alive while the next one is tried.
-            failure = str(exc)
-    raise VerificationError(f"the isotopy bound fails from every pole (the last: {failure})")
 
 
 def random_sphere_point(rng: random.Random) -> tuple:

@@ -51,7 +51,7 @@ ORACLES = {
     "stemcert._kernels.get_backend": "names the kernel implementation in benchmark provenance",
     "stemcert.hopf.gauss_linking": (
         "the float Gauss-integral oracle of criterion 10, against which "
-        "polygon_linking's signed crossings are checked"
+        "circle_linking's disc crossings are checked"
     ),
     "stemcert.hopf.fiber_linking": (
         "the float Gauss-integral oracle of criterion 10 for a pair of fibers"
@@ -65,15 +65,16 @@ ORACLES = {
     "stemcert.hopf.choose_pole": (
         "the projection pole of fiber_linking, the float oracle of criterion 10"
     ),
-    # linking runs the column form of these four; each is a tuple view of
-    # it, and the tests read the curves and counts through them.
-    "stemcert.hopf.fiber_curve": "the tuple view of the fiber samples fiber_polygon_linking takes",
-    "stemcert.hopf.stereographic": "the tuple view of the projection fiber_polygon_linking runs",
-    "stemcert.hopf.polygon_linking": (
-        "the tuple view of the signed crossing count that fiber_polygon_linking "
-        "and control_linking run"
+    # linking counts the round circles exactly; these sample them for the
+    # float oracle.
+    "stemcert.hopf.base_point": (
+        "the float base point of an integer fiber, where fiber_linking, the float oracle, samples it"
     ),
-    "stemcert.hopf.unlinked_control": "the tuple view of the circles control_linking counts",
+    "stemcert.hopf.fiber_curve": "the fiber samples of fiber_linking, the float oracle",
+    "stemcert.hopf.stereographic": "the projection of fiber_linking, the float oracle",
+    "stemcert.hopf.unlinked_control": (
+        "samples of the circles UNLINKED_CONTROL gives circle_linking, for the float oracle"
+    ),
     # The so3 loop builders check their arguments once per loop and build
     # each sample by the arithmetic of these point functions, which
     # tests/test_so3.py checks them against.

@@ -3,7 +3,6 @@
 import hashlib
 import importlib.metadata
 import json
-import math
 import os
 import re
 import shlex
@@ -11,7 +10,6 @@ import shutil
 import subprocess
 import sys
 import time
-from array import array
 from itertools import permutations
 from pathlib import Path
 
@@ -276,7 +274,8 @@ ARGPARSE_MODULES = {"argparse", "gettext", "locale"}
                 {"stemcert.jorder", "stemcert.reports", "stemcert.exact"},
             ),
             (["report", "--stem", "3"], {"stemcert.so3", "stemcert.hopf"}),
-            (["--samples", "256", "linking", "--trials", "1"], EXACT_LAYERS),
+            # The exact circle count runs on Python ints alone.
+            (["--samples", "256", "linking", "--trials", "1"], EXACT_LAYERS | {"fractions", "decimal"}),
         ]
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else None,
@@ -596,7 +595,7 @@ def test_linking_command_certifies(capsys):
     assert blob["max_deviation"] == 0.0
     assert len(blob["trials"]) == 3
     # Each trial is the exact sign of a non-zero integer determinant; the
-    # first pair's signed crossings count that sign and its mirror pair has
+    # first pair's disc crossings count that sign and its mirror pair has
     # the other.
     assert all(type(det) is int and det != 0 for det in blob["determinants"])
     assert blob["trials"] == [1 if det > 0 else -1 for det in blob["determinants"]]
@@ -649,24 +648,24 @@ def test_linking_json_records_the_pair_behind_each_determinant(capsys):
     assert leibniz_determinant([q, right[0], r, right[1]]) == blob["mirror_determinant"]
 
 
-def moved_through_the_disc(first, second):
-    """The unlinked control, in the column form ``linking`` counts it in,
-    with its second circle moved from (1.5, 0, 0) to (0.6, 0.5, 0), through
-    the first circle's disc."""
-    xs, ys, zs = second
-    return first, (array("d", [x - 0.9 for x in xs]), array("d", [y + 0.5 for y in ys]), zs)
+#: The unlinked control with its second circle moved from the centre
+#: (3/2, 0, 0) to (3/5, 1/2, 0), through the first circle's disc.
+MOVED_CONTROL = (
+    ((0, 0, 1), (0, 0, 0), 1, 1, 1),
+    ((80, 0, -60), (6, 5, 0), 100, 10, 1),
+)
 
 
 @pytest.mark.parametrize(
     "name,tamper,message",
     [
-        ("_CROSSING_SIGN", lambda real: -real, "the reference crossing count is -1"),
+        ("circle_linking", lambda real: lambda a, b: -real(a, b), "the reference crossing count is -1"),
+        ("UNLINKED_CONTROL", lambda real: MOVED_CONTROL, "unlinked control reads -1"),
         (
-            "_unlinked_control",
-            lambda real: lambda samples: moved_through_the_disc(*real(samples)),
-            "unlinked control reads -1",
+            "fiber_circle_linking",
+            lambda real: lambda q, r, mirror=False: real(q, r),
+            "the mirror crossing count is +1, not -1",
         ),
-        ("_circle_slack", lambda real: lambda points: 1e3, "the isotopy bound fails from every pole"),
         ("mirror_determinant", lambda real: lambda q, r: -real(q, r), "is not negative"),
         # r = q i: the pair lies on one circle of the mirror fibration.
         ("draw_fiber_pair", lambda real: lambda rng: ((1, 0, 1, 0), (0, 1, 0, -1)), "mirror determinant 0"),
@@ -676,7 +675,7 @@ def moved_through_the_disc(first, second):
     ids=[
         "crossing-sign",
         "control-through-disc",
-        "isotopy-every-pole",
+        "mirror-count",
         "mirror-positive",
         "mirror-zero",
         "zero-determinant",
@@ -689,6 +688,37 @@ def test_linking_exits_three_on_a_tampered_certificate(capsys, monkeypatch, name
     code, out, err = run_cli(capsys, "--samples", "64", "linking", "--trials", "2")
     assert (code, out) == (3, "")
     assert message in err
+
+
+def test_linking_exits_three_once_every_move_leaves_the_projection_degenerate(
+    capsys, monkeypatch
+):
+    # Seed 23's first pair: r = (3, -2, 0, 0) lies on the fiber through the
+    # pole -1, so the count needs the move by 1 + j, which is taken away.
+    from stemcert import hopf
+
+    code, out, err = run_cli(capsys, "--json", "--seed", "23", "linking", "--trials", "1")
+    assert code == 0, err
+    assert json.loads(out)["pairs"] == [[[6, -2, -5, -6], [3, -2, 0, 0]]]
+    monkeypatch.setattr(hopf, "_MOVES", ((1, 0, 0, 0),))
+    code, out, err = run_cli(capsys, "--seed", "23", "linking", "--trials", "1")
+    assert (code, out) == (3, "")
+    assert err == (
+        "verification failure: every projection of the fibers through (6, -2, -5, -6) and "
+        "(3, -2, 0, 0) is degenerate (1 moves; the last: a fiber passes through the pole)\n"
+    )
+
+
+def test_linking_json_depends_on_samples_only_through_its_echo(capsys):
+    # No certificate reads --samples; it is accepted within its bounds and
+    # echoed back.
+    blobs = []
+    for samples in ("64", "4096"):
+        code, out, err = run_cli(capsys, "--json", "--seed", "5", "--samples", samples, "linking")
+        assert (code, err) == (0, "")
+        blobs.append(json.loads(out))
+    assert [blob.pop("samples") for blob in blobs] == [64, 4096]
+    assert blobs[0] == blobs[1]
 
 
 def test_linking_rejects_zero_trials(capsys):
@@ -735,7 +765,7 @@ def test_linking_rejects_samples_below_the_floor_before_sampling(capsys):
         (("thom", "--family", "quaternionic", "--n", "1", "--mult", "{}"), "--mult", 100000),
         (("thom", "--family", "complex", "--n", "1", "--mult", "1", "--suspend", "{}"), "--suspend", 100000),
         (("lift", "--loop", "gamma", "--steps", "{}"), "--steps", 65536),
-        # 1000 integer trials and two crossing counts at 128 samples take about 0.03 s.
+        # 1000 integer trials and three exact circle counts take about 0.03 s.
         (("--samples", "128", "linking", "--trials", "{}"), "--trials", 1000),
     ],
     ids=[
@@ -859,26 +889,23 @@ def test_malformed_values_cover_every_subcommand():
     assert covered == subcommands
 
 
-@pytest.mark.parametrize("seed,retries", [("0", False), ("10", True)])
-def test_linking_counts_the_same_polygon_pairs_whatever_its_trial_count(
-    capsys, monkeypatch, seed, retries
+@pytest.mark.parametrize("seed,moved", [("0", False), ("23", True)])
+def test_linking_counts_the_same_circle_pairs_whatever_its_trial_count(
+    capsys, monkeypatch, seed, moved
 ):
-    # The trials are integer determinants; only the reference pair and the
-    # unlinked control are counted as polygons of --samples vertices, so
-    # --samples alone bounds the run and --trials is capped only by its own
-    # limit.  The reference pair is counted once per pole tried, in a fixed
-    # order: at seed 10 its 64-gons fail the isotopy bound from -1, and
-    # --trials changes that number no more than at seed 0, where -1 passes.
+    # The trials are integer determinants; only the first pair's fibers, in
+    # both fibrations, are projected to circles, so that work does not grow
+    # with --trials.  At seed 23 the first pair needs a move, and --trials
+    # changes that no more than at seed 0.
     from stemcert import hopf
 
-    polygon_linking = hopf._polygon_linking
+    fiber_circle = hopf._fiber_circle
 
-    def counted(a, b):
-        # Both polygons in column form: the length of a coordinate column.
-        calls.append((len(a[0]), len(b[0])))
-        return polygon_linking(a, b)
+    def counted(q, mirror):
+        calls.append(None)
+        return fiber_circle(q, mirror)
 
-    monkeypatch.setattr(hopf, "_polygon_linking", counted)
+    monkeypatch.setattr(hopf, "_fiber_circle", counted)
     counts = {}
     for trials in ("1", "1000"):
         calls = []
@@ -887,7 +914,7 @@ def test_linking_counts_the_same_polygon_pairs_whatever_its_trial_count(
         )
         assert code == 0, err
         assert len(json.loads(out)["determinants"]) == int(trials)
-        assert set(calls) == {(64, 64)} and (len(calls) > 2) == retries
+        assert (len(calls) > 4) == moved
         counts[trials] = len(calls)
     assert counts["1"] == counts["1000"]
 
@@ -941,9 +968,9 @@ def test_linking_json_is_byte_identical_to_the_recorded_digests(capsys):
 
 
 def test_linking_at_both_caps_runs_within_its_time_bound(capsys):
-    # Two crossing counts of 4096-gons and 1000 determinants: about 0.2 s in
-    # this process on a 2-vCPU x86-64 VM.  The bound leaves room for a
-    # loaded machine.
+    # Three exact circle counts and 1000 determinants: about 0.03 s in this
+    # process on a 2-vCPU x86-64 VM.  The bound leaves room for a loaded
+    # machine.
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "--json", "--samples", "4096", "linking", "--trials", "1000")
     elapsed = time.perf_counter() - start
@@ -989,29 +1016,9 @@ def test_linking_runs_in_one_process(capsys, monkeypatch):
     assert code == 0, err
 
 
-def linked_circles(samples=512):
-    """A unit circle in the xy-plane and one through its disc, in the
-    xz-plane: linking number +-1."""
-    theta = [2.0 * math.pi * k / samples for k in range(samples)]
-    return (
-        [(math.cos(t), math.sin(t), 0.0) for t in theta],
-        [(1.0 + math.cos(t), 0.0, math.sin(t)) for t in theta],
-    )
-
-
-def touching_circles(samples=512):
-    """One unit circle, twice."""
-    circle = linked_circles(samples)[0]
-    return circle, list(circle)
-
-
-def in_columns(curves):
-    """``curves``, a function of the sample count that returns two lists of
-    points, made to return them in the column form that ``linking`` counts
-    its unlinked control in."""
-    return lambda samples: tuple(
-        tuple(array("d", column) for column in zip(*curve)) for curve in curves(samples)
-    )
+#: A unit circle in the xy-plane and one through its disc, in the xz-plane:
+#: linking number +-1.
+LINKED_CIRCLES = (((0, 0, 1), (0, 0, 0), 1, 1, 1), ((0, -1, 0), (1, 0, 0), 1, 1, 1))
 
 
 def refuse(*args, **kwargs):
@@ -1021,22 +1028,15 @@ def refuse(*args, **kwargs):
 @pytest.mark.parametrize(
     "name,replacement,code,message",
     [
-        ("fiber_polygon_linking", refuse, 2, "error: no reference\n"),
+        ("fiber_circle_linking", refuse, 2, "error: no reference\n"),
         (
-            "_unlinked_control",
-            in_columns(linked_circles),
+            "UNLINKED_CONTROL",
+            LINKED_CIRCLES,
             3,
             "verification failure: linking certificate failed: unlinked control reads ",
         ),
-        (
-            "_unlinked_control",
-            in_columns(touching_circles),
-            3,
-            "verification failure: linking certificate failed: unlinked control: "
-            "isotopy bound fails",
-        ),
     ],
-    ids=["reference-error", "linked-control", "touching-control"],
+    ids=["reference-error", "linked-control"],
 )
 def test_linking_errors_exit_with_their_own_codes(capsys, monkeypatch, name, replacement, code, message):
     from stemcert import hopf

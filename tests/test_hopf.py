@@ -5,17 +5,16 @@ The rotations, the ball model and loop lifting are :mod:`stemcert.so3`'s and
 are imported from there; :mod:`stemcert.hopf` supplies the quaternion
 oracles ``qmul``, ``hopf_map`` and ``rot_from_quat``, which take and return
 plain tuples, the integer fiber certificates, and the sampled curves, which
-are lists of distinct samples.  The private helpers take curves in column
-form, one array of floats per coordinate (:func:`columns`).  numpy serves
-only as the full-array float oracle of the Gauss sum, in the tests that
-import it.
+are lists of distinct samples.  The private helpers of the float oracle
+take curves in column form, one array of floats per coordinate
+(:func:`columns`); the exact count takes round circles as tuples of
+integers.  numpy serves only as the full-array float oracle of the Gauss
+sum, in the tests that import it.
 """
 
 import math
 import random
-import time
 import tracemalloc
-import weakref
 from array import array
 from itertools import permutations
 
@@ -26,19 +25,20 @@ from hypothesis import strategies as st
 from stemcert import _kernels, hopf
 from stemcert.errors import ResamplePole, VerificationError
 from stemcert.hopf import (
+    UNLINKED_CONTROL,
     base_point,
     choose_pole,
+    circle_linking,
     draw_fiber_pair,
+    fiber_circle_linking,
     fiber_curve,
     fiber_determinant,
     fiber_linking,
-    fiber_polygon_linking,
     gauss_linking,
     hopf_map,
     hurwitz_units,
     linking_number,
     mirror_determinant,
-    polygon_linking,
     qmul,
     random_sphere_point,
     rot_from_quat,
@@ -114,13 +114,6 @@ def columns(points):
     private helpers of :mod:`stemcert.hopf` take: one array of floats per
     coordinate."""
     return tuple(array("d", column) for column in zip(*points))
-
-
-def crossings(a, b, axis):
-    """``hopf._crossings`` of two polygons given as lists of points, with
-    the sweep axes that ``polygon_linking`` picks for them."""
-    a, b = columns(a), columns(b)
-    return hopf._crossings(a, b, axis, hopf._spreads(a, b))
 
 
 def projected_pair(p1, p2, samples):
@@ -371,18 +364,12 @@ def test_choose_pole_default_and_fallback():
     through_pole = fiber_curve([1.0, 0.0, 0.0], samples=256)
     pole = choose_pole([through_pole])
     assert min(math.dist(p, pole) for p in through_pole) > 1e-3
-
-
-def test_both_linking_counts_walk_one_pole_order():
     # -1, then the 20 Hurwitz units off its Hopf fiber in hurwitz_units()
-    # order, then +1, +i and -i, which lie on that fiber.
+    # order, then +1, +i and -i, which lie on that fiber: the fiber over i
+    # passes through all four, and j, second in the order, clears it.
     off_fiber = [u for u in hurwitz_units() if u[2:] != (0.0, 0.0)]
-    assert len(off_fiber) == 20
     assert hopf._POLES == (MINUS_ONE, *off_fiber, ONE, I, negate(I))
-    # The fiber over i passes through -1, +1, +i and -i; the second pole of
-    # the order, j, clears it.
-    through_pole = fiber_curve([1.0, 0.0, 0.0], samples=256)
-    assert choose_pole([through_pole]) == hopf._POLES[1] == J
+    assert pole == J
 
 
 @pytest.mark.parametrize(
@@ -392,33 +379,6 @@ def test_fiber_linking_is_a_function_of_its_inputs(p1, p2):
     # The first pair passes through -1 and so projects from a later pole.
     first = fiber_linking(p1, p2, samples=128)
     assert all(fiber_linking(p1, p2, samples=128) == first for _ in range(3))
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_fiber_linking_projects_from_the_pole_the_exact_count_counts_from(monkeypatch, seed):
-    # Each pole that either count projects from is recorded; the exact count
-    # returns from the last one it tries.
-    rng = random.Random(seed)
-    pairs = [([1.0, 0.0, 0.0], random_sphere_point(rng))]
-    pairs += [(random_sphere_point(rng), random_sphere_point(rng)) for _ in range(2)]
-    tried = []
-    project = hopf._stereographic
-
-    def recording(curves, pole):
-        tried.append(tuple(pole))
-        return project(curves, pole)
-
-    monkeypatch.setattr(hopf, "_stereographic", recording)
-    counted = []
-    for p1, p2 in pairs:
-        tried.clear()
-        fiber_polygon_linking(p1, p2, samples=256)
-        counted.append(tried[-1])
-        tried.clear()
-        fiber_linking(p1, p2, samples=256)
-        assert tried == counted[-1:]
-    # The fiber over [1, 0, 0] passes through -1: both move on from it.
-    assert counted[0] != MINUS_ONE
 
 
 def test_every_pole_basis_is_oriented_alike():
@@ -614,9 +574,9 @@ def test_fiber_linking_hands_the_kernels_one_row_per_sample(monkeypatch, samples
     rows = []
     closest_within = hopf._closest_within
 
-    def record_curves(a, b, gap, spreads):
+    def record_curves(a, b, gap):
         rows.extend(len(curve[0]) for curve in (a, b))
-        return closest_within(a, b, gap, spreads)
+        return closest_within(a, b, gap)
 
     def record_arrays(*arrays):
         rows.extend(map(len, arrays))
@@ -719,7 +679,7 @@ def test_separation_sweep_agrees_with_the_walk_over_every_pair(seed):
     for a, b in pairs:
         walked = walked_distance(a, b)
         a, b = columns(a), columns(b)
-        swept = hopf._closest_within(a, b, 1e-3, hopf._spreads(a, b))
+        swept = hopf._closest_within(a, b, 1e-3)
         assert (swept is None) == (walked > 1e-3), (walked, swept)
         if swept is not None:
             assert walked <= swept <= 1e-3  # one of the pairs walked
@@ -744,263 +704,212 @@ def test_separation_sweep_spreads_curves_in_a_plane_x_const(monkeypatch):
 
     monkeypatch.setattr(hopf, "_segment_distance", counted)
     inner, outer = columns(inner), columns(outer)
-    assert hopf._closest_within(inner, outer, 1e-3, hopf._spreads(inner, outer)) is None
+    assert hopf._closest_within(inner, outer, 1e-3) is None
     assert len(measured) < 50 * samples
 
 
 # --------------------------------------------------------------------------
-# Signed crossings
+# Exact circle count
 # --------------------------------------------------------------------------
 
 
-def circle(centre, u, v, samples):
-    """``samples`` points of ``centre + cos t u + sin t v``, the quarter
-    turns exact: a cosine or sine below 1e-15 is read as 0."""
+def span_circle(centre, u, v, scale):
+    """The circle ``(centre + cos t u + sin t v) / scale`` of integer
+    vectors ``u`` and ``v``, orthogonal and of equal length, as
+    :func:`circle_linking` takes it."""
+    return (hopf._cross(u, v), centre, hopf._dot(u, u), scale, 1)
+
+
+def span_samples(centre, u, v, scale, samples=512):
+    """``samples`` points of the same circle, for the float oracle."""
     points = []
     for k in range(samples):
-        t = 2.0 * math.pi * k / samples
-        c, s = (x if abs(x) > 1e-15 else 0.0 for x in (math.cos(t), math.sin(t)))
-        points.append(tuple(o + c * a + s * b for o, a, b in zip(centre, u, v)))
+        c, s = math.cos(2.0 * math.pi * k / samples), math.sin(2.0 * math.pi * k / samples)
+        points.append(tuple((o + c * a + s * b) / scale for o, a, b in zip(centre, u, v)))
     return points
 
 
-@pytest.mark.parametrize("samples", [64, 128, 512, 1024, 4096])
-def test_unlinked_control_crosses_with_both_signs_and_sums_to_zero(samples):
-    # The xy projections of the control cross, so its 0 is a sum of signed
-    # crossings that cancel, not an empty candidate set.
-    first, second = unlinked_control(samples)
-    signs = crossings(first, second, 2)
-    assert sorted(set(signs)) == [-1, 1]
-    assert polygon_linking(first, second) == 0
-    # Moved through the disc, the same circle links once, with the sign of
-    # the float Gauss sum.
-    moved = moved_through_the_disc(second)
-    link = polygon_linking(first, moved)
-    assert abs(link) == 1
-    assert link == round(gauss_linking(first, moved))
+def reversed_circle(circle):
+    return (*circle[:4], -circle[4])
 
 
-@pytest.mark.parametrize("samples", [64, 128, 512, 4096])
-def test_fiber_crossings_have_the_sign_of_the_determinant(samples):
-    rng = random.Random(samples)
-    for _ in range(6 if samples < 4096 else 2):
+#: The unlinked control's second circle moved from the centre (3/2, 0, 0) to
+#: (3/5, 1/2, 0), through the first circle's disc.
+MOVED = ((6, 5, 0), (0, 10, 0), (6, 0, 8), 10)
+
+
+def test_surd_signs_are_exact():
+    rng = random.Random(3)
+    for _ in range(2000):
+        x, y = rng.randint(-10**6, 10**6), rng.randint(-10**3, 10**3)
+        root = rng.randint(1, 10**3)
+        # A perfect square d: the sign of an integer.
+        exact = x + y * root
+        assert hopf._surd_sign(x, y, root * root) == (exact > 0) - (exact < 0)
+        # Any d: the float's sign wherever the float cannot be wrong.
+        d = rng.randint(1, 10**6)
+        value = x + y * math.sqrt(d)
+        if abs(value) > 1e-6 * (abs(x) + 1):
+            assert hopf._surd_sign(x, y, d) == (value > 0) - (value < 0)
+    # x + y sqrt(d) = 0 only with x^2 = y^2 d and opposite signs.
+    assert hopf._surd_sign(-6, 2, 9) == 0
+    assert hopf._surd_sign(6, 2, 9) == 1
+    assert hopf._surd_sign(0, 0, 5) == 0
+
+
+def test_reference_count_has_the_sign_of_the_determinant_over_6000_pairs():
+    # Every pair of seeds 0-299 x 20 draws: +1, the sign of det[q, iq, r, ir],
+    # and -1 for the same pair's circles in the mirror fibration.
+    for seed in range(300):
+        rng = random.Random(seed)
+        for _ in range(20):
+            q, r = draw_fiber_pair(rng)
+            assert fiber_circle_linking(q, r) == linking_number(fiber_determinant(q, r)) == 1
+            assert fiber_circle_linking(q, r, mirror=True) == -1
+
+
+@pytest.mark.parametrize("seed", range(21))
+def test_reference_count_equals_the_gauss_oracle(seed):
+    # The first pair of linking --seed 0..20, as the float Gauss sum of its
+    # sampled fibers reads it.
+    q, r = draw_fiber_pair(random.Random(seed))
+    lk = fiber_linking(base_point(q), base_point(r), samples=128)
+    assert abs(lk - round(lk)) < 0.02
+    assert fiber_circle_linking(q, r) == round(lk)
+
+
+def test_reversing_either_circle_reverses_the_count():
+    rng = random.Random(8)
+    for _ in range(50):
         q, r = draw_fiber_pair(rng)
-        link = fiber_polygon_linking(base_point(q), base_point(r), samples=samples)
-        assert link == linking_number(fiber_determinant(q, r))
-
-
-def test_polygon_sweep_spreads_circles_in_a_plane_x_const():
-    # The circles of the separation test above, as polygons: the isotopy
-    # bound and the crossing counts sweep along y or z, not along x, where
-    # every box would be open at once.  Coplanar and concentric, they do
-    # not link; their projection down z is degenerate, the one down x not.
-    samples = 4096
-    inner = circle((0.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), samples)
-    outer = circle((0.0, 0.0, 0.0), (0.0, 1.5, 0.0), (0.0, 0.0, 1.5), samples)
-    start = time.perf_counter()
-    link = polygon_linking(inner, outer)
-    elapsed = time.perf_counter() - start
-    assert link == 0
-    # About 0.08 s on a 2-vCPU x86-64 VM; a sweep along x takes about 3 s.
-    assert elapsed < 0.5
-
-
-def test_a_failed_isotopy_bound_tries_the_other_poles(monkeypatch):
-    q, r = draw_fiber_pair(random.Random(4))
-    tried = []
-    project = hopf._stereographic
-
-    def recording(curves, pole):
-        tried.append(tuple(pole))
-        return project(curves, pole)
-
-    slack = hopf._circle_slack
-    calls = []
-
-    def fails_first(polygon):
-        # The first pole's two polygons fail the bound; later ones pass.
-        calls.append(None)
-        return 1e3 if len(calls) <= 1 else slack(polygon)
-
-    monkeypatch.setattr(hopf, "_stereographic", recording)
-    monkeypatch.setattr(hopf, "_circle_slack", fails_first)
-    link = fiber_polygon_linking(base_point(q), base_point(r), samples=128)
-    assert link == linking_number(fiber_determinant(q, r))
-    # +1, +i and -i, on the Hopf fiber through -1, come last.  This pair's
-    # 128-gons also fail the bound from +-j and +-k, and pass from the first
-    # half-integer unit.
-    fiber = [(1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0), (0.0, -1.0, 0.0, 0.0)]
-    others = [u for u in hurwitz_units() if u != MINUS_ONE and u not in fiber] + fiber
-    assert tried == [MINUS_ONE, *others[:5]]
-    assert others[4] == (0.5, 0.5, 0.5, 0.5)
-    # Where no pole passes, each of the 24 is tried once, -1 first and the
-    # rest in a fixed order.
-    tried.clear()
-    monkeypatch.setattr(hopf, "_circle_slack", lambda points: 1e3)
-    with pytest.raises(VerificationError, match="isotopy bound fails from every pole"):
-        fiber_polygon_linking(base_point(q), base_point(r), samples=128)
-    assert tried == [MINUS_ONE, *others]
-
-
-def test_a_failed_pole_frees_its_polygons_before_the_next_is_tried(monkeypatch):
-    # Seed 10's reference 128-gons fail the isotopy bound from -1.  Only the
-    # message of that failure is kept, so its projected polygons are gone
-    # when the next pole is projected; the exception's traceback would keep
-    # them alive.
-    q, r = draw_fiber_pair(random.Random(10))
-    project = hopf._stereographic
-    columns_made, columns_alive = [], []
-
-    def recording(curves, pole):
-        columns_alive.append(sum(ref() is not None for ref in columns_made))
-        polygons = project(curves, pole)
-        columns_made.extend(weakref.ref(column) for polygon in polygons for column in polygon)
-        return polygons
-
-    monkeypatch.setattr(hopf, "_stereographic", recording)
-    link = fiber_polygon_linking(base_point(q), base_point(r), samples=128)
-    assert link == linking_number(fiber_determinant(q, r))
-    assert columns_alive == [0, 0]
-
-
-def test_fiber_polygon_linking_holds_columns_not_tuples():
-    # Seed 23's pair at 1024 samples, the pole tried twice: the fibers,
-    # their images and one sweep's sorted lower ends, about 0.2 KiB per
-    # sample.  As tuples and box lists the peak was about 1.9 MiB.
-    q, r = draw_fiber_pair(random.Random(23))
-    p1, p2 = base_point(q), base_point(r)
-    tracemalloc.start()
-    try:
-        link = fiber_polygon_linking(p1, p2, samples=1024)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert link == linking_number(fiber_determinant(q, r))
-    assert peak <= 512 * 1024
-
-
-def test_the_reference_pair_needs_at_most_two_poles(monkeypatch):
-    # The reference pair of ``linking --seed s --samples 64``, s = 0..99:
-    # where -1 fails, the first pole off its Hopf fiber passes.
-    tried = []
-    project = hopf._stereographic
-
-    def recording(curves, pole):
-        tried.append(pole)
-        return project(curves, pole)
-
-    monkeypatch.setattr(hopf, "_stereographic", recording)
-    counts = []
-    for seed in range(100):
-        q, r = draw_fiber_pair(random.Random(seed))
-        tried.clear()
-        link = fiber_polygon_linking(base_point(q), base_point(r), samples=64)
-        assert link == linking_number(fiber_determinant(q, r))
-        counts.append(len(tried))
-    assert max(counts) <= 2
-    # A positive control: -1 fails for some of these seeds.
-    assert 2 in counts
-
-
-def test_polygon_linking_agrees_with_the_gauss_oracle_from_every_clear_pole():
-    rng = random.Random(5)
-    for _ in range(4):
-        q, r = draw_fiber_pair(rng)
-        a, b = fiber_curve(base_point(q), 256), fiber_curve(base_point(r), 256)
-        for pole in hurwitz_units()[:8]:
+        for mirror, sign in ((False, 1), (True, -1)):
             try:
-                first, second = stereographic(a, pole), stereographic(b, pole)
-                link = polygon_linking(first, second)
-            except ResamplePole:
-                continue
-            assert abs(gauss_linking(first, second) - link) < 0.02
-            # One orientation reversed reverses the sign; the order of the
-            # pair does not matter.
-            assert polygon_linking(first[::-1], second) == -link
-            assert polygon_linking(second, first) == link
+                a, b = (hopf._fiber_circle(p, mirror) for p in (q, r))
+                assert circle_linking(a, b) == sign
+            except ValueError:
+                continue  # this pair needs a move
+            assert circle_linking(b, a) == sign
+            assert circle_linking(reversed_circle(a), b) == -sign
+            assert circle_linking(a, reversed_circle(b)) == -sign
+            assert circle_linking(reversed_circle(a), reversed_circle(b)) == sign
 
 
-def test_a_degenerate_projection_moves_the_count_to_the_next_axis():
-    flat = circle((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), 256)
-    # Its first vertex (1, 0, 0.5) lies straight above the flat circle's
-    # first vertex (1, 0, 0), so the xy projections touch there.
-    tilted = circle((1.0, -1.0, 0.5), (0.0, 1.0, 0.0), (0.6, 0.0, 0.8), 256)
-    assert tilted[0] == (1.0, 0.0, 0.5)
-    assert crossings(flat, tilted, 2) is None
-    assert crossings(flat, tilted, 0) is not None
-    link = polygon_linking(flat, tilted)
-    assert abs(link) == 1
-    assert link == round(gauss_linking(flat, tilted))
+def test_unlinked_control_reads_zero_and_its_moved_circle_links_once():
+    first, second = UNLINKED_CONTROL
+    assert (first, second) == (
+        span_circle((0, 0, 0), (1, 0, 0), (0, 1, 0), 1),
+        span_circle((15, 0, 0), (0, 10, 0), (6, 0, 8), 10),
+    )
+    assert circle_linking(first, second) == circle_linking(second, first) == 0
+    # Moved through the first circle's disc, the second reads -1 in both
+    # orders, with the sign of the float Gauss sum of the sampled circles.
+    moved = span_circle(*MOVED)
+    assert circle_linking(first, moved) == circle_linking(moved, first) == -1
+    lk = gauss_linking(unlinked_control(512)[0], span_samples(*MOVED))
+    assert abs(lk + 1.0) < 0.02
+    # unlinked_control samples the same two circles.
+    for points, (centre, u, v, scale) in zip(unlinked_control(64), hopf._CONTROL):
+        assert gap(points[16], [(o + b) / scale for o, b in zip(centre, v)]) < 1e-15
 
 
-def test_every_projection_degenerate_raises():
-    # The second circle, in the xz-plane, passes through the first's disc.
-    # Its vertices (1, 0, 1), (2, 0, 0) and (0, 0, 0) project onto the first
-    # circle's vertices (1, 0, 0) down z, (1, 0, 0) down x and (0, 1, 0)
-    # down y.
-    flat = circle((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), 64)
-    upright = circle((1.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0), 64)
-    assert [crossings(flat, upright, axis) for axis in (2, 0, 1)] == [None] * 3
-    with pytest.raises(VerificationError, match="every coordinate projection"):
-        polygon_linking(flat, upright)
+def rational_circle(rng, near=(0.0, 0.0, 0.0)):
+    """A random circle with integer data: two columns of the rotation matrix
+    of an integer quaternion p, scaled by |p|^2 (orthogonal integer vectors
+    of length |p|^2), about an integer centre within about half its radius
+    of the point ``near``."""
+    p = [rng.randint(-3, 3) for _ in range(4)]
+    while not any(p):
+        p = [rng.randint(-3, 3) for _ in range(4)]
+    w, x, y, z = p
+    columns_ = [
+        (w * w + x * x - y * y - z * z, 2 * (x * y + w * z), 2 * (x * z - w * y)),
+        (2 * (x * y - w * z), w * w - x * x + y * y - z * z, 2 * (y * z + w * x)),
+        (2 * (x * z + w * y), 2 * (y * z - w * x), w * w - x * x - y * y + z * z),
+    ]
+    u, v = rng.sample(columns_, 2)
+    norm2 = w * w + x * x + y * y + z * z
+    scale = norm2 * rng.randint(1, 3)
+    centre = tuple(round(c * scale) + rng.randint(-norm2 // 2, norm2 // 2) for c in near)
+    return centre, u, v, scale
 
 
-def test_polygons_closer_than_their_sagittas_fail_the_isotopy_bound():
-    # 1e-3 apart at their nearest vertices: a chord of the 64-gon strays
-    # 1.2e-3 from its arc, so the polygons prove nothing about the circles,
-    # though they are disjoint; at 4096 vertices the bound holds.
-    for samples, passes in ((64, False), (4096, True)):
-        first = circle((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), samples)
-        second = circle((2.001, 0.0, 0.0), (-1.0, 0.0, 0.0), (0.0, 0.0, 1.0), samples)
-        if passes:
-            assert polygon_linking(first, second) == 0
-        else:
-            with pytest.raises(ResamplePole, match="isotopy bound fails"):
-                polygon_linking(first, second)
-    first, _ = unlinked_control(128)
-    with pytest.raises(ResamplePole, match="isotopy bound fails"):
-        polygon_linking(first, list(first))
+def test_circle_linking_agrees_with_the_gauss_oracle_on_random_circles():
+    # Each second circle is centred near a point of the first, so that about
+    # half the pairs link.
+    rng = random.Random(11)
+    links = []
+    while len(links) < 40:
+        first = rational_circle(rng)
+        a = span_samples(*first, samples=256)
+        second = rational_circle(rng, near=a[rng.randrange(256)])
+        b = span_samples(*second, samples=256)
+        if min(math.dist(p, q) for p in a for q in b) < 0.05:
+            continue  # too near for 256 samples to resolve
+        lk = gauss_linking(a, b)
+        link = circle_linking(span_circle(*first), span_circle(*second))
+        assert abs(lk - link) < 0.02, (first, second, lk, link)
+        assert circle_linking(span_circle(*second), span_circle(*first)) == link
+        links.append(link)
+    assert {-1, 0, 1} <= set(links)
 
 
-def test_polygon_linking_takes_only_circles_gone_round_once_by_short_steps():
-    first, second = unlinked_control(128)
-    ellipse = [(2.0 * x, y, z) for x, y, z in first]
-    with pytest.raises(ValueError, match="round circle"):
-        polygon_linking(ellipse, second)
-    with pytest.raises(ValueError, match="round circle"):
-        polygon_linking([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (2.0, 0.0, 0.0)], second)
-    with pytest.raises(ValueError, match="finite"):
-        polygon_linking(first[:-1] + [(math.nan, 0.0, 0.0)], second)
-    with pytest.raises(ValueError, match="R\\^3"):
-        polygon_linking([p + (0.0,) for p in first], second)
-    # Twice round, or in steps of a third of a turn.
-    with pytest.raises(ResamplePole, match="once round"):
-        polygon_linking(first[::2] + first[::2], second)
-    with pytest.raises(ResamplePole, match="once round"):
-        polygon_linking(first[::43], second)
+def test_circle_linking_rejects_pairs_in_no_general_position():
+    flat = span_circle((0, 0, 0), (1, 0, 0), (0, 1, 0), 1)
+    # Coplanar, tangent to the other's plane, or meeting the other circle.
+    with pytest.raises(ValueError, match="coplanar"):
+        circle_linking(flat, span_circle((3, 0, 0), (1, 0, 0), (0, 1, 0), 1))
+    with pytest.raises(ValueError, match="touches the plane"):
+        circle_linking(flat, span_circle((0, 0, 1), (1, 0, 0), (0, 0, 1), 1))
+    with pytest.raises(ValueError, match="meet"):
+        circle_linking(flat, span_circle((2, 0, 0), (1, 0, 0), (0, 0, 1), 1))
+    # Parallel planes apart, and a circle that misses the plane: no crossing.
+    assert circle_linking(flat, span_circle((0, 0, 1), (1, 0, 0), (0, 1, 0), 1)) == 0
+    assert circle_linking(flat, span_circle((0, 0, 3), (1, 0, 0), (0, 0, 1), 1)) == 0
 
 
-def test_crossing_tests_read_each_float_as_its_exact_dyadic_rational():
-    from fractions import Fraction
+def test_a_pair_that_needs_a_move_counts_the_same_after_it(monkeypatch):
+    # Seed 23's first pair: r lies on the fiber through -1, whose image is a
+    # line.  Every move that leaves a pair in general position gives the
+    # same count.
+    q, r = draw_fiber_pair(random.Random(23))
+    assert r == (3, -2, 0, 0)
+    with pytest.raises(ValueError, match="through the pole"):
+        hopf._fiber_circle(r, False)
+    assert fiber_circle_linking(q, r) == 1
+    rng = random.Random(6)
+    for _ in range(30):
+        q, r = draw_fiber_pair(rng)
+        for mirror in (False, True):
+            counts = set()
+            for move in hopf._MOVES:
+                monkeypatch.setattr(hopf, "_MOVES", (move,))
+                try:
+                    counts.add(fiber_circle_linking(q, r, mirror))
+                except VerificationError:
+                    continue
+                finally:
+                    monkeypatch.undo()
+            assert counts == {-1 if mirror else 1}
 
-    rng = random.Random(2)
-    for _ in range(200):
-        values = [rng.uniform(-1.0, 1.0) * 2.0 ** rng.randint(-60, 60) for _ in range(6)]
-        integers = hopf._integers(values)
-        # One common scale carries each float to its integer exactly.
-        scale = Fraction(integers[0]) / Fraction(values[0])
-        assert all(Fraction(n) == scale * Fraction(x) for n, x in zip(integers, values))
-    for _ in range(200):
-        # A third point rounded onto the line through two others: the
-        # orientation of the three is tiny, and exactly that of the rationals.
-        x0, y0, x1, y1 = (rng.uniform(-1.0, 1.0) for _ in range(4))
-        t = rng.uniform(-2.0, 2.0)
-        x2, y2 = x0 + t * (x1 - x0), y0 + t * (y1 - y0)
-        a0, b0, a1, b1, a2, b2 = hopf._integers([x0, y0, x1, y1, x2, y2])
-        f0, g0, f1, g1, f2, g2 = map(Fraction, (x0, y0, x1, y1, x2, y2))
-        exact = (f1 - f0) * (g2 - g0) - (g1 - g0) * (f2 - f0)
-        orientation = (a1 - a0) * (b2 - b0) - (b1 - b0) * (a2 - a0)
-        assert (orientation > 0) - (orientation < 0) == (exact > 0) - (exact < 0)
+
+def test_an_exhausted_move_tuple_raises_a_named_verification_error(monkeypatch):
+    q, r = draw_fiber_pair(random.Random(23))
+    monkeypatch.setattr(hopf, "_MOVES", ((1, 0, 0, 0),))
+    with pytest.raises(VerificationError, match="every projection of the fibers through"):
+        fiber_circle_linking(q, r)
+
+
+def test_the_exact_count_runs_on_python_ints():
+    # Every circle coordinate is an int: no float and no Fraction.
+    q, r = draw_fiber_pair(random.Random(4))
+    for circle in (*UNLINKED_CONTROL, hopf._fiber_circle(q, False), hopf._fiber_circle(r, True)):
+        normal, centre, radius2, scale, sign = circle
+        assert all(type(c) is int for c in (*normal, *centre, radius2, scale, sign))
+
+
+# --------------------------------------------------------------------------
+# The box sweep of the separation check
+# --------------------------------------------------------------------------
 
 
 def random_polygon(rng, dims):
@@ -1068,8 +977,8 @@ def sweep_order(boxes_a, boxes_b, first):
     return pairs
 
 
-@pytest.mark.parametrize("dims", [2, 3])
-def test_box_sweep_finds_every_pair_of_meeting_boxes(dims):
+def test_box_sweep_finds_every_pair_of_meeting_boxes():
+    dims = 3
     rng = random.Random(dims)
     for _ in range(20):
         a, b = random_polygon(rng, dims), random_polygon(rng, dims)
