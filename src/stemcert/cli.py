@@ -274,7 +274,10 @@ def cmd_linking(args) -> int:
         raise VerificationError(
             f"linking certificate failed: the mirror crossing count is {mirror_link:+d}, not -1"
         )
-    control = hopf.circle_linking(*hopf.UNLINKED_CONTROL)
+    try:
+        control = hopf.circle_linking(*hopf.UNLINKED_CONTROL)
+    except ValueError as exc:
+        raise VerificationError(f"linking certificate failed: unlinked control: {exc}") from None
     if control != 0:
         raise VerificationError(
             f"linking certificate failed: unlinked control reads {control:+d}"

@@ -19,6 +19,7 @@ import stemcert
 from stemcert import cli, jorder
 from stemcert.derivation import report_from_json
 from stemcert.reports import build_stem_report
+from test_hopf import MOVED, span_circle
 
 # The directory that holds the imported ``stemcert`` package (``src/`` in a
 # checkout), and the project root whose ``pyproject.toml`` declares the
@@ -648,19 +649,12 @@ def test_linking_json_records_the_pair_behind_each_determinant(capsys):
     assert leibniz_determinant([q, right[0], r, right[1]]) == blob["mirror_determinant"]
 
 
-#: The unlinked control with its second circle moved from the centre
-#: (3/2, 0, 0) to (3/5, 1/2, 0), through the first circle's disc.
-MOVED_CONTROL = (
-    ((0, 0, 1), (0, 0, 0), 1, 1, 1),
-    ((80, 0, -60), (6, 5, 0), 100, 10, 1),
-)
-
-
 @pytest.mark.parametrize(
     "name,tamper,message",
     [
         ("circle_linking", lambda real: lambda a, b: -real(a, b), "the reference crossing count is -1"),
-        ("UNLINKED_CONTROL", lambda real: MOVED_CONTROL, "unlinked control reads -1"),
+        # The control's second circle moved through the first one's disc.
+        ("UNLINKED_CONTROL", lambda real: (real[0], span_circle(*MOVED)), "unlinked control reads -1"),
         (
             "fiber_circle_linking",
             lambda real: lambda q, r, mirror=False: real(q, r),
@@ -1035,8 +1029,15 @@ def refuse(*args, **kwargs):
             3,
             "verification failure: linking certificate failed: unlinked control reads ",
         ),
+        (
+            "UNLINKED_CONTROL",
+            (LINKED_CIRCLES[0], LINKED_CIRCLES[0]),
+            3,
+            "verification failure: linking certificate failed: unlinked control: "
+            "the circles are coplanar\n",
+        ),
     ],
-    ids=["reference-error", "linked-control"],
+    ids=["reference-error", "linked-control", "touching-control"],
 )
 def test_linking_errors_exit_with_their_own_codes(capsys, monkeypatch, name, replacement, code, message):
     from stemcert import hopf

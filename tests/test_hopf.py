@@ -433,21 +433,6 @@ def test_no_term_of_the_unlinked_control_vanishes(samples):
     assert np.abs(numerators).min() > 0.0
 
 
-def moved_through_the_disc(curve):
-    """The unlinked control's second circle moved from its centre
-    (1.5, 0, 0) to (0.6, 0.5, 0)."""
-    return [(x - 0.9, y + 0.5, z) for x, y, z in curve]
-
-
-def test_unlinked_control_links_once_when_moved_through_the_disc():
-    circle, tilted = unlinked_control(samples=256)
-    # Centred at (0.6, 0.5, 0), the tilted circle crosses the plane z = 0 at
-    # (0.6, -0.5, 0), inside the first circle, and at (0.6, 1.5, 0), outside.
-    moved = moved_through_the_disc(tilted)
-    assert abs(abs(gauss_linking(circle, moved)) - 1.0) < 0.02
-    assert abs(gauss_linking(circle, tilted)) < 0.02
-
-
 def test_hopf_fibers_link_once():
     lk = fiber_linking([0.0, 0.0, 1.0], [0.0, 0.0, -1.0], samples=256)
     assert abs(abs(lk) - 1.0) < 0.02
@@ -794,19 +779,21 @@ def test_reversing_either_circle_reverses_the_count():
             assert circle_linking(reversed_circle(a), reversed_circle(b)) == sign
 
 
-def test_unlinked_control_reads_zero_and_its_moved_circle_links_once():
+def test_unlinked_control_links_once_when_moved_through_the_disc():
     first, second = UNLINKED_CONTROL
     assert (first, second) == (
         span_circle((0, 0, 0), (1, 0, 0), (0, 1, 0), 1),
         span_circle((15, 0, 0), (0, 10, 0), (6, 0, 8), 10),
     )
     assert circle_linking(first, second) == circle_linking(second, first) == 0
-    # Moved through the first circle's disc, the second reads -1 in both
-    # orders, with the sign of the float Gauss sum of the sampled circles.
+    circle, tilted = unlinked_control(samples=256)
+    assert abs(gauss_linking(circle, tilted)) < 0.02
+    # Centred at (0.6, 0.5, 0), the tilted circle crosses the plane z = 0 at
+    # (0.6, -0.5, 0), inside the first circle, and at (0.6, 1.5, 0), outside:
+    # it reads -1 in both orders, the sign of the float Gauss sum.
     moved = span_circle(*MOVED)
     assert circle_linking(first, moved) == circle_linking(moved, first) == -1
-    lk = gauss_linking(unlinked_control(512)[0], span_samples(*MOVED))
-    assert abs(lk + 1.0) < 0.02
+    assert abs(gauss_linking(circle, span_samples(*MOVED, samples=256)) + 1.0) < 0.02
     # unlinked_control samples the same two circles.
     for points, (centre, u, v, scale) in zip(unlinked_control(64), hopf._CONTROL):
         assert gap(points[16], [(o + b) / scale for o, b in zip(centre, v)]) < 1e-15
@@ -912,13 +899,10 @@ def test_the_exact_count_runs_on_python_ints():
 # --------------------------------------------------------------------------
 
 
-def random_polygon(rng, dims):
-    """30 vertices in ``dims`` coordinates, each drawn from a few values so
-    that the segments' boxes often share a bound."""
-    return [
-        tuple(rng.choice((0.0, 0.25, 0.5, rng.random())) for _ in range(dims))
-        for _ in range(30)
-    ]
+def random_polygon(rng):
+    """30 vertices in R^3, each coordinate drawn from a few values so that
+    the segments' boxes often share a bound."""
+    return [tuple(rng.choice((0.0, 0.25, 0.5, rng.random())) for _ in range(3)) for _ in range(30)]
 
 
 def segment_boxes(polygon, widen=0.0):
@@ -937,9 +921,9 @@ def flattened(polygon, axis):
     return [p[:axis] + (0.5,) + p[axis + 1 :] for p in polygon]
 
 
-def swept_along(first, dims):
+def swept_along(first):
     """The coordinates with ``first``, where the sweep runs, at the front."""
-    return (first, *(k for k in range(dims) if k != first))
+    return (first, *(k for k in range(3) if k != first))
 
 
 def meet(p, q):
@@ -978,14 +962,13 @@ def sweep_order(boxes_a, boxes_b, first):
 
 
 def test_box_sweep_finds_every_pair_of_meeting_boxes():
-    dims = 3
-    rng = random.Random(dims)
+    rng = random.Random(3)
     for _ in range(20):
-        a, b = random_polygon(rng, dims), random_polygon(rng, dims)
+        a, b = random_polygon(rng), random_polygon(rng)
         # The first polygon's boxes widened, as the distance checks widen them.
         for widen in (0.0, 0.1):
             boxes_a, boxes_b = segment_boxes(a, widen), segment_boxes(b)
-            swept = list(hopf._overlapping(columns(a), columns(b), tuple(range(dims)), widen))
+            swept = list(hopf._overlapping(columns(a), columns(b), (0, 1, 2), widen))
             assert sorted(swept) == walked_pairs(boxes_a, boxes_b)
             assert swept == sweep_order(boxes_a, boxes_b, 0)
         # Flattened on x, then on y, the boxes all share that coordinate's
@@ -995,9 +978,8 @@ def test_box_sweep_finds_every_pair_of_meeting_boxes():
             flat_a, flat_b = flattened(a, axis), flattened(b, axis)
             boxes_a, boxes_b = segment_boxes(flat_a), segment_boxes(flat_b)
             walked = walked_pairs(boxes_a, boxes_b)
-            for first in range(dims):
-                coords = swept_along(first, dims)
-                swept = list(hopf._overlapping(columns(flat_a), columns(flat_b), coords))
+            for first in range(3):
+                swept = list(hopf._overlapping(columns(flat_a), columns(flat_b), swept_along(first)))
                 assert sorted(swept) == walked
                 assert swept == sweep_order(boxes_a, boxes_b, first)
 
