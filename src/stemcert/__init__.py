@@ -75,8 +75,6 @@ _EXPORTS = {
         ),
         "reports": ("build_stem_report", "eta_order_chain"),
         "so3": (
-            "BallPoint",
-            "Rotation3",
             "ball_to_rotation",
             "homotopy_H",
             "lift_loop",

@@ -37,8 +37,9 @@ _MAX_TRIALS = 1000
 #: recurrence costs O(n^2) operations on O(n log n)-bit integers, about a
 #: second at this size.
 _MAX_BERNOULLI_INDEX = 2000
-#: Largest ``jorder --K`` and ``--N``: the gcd fold multiplies K integers of
-#: about (N + t) log2(K) bits, about 2 s at both caps and ``--t 2000``.
+#: Largest ``jorder --K`` and ``--N``: past its first term the gcd fold
+#: reduces each term modulo the running gcd, K modular powers of exponent
+#: at most N, about 5 ms at both caps and ``--t 2000``.
 _MAX_FOLD_K = 1024
 _MAX_FOLD_N = 4096
 #: Largest index in an ``adams`` or ``einv`` ``--space`` label, ``adams --k``

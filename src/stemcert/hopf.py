@@ -29,7 +29,8 @@ length N, so that a vertex costs 8 bytes per coordinate rather than a tuple
 of float objects.
 
 The rotations, the ball model of ``SO(3)``, its loops and their lifts live in
-:mod:`stemcert.so3`; this module re-exports them.
+:mod:`stemcert.so3`; this module re-exports its functions.  A rotation is
+three row tuples of floats and a point of the ball the tuple ``(x, y, z)``.
 
 Rotation matrices use the active convention throughout: ``rot_from_quat(q)``
 is the matrix of ``x -> q x conj(q)``, which makes the map a homomorphism
@@ -47,8 +48,7 @@ from typing import TYPE_CHECKING, Iterable, Union
 
 from .errors import ResamplePole, VerificationError
 from .so3 import (
-    BallPoint,
-    Rotation3,
+    _rotation,
     ball_to_rotation,
     homotopy_H,
     homotopy_slice_matrices,
@@ -65,8 +65,6 @@ if TYPE_CHECKING:
 # The SO(3) names stay listed here, as the same objects: the benchmark's
 # tracer times the functions of this list as ``hopf.*``.
 __all__ = [
-    "BallPoint",
-    "Rotation3",
     "UNLINKED_CONTROL",
     "ball_to_rotation",
     "base_point",
@@ -752,15 +750,15 @@ def random_sphere_point(rng: random.Random) -> tuple:
 # --------------------------------------------------------------------------
 
 
-def rot_from_quat(q) -> Rotation3:
+def rot_from_quat(q) -> tuple:
     """Rotation matrix of ``x -> q x conj(q)`` on the (i, j, k) coordinates,
     for a unit quaternion ``q = (w, x, y, z)``.
 
     A group homomorphism from unit quaternions onto SO(3) with kernel
-    ``{q, -q}``.
+    ``{q, -q}``; the matrix is three row tuples, checked to be a rotation.
     """
     w, x, y, z = _unit(q)
-    return Rotation3(
+    return _rotation(
         (
             (1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)),
             (2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)),

@@ -61,11 +61,19 @@ class StabilizedGcd(NamedTuple):
 
 
 def gcd_history(t: int, K: int, N: int) -> tuple:
-    """Running gcd of ``k^N (k^t - 1)`` for ``k = 2..K`` (one entry per k)."""
+    """Running gcd of ``k^N (k^t - 1)`` for ``k = 2..K`` (one entry per k).
+
+    Once the running gcd ``g`` is non-zero, each term is folded modulo ``g``,
+    since ``gcd(g, x) = gcd(g, x mod g)``: the powers never outgrow ``g``.
+    """
     running = 0
     out = []
     for k in range(2, K + 1):
-        running = gcd(running, k**N * (k**t - 1))
+        if running:
+            term = pow(k, N, running) * (pow(k, t, running) - 1) % running
+        else:
+            term = k**N * (k**t - 1)
+        running = gcd(running, term)
         out.append(running)
     return tuple(out)
 

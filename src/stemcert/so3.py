@@ -9,12 +9,15 @@ This module checks, numerically, the SO(3) facts behind the first stem:
 * loop lifting: the monodromy sign of a continuous quaternion lift, which
   detects the generator of ``pi_1(SO(3)) = Z/2``.
 
-A matrix is three row tuples of floats and a quaternion the 4-tuple
-``(w, x, y, z)`` (as in :mod:`stemcert.hopf`).  A sampled loop is a one-shot
-iterator of rotations, built as it is read, and :func:`lift_loop` consumes
-any iterable of samples once and returns only the sign, so a lift holds a
-few samples at a time whatever its step count.  Every value is a scalar in
-stdlib floats.
+A rotation is three row tuples of floats, a point of the ball the tuple
+``(x, y, z)`` (on the boundary, the canonical one of its two antipodes),
+and a quaternion the 4-tuple ``(w, x, y, z)`` (as in :mod:`stemcert.hopf`).
+:func:`matrix_path` and :func:`ball_to_rotation` return rows already checked
+to be a rotation.  A sampled loop is a one-shot iterator of unchecked rows,
+built as it is read, and :func:`lift_loop` consumes any iterable of samples
+once, checks each as :func:`quat_from_rot` reads it, and returns only the
+sign, so a lift holds a few samples at a time whatever its step count.
+Every value is a scalar in stdlib floats.
 Rotations follow the active convention of :func:`stemcert.hopf.rot_from_quat`,
 the matrix of ``x -> q x conj(q)``.
 """
@@ -26,8 +29,6 @@ from itertools import repeat
 from typing import Iterable, Iterator
 
 __all__ = [
-    "BallPoint",
-    "Rotation3",
     "ball_to_rotation",
     "homotopy_H",
     "homotopy_slice_matrices",
@@ -65,48 +66,39 @@ _IDENTITY = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 # --------------------------------------------------------------------------
 
 
-class Rotation3:
-    """A 3x3 rotation matrix (orthogonal within 1e-9, determinant +1),
-    held as three row tuples of floats."""
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix):
-        try:
-            (a, b, c), (d, e, f), (g, h, i) = matrix
-        except (TypeError, ValueError):
-            raise ValueError("a rotation is a 3x3 matrix") from None
-        a, b, c, d, e, f, g, h, i = map(float, (a, b, c, d, e, f, g, h, i))
-        # Every Gram entry within tolerance; a NaN entry fails a comparison.
-        if not (
-            abs(a * a + d * d + g * g - 1.0) < _UNIT_TOL
-            and abs(b * b + e * e + h * h - 1.0) < _UNIT_TOL
-            and abs(c * c + f * f + i * i - 1.0) < _UNIT_TOL
-            and abs(a * b + d * e + g * h) < _UNIT_TOL
-            and abs(a * c + d * f + g * i) < _UNIT_TOL
-            and abs(b * c + e * f + h * i) < _UNIT_TOL
-        ):
-            raise ValueError("matrix is not orthogonal within tolerance")
-        if a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) <= 0:
-            raise ValueError("matrix must have positive determinant")
-        self.matrix = ((a, b, c), (d, e, f), (g, h, i))
-
-    def __repr__(self) -> str:
-        return f"Rotation3({[list(row) for row in self.matrix]})"
+def _rotation(matrix) -> tuple:
+    """``matrix``, a 3x3 nested sequence, as three row tuples of floats,
+    checked to be a rotation: orthogonal within 1e-9, determinant +1."""
+    try:
+        (a, b, c), (d, e, f), (g, h, i) = matrix
+    except (TypeError, ValueError):
+        raise ValueError("a rotation is a 3x3 matrix") from None
+    a, b, c, d, e, f, g, h, i = map(float, (a, b, c, d, e, f, g, h, i))
+    # Every Gram entry within tolerance; a NaN entry fails a comparison.
+    if not (
+        abs(a * a + d * d + g * g - 1.0) < _UNIT_TOL
+        and abs(b * b + e * e + h * h - 1.0) < _UNIT_TOL
+        and abs(c * c + f * f + i * i - 1.0) < _UNIT_TOL
+        and abs(a * b + d * e + g * h) < _UNIT_TOL
+        and abs(a * c + d * f + g * i) < _UNIT_TOL
+        and abs(b * c + e * f + h * i) < _UNIT_TOL
+    ):
+        raise ValueError("matrix is not orthogonal within tolerance")
+    if a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) <= 0:
+        raise ValueError("matrix must have positive determinant")
+    return ((a, b, c), (d, e, f), (g, h, i))
 
 
 def quat_from_rot(rotation) -> tuple:
     """A unit quaternion ``(w, x, y, z)`` mapping to the given rotation
     (max-trace branch).
 
-    ``rotation`` is a :class:`Rotation3` or a 3x3 nested sequence, which is
-    checked to be a rotation first.  The other preimage is the negative;
-    continuity along a path is restored separately by sign choice (see
-    :func:`lift_loop`).
+    ``rotation`` is a 3x3 nested sequence, such as three row tuples, lists
+    or a numpy array, which is checked to be a rotation first.  The other
+    preimage is the negative; continuity along a path is restored separately
+    by sign choice (see :func:`lift_loop`).
     """
-    if not isinstance(rotation, Rotation3):
-        rotation = Rotation3(rotation)
-    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = rotation.matrix
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = _rotation(rotation)
     t = m00 + m11 + m22
     if t > 0:
         r = math.sqrt(1.0 + t)
@@ -131,26 +123,6 @@ def quat_from_rot(rotation) -> tuple:
 # --------------------------------------------------------------------------
 
 
-class BallPoint:
-    """A point of the closed ball of radius pi modeling SO(3).
-
-    Boundary points (norm within 1e-9 of pi) are stored in the canonical
-    antipodal representative: first coordinate of magnitude above 1e-12 is
-    made positive.
-    """
-
-    __slots__ = ("x", "y", "z")
-
-    def __init__(self, x: float, y: float, z: float):
-        self.x, self.y, self.z = _canonical(x, y, z)
-
-    def as_tuple(self) -> tuple:
-        return (self.x, self.y, self.z)
-
-    def __repr__(self) -> str:
-        return f"BallPoint({self.x}, {self.y}, {self.z})"
-
-
 def _canonical(x: float, y: float, z: float) -> tuple:
     """``(x, y, z)`` as floats, checked to lie in the closed ball of radius
     pi; on its boundary, the antipode whose first coordinate of magnitude
@@ -167,16 +139,17 @@ def _canonical(x: float, y: float, z: float) -> tuple:
     return float(x), float(y), float(z)
 
 
-def ball_to_rotation(b) -> Rotation3:
+def ball_to_rotation(b) -> tuple:
     """Axis-angle rotation: direction of ``b``, angle ``|b|`` (Rodrigues,
     ``I + sin|b| K + (1 - cos|b|) K^2`` for the cross-product matrix ``K``
     of the unit axis).
 
-    The origin maps to the identity, and antipodal boundary points map to
-    equal rotations.
+    ``b`` is any 3-sequence, such as a :func:`loop_point` tuple; the result
+    is checked rows.  The origin maps to the identity, and antipodal
+    boundary points map to equal rotations.
     """
-    x, y, z = b.as_tuple() if isinstance(b, BallPoint) else map(float, b)
-    return Rotation3(_rodrigues(x, y, z))
+    x, y, z = map(float, b)
+    return _rotation(_rodrigues(x, y, z))
 
 
 def _rodrigues(x: float, y: float, z: float) -> tuple:
@@ -206,8 +179,9 @@ def _require_loop_name(name: str) -> str:
     return name
 
 
-def loop_point(name: str, t: float) -> BallPoint:
-    """The explicit loops in the ball model, canonicalized on the boundary:
+def loop_point(name: str, t: float) -> tuple:
+    """The explicit loops in the ball model, as ``(x, y, z)`` tuples
+    canonicalized on the boundary:
 
     * gamma(t) = (0, 0, pi cos(pi t)) — a diameter, closed in the quotient,
     * alpha(t) = (0, -pi sin(pi t), pi cos(pi t)) — a boundary semicircle,
@@ -219,18 +193,18 @@ def loop_point(name: str, t: float) -> BallPoint:
     c = math.pi * math.cos(math.pi * t)
     s = math.pi * math.sin(math.pi * t)
     if name == "gamma":
-        return BallPoint(0.0, 0.0, c)
+        return _canonical(0.0, 0.0, c)
     if name == "alpha":
-        return BallPoint(0.0, -s, c)
-    return BallPoint(0.0, s, c)
+        return _canonical(0.0, -s, c)
+    return _canonical(0.0, s, c)
 
 
-def homotopy_H(variant: str, s: float, t: float) -> BallPoint:
+def homotopy_H(variant: str, s: float, t: float) -> tuple:
     """The ellipse-shaped homotopy ``H(s, t) = (0, -+ pi s sin(pi t),
     pi cos(pi t))`` connecting gamma (s = 0) to alpha or beta (s = 1).
 
-    Its image stays inside the closed ball:
-    ``(pi s sin)^2 + (pi cos)^2 <= pi^2``.
+    Its image, an ``(x, y, z)`` tuple canonicalized on the boundary, stays
+    inside the closed ball: ``(pi s sin)^2 + (pi cos)^2 <= pi^2``.
     """
     variant = _require_loop_name(variant)
     if variant == "gamma":
@@ -238,22 +212,22 @@ def homotopy_H(variant: str, s: float, t: float) -> BallPoint:
     if not (-1e-12 <= s <= 1.0 + 1e-12 and -1e-12 <= t <= 1.0 + 1e-12):
         raise ValueError("homotopy parameters must lie in [0, 1]")
     sign = -1.0 if variant == "alpha" else 1.0
-    return BallPoint(
+    return _canonical(
         0.0,
         sign * math.pi * s * math.sin(math.pi * t),
         math.pi * math.cos(math.pi * t),
     )
 
 
-def matrix_path(name: str, t: float) -> Rotation3:
-    """The explicit matrix paths in SO(3).
+def matrix_path(name: str, t: float) -> tuple:
+    """The explicit matrix paths in SO(3), as checked rows.
 
     The gamma path is a rotation about the z-axis through angle ``pi t``;
     note it closes up only after ``t = 2`` (one full traversal of the
     underlying loop), while alpha and beta close over ``t in [0, 1]``.  The
     parameter is therefore not restricted to [0, 1] here.
     """
-    return Rotation3(_PATH_ROWS[_require_loop_name(name)](t))
+    return _rotation(_PATH_ROWS[_require_loop_name(name)](t))
 
 
 def _gamma_rows(t: float) -> tuple:
@@ -300,7 +274,7 @@ def _grid(steps: int, turns: int, loop: str) -> Iterator[float]:
     return (turns * k / steps for k in range(steps + 1))
 
 
-def loop_matrices(name: str, steps: int, turns: int = 1) -> Iterator[Rotation3]:
+def loop_matrices(name: str, steps: int, turns: int = 1) -> Iterator[tuple]:
     """Sampled closed matrix loops for the lift command.
 
     The loop runs ``turns`` times through ``steps`` intervals in all, so its
@@ -310,43 +284,43 @@ def loop_matrices(name: str, steps: int, turns: int = 1) -> Iterator[Rotation3]:
     ``alpha-then-beta`` runs alpha over the first half of each turn and beta
     over the second; ``ball-gamma`` runs gamma through the ball model
     instead; ``identity`` is the constant loop.  The arguments are checked at
-    call time; the ``steps + 1`` :class:`Rotation3` samples, the last equal
-    to the first, then come from a one-shot iterator, built as it is read.
-    The name is checked once; each sample is the :func:`matrix_path` or
-    ``ball_to_rotation(loop_point(...))`` value, by the same arithmetic.
+    call time; the ``steps + 1`` samples, the last equal to the first, then
+    come from a one-shot iterator, built as it is read.  The name is checked
+    once; each sample is the rows of the :func:`matrix_path` or
+    ``ball_to_rotation(loop_point(...))`` value, by the same arithmetic, left
+    for :func:`lift_loop` to check.
     """
     if name not in _LOOP_SPEED:
         name = _require_loop_name(name)
     ts = _grid(steps, turns, name)
     if name == "identity":
-        return repeat(Rotation3(_IDENTITY), steps + 1)
+        return repeat(_IDENTITY, steps + 1)
     if name == "ball-gamma":
-        # loop_point("gamma", t % 1.0), canonicalized as a BallPoint.
+        # loop_point("gamma", t % 1.0), canonicalized on the boundary.
         return (
-            Rotation3(_rodrigues(*_canonical(0.0, 0.0, math.pi * math.cos(pi_t))))
+            _rodrigues(*_canonical(0.0, 0.0, math.pi * math.cos(pi_t)))
             for pi_t in (math.pi * (t % 1.0) for t in ts)
         )
     if name == "alpha-then-beta":
-        return (
-            Rotation3((_alpha_rows if t % 1.0 < 0.5 else _beta_rows)(2.0 * t)) for t in ts
-        )
+        return ((_alpha_rows if t % 1.0 < 0.5 else _beta_rows)(2.0 * t) for t in ts)
     rows, period = _PATH_ROWS[name], 2.0 if name == "gamma" else 1.0
-    return (Rotation3(rows(period * t)) for t in ts)
+    return (rows(period * t) for t in ts)
 
 
 def homotopy_slice_matrices(
     variant: str, s: float, steps: int, turns: int = 1
-) -> Iterator[Rotation3]:
+) -> Iterator[tuple]:
     """The closed loop ``t -> ball_to_rotation(H(s, t))``, ``t in [0, 1]``,
     run ``turns`` times through ``steps`` intervals in all, as a one-shot
-    iterator of :class:`Rotation3` samples.  The step counts, the variant
-    and ``s`` are checked once, at call time; each sample is the
-    ``ball_to_rotation(homotopy_H(...))`` value, by the same arithmetic."""
+    iterator of row samples.  The step counts, the variant and ``s`` are
+    checked once, at call time; each sample is the rows of the
+    ``ball_to_rotation(homotopy_H(...))`` value, by the same arithmetic, left
+    for :func:`lift_loop` to check."""
     ts = _grid(steps, turns, "homotopy")
     homotopy_H(variant, s, 0.0)
     scale = (-1.0 if _require_loop_name(variant) == "alpha" else 1.0) * math.pi * s
     return (
-        Rotation3(_rodrigues(*_canonical(0.0, scale * math.sin(pi_t), math.pi * math.cos(pi_t))))
+        _rodrigues(*_canonical(0.0, scale * math.sin(pi_t), math.pi * math.cos(pi_t)))
         for pi_t in (math.pi * (t % 1.0) for t in ts)
     )
 
@@ -354,11 +328,12 @@ def homotopy_slice_matrices(
 def lift_loop(path: Iterable) -> int:
     """Lift a closed rotation loop to S^3 and return its monodromy sign.
 
-    ``path`` is an iterable of sampled rotations (``Rotation3`` or 3x3
-    nested sequences such as the rows of an (N, 3, 3) array; closed: the
-    last equals the first), consumed once, in one pass that holds only the
-    first rotation, the previous lifted quaternion and a sample count.  Each
-    sample is checked to be a rotation as it is read, and consecutive
+    ``path`` is an iterable of sampled rotations (3x3 nested sequences such
+    as three row tuples or the rows of an (N, 3, 3) array; closed: the last
+    equals the first), consumed once, in one pass that holds only the first
+    and latest samples, the previous lifted quaternion and a sample count.
+    Each sample is read once, by :func:`quat_from_rot`, which checks it to
+    be a rotation, and consecutive
     rotations must lie within angle 0.2 of each other; the quaternion
     preimage is chosen at each step to be the one closest to the previous
     choice.  At the end at least 256 steps are required, and the last sample
@@ -366,7 +341,7 @@ def lift_loop(path: Iterable) -> int:
     the negative of its start: the loop generates ``pi_1(SO(3))``; +1 means
     it is nullhomotopic (double-cover criterion).
     """
-    samples = (m if isinstance(m, Rotation3) else Rotation3(m) for m in path)
+    samples = iter(path)
     first = last = next(samples, None)
     if first is None:
         raise ValueError(f"at least {_MIN_STEPS} steps are required")
@@ -388,7 +363,7 @@ def lift_loop(path: Iterable) -> int:
     if steps < _MIN_STEPS:
         raise ValueError(f"at least {_MIN_STEPS} steps are required")
     gap = max(
-        abs(p - q) for r, s in zip(first.matrix, last.matrix) for p, q in zip(r, s)
+        abs(float(p) - float(q)) for r, s in zip(first, last) for p, q in zip(r, s)
     )
     if gap >= _UNIT_TOL:
         raise ValueError("the sampled path is not a closed loop")

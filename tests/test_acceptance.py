@@ -178,8 +178,8 @@ def test_criterion_08_double_cover_homomorphism():
     def residual():
         worst = 0.0
         for a, b in pairs:
-            lhs = hopf.rot_from_quat(hopf.qmul(a, b)).matrix
-            ra, rb = hopf.rot_from_quat(a).matrix, hopf.rot_from_quat(b).matrix
+            lhs = hopf.rot_from_quat(hopf.qmul(a, b))
+            ra, rb = hopf.rot_from_quat(a), hopf.rot_from_quat(b)
             rhs = [[sum(x * y for x, y in zip(row, col)) for col in zip(*rb)] for row in ra]
             worst = max(worst, _matrix_gap(lhs, rhs))
         return worst
@@ -188,7 +188,7 @@ def test_criterion_08_double_cover_homomorphism():
     assert worst < 1e-12
     q = pairs[0][0]
     minus_q = [-c for c in q]
-    assert _matrix_gap(hopf.rot_from_quat(q).matrix, hopf.rot_from_quat(minus_q).matrix) == 0.0
+    assert _matrix_gap(hopf.rot_from_quat(q), hopf.rot_from_quat(minus_q)) == 0.0
     assert elapsed < 1.0
     _passed(8, f"residual {worst:.2e} over 10^4 pairs in {elapsed:.2f} s")
 

@@ -81,7 +81,6 @@ ORACLES = {
     "stemcert.so3.matrix_path": "the gamma, alpha and beta samples of loop_matrices",
     "stemcert.so3.loop_point": "the ball-gamma samples of loop_matrices, through ball_to_rotation",
     "stemcert.so3.ball_to_rotation": "the ball-gamma and homotopy samples",
-    "stemcert.so3.BallPoint.as_tuple": "the coordinates ball_to_rotation reads from a BallPoint",
 }
 
 LOOPS = ("gamma", "alpha", "beta", "alpha-then-beta", "ball-gamma", "identity", "homotopy")

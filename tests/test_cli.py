@@ -973,6 +973,8 @@ def test_linking_at_both_caps_runs_within_its_time_bound(capsys):
     assert elapsed < 2.0
 
 
+#: The loops other than the homotopy, each lifted at the step cap too.
+CAPPED_LOOPS = [loop for loop in ONE_TURN_MONODROMY if loop != "homotopy"]
 #: Every other capped command at its caps, as the CI caps step runs it.
 CAPPED_COMMANDS = [
     "jorder --t 2000 --K 1024 --N 4096",
@@ -982,17 +984,28 @@ CAPPED_COMMANDS = [
     "lift --loop homotopy --steps 65536",
     "thom --family complex --n 100000 --mult 100000 --suspend 100000",
     "thom --family quaternionic --n 100000 --mult 100000 --suspend 100000",
+    *(f"lift --loop {loop} --steps 65536" for loop in CAPPED_LOOPS),
 ]
 
 
 @pytest.mark.parametrize(
     "command",
     CAPPED_COMMANDS,
-    ids=["jorder", "bernoulli", "adams", "einv", "lift", "thom-complex", "thom-quaternionic"],
+    ids=[
+        "jorder",
+        "bernoulli",
+        "adams",
+        "einv",
+        "lift",
+        "thom-complex",
+        "thom-quaternionic",
+        *(f"lift-{loop}" for loop in CAPPED_LOOPS),
+    ],
 )
 def test_capped_commands_run_within_their_time_bound(capsys, command):
-    # At most about 1.1 s each (jorder) in this process on a 2-vCPU x86-64
-    # VM.  The bound leaves room for a loaded machine.
+    # At most about 0.5 s each (jorder, bernoulli and adams; a lift takes
+    # 0.12-0.23 s) in this process on a 2-vCPU x86-64 VM.  The bound leaves
+    # room for a loaded machine.
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "--json", *command.split())
     elapsed = time.perf_counter() - start

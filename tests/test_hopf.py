@@ -47,8 +47,7 @@ from stemcert.hopf import (
     unlinked_control,
 )
 from stemcert.so3 import (
-    BallPoint,
-    Rotation3,
+    _canonical,
     ball_to_rotation,
     homotopy_H,
     homotopy_slice_matrices,
@@ -166,7 +165,7 @@ def test_quaternion_oracles_take_and_give_tuples():
     assert all(type(c) is float for c in product + image)
     # Any 4-sequence of a unit quaternion gives the same values.
     assert hopf_map(list(q)) == image
-    assert rot_from_quat(list(q)).matrix == rot_from_quat(q).matrix
+    assert rot_from_quat(list(q)) == rot_from_quat(q)
 
 
 # --------------------------------------------------------------------------
@@ -997,7 +996,7 @@ def test_hopf_imports_neither_heapq_nor_random():
 def test_rot_from_quat_known_rotation():
     # exp(k pi/4) rotates by pi/2 about the z-axis: i -> j.
     q = (math.cos(math.pi / 4), 0.0, 0.0, math.sin(math.pi / 4))
-    assert gap(apply(rot_from_quat(q).matrix, (1, 0, 0)), (0, 1, 0)) < 1e-12
+    assert gap(apply(rot_from_quat(q), (1, 0, 0)), (0, 1, 0)) < 1e-12
 
 
 def test_rot_from_quat_is_a_homomorphism():
@@ -1005,8 +1004,8 @@ def test_rot_from_quat_is_a_homomorphism():
     worst = 0.0
     for _ in range(200):
         a, b = random_unit_quaternion(rng), random_unit_quaternion(rng)
-        lhs = rot_from_quat(qmul(a, b)).matrix
-        rhs = matmul(rot_from_quat(a).matrix, rot_from_quat(b).matrix)
+        lhs = rot_from_quat(qmul(a, b))
+        rhs = matmul(rot_from_quat(a), rot_from_quat(b))
         worst = max(worst, gap(lhs, rhs))
     assert worst < 1e-12
 
@@ -1015,7 +1014,7 @@ def test_rot_from_quat_identifies_antipodes():
     rng = random.Random(9)
     for _ in range(50):
         q = random_unit_quaternion(rng)
-        assert gap(rot_from_quat(q).matrix, rot_from_quat(negate(q)).matrix) < 1e-15
+        assert gap(rot_from_quat(q), rot_from_quat(negate(q))) < 1e-15
 
 
 def test_rot_from_quat_rejects_non_unit():
@@ -1023,21 +1022,21 @@ def test_rot_from_quat_rejects_non_unit():
         rot_from_quat((1.0, 1.0, 1.0, 1.0))
 
 
-def test_rotation3_rejects_non_rotations():
+def test_quat_from_rot_rejects_non_rotations():
     with pytest.raises(ValueError, match="3x3"):
-        Rotation3(((1.0, 0.0), (0.0, 1.0)))
+        quat_from_rot(((1.0, 0.0), (0.0, 1.0)))
     skewed = ((1.0, 1e-8, 0.0), EYE[1], EYE[2])
     with pytest.raises(ValueError, match="orthogonal"):
-        Rotation3(skewed)
+        quat_from_rot(skewed)
     with pytest.raises(ValueError, match="orthogonal"):
-        Rotation3(tuple(tuple(2.0 * c for c in row) for row in EYE))
+        quat_from_rot(tuple(tuple(2.0 * c for c in row) for row in EYE))
     with pytest.raises(ValueError, match="determinant"):
-        Rotation3((EYE[0], EYE[1], (0.0, 0.0, -1.0)))
+        quat_from_rot((EYE[0], EYE[1], (0.0, 0.0, -1.0)))
     rng = random.Random(11)
     for _ in range(20):
-        m = rot_from_quat(random_unit_quaternion(rng)).matrix
+        m = rot_from_quat(random_unit_quaternion(rng))
         with pytest.raises(ValueError, match="determinant"):
-            Rotation3((m[1], m[0], m[2]))
+            quat_from_rot((m[1], m[0], m[2]))
 
 
 def test_quat_from_rot_inverts_up_to_sign():
@@ -1053,7 +1052,7 @@ def test_quat_from_rot_near_angle_pi():
     for axis in EYE:
         r = ball_to_rotation([math.pi * c for c in axis])
         q = quat_from_rot(r)
-        assert gap(rot_from_quat(q).matrix, r.matrix) < 1e-12
+        assert gap(rot_from_quat(q), r) < 1e-12
 
 
 # --------------------------------------------------------------------------
@@ -1061,29 +1060,29 @@ def test_quat_from_rot_near_angle_pi():
 # --------------------------------------------------------------------------
 
 
-def test_ball_point_canonicalizes_boundary_antipodes():
-    top = BallPoint(0.0, 0.0, math.pi)
-    bottom = BallPoint(0.0, 0.0, -math.pi)
-    assert (bottom.x, bottom.y, bottom.z) == (top.x, top.y, top.z)
-    interior = BallPoint(0.0, 0.0, -1.0)
-    assert interior.z == -1.0  # interior points are untouched
+def test_ball_points_canonicalize_boundary_antipodes():
+    top = _canonical(0.0, 0.0, math.pi)
+    bottom = _canonical(0.0, 0.0, -math.pi)
+    assert bottom == top
+    interior = _canonical(0.0, 0.0, -1.0)
+    assert interior[2] == -1.0  # interior points are untouched
 
 
-def test_ball_point_rejects_outside():
+def test_ball_points_reject_outside():
     with pytest.raises(ValueError):
-        BallPoint(0.0, 0.0, math.pi + 1e-6)
+        _canonical(0.0, 0.0, math.pi + 1e-6)
 
 
 def test_ball_to_rotation_identity_and_antipodes():
-    assert gap(ball_to_rotation([0.0, 0.0, 0.0]).matrix, EYE) == 0.0
+    assert gap(ball_to_rotation([0.0, 0.0, 0.0]), EYE) == 0.0
     v = [math.pi * c / 3.0 for c in (1.0, 2.0, 2.0)]
     antipode = [-c for c in v]
-    assert gap(ball_to_rotation(v).matrix, ball_to_rotation(antipode).matrix) < 1e-12
+    assert gap(ball_to_rotation(v), ball_to_rotation(antipode)) < 1e-12
 
 
 def test_ball_to_rotation_rotates_by_norm():
     r = ball_to_rotation([0.0, 0.0, math.pi / 2])
-    assert gap(apply(r.matrix, (1, 0, 0)), (0, 1, 0)) < 1e-12
+    assert gap(apply(r, (1, 0, 0)), (0, 1, 0)) < 1e-12
 
 
 # --------------------------------------------------------------------------
@@ -1099,23 +1098,23 @@ def test_loop_point_endpoints_close_in_the_quotient():
     for name in ("gamma", "alpha", "beta"):
         start = loop_point(name, 0.0)
         end = loop_point(name, 1.0)
-        assert gap(start.as_tuple(), end.as_tuple()) < 1e-9
+        assert gap(start, end) < 1e-9
 
 
 def test_homotopy_connects_gamma_to_the_target():
     for variant in ("alpha", "beta"):
         for t in grid(9):
-            at0 = homotopy_H(variant, 0.0, t).as_tuple()
-            assert gap(at0, loop_point("gamma", t).as_tuple()) < 1e-9
-            at1 = homotopy_H(variant, 1.0, t).as_tuple()
-            assert gap(at1, loop_point(variant, t).as_tuple()) < 1e-9
+            at0 = homotopy_H(variant, 0.0, t)
+            assert gap(at0, loop_point("gamma", t)) < 1e-9
+            at1 = homotopy_H(variant, 1.0, t)
+            assert gap(at1, loop_point(variant, t)) < 1e-9
 
 
 def test_homotopy_stays_in_the_ball():
     for variant in ("alpha", "beta"):
         for s in grid(5):
             for t in grid(17):
-                assert math.hypot(*homotopy_H(variant, s, t).as_tuple()) <= math.pi + 1e-9
+                assert math.hypot(*homotopy_H(variant, s, t)) <= math.pi + 1e-9
 
 
 def test_homotopy_rejects_gamma_and_bad_parameters():
@@ -1132,15 +1131,15 @@ def test_displayed_matrices_match_the_ball_model():
     # boundary semicircles exactly (to rounding).
     for name in ("alpha", "beta"):
         for t in grid(33):
-            displayed = matrix_path(name, t).matrix
-            modeled = ball_to_rotation(loop_point(name, t)).matrix
+            displayed = matrix_path(name, t)
+            modeled = ball_to_rotation(loop_point(name, t))
             assert gap(displayed, modeled) < 1e-12
 
 
 def test_gamma_matrix_path_period_is_two():
-    closed = matrix_path("gamma", 0.0).matrix
-    assert gap(matrix_path("gamma", 2.0).matrix, closed) < 1e-12
-    assert gap(matrix_path("gamma", 1.0).matrix, closed) > 1.0
+    closed = matrix_path("gamma", 0.0)
+    assert gap(matrix_path("gamma", 2.0), closed) < 1e-12
+    assert gap(matrix_path("gamma", 1.0), closed) > 1.0
 
 
 # --------------------------------------------------------------------------

@@ -60,6 +60,23 @@ def test_gcd_settles_quickly_for_t_2():
     assert set(history[5 - 2 :]) == {24}
 
 
+def unreduced_gcd_history(t, K, N):
+    """The running gcd of the full integers ``k^N (k^t - 1)``."""
+    running, out = 0, []
+    for k in range(2, K + 1):
+        running = math.gcd(running, k**N * (k**t - 1))
+        out.append(running)
+    return tuple(out)
+
+
+@pytest.mark.parametrize(
+    "t,K,N",
+    [(2, 200, 12), (2000, 1024, 4096), (1999, 1024, 4096), (720, 500, 800), (12, 3, 16), (378, 200, 388)],
+)
+def test_gcd_fold_modulo_the_running_gcd_keeps_the_history(t, K, N):
+    assert gcd_history(t, K, N) == unreduced_gcd_history(t, K, N)
+
+
 def test_stabilized_gcd_validation():
     with pytest.raises(ValueError):
         stabilized_gcd(0)

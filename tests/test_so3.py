@@ -11,8 +11,8 @@ import tracemalloc
 
 import pytest
 
+from stemcert import so3
 from stemcert.so3 import (
-    Rotation3,
     ball_to_rotation,
     homotopy_H,
     homotopy_slice_matrices,
@@ -104,16 +104,24 @@ def test_ball_to_rotation_matches_rodrigues_with_k_squared():
     np = pytest.importorskip("numpy")
     for v in ball_points():
         r = ball_to_rotation(v)
-        assert np.abs(np.asarray(r.matrix) - numpy_ball_to_rotation(v)).max() < 1e-12
+        assert np.abs(np.asarray(r) - numpy_ball_to_rotation(v)).max() < 1e-12
 
 
 def test_quat_from_rot_matches_the_numpy_extraction_on_all_four_branches():
     rotations = [ball_to_rotation(v) for v in ball_points()]
-    branches = assert_quaternions_match(r.matrix for r in rotations)
+    branches = assert_quaternions_match(rotations)
     # Rotations by pi about the three axes pick the three diagonal branches.
     assert branches == {"trace", 0, 1, 2}
-    # A Rotation3 and its bare matrix give the same quaternion.
-    assert all(quat_from_rot(r) == quat_from_rot(r.matrix) for r in rotations)
+
+
+def test_quat_from_rot_reads_rows_lists_and_numpy_rows_alike():
+    np = pytest.importorskip("numpy")
+    rows = [ball_to_rotation(v) for v in ball_points()]
+    array = np.asarray(rows)
+    for k, matrix in enumerate(rows):
+        q = quat_from_rot(matrix)
+        assert quat_from_rot([list(row) for row in matrix]) == q
+        assert quat_from_rot(array[k]) == q
 
 
 @pytest.mark.parametrize("turns", [1, 2])
@@ -123,12 +131,12 @@ def test_every_loop_sample_matches_the_numpy_formulas(name, turns):
     steps = 512
     samples = list(loop_matrices(name, steps, turns))
     assert len(samples) == steps + 1
-    assert_quaternions_match(r.matrix for r in samples)
+    assert_quaternions_match(samples)
     if name == "ball-gamma":
         for k, sample in enumerate(samples):
-            point = loop_point("gamma", turns * k / steps % 1.0).as_tuple()
+            point = loop_point("gamma", turns * k / steps % 1.0)
             reference = numpy_ball_to_rotation(point)
-            assert np.abs(np.asarray(sample.matrix) - reference).max() < 1e-12
+            assert np.abs(np.asarray(sample) - reference).max() < 1e-12
 
 
 @pytest.mark.parametrize("variant", ["alpha", "beta"])
@@ -138,55 +146,117 @@ def test_every_homotopy_sample_matches_the_numpy_formulas(variant, s):
     steps = 512
     samples = list(homotopy_slice_matrices(variant, s, steps))
     assert len(samples) == steps + 1
-    assert_quaternions_match(r.matrix for r in samples)
+    assert_quaternions_match(samples)
     for k, sample in enumerate(samples):
-        point = homotopy_H(variant, s, k / steps % 1.0).as_tuple()
+        point = homotopy_H(variant, s, k / steps % 1.0)
         reference = numpy_ball_to_rotation(point)
-        assert np.abs(np.asarray(sample.matrix) - reference).max() < 1e-12
+        assert np.abs(np.asarray(sample) - reference).max() < 1e-12
 
 
-def test_lift_loop_rejects_one_non_orthogonal_sample():
-    samples = list(loop_matrices("gamma", 512))
-    assert lift_loop(samples) == -1
-    skewed = [list(row) for row in samples[300].matrix]
-    skewed[0][1] += 1e-6
-    samples[300] = skewed
-    with pytest.raises(ValueError, match="orthogonal"):
-        lift_loop(samples)
+@pytest.mark.parametrize("loop", LOOPS + ("homotopy",))
+def test_each_loop_sample_is_checked_once(monkeypatch, loop):
+    # The builders yield unchecked rows; lift_loop reads each sample through
+    # quat_from_rot, and that alone checks it, once.
+    calls = {"quat_from_rot": 0, "_rotation": 0}
+
+    def counted(name):
+        original = getattr(so3, name)
+
+        def wrapper(matrix):
+            calls[name] += 1
+            return original(matrix)
+
+        monkeypatch.setattr(so3, name, wrapper)
+
+    counted("quat_from_rot")
+    counted("_rotation")
+    if loop == "homotopy":
+        samples = homotopy_slice_matrices("beta", 0.5, 512)
+    else:
+        samples = loop_matrices(loop, 512)
+    lift_loop(samples)
+    assert calls == {"quat_from_rot": 513, "_rotation": 513}
 
 
-@pytest.mark.parametrize(
-    "build",
-    [
-        lambda: loop_matrices("gamma", 512),
-        lambda: homotopy_slice_matrices("beta", 0.5, 512),
-    ],
-    ids=["gamma", "homotopy"],
-)
-def test_each_loop_sample_is_checked_once(monkeypatch, build):
-    checks = []
-    init = Rotation3.__init__
+def gamma_lists():
+    """The 513 samples of the 512-step gamma loop as lists of lists."""
+    return [[list(row) for row in m] for m in loop_matrices("gamma", 512)]
 
-    def counted(self, matrix):
-        checks.append(1)
-        init(self, matrix)
 
-    monkeypatch.setattr(Rotation3, "__init__", counted)
-    lift_loop(build())
-    assert len(checks) == 513
+def lift_error(path):
+    with pytest.raises(ValueError) as info:
+        lift_loop(path)
+    return str(info.value)
+
+
+#: A bad sample, made from the sample it replaces, and the message naming it.
+BAD_SAMPLES = {
+    "not-3x3": (lambda m: [[1.0, 0.0], [0.0, 1.0]], "a rotation is a 3x3 matrix"),
+    "non-orthogonal": (
+        lambda m: [[m[0][0], m[0][1] + 1e-6, m[0][2]], m[1], m[2]],
+        "matrix is not orthogonal within tolerance",
+    ),
+    "det-negative": (
+        lambda m: [[-c for c in row] for row in m],
+        "matrix must have positive determinant",
+    ),
+    "nan": (
+        lambda m: [m[0], m[1], [m[2][0], m[2][1], math.nan]],
+        "matrix is not orthogonal within tolerance",
+    ),
+}
+#: Sample k replaced by sample k + 101 of gamma: 102 steps of 2 pi / 512.
+JUMP_MESSAGE = f"discontinuity: consecutive rotations jump by angle {2 * math.pi * 102 / 512:.3f}"
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_SAMPLES))
+def test_lift_loop_names_a_bad_sample_in_a_list_of_lists(bad):
+    damage, message = BAD_SAMPLES[bad]
+    path = gamma_lists()
+    path[200] = damage(path[200])
+    assert lift_error(path) == message
+
+
+def test_lift_loop_names_a_jump_a_short_path_and_an_open_one_in_lists():
+    path = gamma_lists()
+    assert lift_loop(path) == -1
+    assert lift_error(path[:100]) == "at least 256 steps are required"
+    assert lift_error(path[:300]) == "the sampled path is not a closed loop"
+    path[200] = path[301]
+    assert lift_error(path) == JUMP_MESSAGE
+
+
+@pytest.mark.parametrize("early", sorted(BAD_SAMPLES))
+def test_lift_loop_reports_the_first_bad_sample_in_stream_order(early):
+    damage, message = BAD_SAMPLES[early]
+    for late, _ in BAD_SAMPLES.values():
+        path = gamma_lists()
+        path[100] = damage(path[100])
+        path[200] = late(path[200])
+        assert lift_error(path) == message
+    # Before a later jump, in a path too short and not closed...
+    path = gamma_lists()
+    path[100] = damage(path[100])
+    path[200] = path[301]
+    assert lift_error(path[:250]) == message
+    # ...and after an earlier jump, which wins.
+    path = gamma_lists()
+    path[100] = path[201]
+    path[200] = damage(path[200])
+    assert lift_error(path) == JUMP_MESSAGE
 
 
 def test_lift_loop_accepts_numpy_arrays():
     np = pytest.importorskip("numpy")
-    samples = np.asarray([r.matrix for r in loop_matrices("gamma", 512, turns=3)])
+    samples = np.asarray(list(loop_matrices("gamma", 512, turns=3)))
     assert samples.shape == (513, 3, 3)
     assert lift_loop(samples) == -1
 
 
-def test_rotation3_rejects_nan_entries():
+def test_quat_from_rot_rejects_nan_entries():
     matrix = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, math.nan]]
     with pytest.raises(ValueError, match="orthogonal"):
-        Rotation3(matrix)
+        quat_from_rot(matrix)
     with pytest.raises(ValueError, match="outside"):
         ball_to_rotation([0.0, math.nan, 0.0])
 
@@ -225,7 +295,8 @@ def test_every_turn_count_is_rejected_or_lifts_to_the_right_sign(loop, steps):
 )
 def test_lifting_a_sample_stream_holds_a_few_samples(build):
     # The builder and the lift hold a few samples at a time; a list of the
-    # 4097 samples alone, each a Rotation3 and its rows, would take 2 MiB.
+    # 4097 samples alone, each three row tuples of floats, takes 1.1 MB
+    # (gamma) to 1.8 MB (homotopy).
     tracemalloc.start()
     try:
         sign = lift_loop(build())
@@ -259,7 +330,7 @@ def public_samples(loop, steps, turns, variant="alpha", s=1.0):
     if loop == "homotopy":
         return [ball_to_rotation(homotopy_H(variant, s, t % 1.0)) for t in ts]
     if loop == "identity":
-        return [Rotation3(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)))] * len(ts)
+        return [((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))] * len(ts)
     if loop == "ball-gamma":
         return [ball_to_rotation(loop_point("gamma", t % 1.0)) for t in ts]
     if loop == "alpha-then-beta":
@@ -270,20 +341,17 @@ def public_samples(loop, steps, turns, variant="alpha", s=1.0):
 @pytest.mark.parametrize("turns", [1, 2])
 @pytest.mark.parametrize("loop", LOOPS)
 def test_loop_samples_are_the_public_path_values(loop, turns):
-    built = [m.matrix for m in loop_matrices(loop, 256, turns)]
-    assert built == [m.matrix for m in public_samples(loop, 256, turns)]
+    assert list(loop_matrices(loop, 256, turns)) == public_samples(loop, 256, turns)
 
 
 @pytest.mark.parametrize("turns", [1, 2])
 @pytest.mark.parametrize("variant,s", [("alpha", 1.0), ("beta", 1.0), ("alpha", 0.0), ("beta", 0.37)])
 def test_homotopy_samples_are_the_public_path_values(variant, s, turns):
-    built = [m.matrix for m in homotopy_slice_matrices(variant, s, 256, turns)]
-    assert built == [m.matrix for m in public_samples("homotopy", 256, turns, variant, s)]
+    built = list(homotopy_slice_matrices(variant, s, 256, turns))
+    assert built == public_samples("homotopy", 256, turns, variant, s)
 
 
 def test_loop_matrices_reads_a_loop_name_as_matrix_path_does():
     # The name is normalized once, so gamma keeps its period of 2 and closes.
-    assert [m.matrix for m in loop_matrices(" Gamma", 256)] == [
-        m.matrix for m in loop_matrices("gamma", 256)
-    ]
+    assert list(loop_matrices(" Gamma", 256)) == list(loop_matrices("gamma", 256))
     assert lift_loop(loop_matrices("BETA", 256)) == -1

@@ -2,9 +2,9 @@
 
 The frozen classes compare and hash by their fields, never equal an instance
 of another class, refuse attribute assignment and validate in their
-constructors.  Quaternions, sampled curves and lifted loops have no class:
-they are plain tuples, arrays and lists, whose semantics are Python's and
-numpy's.
+constructors.  Quaternions, rotations, points of the ball model of SO(3),
+sampled curves and lifted loops have no class: they are plain tuples,
+arrays and lists, whose semantics are Python's and numpy's.
 """
 
 import copy
