@@ -75,14 +75,22 @@ def _emit(args, payload: dict, human: str) -> None:
 # --------------------------------------------------------------------------
 
 
+def _check_digit_counts(runs, flag: str, cap: int) -> None:
+    """Reject a run of digits with more significant digits than ``cap``
+    before anything reads it: int() refuses more than 4300 digits."""
+    if any(len(run.lstrip("0")) > len(str(cap)) for run in runs):
+        raise ValueError(f"{flag} must be at most {cap}")
+
+
 def _parse_bounded_space(label: str):
     """The space of a ``--space`` label, whose indices are at most
     ``_MAX_ADAMS_INDEX``; checked before any ring is built."""
     from .kring import parse_space
 
+    _check_digit_counts(re.findall(r"\d+", label), "--space index", _MAX_ADAMS_INDEX)
     space = parse_space(label)
     # The digits of a parsed label are its cell indices.
-    if max(int(n) for n in re.findall(r"\d+", label)) > _MAX_ADAMS_INDEX:
+    if max(int(n) for n in re.findall(r"\d+", space.label)) > _MAX_ADAMS_INDEX:
         raise ValueError(f"--space index must be at most {_MAX_ADAMS_INDEX}")
     return space
 
@@ -93,6 +101,7 @@ def cmd_adams(args) -> int:
     if args.k > _MAX_ADAMS_K:
         raise ValueError(f"--k must be at most {_MAX_ADAMS_K}")
     model = make_ring(_parse_bounded_space(args.space))
+    _check_digit_counts(re.findall(r"\^(\d+)", args.elem), "--elem exponent", _MAX_ADAMS_EXPONENT)
     elem = parse_element(model, args.elem)
     # ``elem`` is one basis monomial, named by its projective exponent.
     (mono,) = (m for m, c in zip(model.basis, elem.coeffs) if c)
@@ -123,12 +132,13 @@ def _parse_primes(text: str) -> list:
     primes = []
     for entry in entries:
         # Digit counts first: int() refuses more than 4300 digits.
-        long = len(entry.lstrip("+-0")) > len(str(_MAX_ADAMS_K))
-        if entry.startswith("-") or (not long and int(entry) < 2):
+        digits = entry.lstrip("+-0") or "0"
+        long = len(digits) > len(str(_MAX_ADAMS_K))
+        if entry.startswith("-") or (not long and int(digits) < 2):
             raise ValueError("Adams indices must be at least 2")
-        if long or int(entry) > _MAX_ADAMS_K:
+        if long or int(digits) > _MAX_ADAMS_K:
             raise ValueError(f"--primes index must be at most {_MAX_ADAMS_K}")
-        primes.append(int(entry))
+        primes.append(int(digits))
     return primes
 
 
@@ -192,9 +202,10 @@ def cmd_bernoulli(args) -> int:
 def cmd_feder_gitler(args) -> int:
     from . import jorder
 
-    equivalent = jorder.feder_gitler_equivalent(args.n, args.k, args.l, args.Bn)
-    # Without --Bn the decision above used the computed B_1 (n = 1 only).
-    bn = args.Bn if args.Bn is not None else jorder._jorder_b1()
+    if args.n > 1:
+        raise ValueError("--n must be 1: B_n is computed only for n = 1")
+    equivalent = jorder.feder_gitler_equivalent(args.n, args.k, args.l)
+    bn = jorder._jorder_b1()
     payload = {
         "n": args.n,
         "k": args.k,
@@ -416,10 +427,9 @@ _TABLE = {
         ("--n", int, None, True, None, f"at most {_MAX_BERNOULLI_INDEX}"),
     )),
     "feder-gitler": ("stable equivalence of stunted projective spaces", (
-        ("--n", int, None, True, None, None),
+        ("--n", int, None, True, None, "must be 1 (B_n is computed only for n = 1)"),
         ("--k", int, None, True, None, None),
         ("--l", int, None, True, None, None),
-        ("--Bn", int, None, False, None, "J-order B_n (n >= 2; n = 1 takes only the computed B_1)"),
     )),
     "thom": ("Thom space as a stunted projective space", (
         ("--family", str, None, True, ("complex", "quaternionic"), None),

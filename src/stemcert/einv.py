@@ -79,10 +79,10 @@ def two_cell_from(model: RingModel, k: int) -> TwoCellModel:
     if k < 2:
         raise ValueError("Adams index must be at least 2")
     a, b = model.dims[0] // 2, model.dims[1] // 2
-    mat = adams_matrix(model, k)
-    if mat.entries[0][1] != 0 or mat.diagonal() != (k**a, k**b):
+    (bottom, above), (c, top) = adams_matrix(model, k)
+    if above != 0 or (bottom, top) != (k**a, k**b):
         raise ValueError(f"{model.label} is not lower-triangular graded at k={k}")
-    return TwoCellModel(a=a, b=b, k=k, c=mat.entries[1][0])
+    return TwoCellModel(a=a, b=b, k=k, c=c)
 
 
 def e_of_cells(cell: TwoCellModel) -> Fraction:

@@ -29,8 +29,9 @@ length N, so that a vertex costs 8 bytes per coordinate rather than a tuple
 of float objects.
 
 The rotations, the ball model of ``SO(3)``, its loops and their lifts live in
-:mod:`stemcert.so3`; this module re-exports its functions.  A rotation is
-three row tuples of floats and a point of the ball the tuple ``(x, y, z)``.
+:mod:`stemcert.so3`; this module re-exports only the six of its functions that
+the benchmark times as ``hopf.*``.  A rotation is three row tuples of floats
+and a point of the ball the tuple ``(x, y, z)``.
 
 Rotation matrices use the active convention throughout: ``rot_from_quat(q)``
 is the matrix of ``x -> q x conj(q)``, which makes the map a homomorphism
@@ -50,11 +51,9 @@ from .errors import ResamplePole, VerificationError
 from .so3 import (
     _rotation,
     ball_to_rotation,
-    homotopy_H,
     homotopy_slice_matrices,
     lift_loop,
     loop_matrices,
-    loop_point,
     matrix_path,
     quat_from_rot,
 )
@@ -62,8 +61,9 @@ from .so3 import (
 if TYPE_CHECKING:
     import random
 
-# The SO(3) names stay listed here, as the same objects: the benchmark's
-# tracer times the functions of this list as ``hopf.*``.
+# The six so3 functions of this list stay here, as the same objects, only
+# because the benchmark's metrics name them ``hopf.*``: its tracer times the
+# functions of this list.
 __all__ = [
     "UNLINKED_CONTROL",
     "ball_to_rotation",
@@ -76,14 +76,12 @@ __all__ = [
     "fiber_determinant",
     "fiber_linking",
     "gauss_linking",
-    "homotopy_H",
     "homotopy_slice_matrices",
     "hopf_map",
     "hurwitz_units",
     "lift_loop",
     "linking_number",
     "loop_matrices",
-    "loop_point",
     "matrix_path",
     "mirror_determinant",
     "qmul",

@@ -34,7 +34,6 @@ from typing import Mapping, Optional
 from ._frozen import Frozen
 
 __all__ = [
-    "AdamsMatrix",
     "LaurentPoly",
     "RingElement",
     "RingModel",
@@ -406,35 +405,16 @@ def adams(k: int, a: RingElement) -> RingElement:
     return RingElement(model, tuple(vec))
 
 
-class AdamsMatrix(Frozen):
-    """Matrix of ``psi^k`` in the monomial basis, with the grading attached.
+def adams_matrix(model: RingModel, k: int) -> tuple:
+    """Matrix of ``psi^k`` on ``model``'s basis, as a tuple of rows.
 
-    ``entries[j][i]`` is the coefficient of basis monomial ``j`` in the image
-    of basis monomial ``i``; ``dims`` are the cell dimensions of the basis.
-    With the basis ordered by increasing cell dimension the matrix is lower
-    triangular, and the diagonal entry of a monomial in cell dimension ``2d``
-    is ``k^d``.
+    Entry ``[j][i]`` is the coefficient of basis monomial ``j`` in the image
+    of basis monomial ``i``.  With the basis ordered by increasing cell
+    dimension (``model.dims``) the matrix is lower triangular, and the
+    diagonal entry of a monomial in cell dimension ``2d`` is ``k^d``.
     """
-
-    __slots__ = ("space", "k", "entries", "dims")
-
-    def __init__(self, space: str, k: int, entries: tuple, dims: tuple):
-        self._set(space=space, k=k, entries=entries, dims=dims)
-
-    def diagonal(self) -> tuple:
-        return tuple(self.entries[i][i] for i in range(len(self.dims)))
-
-
-def adams_matrix(model: RingModel, k: int) -> AdamsMatrix:
-    """Matrix of ``psi^k`` on ``model``'s basis (columns are images)."""
-    if k < 1:
-        raise ValueError("Adams index must be at least 1")
-    size = len(model.basis)
-    cols = []
-    for mono in model.basis:
-        cols.append(adams(k, model.monomial(mono)).coeffs)
-    entries = tuple(tuple(cols[i][j] for i in range(size)) for j in range(size))
-    return AdamsMatrix(space=model.label, k=k, entries=entries, dims=model.dims)
+    cols = [adams(k, model.monomial(mono)).coeffs for mono in model.basis]
+    return tuple(zip(*cols))
 
 
 # --------------------------------------------------------------------------
@@ -449,7 +429,8 @@ def _parse_atom(text: str) -> tuple:
     m = _SPACE_RE.match(text)
     if not m:
         raise ValueError(f"unrecognized space {text!r}")
-    kind, num = m.group(1), int(m.group(2))
+    # Leading zeros are stripped first: int() refuses more than 4300 digits.
+    kind, num = m.group(1), int(m.group(2).lstrip("0") or "0")
     if kind == "s" and (num % 2 != 0 or num == 0):
         raise ValueError(f"only even spheres are modeled, got s{num}")
     return kind, num
@@ -481,7 +462,7 @@ def parse_element(model: RingModel, text: str) -> RingElement:
         m = _ELEMENT_RE.match(part.strip())
         if not m:
             raise ValueError(f"unrecognized element {text!r}")
-        sym, power = m.group(1), int(m.group(2) or "1")
+        sym, power = m.group(1), int((m.group(2) or "1").lstrip("0") or "0")
         if sym not in exponents:
             raise ValueError(f"{sym!r} is not a generator of {model.label}")
         exponents[sym] += power

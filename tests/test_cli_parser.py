@@ -139,15 +139,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "feder-gitler", help="stable equivalence of stunted projective spaces"
     )
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True, help="must be 1 (B_n is computed only for n = 1)")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
-    p.add_argument(
-        "--Bn",
-        type=int,
-        default=None,
-        help="J-order B_n (for n >= 2; n = 1 takes only the computed B_1)",
-    )
     p.set_defaults(func=cmd_feder_gitler)
 
     p = sub.add_parser("thom", help="Thom space as a stunted projective space")

@@ -17,7 +17,6 @@ from stemcert.derivation import DerivationStep, StemReport, StepStatus
 from stemcert.einv import ObstructionCertificate, TwoCellModel, Verdict
 from stemcert.jorder import JOrderBound, KOClassS2, StuntedSpace
 from stemcert.kring import (
-    AdamsMatrix,
     RingElement,
     RingModel,
     Space,
@@ -52,7 +51,6 @@ FROZEN = [
     (Space, ("s2-smash-cp2", "cp", 2, 1)),
     (RingModel, CP2_MODEL),
     (RingElement, (RingModel(*CP2_MODEL), (2, 1))),
-    (AdamsMatrix, ("cp2", 2, ((2, 0), (1, 4)), (2, 4))),
 ]
 SPACE_IDS = {
     "cp2": "ComplexProjective",
