@@ -274,23 +274,20 @@ def feder_gitler_equivalent(
     """Stable-equivalence decision for ``P^(n+k)/P^(k-1)`` vs
     ``P^(n+l)/P^(l-1)``: true iff ``k = l (mod B_n)``.
 
-    ``B_n`` is the J-order of the Hopf bundle over ``P^n`` and must be
-    supplied by the caller except for ``n = 1``, where the library computes
-    it as 24 and rejects any other supplied value.
+    ``B_n`` is the J-order of the Hopf bundle over ``P^n``.  The library
+    computes it only for ``n = 1``, as 24, so every other ``n`` raises,
+    whether or not ``Bn`` is given: no verdict rests on a caller's constant.
+    A supplied ``Bn`` is a cross-check against the computed ``B_1``.
     """
     if n < 1:
         raise ValueError("n must be positive")
+    if n > 1:
+        raise ValueError(f"B_n is computed only for n = 1, got n = {n}")
     if k < 0 or l < 0:
         raise ValueError("indices must be non-negative")
-    if n == 1:
-        if Bn not in (None, _jorder_b1()):
-            raise ValueError(f"B_1 is the computed {_jorder_b1()}, not the supplied {Bn}")
-        Bn = _jorder_b1()
-    elif Bn is None:
-        raise ValueError("the J-order B_n must be supplied for n >= 2")
-    if Bn < 1:
-        raise ValueError("B_n must be at least 1")
-    return (k - l) % Bn == 0
+    if Bn not in (None, _jorder_b1()):
+        raise ValueError(f"B_1 is the computed {_jorder_b1()}, not the supplied {Bn}")
+    return (k - l) % _jorder_b1() == 0
 
 
 # --------------------------------------------------------------------------

@@ -14,15 +14,20 @@ One descriptor, :class:`Space`, records the label, the projective kind
   by 2m, and every product zero.
 
 A basis monomial ``x^e nu`` is named by its projective exponent ``e`` (0 for
-the bare sphere's ``nu``).  The Adams operation ``psi^k`` is determined by
-its value on the generators: ``psi^k(x^e nu) = k^m psi^k(x)^e nu``, with
+the bare sphere's ``nu``).  The Adams operations are those of line bundles,
+``psi^k(L) = L^k``.  On the generators, ``psi^k(nu) = k^m nu``,
 ``psi^k(mu) = (1 + mu)^k - 1`` on a complex projective space and, on a
-quaternionic one, the Chebyshev closed form ``psi^k(phi) = sum_j 2k/(k+j) *
-C(k+j, 2j) * phi^j`` for ``1 <= j <= min(k, n)``.  The closed form is the
+quaternionic one, the Chebyshev closed form ``psi^k(phi) = sum_d 2k/(k+d) *
+C(k+d, 2d) * phi^d`` for ``1 <= d <= min(k, n)``.  That closed form is the
 expansion of ``t^k + t^(-k) - 2`` in the variable ``x = t + t^(-1) - 2``; the
 Laurent reduction (:func:`laurent_to_phi`) computes that expansion
-independently and is kept as its cross-check.  All coefficients are exact
-integers.
+independently and is kept as its cross-check.  Expanding ``mu^e = (L - 1)^e``
+and ``phi^e = (t^(1/2) - t^(-1/2))^(2e)`` gives every power in closed form,
+
+    psi^k(x^e nu) = k^m sum_(j=1..e) (-1)^(e-j) W(e, j) psi^(kj)(x) nu,
+
+with ``W(e, j) = C(e, j)`` on ``CP^n`` and ``C(2e, e - j)`` on ``HP^n``.
+All coefficients are exact integers.
 """
 
 from __future__ import annotations
@@ -71,15 +76,16 @@ class Space(Frozen):
 
 
 #: Per projective kind: the generator's name and glyph, its cell dimension,
-#: and the coefficient of ``x^j`` in ``psi^k(x)`` for ``1 <= j <= k``.
+#: the coefficient of ``x^d`` in ``psi^k(x)``, and the weight ``W(e, j)``.
 _KINDS = {
     # (1 + mu)^k - 1.
-    "cp": ("mu", "μ", 2, math.comb),
+    "cp": ("mu", "μ", 2, math.comb, math.comb),
     # Chebyshev closed form of t^k + t^(-k) - 2 in x = t + t^(-1) - 2; the
     # division is exact.
-    "hp": ("phi", "φ", 4, lambda k, j: 2 * k * math.comb(k + j, 2 * j) // (k + j)),
+    "hp": ("phi", "φ", 4, lambda k, d: 2 * k * math.comb(k + d, 2 * d) // (k + d),
+           lambda e, j: math.comb(2 * e, e - j)),
     # A bare sphere has no projective generator.
-    None: (None, "", 0, None),
+    None: (None, "", 0, None, None),
 }
 
 _SUPERSCRIPTS = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
@@ -377,31 +383,26 @@ def laurent_to_phi(k: int, n: int) -> RingElement:
 
 
 def adams(k: int, a: RingElement) -> RingElement:
-    """Adams operation ``psi^k``: ``psi^k(x^e nu) = k^m psi^k(x)^e nu``."""
+    """Adams operation ``psi^k``, by the closed form of the module docstring."""
     if k < 1:
         raise ValueError("Adams index must be at least 1")
     model = a.model
-    n, start = model.space.n, model.basis.start
-    coefficient = _KINDS[model.space.kind][3]
-    image = {j: coefficient(k, j) for j in range(1, min(k, n) + 1)}
+    n = model.space.n
+    coefficient, weight = _KINDS[model.space.kind][3:]
     suspension = k**model.space.m
-    top = max((e for e, c in zip(model.basis, a.coeffs) if c), default=start - 1)
     vec = [0] * len(model.basis)
-    # psi^k(x)^e, truncated above x^n, raised one exponent at a time and
-    # only as far as the last nonzero coefficient.
-    power = {0: 1}
-    for e, c in zip(range(start, top + 1), a.coeffs):
-        if e:
-            nxt: dict[int, int] = {}
-            for d1, c1 in power.items():
-                for d2, c2 in image.items():
-                    d = d1 + d2
-                    if d <= n:
-                        nxt[d] = nxt.get(d, 0) + c1 * c2
-            power = nxt
-        if c:
-            for d, p in power.items():
-                vec[d - start] += suspension * c * p
+    # Sum each psi^(kj)(x)'s weight over all monomials, then expand it once.
+    weights = [0] * (n + 1)
+    for e, c in zip(model.basis, a.coeffs):
+        if not c:
+            continue
+        if not e:  # the bare sphere's nu
+            vec[0] += suspension * c
+        for j in range(1, e + 1):
+            weights[j] += (-1) ** (e - j) * weight(e, j) * suspension * c
+    for j, w in enumerate(weights):
+        for d in range(1, min(k * j, n) + 1) if w else ():
+            vec[d - 1] += w * coefficient(k * j, d)
     return RingElement(model, tuple(vec))
 
 

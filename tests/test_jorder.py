@@ -235,10 +235,11 @@ def test_feder_gitler_frozen_decisions():
     assert feder_gitler_equivalent(1, 23, 0) is False
 
 
-def test_feder_gitler_needs_explicit_bn_beyond_n1():
-    with pytest.raises(ValueError):
-        feder_gitler_equivalent(2, 24, 0)
-    assert feder_gitler_equivalent(2, 240, 0, Bn=240) is True
+@pytest.mark.parametrize("Bn", [None, 7, 240])
+def test_feder_gitler_refuses_n2_with_or_without_bn(Bn):
+    # B_2 is not computed, so no supplied constant may decide for n = 2.
+    with pytest.raises(ValueError, match="only for n = 1"):
+        feder_gitler_equivalent(2, 1, 8, Bn=Bn)
 
 
 @given(

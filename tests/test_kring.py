@@ -252,6 +252,28 @@ def test_adams_on_a_suspension_is_k_to_the_m_times_the_projective_image(space, b
             power = mul(power, image)
 
 
+POWER_GRID = [f"{kind}{n}" for kind in ("cp", "hp") for n in range(1, 13)]
+
+
+@pytest.mark.parametrize("base", POWER_GRID)
+def test_adams_on_every_power_is_the_power_of_the_generator_image(base):
+    # adams computes psi^k(x^e) by its binomial closed form; psi^k is a ring
+    # map, so that must be the e-fold product of psi^k(x).  k runs from 1,
+    # and k*j > n (the truncated terms) occurs on every space.  On S^2 and
+    # S^4 smashes the image is k^m times the projective one.
+    projective = ring(base)
+    suspensions = [(ring(f"s2-smash-{base}"), 1), (ring(f"{base}-smash-s4"), 2)]
+    for k in range(1, 13):
+        image = adams(k, projective.generator())
+        power = image
+        for e in projective.basis:
+            assert adams(k, projective.monomial(e)) == power
+            for model, m in suspensions:
+                expected = {d: k**m * c for d, c in zip(projective.basis, power.coeffs)}
+                assert adams(k, model.monomial(e)) == model.element(expected)
+            power = mul(power, image)
+
+
 @pytest.mark.parametrize("space", SUSPENSION_IDS)
 def test_every_product_on_a_suspension_is_zero(space):
     model = ring(space)
