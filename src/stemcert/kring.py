@@ -27,7 +27,11 @@ and ``phi^e = (t^(1/2) - t^(-1/2))^(2e)`` gives every power in closed form,
     psi^k(x^e nu) = k^m sum_(j=1..e) (-1)^(e-j) W(e, j) psi^(kj)(x) nu,
 
 with ``W(e, j) = C(e, j)`` on ``CP^n`` and ``C(2e, e - j)`` on ``HP^n``.
-All coefficients are exact integers.
+:func:`adams` steps through the coefficients ``c(k, d)`` of ``psi^k(x)`` by
+their ratio, ``c(k, d+1) = c(k, d) (k - d) / (d + 1)`` from ``c(k, 0) = 1``
+on ``CP^n`` and ``c(k, d+1) = c(k, d) (k^2 - d^2) / ((2d + 1)(2d + 2))``
+from ``c(k, 0) = 2`` on ``HP^n``.  Each division is exact, and all
+coefficients are exact integers.
 """
 
 from __future__ import annotations
@@ -76,16 +80,16 @@ class Space(Frozen):
 
 
 #: Per projective kind: the generator's name and glyph, its cell dimension,
-#: the coefficient of ``x^d`` in ``psi^k(x)``, and the weight ``W(e, j)``.
+#: the coefficient c(k, 0) and the step from c(k, d) to c(k, d + 1) of the
+#: coefficients c(k, d) of ``x^d`` in ``psi^k(x)``, and the weight ``W(e, j)``.
 _KINDS = {
-    # (1 + mu)^k - 1.
-    "cp": ("mu", "μ", 2, math.comb, math.comb),
-    # Chebyshev closed form of t^k + t^(-k) - 2 in x = t + t^(-1) - 2; the
-    # division is exact.
-    "hp": ("phi", "φ", 4, lambda k, d: 2 * k * math.comb(k + d, 2 * d) // (k + d),
+    # (1 + mu)^k - 1: c(k, d) = C(k, d).
+    "cp": ("mu", "μ", 2, 1, lambda c, k, d: c * (k - d) // (d + 1), math.comb),
+    # Chebyshev closed form of t^k + t^(-k) - 2 in x = t + t^(-1) - 2.
+    "hp": ("phi", "φ", 4, 2, lambda c, k, d: c * (k * k - d * d) // ((2 * d + 1) * (2 * d + 2)),
            lambda e, j: math.comb(2 * e, e - j)),
     # A bare sphere has no projective generator.
-    None: (None, "", 0, None, None),
+    None: (None, "", 0, None, None, None),
 }
 
 _SUPERSCRIPTS = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
@@ -388,7 +392,7 @@ def adams(k: int, a: RingElement) -> RingElement:
         raise ValueError("Adams index must be at least 1")
     model = a.model
     n = model.space.n
-    coefficient, weight = _KINDS[model.space.kind][3:]
+    start, step, weight = _KINDS[model.space.kind][3:]
     suspension = k**model.space.m
     vec = [0] * len(model.basis)
     # Sum each psi^(kj)(x)'s weight over all monomials, then expand it once.
@@ -401,8 +405,10 @@ def adams(k: int, a: RingElement) -> RingElement:
         for j in range(1, e + 1):
             weights[j] += (-1) ** (e - j) * weight(e, j) * suspension * c
     for j, w in enumerate(weights):
+        c = start  # c(k * j, d - 1), stepped to c(k * j, d); each division is exact
         for d in range(1, min(k * j, n) + 1) if w else ():
-            vec[d - 1] += w * coefficient(k * j, d)
+            c = step(c, k * j, d - 1)
+            vec[d - 1] += w * c
     return RingElement(model, tuple(vec))
 
 

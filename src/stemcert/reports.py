@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import einv, jorder
-from .derivation import DerivationStep, StemReport, StepStatus, computed_step, register_check
+from .derivation import cited, computed_step, register_check, stem_report
 from .errors import VerificationError
 from .exact import is_prime
 from .kring import make_ring, mul, parse_space
@@ -206,12 +206,11 @@ def eta_order_chain(earlier: dict) -> tuple:
             "stemcert.kring (truncated ring Z[mu]/(mu^2), eta = 1 + mu)",
         ),
         computed_step(earlier, "ko_realify_eta_square", {}, "stemcert.jorder.ko_s2_realify"),
-        DerivationStep(
+        cited(
             "KO-triviality of the realified class makes 2*(Hopf bundle) stably "
             "fiber-homotopy trivial, so its Thom space splits and twice the "
             "attaching class vanishes (the splitting is governed by the J-order, "
             "which equals the KO-order here)",
-            StepStatus.PAPER_ASSERTED,
             "Adams conjecture; J-groups of spheres",
         ),
         computed_step(
@@ -226,10 +225,9 @@ def eta_order_chain(earlier: dict) -> tuple:
 def _stem_one() -> tuple:
     return (
         *eta_order_chain({}),
-        DerivationStep(
+        cited(
             "the two-cell computation happens in the stable range, so it identifies "
             "the first stem: Z2 generated by the suspended Hopf class eta",
-            StepStatus.PAPER_ASSERTED,
             "Freudenthal suspension theorem",
         ),
     )
@@ -245,16 +243,14 @@ def _stem_two() -> tuple:
             {},
             "stemcert.reports (composition bilinearity)",
         ),
-        DerivationStep(
+        cited(
             "eta^2 is essential: the 2-local EHP sequence identifies the second "
             "stem with Z2 generated by eta^2",
-            StepStatus.PAPER_ASSERTED,
             "EHP sequence (James fibrations, 2-local)",
         ),
-        DerivationStep(
+        cited(
             "remark: eta^2 also carries the nontrivial Arf invariant under the "
             "framed-cobordism description of the stem",
-            StepStatus.PAPER_ASSERTED,
             "Pontryagin-Thom construction; Arf invariant",
         ),
     )
@@ -270,12 +266,11 @@ def _stem_three() -> tuple:
             {"space": "hp2", "ks": [2, 3]},
             "stemcert.einv.order_lower_bound",
         ),
-        DerivationStep(
+        cited(
             "stunted quaternionic projective spaces P^(n+k)/P^(k-1) and "
             "P^(n+l)/P^(l-1) share a stable homotopy type iff k = l modulo the "
             "J-order B_n of the Hopf bundle over P^n; for n = 1 that J-order is "
             "the 24 computed above",
-            StepStatus.PAPER_ASSERTED,
             "Feder-Gitler classification of stunted projective spaces",
         ),
         computed_step(
@@ -285,18 +280,17 @@ def _stem_three() -> tuple:
             "stemcert.jorder.feder_gitler_equivalent",
         ),
         computed_step(earlier, "order_pin", {}, "stemcert.reports (divisor bookkeeping)"),
-        DerivationStep(
+        cited(
             "index note: the group above is the degree-3 stable stem (pi_3^S); the "
             "degree-2 stem is the separate Z2 of the stem-2 report",
-            StepStatus.PAPER_ASSERTED,
             "standard stem indexing",
         ),
     )
 
 
-def build_stem_report(stem: int) -> StemReport:
-    """The derivation report for stem 1, 2, or 3."""
+def build_stem_report(stem: int) -> dict:
+    """The report of stem 1, 2, or 3: the JSON object ``report --json`` prints."""
     builders = {1: _stem_one, 2: _stem_two, 3: _stem_three}
     if stem not in builders:
         raise ValueError(f"stem must be 1, 2 or 3, got {stem}")
-    return StemReport(builders[stem]())
+    return stem_report(builders[stem]())

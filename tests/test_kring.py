@@ -198,8 +198,9 @@ def test_laurent_to_phi_agrees_with_adams(k, n):
 
 @pytest.mark.parametrize("k", range(1, 61))
 def test_closed_form_adams_matches_the_laurent_reduction(k):
-    # On HP^n, adams() uses the closed form 2k/(k+j) * C(k+j, 2j); the
-    # Laurent reduction computes the same expansion independently.
+    # On HP^n, adams() steps through the closed form 2k/(k+j) * C(k+j, 2j)
+    # by its ratio; the Laurent reduction computes the same expansion
+    # independently.
     for n in sorted({1, k - 1, k, k + 3} - {0}):
         model = ring(f"hp{n}")
         image = adams(k, model.generator()).coeffs
@@ -207,6 +208,20 @@ def test_closed_form_adams_matches_the_laurent_reduction(k):
         # psi^k(phi) has x-degree k, so nothing survives above phi^k.
         assert all(c == 0 for c in image[k:])
         assert all(c > 0 for c in image[:k])
+
+
+@pytest.mark.parametrize("space", ["cp256", "hp256"])
+@pytest.mark.parametrize("k", [1, 2, 255, 256])
+def test_adams_at_the_caps_matches_the_closed_form(space, k):
+    # adams() steps from each coefficient to the next by its ratio; at the
+    # caps every coefficient must still be the closed form's C(k, d) on CP^n
+    # and 2k * C(k+d, 2d) / (k+d) on HP^n.
+    model = ring(space)
+    if space.startswith("cp"):
+        expected = [math.comb(k, d) for d in model.basis]
+    else:
+        expected = [2 * k * math.comb(k + d, 2 * d) // (k + d) for d in model.basis]
+    assert list(adams(k, model.generator()).coeffs) == expected
 
 
 def test_closed_form_adams_on_the_smash_with_a_sphere():

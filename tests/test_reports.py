@@ -10,15 +10,28 @@ import pytest
 
 import stemcert
 from stemcert.derivation import (
-    DerivationStep,
-    StemReport,
-    StepStatus,
+    COMPUTED,
+    PAPER_ASSERTED,
+    cited,
+    replay,
     replay_step,
-    report_from_json,
-    report_to_json,
+    stem_report,
 )
 from stemcert.errors import VerificationError
 from stemcert.reports import build_stem_report, eta_order_chain
+
+
+def _read_back(stem):
+    """The stem's report as ``report --json`` prints it and a reader parses it."""
+    return json.loads(json.dumps(build_stem_report(stem)))
+
+
+def _computed(report):
+    return [s for s in report["steps"] if s["status"] == COMPUTED]
+
+
+def _asserted(report):
+    return [s for s in report["steps"] if s["status"] == PAPER_ASSERTED]
 
 
 # --------------------------------------------------------------------------
@@ -27,56 +40,108 @@ from stemcert.reports import build_stem_report, eta_order_chain
 
 
 def test_computed_step_requires_check_evidence():
-    with pytest.raises(ValueError):
-        DerivationStep(claim="x", status=StepStatus.COMPUTED, citation="y")
     for evidence in (
+        None,
         {"value": 1},
         {"check": "jorder_triple", "inputs": {"t": 2}},
         {"check": "jorder_triple", "inputs": [2], "outputs": {"value": 24}},
     ):
-        with pytest.raises(ValueError):
-            DerivationStep(claim="x", status=StepStatus.COMPUTED, citation="y", evidence=evidence)
+        step = {"claim": "x", "status": COMPUTED, "citation": "y", "evidence": evidence}
+        with pytest.raises(VerificationError, match="needs evidence"):
+            replay_step(step, {})
 
 
 def test_asserted_step_carries_no_evidence():
-    with pytest.raises(ValueError):
-        DerivationStep(
-            claim="x",
-            status=StepStatus.PAPER_ASSERTED,
-            citation="y",
-            evidence={"check": "anything"},
-        )
+    step = {**cited("x", "y"), "evidence": {"check": "anything"}}
+    with pytest.raises(VerificationError, match="carries no evidence"):
+        replay_step(step, {})
+    assert replay_step(cited("x", "y"), {}) is True
 
 
 def test_replay_rejects_unknown_check():
-    step = DerivationStep(
-        claim="x",
-        status=StepStatus.COMPUTED,
-        citation="y",
-        evidence={"check": "no_such_check", "inputs": {}, "outputs": {}},
-    )
+    step = {
+        "claim": "x",
+        "status": COMPUTED,
+        "citation": "y",
+        "evidence": {"check": "no_such_check", "inputs": {}, "outputs": {}},
+    }
     with pytest.raises(VerificationError):
         replay_step(step, {})
 
 
 def test_report_requires_the_known_conclusions():
     # The conclusion is what the last computed step outputs, for stems 1-3.
-    asserted = DerivationStep("eta^2 is essential", StepStatus.PAPER_ASSERTED, "EHP")
-    with pytest.raises(ValueError, match="must output its stem, order, generator"):
-        StemReport((asserted,))
-    steps = build_stem_report(3).steps
+    with pytest.raises(VerificationError, match="must output its stem, order, generator"):
+        stem_report([cited("eta^2 is essential", "EHP")])
+    steps = build_stem_report(3)["steps"]
     # Without order_pin the last computed step, fg_congruence, names no order.
-    with pytest.raises(ValueError, match="must output its stem, order, generator"):
-        StemReport(tuple(s for s in steps if s is not steps[-2]))
+    with pytest.raises(VerificationError, match="must output its stem, order, generator"):
+        stem_report([s for s in steps if s is not steps[-2]])
     pin = steps[-2]
-    stem_four = DerivationStep(
-        pin.claim,
-        pin.status,
-        pin.citation,
-        {**pin.evidence, "outputs": {**pin.evidence["outputs"], "stem": 4}},
-    )
-    with pytest.raises(ValueError, match="stem must be 1, 2 or 3"):
-        StemReport((*steps[:-2], stem_four))
+    stem_four = {
+        **pin,
+        "evidence": {**pin["evidence"], "outputs": {**pin["evidence"]["outputs"], "stem": 4}},
+    }
+    with pytest.raises(VerificationError, match="stem must be 1, 2 or 3"):
+        stem_report([*steps[:-2], stem_four])
+
+
+def _evidence(report, check):
+    (step,) = [s for s in _computed(report) if s["evidence"]["check"] == check]
+    return step["evidence"]
+
+
+def _drop_concluding_step(report):
+    report["steps"] = [s for s in report["steps"] if s not in _computed(report)[-1:]]
+
+
+# Each edit makes the stem-3 report, as read back from JSON, malformed.
+MALFORMED = {
+    "unknown-status": lambda r: r["steps"][0].update(status="Checked"),
+    "status-of-another-case": lambda r: r["steps"][0].update(status="computed"),
+    "evidence-on-cited-step": lambda r: _asserted(r)[0].update(
+        evidence={"check": "jorder_triple", "inputs": {"t": 2}, "outputs": {"value": 24}}
+    ),
+    "computed-without-evidence": lambda r: r["steps"][0].update(evidence=None),
+    "evidence-without-check": lambda r: _evidence(r, "jorder_triple").pop("check"),
+    "evidence-without-inputs": lambda r: _evidence(r, "jorder_triple").pop("inputs"),
+    "evidence-without-outputs": lambda r: _evidence(r, "jorder_triple").pop("outputs"),
+    "evidence-with-an-extra-key": lambda r: _evidence(r, "jorder_triple").update(n=1),
+    "inputs-as-list": lambda r: _evidence(r, "jorder_triple").update(inputs=[2]),
+    "outputs-as-list": lambda r: _evidence(r, "jorder_triple").update(outputs=[24]),
+    "step-without-citation": lambda r: r["steps"][0].pop("citation"),
+    "step-as-list": lambda r: r["steps"].__setitem__(0, list(r["steps"][0].values())),
+    "concluding-step-deleted": _drop_concluding_step,
+    "concluding-stem-four": lambda r: _evidence(r, "order_pin")["outputs"].update(stem=4),
+    "no-steps": lambda r: r.update(steps=[]),
+    "steps-as-dict": lambda r: r.update(steps=dict(enumerate(r["steps"]))),
+    "report-without-generator": lambda r: r.pop("generator"),
+}
+
+
+@pytest.mark.parametrize("edit", MALFORMED.values(), ids=MALFORMED)
+def test_malformed_report_fails_replay(edit):
+    report = _read_back(3)
+    edit(report)
+    with pytest.raises(VerificationError):
+        replay(report)
+
+
+@pytest.mark.parametrize(
+    "stem,check,field,value,stated",
+    [
+        (1, "order_bracket_first_stem", "stem", True, ("stem", True)),
+        (3, "order_pin", "order", 24.0, ("group", "Z24.0")),
+    ],
+    ids=["stem-true", "order-float"],
+)
+def test_replay_compares_outputs_as_json(stem, check, field, value, stated):
+    # True == 1 and 24.0 == 24 in Python, but not in the JSON a report is.
+    report = _read_back(stem)
+    _evidence(report, check)["outputs"][field] = value
+    report[stated[0]] = stated[1]
+    with pytest.raises(VerificationError, match="computed"):
+        replay(report)
 
 
 # --------------------------------------------------------------------------
@@ -90,16 +155,16 @@ EXPECTED = {1: ("Z2", "eta"), 2: ("Z2", "eta^2"), 3: ("Z24", "nu")}
 @pytest.mark.parametrize("stem", [1, 2, 3])
 def test_reports_conclude_correctly_and_replay(stem):
     report = build_stem_report(stem)
-    assert (report.group, report.generator) == EXPECTED[stem]
-    assert report.replay() is True
-    assert len(report.computed_steps()) >= 1
-    assert len(report.asserted_steps()) >= 1
+    assert (report["stem"], report["group"], report["generator"]) == (stem, *EXPECTED[stem])
+    assert replay(report) is True
+    assert len(_computed(report)) >= 1
+    assert len(_asserted(report)) >= 1
 
 
 def test_stem_two_ehp_step_is_asserted():
     report = build_stem_report(2)
     asserted_texts = [
-        (s.claim + " " + s.citation).lower() for s in report.asserted_steps()
+        (s["claim"] + " " + s["citation"]).lower() for s in _asserted(report)
     ]
     assert any("ehp" in text for text in asserted_texts)
 
@@ -117,43 +182,41 @@ def test_build_stem_report_rejects_other_stems():
 
 @pytest.mark.parametrize("stem", [1, 2, 3])
 def test_report_json_round_trip_is_exact(stem):
-    report = build_stem_report(stem)
-    blob = report_to_json(report)
     # through an actual JSON string, as the CLI emits it
-    recovered = report_from_json(json.loads(json.dumps(blob)))
-    assert recovered == report
-    assert recovered.replay() is True
+    recovered = _read_back(stem)
+    assert recovered == build_stem_report(stem)
+    assert replay(recovered) is True
 
 
 def test_tampered_report_fails_replay():
-    blob = report_to_json(build_stem_report(3))
-    for step in blob["steps"]:
-        if step["evidence"] and "value" in step["evidence"]["outputs"]:
+    report = _read_back(3)
+    for step in _computed(report):
+        if "value" in step["evidence"]["outputs"]:
             step["evidence"]["outputs"]["value"] = 23
             break
     else:
         pytest.fail("expected a step with a 'value' output")
     with pytest.raises(VerificationError):
-        report_from_json(blob).replay()
+        replay(report)
 
 
 def test_replay_rejects_a_claim_its_check_does_not_state():
-    blob = json.loads(json.dumps(report_to_json(build_stem_report(3))))
-    (step,) = [s for s in blob["steps"] if s["evidence"] and s["evidence"]["check"] == "order_pin"]
+    report = _read_back(3)
+    (step,) = [s for s in _computed(report) if s["evidence"]["check"] == "order_pin"]
     step["claim"] = "the order of nu divides 7; the only such number is 7"
     with pytest.raises(VerificationError, match="the check claims"):
-        report_from_json(blob).replay()
+        replay(report)
 
 
 @pytest.mark.parametrize("stem", [1, 2, 3])
 def test_editing_any_computed_claim_fails_replay(stem):
-    blob = json.loads(json.dumps(report_to_json(build_stem_report(stem))))
-    for i, step in enumerate(blob["steps"]):
-        if step["status"] == "Computed":
-            steps = [dict(s) for s in blob["steps"]]
+    report = _read_back(stem)
+    for i, step in enumerate(report["steps"]):
+        if step["status"] == COMPUTED:
+            steps = [dict(s) for s in report["steps"]]
             steps[i]["claim"] = step["claim"].replace(" ", "  ", 1)
             with pytest.raises(VerificationError, match="the check claims"):
-                report_from_json({**blob, "steps": steps}).replay()
+                replay({**report, "steps": steps})
 
 
 # A value for every input and output of every Computed step, keyed by
@@ -208,11 +271,11 @@ TAMPERS = {
 
 def test_tamper_table_covers_every_evidence_field():
     fields = {
-        (stem, step.evidence["check"], part, key)
+        (stem, step["evidence"]["check"], part, key)
         for stem in (1, 2, 3)
-        for step in build_stem_report(stem).computed_steps()
+        for step in _computed(build_stem_report(stem))
         for part in ("inputs", "outputs")
-        for key in step.evidence[part]
+        for key in step["evidence"][part]
     }
     assert fields == set(TAMPERS)
 
@@ -223,24 +286,20 @@ def test_tamper_table_covers_every_evidence_field():
     "stem,check,part,field", list(TAMPERS), ids=[f"{s}-{c}-{f}" for s, c, _, f in TAMPERS]
 )
 def test_every_single_field_tamper_fails_replay(stem, check, part, field):
-    blob = json.loads(json.dumps(report_to_json(build_stem_report(stem))))
-    (evidence,) = [
-        s["evidence"]
-        for s in blob["steps"]
-        if s["evidence"] and s["evidence"]["check"] == check
-    ]
+    report = _read_back(stem)
+    evidence = _evidence(report, check)
     assert evidence[part][field] != TAMPERS[stem, check, part, field]
     evidence[part][field] = TAMPERS[stem, check, part, field]
     with pytest.raises(VerificationError):
-        report_from_json(blob).replay()
+        replay(report)
 
 
 def _moves_and_deletions(steps):
     """Each computed step deleted, and moved to the other end of ``steps``:
     the last to the front, any other to the back."""
-    last = max(i for i, s in enumerate(steps) if s["status"] == "Computed")
+    last = max(i for i, s in enumerate(steps) if s["status"] == COMPUTED)
     for i, step in enumerate(steps):
-        if step["status"] == "Computed":
+        if step["status"] == COMPUTED:
             rest = steps[:i] + steps[i + 1:]
             yield rest
             yield [step, *rest] if i == last else [*rest, step]
@@ -248,22 +307,24 @@ def _moves_and_deletions(steps):
 
 @pytest.mark.parametrize("stem", [1, 2, 3])
 def test_deleting_or_moving_any_computed_step_fails_replay(stem):
-    blob = json.loads(json.dumps(report_to_json(build_stem_report(stem))))
-    cases = list(_moves_and_deletions(blob["steps"]))
-    assert len(cases) == 2 * len(build_stem_report(stem).computed_steps())
+    report = _read_back(stem)
+    cases = list(_moves_and_deletions(report["steps"]))
+    assert len(cases) == 2 * len(_computed(report))
     for steps in cases:
-        # A report whose last computed step concludes nothing is refused when
-        # it is read back; any other fails when it replays.
-        with pytest.raises((ValueError, VerificationError)):
-            report_from_json({**blob, "steps": steps}).replay()
+        with pytest.raises(VerificationError):
+            replay({**report, "steps": steps})
 
 
-@pytest.mark.parametrize("field,value", [("stem", 2), ("group", "Z4"), ("generator", "eta^2")])
+@pytest.mark.parametrize(
+    "field,value",
+    [("stem", 2), ("stem", True), ("group", "Z4"), ("generator", "eta^2")],
+    ids=["stem-2", "stem-True", "group-Z4", "generator-eta^2"],
+)
 def test_report_from_json_rejects_a_conclusion_its_steps_do_not_reach(field, value):
-    blob = json.loads(json.dumps(report_to_json(build_stem_report(1))))
-    blob[field] = value
+    report = _read_back(1)
+    report[field] = value
     with pytest.raises(VerificationError, match="last computed step"):
-        report_from_json(blob)
+        replay(report)
 
 
 # --------------------------------------------------------------------------
@@ -275,11 +336,13 @@ def test_eta_order_chain_shape():
     earlier = {}
     steps = eta_order_chain(earlier)
     assert len(steps) == 5
-    statuses = [s.status for s in steps]
-    assert statuses.count(StepStatus.COMPUTED) == 4
-    assert statuses.count(StepStatus.PAPER_ASSERTED) == 1
+    statuses = [s["status"] for s in steps]
+    assert statuses.count(COMPUTED) == 4
+    assert statuses.count(PAPER_ASSERTED) == 1
     # The chain records each computed step's outputs for the steps after it.
-    assert earlier == {s.evidence["check"]: s.evidence["outputs"] for s in steps if s.evidence}
+    assert earlier == {
+        s["evidence"]["check"]: s["evidence"]["outputs"] for s in steps if s["evidence"]
+    }
     assert earlier["order_bracket_first_stem"]["order"] == 2
 
 
@@ -292,12 +355,8 @@ def test_eta_order_chain_replays():
 
 def test_chain_replay_detects_tampering():
     step = eta_order_chain({})[1]
-    tampered = type(step)(
-        claim=step.claim,
-        status=step.status,
-        citation=step.citation,
-        evidence={**step.evidence, "outputs": {**step.evidence["outputs"], "b": 3}},
-    )
+    evidence = step["evidence"]
+    tampered = {**step, "evidence": {**evidence, "outputs": {**evidence["outputs"], "b": 3}}}
     with pytest.raises(VerificationError):
         replay_step(tampered, {})
 
@@ -308,19 +367,42 @@ def test_a_step_replays_only_after_the_steps_it_reads():
         replay_step(bracket, {})
 
 
-def test_number_theory_module_loads_no_report_machinery():
+@pytest.mark.parametrize("stem", [1, 2, 3])
+def test_a_fresh_interpreter_replays_a_printed_report(stem):
+    # Only ``derivation`` is imported: replay must find the checks itself.
     code = (
-        "import json, sys, stemcert.jorder\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('stemcert'))))"
+        "import json, sys\n"
+        "from stemcert.derivation import replay\n"
+        "print(replay(json.load(sys.stdin)))"
     )
-    # The child imports the same ``stemcert`` as this suite.
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        input=json.dumps(build_stem_report(stem)),
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert (proc.returncode, proc.stdout) == (0, "True\n"), proc.stderr
+
+
+def _child_env():
+    """The environment of a child that imports the same ``stemcert`` as this suite."""
     package_parent = str(Path(stemcert.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [package_parent, env.get("PYTHONPATH")])
     )
+    return env
+
+
+def test_number_theory_module_loads_no_report_machinery():
+    code = (
+        "import json, sys, stemcert.jorder\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('stemcert'))))"
+    )
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env(),
+        check=True,
     )
     loaded = set(json.loads(proc.stdout))
     assert "stemcert.jorder" in loaded

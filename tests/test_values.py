@@ -13,7 +13,6 @@ from fractions import Fraction
 
 import pytest
 
-from stemcert.derivation import DerivationStep, StemReport, StepStatus
 from stemcert.einv import ObstructionCertificate, TwoCellModel, Verdict
 from stemcert.jorder import JOrderBound, KOClassS2, StuntedSpace
 from stemcert.kring import (
@@ -26,19 +25,9 @@ from stemcert.kring import (
 
 CP2 = Space("cp2", "cp", 2, 0)
 CP2_MODEL = (CP2,)
-STEP = DerivationStep("eta^2 is essential", StepStatus.PAPER_ASSERTED, "EHP")
-CONCLUSION = {"multiplier": 2, "stem": 2, "order": 2, "generator": "eta^2"}
-CONCLUDING_STEP = DerivationStep(
-    "eta^2 has order dividing 2",
-    StepStatus.COMPUTED,
-    "composition bilinearity",
-    {"check": "composite_killed_by_two", "inputs": {}, "outputs": CONCLUSION},
-)
 
 # Constructor arguments of one instance of every frozen class.
 FROZEN = [
-    (DerivationStep, ("c", StepStatus.PAPER_ASSERTED, "cited")),
-    (StemReport, ((CONCLUDING_STEP, STEP),)),
     (TwoCellModel, (1, 2, 2, 12)),
     (ObstructionCertificate, (Verdict.DOES_NOT_SPLIT, 2, 1, 12, Fraction(1, 12))),
     (JOrderBound, (2, 24, ("gcd", "closed", "bernoulli"))),
@@ -130,33 +119,11 @@ def test_the_monomial_index_is_not_part_of_a_ring_model():
 
 def test_keyword_arguments_and_defaults_still_work():
     assert StuntedSpace(family="complex", top=3, bottom=1) == StuntedSpace("complex", 3, 1, 0)
-    step = DerivationStep(claim="c", status=StepStatus.PAPER_ASSERTED, citation="x")
-    assert step.evidence is None
 
 
 @pytest.mark.parametrize(
     "build,message",
     [
-        (lambda: DerivationStep("c", StepStatus.COMPUTED, "x"), "needs evidence"),
-        (lambda: DerivationStep("c", StepStatus.COMPUTED, "x", {"n": 1}), "needs evidence"),
-        (
-            lambda: DerivationStep("c", StepStatus.PAPER_ASSERTED, "x", {"check": "y"}),
-            "carries no machine evidence",
-        ),
-        (lambda: StemReport((STEP,)), "must output its stem, order, generator"),
-        (
-            lambda: StemReport(
-                (
-                    DerivationStep(
-                        "c",
-                        StepStatus.COMPUTED,
-                        "x",
-                        {"check": "y", "inputs": {}, "outputs": {**CONCLUSION, "stem": 4}},
-                    ),
-                )
-            ),
-            "stem must be 1, 2 or 3",
-        ),
         (lambda: TwoCellModel(2, 2, 2, 0), "b > a >= 1"),
         (lambda: TwoCellModel(0, 2, 2, 0), "b > a >= 1"),
         (lambda: TwoCellModel(1, 2, 1, 0), "Adams index must be at least 2"),
