@@ -14,7 +14,6 @@ an independent oracle for the divisibility criterion.
 
 from __future__ import annotations
 
-from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -22,10 +21,8 @@ from ._frozen import Frozen
 from .kring import RingModel, adams_matrix
 
 __all__ = [
-    "ObstructionCertificate",
     "TwoCellModel",
-    "Verdict",
-    "certificate_to_json",
+    "VERDICTS",
     "conjugacy_witness",
     "e_invariant",
     "e_of_cells",
@@ -36,12 +33,8 @@ __all__ = [
 ]
 
 
-class Verdict(str, Enum):
-    """Outcome of the splitting decision."""
-
-    SPLITS = "Splits"
-    DOES_NOT_SPLIT = "DoesNotSplit"
-    INCONCLUSIVE = "Inconclusive"
+#: The outcomes of the splitting decision, as a certificate spells them.
+VERDICTS = ("Splits", "DoesNotSplit", "Inconclusive")
 
 
 class TwoCellModel(Frozen):
@@ -100,55 +93,39 @@ def order_lower_bound(model: RingModel, k: int) -> int:
     return e_invariant(model, k).denominator
 
 
-class ObstructionCertificate(Frozen):
-    """Splitting verdict with its divisibility witness.
-
-    ``k`` is the witness index (the first index with nonzero obstruction for
-    a negative verdict, otherwise the first index tested), ``c`` the
-    off-diagonal there, ``modulus`` the diagonal gap ``k^b - k^a``, and ``e``
-    the obstruction value in ``[0, 1)``.
-    """
-
-    __slots__ = ("verdict", "k", "c", "modulus", "e")
-
-    def __init__(
-        self, verdict: Verdict, k: int, c: int, modulus: int, e: Fraction
-    ):
-        if verdict is Verdict.DOES_NOT_SPLIT and e == 0:
-            raise ValueError("a non-splitting certificate requires e != 0")
-        if verdict is Verdict.SPLITS and e != 0:
-            raise ValueError("a splitting certificate requires e == 0")
-        self._set(verdict=verdict, k=k, c=c, modulus=modulus, e=e)
+def _certificate(verdict: str, cell: TwoCellModel) -> dict:
+    e = e_of_cells(cell)
+    return {"verdict": verdict, "k": cell.k, "c": cell.c, "modulus": cell.modulus,
+            "e": f"{e.numerator}/{e.denominator}"}
 
 
-def verdict_from_cells(cells: Sequence[TwoCellModel]) -> ObstructionCertificate:
+def verdict_from_cells(cells: Sequence[TwoCellModel]) -> dict:
     """Decide splitting from per-index Adams data.
 
     ``DoesNotSplit`` if any obstruction is nonzero; ``Splits`` only when all
     matrices are genuinely diagonal; ``Inconclusive`` when every obstruction
     vanishes but some off-diagonal does not (the psi-structure is integrally
     diagonalizable, which proves nothing about the space).
+
+    The certificate is ``{"verdict", "k", "c", "modulus", "e": "num/den"}``:
+    ``k`` is the witness index (the first index with nonzero obstruction for
+    a negative verdict, the first non-diagonal index for an inconclusive
+    one, otherwise the first index tested), ``c`` the off-diagonal there,
+    ``modulus`` the diagonal gap ``k^b - k^a``, and ``e`` the obstruction
+    value in ``[0, 1)``.
     """
     if not cells:
         raise ValueError("at least one Adams index is required")
     for cell in cells:
-        e = e_of_cells(cell)
-        if e != 0:
-            return ObstructionCertificate(
-                Verdict.DOES_NOT_SPLIT, cell.k, cell.c, cell.modulus, e
-            )
+        if e_of_cells(cell) != 0:
+            return _certificate("DoesNotSplit", cell)
     offender = next((cell for cell in cells if cell.c != 0), None)
     if offender is None:
-        first = cells[0]
-        return ObstructionCertificate(
-            Verdict.SPLITS, first.k, 0, first.modulus, Fraction(0)
-        )
-    return ObstructionCertificate(
-        Verdict.INCONCLUSIVE, offender.k, offender.c, offender.modulus, Fraction(0)
-    )
+        return _certificate("Splits", cells[0])
+    return _certificate("Inconclusive", offender)
 
 
-def splitting_verdict(model: RingModel, primes: Sequence[int]) -> ObstructionCertificate:
+def splitting_verdict(model: RingModel, primes: Sequence[int]) -> dict:
     """Run the obstruction over a list of Adams indices (each at least 2)."""
     primes = list(primes)
     if not primes:
@@ -183,13 +160,3 @@ def conjugacy_witness(cell: TwoCellModel, bound: int = 20) -> Optional[tuple]:
                     return (p, q, r, s)
     return None
 
-
-def certificate_to_json(cert: ObstructionCertificate) -> dict:
-    """Serialize as ``{verdict, k, c, modulus, e: "num/den"}``."""
-    return {
-        "verdict": cert.verdict.value,
-        "k": cert.k,
-        "c": int(cert.c),
-        "modulus": int(cert.modulus),
-        "e": f"{cert.e.numerator}/{cert.e.denominator}",
-    }

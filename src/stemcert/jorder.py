@@ -25,19 +25,14 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
-from ._frozen import Frozen
 from .errors import VerificationError
 from .exact import gcd, is_prime, padic_valuation
 
 __all__ = [
-    "JOrderBound",
-    "KOClassS2",
     "StabilizedGcd",
-    "StuntedSpace",
     "bernoulli",
     "feder_gitler_equivalent",
     "gcd_history",
-    "jorder_to_json",
     "ko_s2_realify",
     "m_closed_form",
     "m_via_bernoulli",
@@ -162,23 +157,14 @@ def m_via_bernoulli(k: int) -> int:
     return (bernoulli(2 * k) / (4 * k)).denominator
 
 
-class JOrderBound(Frozen):
-    """An order bound ``m(t)`` with the methods that produced it."""
-
-    __slots__ = ("t", "value", "methods")
-
-    def __init__(self, t: int, value: int, methods: tuple):
-        if value < 1:
-            raise ValueError("an order bound must be at least 1")
-        self._set(t=t, value=value, methods=methods)
-
-
-def order_bound(t: int, K: int = 200, N: Optional[int] = None) -> JOrderBound:
+def order_bound(t: int, K: int = 200, N: Optional[int] = None) -> dict:
     """The order bound ``m(t)``, with every method that applies forced to agree.
 
     The gcd fold (:func:`stabilized_gcd` with ``K`` and ``N``) and the closed
     form always run, the Bernoulli denominator for even ``t``.  Fails loudly
     (``VerificationError``) if they disagree or the fold has not stabilized.
+    The certificate is ``{"t", "m": decimal string, "methods", "stable"}``;
+    ``stable`` is always true, since only a settled fold is returned.
     """
     folded = stabilized_gcd(t, K=K, N=N)
     values = {"gcd": folded.value, "closed": m_closed_form(t)}
@@ -188,26 +174,12 @@ def order_bound(t: int, K: int = 200, N: Optional[int] = None) -> JOrderBound:
         raise VerificationError(f"order-bound methods disagree: {values}")
     if not folded.stable:
         raise VerificationError("gcd fold did not stabilize; increase K")
-    return JOrderBound(t=t, value=folded.value, methods=tuple(values))
+    return {"t": t, "m": str(folded.value), "methods": list(values), "stable": True}
 
 
-def nu_order_bound() -> JOrderBound:
+def nu_order_bound() -> dict:
     """The three-way order bound 24 for the third-stem generator."""
     return order_bound(2, K=200, N=12)
-
-
-def jorder_to_json(bound: JOrderBound) -> dict:
-    """CLI serialization: ``{"t", "m", "methods", "stable"}``.
-
-    ``stable`` is always true: :func:`order_bound` returns only a bound
-    whose gcd fold settled.
-    """
-    return {
-        "t": bound.t,
-        "m": str(bound.value),
-        "methods": list(bound.methods),
-        "stable": True,
-    }
 
 
 # --------------------------------------------------------------------------
@@ -218,54 +190,35 @@ COMPLEX = "complex"
 QUATERNIONIC = "quaternionic"
 
 
-class StuntedSpace(Frozen):
-    """``P^top / P^(bottom-1)`` in the complex or quaternionic family.
+def thom_space(family: str, n: int, k: int, suspension: int = 0) -> dict:
+    """Thom space of ``k`` copies of the Hopf bundle over ``P^n``,
+    ``P^(n+k) / P^(k-1)``, suspended ``suspension`` times.
 
-    ``suspension`` shifts every cell dimension by ``N``.
+    The certificate is ``{"family", "top", "bottom", "suspension", "cells",
+    "label"}``, with the total cell dimensions lowest first.
     """
-
-    __slots__ = ("family", "top", "bottom", "suspension")
-
-    def __init__(self, family: str, top: int, bottom: int, suspension: int = 0):
-        if family not in (COMPLEX, QUATERNIONIC):
-            raise ValueError(f"unknown family {family!r}")
-        if not (top >= bottom >= 0):
-            raise ValueError("indices must satisfy top >= bottom >= 0")
-        if suspension < 0:
-            raise ValueError("suspension offset must be non-negative")
-        self._set(family=family, top=top, bottom=bottom, suspension=suspension)
-
-    @property
-    def cell_multiplier(self) -> int:
-        return 2 if self.family == COMPLEX else 4
-
-    def cell_dimensions(self) -> tuple:
-        """Total cell dimensions, lowest first."""
-        c = self.cell_multiplier
-        return tuple(c * j + self.suspension for j in range(self.bottom, self.top + 1))
-
-    def suspended(self, n: int) -> "StuntedSpace":
-        return StuntedSpace(self.family, self.top, self.bottom, self.suspension + n)
-
-    def label(self) -> str:
-        p = "CP" if self.family == COMPLEX else "HP"
-        body = f"{p}^{self.top}/{p}^{self.bottom - 1}"
-        if self.suspension:
-            return f"S^{self.suspension}({body})"
-        return body
-
-
-def thom_space(family: str, n: int, k: int) -> StuntedSpace:
-    """Thom space of ``k`` copies of the Hopf bundle over ``P^n``:
-    ``P^(n+k) / P^(k-1)``."""
     if n < 1 or k < 1:
         raise ValueError("base index and multiple must be at least 1")
-    return StuntedSpace(family=family, top=n + k, bottom=k)
+    if family not in (COMPLEX, QUATERNIONIC):
+        raise ValueError(f"unknown family {family!r}")
+    if suspension < 0:
+        raise ValueError("suspension offset must be non-negative")
+    top = n + k
+    step, p = (2, "CP") if family == COMPLEX else (4, "HP")
+    label = f"{p}^{top}/{p}^{k - 1}"
+    return {
+        "family": family,
+        "top": top,
+        "bottom": k,
+        "suspension": suspension,
+        "cells": [step * j + suspension for j in range(k, top + 1)],
+        "label": f"S^{suspension}({label})" if suspension else label,
+    }
 
 
 @lru_cache(maxsize=1)
 def _jorder_b1() -> int:
-    return nu_order_bound().value
+    return int(nu_order_bound()["m"])
 
 
 def feder_gitler_equivalent(
@@ -295,18 +248,7 @@ def feder_gitler_equivalent(
 # --------------------------------------------------------------------------
 
 
-class KOClassS2(Frozen):
-    """A KO(S^2) class: real rank plus the order-2 reduced part."""
-
-    __slots__ = ("rank", "reduced")
-
-    def __init__(self, rank: int, reduced: int):
-        if reduced not in (0, 1):
-            raise ValueError("the reduced part lives in Z/2")
-        self._set(rank=rank, reduced=reduced)
-
-
-def ko_s2_realify(a: int, b: int) -> KOClassS2:
+def ko_s2_realify(a: int, b: int) -> dict:
     """Realification into KO(S^2) of ``a`` trivial real line summands plus
     ``b`` realified Hopf summands.
 
@@ -315,4 +257,4 @@ def ko_s2_realify(a: int, b: int) -> KOClassS2:
     A virtual complex class ``x + y*eta`` converts via ``a = 2x, b = y``
     (complexification doubles real rank).
     """
-    return KOClassS2(rank=a + 2 * b, reduced=b % 2)
+    return {"rank": a + 2 * b, "reduced": b % 2}

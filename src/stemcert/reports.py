@@ -44,8 +44,7 @@ def _e_invariant(inputs: dict) -> tuple:
 )
 def _check_einv_nonsplit(inputs: dict, earlier: dict) -> dict:
     model, e = _e_invariant(inputs)
-    verdict = einv.splitting_verdict(model, inputs["ks"]).verdict
-    return {"e": str(e), "verdict": verdict.value}
+    return {"e": str(e), "verdict": einv.splitting_verdict(model, inputs["ks"])["verdict"]}
 
 
 @register_check(
@@ -74,9 +73,8 @@ def _check_ko_realify(inputs: dict, earlier: dict) -> dict:
     summands."""
     square = earlier["eta_square_identity"]
     trivial_rank, hopf_count = 2 * square["a"], square["b"]
-    cls = jorder.ko_s2_realify(trivial_rank, hopf_count)
-    return {"trivial_rank": trivial_rank, "hopf_count": hopf_count, "rank": cls.rank,
-            "reduced": cls.reduced}
+    return {"trivial_rank": trivial_rank, "hopf_count": hopf_count,
+            **jorder.ko_s2_realify(trivial_rank, hopf_count)}
 
 
 @register_check(
@@ -121,7 +119,7 @@ def _check_composite(inputs: dict, earlier: dict) -> dict:
     "m({t}) = {value}",
 )
 def _check_jorder_triple(inputs: dict, earlier: dict) -> dict:
-    return {"value": jorder.order_bound(inputs["t"]).value}
+    return {"value": int(jorder.order_bound(inputs["t"])["m"])}
 
 
 @register_check(
@@ -154,8 +152,8 @@ def _check_fg(inputs: dict, earlier: dict) -> dict:
         raise VerificationError(f"{ek} != {el} mod {bn}")
     return {
         "B": bn,
-        "cells_nonequiv": list(jorder.thom_space(jorder.QUATERNIONIC, n, nk).cell_dimensions()),
-        "cells_equiv": list(jorder.thom_space(jorder.QUATERNIONIC, n, ek).cell_dimensions()),
+        "cells_nonequiv": jorder.thom_space(jorder.QUATERNIONIC, n, nk)["cells"],
+        "cells_equiv": jorder.thom_space(jorder.QUATERNIONIC, n, ek)["cells"],
         "nonzero_multiple": nk - nl,
     }
 

@@ -107,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--expect-verdict",
-        # The values of ``einv.Verdict``, spelled out so that building the
+        # The names in ``einv.VERDICTS``, spelled out so that building the
         # parser imports no layer.
         choices=("Splits", "DoesNotSplit", "Inconclusive"),
         help="fail (exit 3) unless the verdict matches",

@@ -1,16 +1,16 @@
 """e-invariants, splitting verdicts, and the integer-conjugacy oracle."""
 
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stemcert import einv
 from stemcert.einv import (
-    ObstructionCertificate,
+    VERDICTS,
     TwoCellModel,
-    Verdict,
-    certificate_to_json,
     conjugacy_witness,
     e_invariant,
     e_of_cells,
@@ -56,6 +56,21 @@ def test_two_cell_requires_two_cells():
         two_cell_from(ring("s2"), 2)
 
 
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        ((2, 1), (1, 4)),  # an entry above the diagonal, the right diagonal
+        ((2, 0), (1, 8)),  # lower triangular, a wrong diagonal entry
+    ],
+    ids=["above-diagonal", "wrong-diagonal"],
+)
+def test_two_cell_requires_the_graded_lower_triangular_shape(monkeypatch, matrix):
+    # cp2 at k = 2 has the matrix ((2, 0), (1, 4)); each fault alone refuses it.
+    monkeypatch.setattr(einv, "adams_matrix", lambda model, k: matrix)
+    with pytest.raises(ValueError, match="not lower-triangular graded"):
+        two_cell_from(ring("cp2"), 2)
+
+
 def test_e_invariant_frozen_values():
     assert e_invariant(ring("cp2"), 2) == Fraction(1, 2)
     assert e_invariant(ring("s2-smash-cp2"), 2) == Fraction(1, 2)
@@ -89,16 +104,15 @@ def test_order_lower_bounds():
 def test_splitting_verdict_negative_cases():
     for space in ["cp2", "s2-smash-cp2", "hp2"]:
         cert = splitting_verdict(ring(space), [2, 3, 5])
-        assert cert.verdict is Verdict.DOES_NOT_SPLIT
-        assert cert.e != 0
+        assert cert["verdict"] == "DoesNotSplit"
+        assert Fraction(cert["e"]) != 0
 
 
 def test_splitting_verdict_positive_case():
     # A genuinely diagonal psi-structure: a wedge of two spheres.
     cells = [TwoCellModel(a=1, b=2, k=k, c=0) for k in (2, 3, 5)]
     cert = verdict_from_cells(cells)
-    assert cert.verdict is Verdict.SPLITS
-    assert cert.e == 0 and cert.c == 0
+    assert cert == {"verdict": "Splits", "k": 2, "c": 0, "modulus": 2, "e": "0/1"}
 
 
 def test_splitting_verdict_inconclusive_case():
@@ -107,8 +121,16 @@ def test_splitting_verdict_inconclusive_case():
     base = two_cell_from(ring("cp2"), 2)
     scaled = TwoCellModel(a=base.a, b=base.b, k=base.k, c=base.modulus)  # c = 2
     cert = verdict_from_cells([scaled])
-    assert cert.verdict is Verdict.INCONCLUSIVE
-    assert cert.e == 0 and cert.c != 0
+    assert cert == {"verdict": "Inconclusive", "k": 2, "c": 2, "modulus": 2, "e": "0/1"}
+
+
+def test_verdict_witness_is_the_first_index_that_shows_it():
+    diagonal = TwoCellModel(a=1, b=2, k=2, c=0)
+    divisible = TwoCellModel(a=1, b=2, k=3, c=6)  # modulus 6
+    attached = TwoCellModel(a=1, b=2, k=5, c=5)  # modulus 20, e = 1/4
+    assert verdict_from_cells([diagonal, divisible, attached])["k"] == 5
+    assert verdict_from_cells([diagonal, divisible])["k"] == 3
+    assert verdict_from_cells([diagonal, diagonal])["k"] == 2
 
 
 def test_splitting_verdict_input_validation():
@@ -118,15 +140,17 @@ def test_splitting_verdict_input_validation():
         splitting_verdict(ring("cp2"), [1, 2])
 
 
-def test_certificate_invariants():
-    with pytest.raises(ValueError):
-        ObstructionCertificate(
-            Verdict.DOES_NOT_SPLIT, k=2, c=0, modulus=2, e=Fraction(0)
-        )
-    with pytest.raises(ValueError):
-        ObstructionCertificate(
-            Verdict.SPLITS, k=2, c=1, modulus=2, e=Fraction(1, 2)
-        )
+@given(st.integers(-30, 30), st.integers(2, 7))
+@settings(max_examples=60, deadline=None)
+def test_certificate_invariants(c, k):
+    # DoesNotSplit exactly when e != 0, Splits only when c = 0, and e is
+    # c / modulus reduced into [0, 1).
+    cert = verdict_from_cells([TwoCellModel(a=1, b=2, k=k, c=c)])
+    e = Fraction(cert["e"])
+    assert cert["verdict"] in VERDICTS
+    assert (cert["verdict"] == "DoesNotSplit") == (e != 0)
+    assert (cert["verdict"] == "Splits") == (c == 0)
+    assert 0 <= e < 1 and (Fraction(cert["c"], cert["modulus"]) - e).denominator == 1
 
 
 # --------------------------------------------------------------------------
@@ -208,7 +232,7 @@ def test_oracle_agrees_with_verdict_across_spaces():
         cell = two_cell_from(ring(space), 2)
         cert = verdict_from_cells([cell])
         witness = conjugacy_witness(cell)
-        if cert.verdict is Verdict.DOES_NOT_SPLIT:
+        if cert["verdict"] == "DoesNotSplit":
             assert witness is None
         else:
             assert witness is not None
@@ -221,8 +245,7 @@ def test_oracle_agrees_with_verdict_across_spaces():
 
 def test_certificate_json_round_trip():
     cert = splitting_verdict(ring("hp2"), [2, 3])
-    blob = certificate_to_json(cert)
-    assert blob == {
+    assert json.loads(json.dumps(cert)) == cert == {
         "verdict": "DoesNotSplit",
         "k": 2,
         "c": 1,

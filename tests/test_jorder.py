@@ -10,12 +10,9 @@ from hypothesis import strategies as st
 from stemcert import jorder
 from stemcert.errors import VerificationError
 from stemcert.jorder import (
-    KOClassS2,
-    StuntedSpace,
     bernoulli,
     feder_gitler_equivalent,
     gcd_history,
-    jorder_to_json,
     ko_s2_realify,
     m_closed_form,
     m_via_bernoulli,
@@ -51,6 +48,13 @@ def test_stabilized_gcd_24():
     result = stabilized_gcd(2, K=200, N=12)
     assert result.value == 24
     assert result.stable
+
+
+def test_stabilized_gcd_is_the_gcd_over_every_k():
+    # At t = 11 the fold over k <= 3 still stands at 2 * 23, and k = 4 brings
+    # it down to m(11) = 2: the value is the last running gcd, not an early one.
+    assert gcd_history(11, 4, 21)[1] == 46
+    assert stabilized_gcd(11).value == 2 == m_closed_form(11)
 
 
 def test_gcd_settles_quickly_for_t_2():
@@ -107,11 +111,7 @@ def test_three_methods_agree_on_frozen_table(t, expected):
 
 
 def test_nu_order_bound():
-    bound = nu_order_bound()
-    assert bound.t == 2
-    assert bound.value == 24
-    assert bound.methods == ("gcd", "closed", "bernoulli")
-    assert jorder_to_json(bound) == {
+    assert nu_order_bound() == {
         "t": 2,
         "m": "24",
         "methods": ["gcd", "closed", "bernoulli"],
@@ -121,8 +121,7 @@ def test_nu_order_bound():
 
 def test_order_bound_checks_agreement_and_stability(monkeypatch):
     # Odd t has no Bernoulli method; the other two still have to agree.
-    assert order_bound(3).methods == ("gcd", "closed")
-    assert order_bound(3).value == 2
+    assert order_bound(3) == {"t": 3, "m": "2", "methods": ["gcd", "closed"], "stable": True}
     # At K = 3 the fold reaches 24 only at its last step.
     with pytest.raises(VerificationError, match="did not stabilize"):
         order_bound(2, K=3)
@@ -200,32 +199,38 @@ def test_bernoulli_alternating_signs():
 
 
 def test_thom_space_examples():
-    t24 = thom_space("quaternionic", 1, 24)
-    assert t24.label() == "HP^25/HP^23"
-    assert t24.cell_dimensions() == (96, 100)
-
-    t12 = thom_space("quaternionic", 1, 12)
-    assert t12.cell_dimensions() == (48, 52)
-
+    assert thom_space("quaternionic", 1, 24) == {
+        "family": "quaternionic",
+        "top": 25,
+        "bottom": 24,
+        "suspension": 0,
+        "cells": [96, 100],
+        "label": "HP^25/HP^23",
+    }
+    assert thom_space("quaternionic", 1, 12)["cells"] == [48, 52]
     cp2 = thom_space("complex", 1, 1)
-    assert cp2.label() == "CP^2/CP^0"
-    assert cp2.cell_dimensions() == (2, 4)
+    assert (cp2["label"], cp2["cells"]) == ("CP^2/CP^0", [2, 4])
 
 
 def test_thom_space_suspension_shifts_cells():
-    base = thom_space("quaternionic", 1, 24)
-    lifted = base.suspended(7)
-    assert lifted.cell_dimensions() == (103, 107)
-    assert lifted.label() == "S^7(HP^25/HP^23)"
+    lifted = thom_space("quaternionic", 1, 24, suspension=7)
+    assert (lifted["suspension"], lifted["cells"]) == (7, [103, 107])
+    assert lifted["label"] == "S^7(HP^25/HP^23)"
+    assert thom_space("complex", 2, 3, 0) == thom_space("complex", 2, 3)
 
 
 def test_stunted_space_validation():
-    with pytest.raises(ValueError):
-        StuntedSpace(family="octonionic", top=2, bottom=1)
-    with pytest.raises(ValueError):
-        StuntedSpace(family="complex", top=1, bottom=3)
-    with pytest.raises(ValueError):
-        thom_space("complex", 0, 1)
+    for args, message in [
+        (("octonionic", 1, 1), "unknown family 'octonionic'"),
+        (("complex", 0, 1), "base index and multiple must be at least 1"),
+        (("complex", 1, 0), "base index and multiple must be at least 1"),
+        (("complex", 1, 1, -1), "suspension offset must be non-negative"),
+        # The index check comes first, then the family, then the suspension.
+        (("octonionic", 1, 0, -1), "at least 1"),
+        (("octonionic", 1, 1, -1), "unknown family"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            thom_space(*args)
 
 
 def test_feder_gitler_frozen_decisions():
@@ -268,16 +273,18 @@ def test_feder_gitler_period_24(k, steps):
 
 
 def test_ko_s2_realify_examples():
-    assert ko_s2_realify(1, 0) == KOClassS2(rank=1, reduced=0)
-    assert ko_s2_realify(0, 1) == KOClassS2(rank=2, reduced=1)
-    assert ko_s2_realify(-2, 2) == KOClassS2(rank=2, reduced=0)
+    assert ko_s2_realify(1, 0) == {"rank": 1, "reduced": 0}
+    assert ko_s2_realify(0, 1) == {"rank": 2, "reduced": 1}
+    assert ko_s2_realify(-2, 2) == {"rank": 2, "reduced": 0}
 
 
 def test_ko_s2_reduced_part_has_order_two():
     for b in range(8):
-        assert ko_s2_realify(0, b).reduced == b % 2
+        assert ko_s2_realify(0, b)["reduced"] == b % 2
 
 
 def test_ko_s2_validation():
-    with pytest.raises(ValueError):
-        KOClassS2(rank=2, reduced=2)
+    # The reduced part lives in Z/2 for a virtual class too.
+    for b in range(-8, 0):
+        assert ko_s2_realify(0, b) == {"rank": 2 * b, "reduced": b % 2}
+        assert ko_s2_realify(0, b)["reduced"] in (0, 1)

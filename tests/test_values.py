@@ -9,12 +9,10 @@ arrays and lists, whose semantics are Python's and numpy's.
 
 import copy
 import pickle
-from fractions import Fraction
 
 import pytest
 
-from stemcert.einv import ObstructionCertificate, TwoCellModel, Verdict
-from stemcert.jorder import JOrderBound, KOClassS2, StuntedSpace
+from stemcert.einv import TwoCellModel
 from stemcert.kring import (
     RingElement,
     RingModel,
@@ -29,10 +27,6 @@ CP2_MODEL = (CP2,)
 # Constructor arguments of one instance of every frozen class.
 FROZEN = [
     (TwoCellModel, (1, 2, 2, 12)),
-    (ObstructionCertificate, (Verdict.DOES_NOT_SPLIT, 2, 1, 12, Fraction(1, 12))),
-    (JOrderBound, (2, 24, ("gcd", "closed", "bernoulli"))),
-    (StuntedSpace, ("quaternionic", 25, 24, 3)),
-    (KOClassS2, (4, 1)),
     # One Space row per shape it describes: P^n of each kind, S^(2m), a smash.
     (Space, ("cp2", "cp", 2, 0)),
     (Space, ("hp2", "hp", 2, 0)),
@@ -101,10 +95,7 @@ def test_repr_lists_the_fields_by_name():
     assert repr(parse_space("s2-smash-cp2")) == (
         "Space(label='s2-smash-cp2', kind='cp', n=2, m=1)"
     )
-    assert repr(StuntedSpace("complex", 3, 1)) == (
-        "StuntedSpace(family='complex', top=3, bottom=1, suspension=0)"
-    )
-    assert repr(KOClassS2(rank=2, reduced=1)) == "KOClassS2(rank=2, reduced=1)"
+    assert repr(TwoCellModel(a=1, b=2, k=2, c=1)) == "TwoCellModel(a=1, b=2, k=2, c=1)"
 
 
 def test_the_monomial_index_is_not_part_of_a_ring_model():
@@ -118,7 +109,8 @@ def test_the_monomial_index_is_not_part_of_a_ring_model():
 
 
 def test_keyword_arguments_and_defaults_still_work():
-    assert StuntedSpace(family="complex", top=3, bottom=1) == StuntedSpace("complex", 3, 1, 0)
+    assert TwoCellModel(a=1, b=2, k=2, c=12) == TwoCellModel(1, 2, 2, 12)
+    assert Space(label="s2", kind=None, n=0, m=1) == parse_space("s2")
 
 
 @pytest.mark.parametrize(
@@ -127,19 +119,6 @@ def test_keyword_arguments_and_defaults_still_work():
         (lambda: TwoCellModel(2, 2, 2, 0), "b > a >= 1"),
         (lambda: TwoCellModel(0, 2, 2, 0), "b > a >= 1"),
         (lambda: TwoCellModel(1, 2, 1, 0), "Adams index must be at least 2"),
-        (
-            lambda: ObstructionCertificate(Verdict.DOES_NOT_SPLIT, 2, 0, 12, Fraction(0)),
-            "requires e != 0",
-        ),
-        (
-            lambda: ObstructionCertificate(Verdict.SPLITS, 2, 1, 12, Fraction(1, 12)),
-            "requires e == 0",
-        ),
-        (lambda: JOrderBound(2, 0, ()), "at least 1"),
-        (lambda: StuntedSpace("real", 2, 1), "unknown family"),
-        (lambda: StuntedSpace("complex", 1, 2), "top >= bottom >= 0"),
-        (lambda: StuntedSpace("complex", 2, 1, -1), "non-negative"),
-        (lambda: KOClassS2(2, 2), "Z/2"),
         (lambda: RingElement(RingModel(*CP2_MODEL), (1,)), "does not match basis"),
     ],
 )
