@@ -13,6 +13,7 @@ import pickle
 import pytest
 
 from stemcert.einv import TwoCellModel
+from stemcert.jorder import thom_space
 from stemcert.kring import (
     RingElement,
     RingModel,
@@ -120,6 +121,9 @@ def test_keyword_arguments_and_defaults_still_work():
         (lambda: TwoCellModel(0, 2, 2, 0), "b > a >= 1"),
         (lambda: TwoCellModel(1, 2, 1, 0), "Adams index must be at least 2"),
         (lambda: RingElement(RingModel(*CP2_MODEL), (1,)), "does not match basis"),
+        # A stunted space has no class; its certificate builder validates.
+        (lambda: thom_space("octonionic", 1, 1), "unknown family"),
+        (lambda: thom_space("complex", 1, 1, -1), "non-negative"),
     ],
 )
 def test_constructors_still_validate(build, message):
